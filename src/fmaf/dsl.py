@@ -1183,7 +1183,7 @@ class _Parser:
                         self._error(ref.span, f"unknown {where}: {ref.text!r}")
         for a in self.acts:
             need(a.chain, set(chain_by_id), "chain")
-            need(a.origin, cs_ids, "constituent")
+            need(a.origin, elements, "element")
             for ref in a.region:
                 need(ref, all_activities, "activity")
             need(a.on_entry, all_activities, "activity")

@@ -299,6 +299,16 @@ class _Instance:
         self.suspended = False
         self.exits_reached: list[str] = []
 
+    def clone(self) -> _Instance:
+        twin = _Instance(self.key, self.graph, self.owner, self.role, self.recovery_id)
+        twin.gen = self.gen
+        twin.live = self.live
+        twin.join_arrivals = self.join_arrivals.copy()
+        twin.waiting_recv = self.waiting_recv.copy()
+        twin.suspended = self.suspended
+        twin.exits_reached = self.exits_reached.copy()
+        return twin
+
     @property
     def finished(self) -> bool:
         return self.live == 0
@@ -321,6 +331,7 @@ class _Engine:
         self.instances: dict[str, _Instance] = {}
         self.mailbox: dict[tuple[str, str], list[tuple[int, str]]] = {}
         self.outcome: Outcome | None = None
+        self.pops = -1  # events popped; -1 until start() has run
 
         self.chain = model.chains[config.scenario] if config.scenario else None
         self.activation = (
@@ -334,6 +345,7 @@ class _Engine:
                 else frozenset(self.chain.detectors)
             )
         self.injected = False
+        self.injected_fired = False
         self.error_time: int | None = None
         self.detected: DetectionSpec | None = None
         self.recovery_started_at: int | None = None
@@ -647,7 +659,9 @@ class _Engine:
 
     # -- main loop
 
-    def run(self) -> SimTrace:
+    def start(self) -> None:
+        """Enter every nominal graph at tick 0; counts as event 0."""
+        self.pops = 0
         for cs_id in self.model.constituents:
             graph = self.model.processes[self.model.constituents[cs_id].nominal_process]
             inst = _Instance(f"nominal:{cs_id}", graph, cs_id, "nominal")
@@ -662,8 +676,11 @@ class _Engine:
             )
             self.injected = True
 
-        injected_fired = False
-        while self.heap and self.outcome is None:
+    def loop(self, stop: int = -1) -> None:
+        """Process events until an outcome is set, the queue drains, or
+        ``stop`` events have been popped."""
+        while self.heap and self.outcome is None and self.pops != stop:
+            self.pops += 1
             time, actor, rank, _seq, kind, payload = heapq.heappop(self.heap)
             if kind == "complete":
                 key, gen, node_id = payload
@@ -680,8 +697,8 @@ class _Engine:
                 receiver, channel, sender = payload
                 self.deliver_message(receiver, channel, sender, time)
             elif kind == "inject":
-                if not injected_fired:
-                    injected_fired = True
+                if not self.injected_fired:
+                    self.injected_fired = True
                     self.inject_fault(time)
             elif kind == "raise-error":
                 self.raise_error(time)
@@ -692,14 +709,35 @@ class _Engine:
             elif kind == "finalize":
                 self.on_finalize(time)
 
+    def finish(self) -> SimTrace:
+        """The trace of a drained or decided run, without metrics."""
         if self.outcome is None:
-            self.finish_at_quiescence(injected_fired)
+            self.finish_at_quiescence()
         assert self.outcome is not None
-        trace = SimTrace(self.config, tuple(self.events), {}, self.outcome)
+        return SimTrace(self.config, tuple(self.events), {}, self.outcome)
+
+    def run(self) -> SimTrace:
+        self.start()
+        self.loop()
+        trace = self.finish()
         metrics = compute_metrics(trace, self.model.metrics.values())
         return dataclasses.replace(trace, metrics=metrics)
 
-    def finish_at_quiescence(self, injected_fired: bool) -> None:
+    def fork(self, sampler) -> _Engine:
+        """An independent copy of this engine's state drawing from ``sampler``.
+
+        The model, config and emitted events are immutable and shared.
+        """
+        twin = _Engine.__new__(_Engine)
+        twin.__dict__.update(self.__dict__)
+        twin.sampler = sampler
+        twin.events = self.events.copy()
+        twin.heap = self.heap.copy()
+        twin.instances = {key: inst.clone() for key, inst in self.instances.items()}
+        twin.mailbox = {key: box.copy() for key, box in self.mailbox.items()}
+        return twin
+
+    def finish_at_quiescence(self) -> None:
         if self.chain is None:
             nominal = [i for i in self.instances.values() if i.role == "nominal"]
             if all(i.finished for i in nominal):
@@ -707,7 +745,7 @@ class _Engine:
             else:
                 self.outcome = Outcome("horizon-exhausted")
             return
-        if not injected_fired:
+        if not self.injected_fired:
             raise SimulationError(
                 f"scenario {self.chain.id!r}: the activation trigger never fired"
             )
@@ -774,9 +812,11 @@ def enumerate_outcomes(
     """Every reachable (detector, outcome) pair, by exhausting choices.
 
     Explores both branches of every Bernoulli choice the seeded run
-    would sample, depth-first over choice prefixes.  Only usable on
-    small models: any activity graph larger than ``bound`` nodes is
-    rejected.
+    would sample, depth-first over choice prefixes.  Each branch resumes
+    a fork of the engine as it stood just before the event that makes
+    the choice, so no prefix is replayed from tick 0, and leaves compute
+    only their outcome, no metrics.  Only usable on small models: any
+    activity graph larger than ``bound`` nodes is rejected.
     """
     for graph in model.processes.values():
         if len(graph.nodes) > bound:
@@ -786,22 +826,43 @@ def enumerate_outcomes(
             )
     _validate(model, config)
     outcomes: set[tuple[str | None, str]] = set()
-    stack: list[tuple[bool, ...]] = [()]
+    # (snapshot, choice prefix): a snapshot is an engine stopped between
+    # two events, never advanced itself; its sampler holds the number of
+    # prefix choices consumed so far.
+    root = _Engine(model, config, ScriptedSampler(()))
+    stack: list[tuple[_Engine, tuple[bool, ...]]] = [(root, ())]
     explored = 0
     while stack:
-        prefix = stack.pop()
+        snap, prefix = stack.pop()
         explored += 1
         if explored > 4096:
             raise BoundExceededError("choice space exceeds 4096 branches")
-        engine = _Engine(model, config, ScriptedSampler(prefix))
+        engine = _resume(snap, prefix)
         try:
-            trace = engine.run()
+            _advance(engine)
         except NeedChoice:
-            stack.append(prefix + (False,))
-            stack.append(prefix + (True,))
+            # engine.pops is the event that ran out of choices; both
+            # children restart that event from a snapshot taken before it.
+            if snap.pops != engine.pops - 1:
+                snap = _resume(snap, prefix)
+                _advance(snap, stop=engine.pops - 1)
+            stack.append((snap, prefix + (False,)))
+            stack.append((snap, prefix + (True,)))
             continue
-        outcomes.add(summarize(trace))
+        outcomes.add(summarize(engine.finish()))
     return outcomes
+
+
+def _resume(snap: _Engine, prefix: tuple[bool, ...]) -> _Engine:
+    sampler = ScriptedSampler(prefix)
+    sampler._next = snap.sampler._next
+    return snap.fork(sampler)
+
+
+def _advance(engine: _Engine, stop: int = -1) -> None:
+    if engine.pops < 0:
+        engine.start()
+    engine.loop(stop)
 
 
 def _matches(event: SimEvent, kind: str, qualifier: str | None) -> bool:

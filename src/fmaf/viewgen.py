@@ -131,6 +131,7 @@ class _Builder:
         self.nodes: list[ViewNode] = []
         self._seen: set[str] = set()
         self.edges: list[ViewEdge] = []
+        self._seen_edges: set[ViewEdge] = set()
         self.clusters: list[ViewCluster] = []
 
     def node(self, node_id: str, label: str, shape_class: str) -> str:
@@ -141,7 +142,8 @@ class _Builder:
 
     def edge(self, src: str, dst: str, label: str = "", style: str = "flow") -> None:
         candidate = ViewEdge(src, dst, label, style)
-        if candidate not in self.edges:
+        if candidate not in self._seen_edges:
+            self._seen_edges.add(candidate)
             self.edges.append(candidate)
 
     def cluster(self, cid: str, label: str, kind: str, members: list[str]) -> None:

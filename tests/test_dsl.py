@@ -7,7 +7,10 @@ import random
 import pytest
 
 from fmaf import dsl
+from fmaf.casestudy import load_bundle
+from fmaf.checker import check
 from fmaf.model import (
+    ActivationSpec,
     ActivityKind,
     ConnectionKind,
     DetectionStyle,
@@ -16,6 +19,7 @@ from fmaf.model import (
     SelfReport,
     ThirdPartyReport,
     Timeout,
+    build_model,
 )
 
 from _builders import mini_sos, random_model
@@ -453,6 +457,34 @@ class TestCanonicalForm:
             assert r.ok, (seed, errors(r))
             assert r.model == m, seed
             assert dsl.serialize(r.model) == text, seed
+
+    def test_environment_origin_activation_round_trips(self):
+        # build_model accepts any element as an activation origin; the
+        # parser must too, leaving the checker's R2 to report it.
+        m = load_bundle("fault3").model
+        template = m.activations["F3.2.act"]
+        caller = ActivationSpec(
+            "F3.1.act", "F3.1", "Caller", template.region, template.trigger
+        )
+        m = build_model(
+            name=m.name,
+            constituents=list(m.constituents.values()),
+            environment=list(m.environment.values()),
+            connections=list(m.connections.values()),
+            threat_nodes=list(m.threat_nodes.values()),
+            chains=list(m.chains.values()),
+            processes=list(m.processes.values()),
+            activations=[*m.activations.values(), caller],
+            detections=list(m.detections.values()),
+            recoveries=list(m.recoveries.values()),
+            metrics=list(m.metrics.values()),
+        )
+        r = dsl.parse(dsl.serialize(m))
+        assert r.ok, errors(r)
+        assert r.model == m
+        assert any(
+            f.rule_id == "R2" and f.subject == "F3.1.act" for f in check(r.model)
+        )
 
 
 if __name__ == "__main__":

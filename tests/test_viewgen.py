@@ -234,6 +234,16 @@ class TestDotOutput:
             b = to_dot(project(model, kind, focus=focus))
             assert a == b
 
+    def test_repeated_edges_collapse_to_first_occurrence(self):
+        model = race_fixture()
+        gp = model.processes["GP"]
+        doubled = dataclasses.replace(gp, edges=gp.edges + gp.edges)
+        twice = dataclasses.replace(model, processes={**model.processes, "GP": doubled})
+        graph = project(twice, "fav", focus="CH")
+        flow = [(e.src, e.dst) for e in graph.edges if e.style_class == "flow"]
+        assert flow == [(e.src, e.dst) for e in gp.edges]
+        assert to_dot(graph) == to_dot(project(model, "fav", focus="CH"))
+
     def test_labels_are_escaped(self):
         graph = ViewGraph(
             "fts",
