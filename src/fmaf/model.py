@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 
 class FmafError(Exception):
@@ -268,6 +268,10 @@ class ActivityGraph:
     edges: tuple[Edge, ...]
     entry: str
     exits: frozenset[str]
+    # Adjacency index derived from ``edges``: rebuilt by every construction
+    # (``dataclasses.replace`` included), invisible to equality and repr.
+    _out: Mapping[str, tuple[Edge, ...]] = field(init=False, compare=False, repr=False)
+    _in: Mapping[str, tuple[Edge, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _require_identifier(self.id, "activity graph")
@@ -276,17 +280,21 @@ class ActivityGraph:
         object.__setattr__(
             self, "nodes", {k: self.nodes[k] for k in sorted(self.nodes)}
         )
-        object.__setattr__(
-            self,
-            "edges",
-            tuple(sorted(self.edges, key=lambda e: (e.src, e.dst, e.guard or ""))),
-        )
+        edges = tuple(sorted(self.edges, key=lambda e: (e.src, e.dst, e.guard or "")))
+        object.__setattr__(self, "edges", edges)
+        out: dict[str, list[Edge]] = {}
+        into: dict[str, list[Edge]] = {}
+        for edge in edges:
+            out.setdefault(edge.src, []).append(edge)
+            into.setdefault(edge.dst, []).append(edge)
+        object.__setattr__(self, "_out", {k: tuple(v) for k, v in out.items()})
+        object.__setattr__(self, "_in", {k: tuple(v) for k, v in into.items()})
 
-    def out_edges(self, node_id: str) -> list[Edge]:
-        return [e for e in self.edges if e.src == node_id]
+    def out_edges(self, node_id: str) -> tuple[Edge, ...]:
+        return self._out.get(node_id, ())
 
-    def in_edges(self, node_id: str) -> list[Edge]:
-        return [e for e in self.edges if e.dst == node_id]
+    def in_edges(self, node_id: str) -> tuple[Edge, ...]:
+        return self._in.get(node_id, ())
 
 
 @dataclass(frozen=True, slots=True)
@@ -484,12 +492,12 @@ def _check_unique(category: str, items: Iterable[str]) -> None:
         seen.add(ident)
 
 
-def _reachable(start: str, forward: Mapping[str, list[str]]) -> set[str]:
+def _reachable(start: str, step: Callable[[str], Iterable[str]]) -> set[str]:
     seen = {start}
     stack = [start]
     while stack:
         node = stack.pop()
-        for nxt in forward.get(node, ()):
+        for nxt in step(node):
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
@@ -497,43 +505,70 @@ def _reachable(start: str, forward: Mapping[str, list[str]]) -> set[str]:
 
 
 def _immediate_postdominators(graph: ActivityGraph) -> dict[str, str | None]:
-    """Immediate post-dominator of each node, over a virtual common sink."""
-    sink = object()
-    nodes: list[object] = [sink] + sorted(graph.nodes)
-    succ: dict[object, list[object]] = {n: [] for n in nodes}
-    for edge in graph.edges:
-        succ[edge.src].append(edge.dst)
+    """Immediate post-dominator of each node, over a virtual common sink.
+
+    Cooper, Harvey & Kennedy, "A Simple, Fast Dominance Algorithm" (2001),
+    run on the reversed graph rooted at the sink. Nodes are numbered in
+    postorder of a depth-first search from the sink, which gets the highest
+    number; ``-1`` marks a node not yet processed. Exits, whose only
+    post-dominator is the sink, and nodes that reach no exit map to None.
+    """
+    # Depth-first search of the reversed graph: from the sink to each exit,
+    # from a node to its predecessors.
+    number: dict[str, int] = {}
+    order: list[str] = []
+    seen: set[str] = set()
+    for ex in sorted(graph.exits):
+        if ex in seen:
+            continue
+        seen.add(ex)
+        stack = [(ex, iter(graph.in_edges(ex)))]
+        while stack:
+            node, preds = stack[-1]
+            for edge in preds:
+                if edge.src not in seen:
+                    seen.add(edge.src)
+                    stack.append((edge.src, iter(graph.in_edges(edge.src))))
+                    break
+            else:
+                stack.pop()
+                number[node] = len(order)
+                order.append(node)
+    sink = len(order)
+    # Predecessors in the reversed graph are the original successors.
+    succs: list[list[int]] = [
+        [number[e.dst] for e in graph.out_edges(n) if e.dst in number] for n in order
+    ]
     for ex in graph.exits:
-        succ[ex].append(sink)
-    # Iterative dominator dataflow on the reversed graph, rooted at the sink.
-    postdom: dict[object, set[object]] = {n: set(nodes) for n in nodes}
-    postdom[sink] = {sink}
+        if ex in number:
+            succs[number[ex]].append(sink)
+
+    idom = [-1] * (sink + 1)
+    idom[sink] = sink
     changed = True
     while changed:
         changed = False
-        for n in nodes:
-            if n is sink:
-                continue
-            succs = succ[n]
-            if not succs:
-                new = {n}
-            else:
-                new = set.intersection(*(postdom[s] for s in succs)) | {n}
-            if new != postdom[n]:
-                postdom[n] = new
+        for b in range(sink - 1, -1, -1):
+            new = -1
+            for p in succs[b]:
+                if idom[p] == -1:
+                    continue
+                if new == -1:
+                    new = p
+                    continue
+                while p != new:
+                    while p < new:
+                        p = idom[p]
+                    while new < p:
+                        new = idom[new]
+            if idom[b] != new:
+                idom[b] = new
                 changed = True
+
     result: dict[str, str | None] = {}
-    for n in nodes:
-        if n is sink:
-            continue
-        candidates = postdom[n] - {n}
-        # The immediate post-dominator is the candidate all others post-dominate.
-        ipdom: object | None = None
-        for c in candidates:
-            if all(other is c or other in postdom[c] for other in candidates):
-                ipdom = c
-                break
-        result[n] = None if ipdom is sink or ipdom is None else ipdom  # type: ignore[assignment]
+    for n in graph.nodes:
+        b = number.get(n)
+        result[n] = None if b is None or idom[b] == sink else order[idom[b]]
     return result
 
 
@@ -554,33 +589,26 @@ def _validate_graph(graph: ActivityGraph) -> None:
         if ex not in graph.nodes:
             raise DanglingReferenceError("activity", ex, f"exit of graph {gid!r}")
 
-    forward: dict[str, list[str]] = {n: [] for n in graph.nodes}
-    backward: dict[str, list[str]] = {n: [] for n in graph.nodes}
-    for edge in graph.edges:
-        forward[edge.src].append(edge.dst)
-        backward[edge.dst].append(edge.src)
-
-    sinks = {n for n in graph.nodes if not forward[n]}
+    sinks = {n for n in graph.nodes if not graph.out_edges(n)}
     if sinks != set(graph.exits):
         raise GraphStructureError(
             gid,
             f"exits {sorted(graph.exits)} must be exactly the sink nodes {sorted(sinks)}",
         )
 
-    reachable = _reachable(graph.entry, forward)
+    reachable = _reachable(graph.entry, lambda n: (e.dst for e in graph.out_edges(n)))
     if reachable != set(graph.nodes):
         missing = sorted(set(graph.nodes) - reachable)
         raise GraphStructureError(gid, f"unreachable from entry: {missing}")
     reaches_exit: set[str] = set()
     for ex in graph.exits:
-        reaches_exit |= _reachable(ex, backward)
+        reaches_exit |= _reachable(ex, lambda n: (e.src for e in graph.in_edges(n)))
     if reaches_exit != set(graph.nodes):
         stuck = sorted(set(graph.nodes) - reaches_exit)
         raise GraphStructureError(gid, f"cannot reach any exit: {stuck}")
 
     for node_id, activity in graph.nodes.items():
-        outs = [e for e in graph.edges if e.src == node_id]
-        ins = backward[node_id]
+        outs = graph.out_edges(node_id)
         if activity.kind is ActivityKind.FORK:
             if len(outs) < 2:
                 raise GraphStructureError(gid, f"fork {node_id!r} needs >= 2 out-edges")
@@ -602,7 +630,7 @@ def _validate_graph(graph: ActivityGraph) -> None:
                 )
             if outs and outs[0].guard is not None:
                 raise GraphStructureError(gid, f"guard on out-edge of non-decision {node_id!r}")
-        if activity.kind is ActivityKind.JOIN and len(ins) < 2:
+        if activity.kind is ActivityKind.JOIN and len(graph.in_edges(node_id)) < 2:
             raise GraphStructureError(gid, f"join {node_id!r} needs >= 2 in-edges")
 
     # Fork/join well-nesting: the immediate post-dominator of a fork must be a
@@ -620,7 +648,7 @@ def _validate_graph(graph: ActivityGraph) -> None:
                 raise GraphStructureError(
                     gid, f"join {match!r} matches forks {claimed[match]!r} and {fork!r}"
                 )
-            if len(backward[match]) != len(forward[fork]):
+            if len(graph.in_edges(match)) != len(graph.out_edges(fork)):
                 raise GraphStructureError(
                     gid,
                     f"join {match!r} in-degree differs from fork {fork!r} out-degree",
@@ -632,7 +660,7 @@ def _validate_graph(graph: ActivityGraph) -> None:
 
     # Zero-time cycles would let simulated time stand still forever.
     zero = {n for n, a in graph.nodes.items() if a.effective_duration() == 0}
-    zero_forward = {n: [m for m in forward[n] if m in zero] for n in zero}
+    zero_forward = {n: [e.dst for e in graph.out_edges(n) if e.dst in zero] for n in zero}
     state: dict[str, int] = {}
 
     def visit(node: str) -> None:
@@ -661,14 +689,10 @@ def split_event_pattern(pattern: str) -> tuple[str, str | None]:
     return kind, (qualifier or None)
 
 
-def _validate_metric_pattern(model: SosModel, metric_id: str, pattern: str) -> None:
+def _validate_metric_pattern(vocabulary: set[str], metric_id: str, pattern: str) -> None:
     kind, qualifier = split_event_pattern(pattern)
     if qualifier is None:
         return
-    vocabulary: set[str] = set(model.threat_nodes) | set(model.constituents)
-    vocabulary |= set(model.environment) | set(model.connections) | set(model.chains)
-    for graph in model.processes.values():
-        vocabulary |= set(graph.nodes)
     if qualifier not in vocabulary:
         raise DanglingReferenceError(
             "event label", qualifier, f"metric {metric_id!r} pattern {pattern!r}"
@@ -844,12 +868,15 @@ def build_model(
                     "graph exit", ex, f"recovery {rec.id!r} exit classification"
                 )
 
+    # Every label an event pattern's qualifier may name.
+    vocabulary = all_activity_ids | set(model.threat_nodes) | set(model.constituents)
+    vocabulary |= set(model.environment) | set(model.connections) | set(model.chains)
     for metric in model.metrics.values():
         if isinstance(metric.kind, ElapsedBetween):
-            _validate_metric_pattern(model, metric.id, metric.kind.a)
-            _validate_metric_pattern(model, metric.id, metric.kind.b)
+            _validate_metric_pattern(vocabulary, metric.id, metric.kind.a)
+            _validate_metric_pattern(vocabulary, metric.id, metric.kind.b)
         else:
-            _validate_metric_pattern(model, metric.id, metric.kind.pattern)
+            _validate_metric_pattern(vocabulary, metric.id, metric.kind.pattern)
 
     return model
 
