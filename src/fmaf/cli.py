@@ -50,6 +50,9 @@ def _load_model(path: str) -> SosModel | None:
     except OSError as exc:
         _fail(f"cannot read {path!r}: {exc.strerror or exc}")
         return None
+    except UnicodeDecodeError as exc:
+        _fail(f"cannot read {path!r}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+        return None
     if result.model is None:
         for diagnostic in result.diagnostics:
             print(diagnostic, file=sys.stderr)

@@ -123,7 +123,8 @@ _K_DURATION = "duration"
 _K_EOF = "eof"
 
 _IDENT_HEAD = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
-_IDENT_TAIL = _IDENT_HEAD | set("0123456789_.")
+_DIGITS = set("0123456789")  # not str.isdigit, which accepts "\u00b2" and other scripts
+_IDENT_TAIL = _IDENT_HEAD | _DIGITS | set("_.")
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,13 +215,13 @@ def _lex(text: str) -> list[_Token]:
             col += j - i
             i = j
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1] in _DIGITS:
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
                 word = text[i:j]
                 toks.append(_Token(_K_NUMBER, word, float(word), span))

@@ -459,6 +459,9 @@ class SosModel:
     detections: Mapping[str, DetectionSpec] = field(default_factory=dict)
     recoveries: Mapping[str, RecoverySpec] = field(default_factory=dict)
     metrics: Mapping[str, MetricSpec] = field(default_factory=dict)
+    # Run plan the simulator builds on this model's first run and reuses:
+    # dropped by ``dataclasses.replace``, invisible to equality and repr.
+    _plan: object = field(default=None, init=False, compare=False, repr=False)
 
     def element(self, ident: str) -> ConstituentSystem | EnvironmentEntity | None:
         """A constituent or environment entity by id, if declared."""

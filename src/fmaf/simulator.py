@@ -31,8 +31,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .checker import blocking_violations, check
+from .checker import Finding, blocking_violations, check
 from .model import (
+    ActivationSpec,
     ActivityKind,
     AtTime,
     Count,
@@ -231,9 +232,14 @@ def detection_race(candidates: Iterable[DetectionSpec], state: RaceState) -> Rac
     order, whether or not they would win.  A candidate firing after the
     horizon never wins.
     """
+    return _race(sorted(candidates, key=lambda s: s.id), state)
+
+
+def _race(candidates: Iterable[DetectionSpec], state: RaceState) -> RaceResult:
+    """``detection_race`` over candidates already in spec-id order."""
     best: tuple[int, str] | None = None
     winner: DetectionSpec | None = None
-    for spec in sorted(candidates, key=lambda s: s.id):
+    for spec in candidates:
         if spec.detector not in state.enabled:
             continue
         cond = spec.condition
@@ -333,9 +339,10 @@ class _Engine:
         self.outcome: Outcome | None = None
         self.pops = -1  # events popped; -1 until start() has run
 
+        self.plan = _plan(model)
         self.chain = model.chains[config.scenario] if config.scenario else None
         self.activation = (
-            model.activation_for(config.scenario) if config.scenario else None
+            self.plan.activation.get(config.scenario) if config.scenario else None
         )
         self.enabled = frozenset()
         if self.chain is not None:
@@ -546,14 +553,13 @@ class _Engine:
         )
         if not self.config.recovery_enabled:
             return
-        candidates = self.model.detections_for(chain.id)
         state = RaceState(
             error_time=time,
             horizon=self.config.horizon,
             enabled=self.enabled,
             sampler=self.sampler,
         )
-        result = detection_race(candidates, state)
+        result = _race(self.plan.detections.get(chain.id, ()), state)
         if result.winner is not None:
             self.detected = result.winner
             self.push(
@@ -758,9 +764,44 @@ class _Engine:
 # Public operations
 
 
+@dataclass(frozen=True, slots=True)
+class _Plan:
+    """What every run of one model needs and no run changes."""
+
+    findings: tuple[Finding, ...]
+    decisions: frozenset[str]
+    activation: Mapping[str, ActivationSpec]  # chain id -> activation_for's pick
+    detections: Mapping[str, tuple[DetectionSpec, ...]]  # chain id -> by spec id
+
+
+def _plan(model: SosModel) -> _Plan:
+    """The model's run plan, built on first use and kept on the model."""
+    plan = model._plan
+    if plan is None:
+        activation: dict[str, ActivationSpec] = {}
+        for spec in sorted(model.activations.values(), key=lambda a: a.id):
+            activation.setdefault(spec.threat, spec)
+        detections: dict[str, list[DetectionSpec]] = {}
+        for spec in sorted(model.detections.values(), key=lambda d: d.id):
+            detections.setdefault(spec.threat, []).append(spec)
+        plan = _Plan(
+            findings=tuple(check(model)),
+            decisions=frozenset(
+                node_id
+                for graph in model.processes.values()
+                for node_id, node in graph.nodes.items()
+                if node.kind is ActivityKind.DECISION
+            ),
+            activation=activation,
+            detections={k: tuple(v) for k, v in detections.items()},
+        )
+        object.__setattr__(model, "_plan", plan)
+    return plan
+
+
 def _validate(model: SosModel, config: SimConfig) -> None:
-    findings = check(model)
-    blocking = blocking_violations(findings, config.scenario or "")
+    plan = _plan(model)
+    blocking = blocking_violations(plan.findings, config.scenario or "")
     if blocking:
         raise ModelViolationsError(blocking)
 
@@ -775,7 +816,7 @@ def _validate(model: SosModel, config: SimConfig) -> None:
                     f"enabled detectors {sorted(extra)} are not detectors of "
                     f"chain {chain.id!r}"
                 )
-        activation = model.activation_for(config.scenario)
+        activation = plan.activation.get(config.scenario)
         if activation is None:
             raise InvalidConfigError(
                 f"chain {config.scenario!r} has no activation specification"
@@ -788,14 +829,8 @@ def _validate(model: SosModel, config: SimConfig) -> None:
                 f"activation time {activation.trigger.time} lies beyond the "
                 f"horizon {config.horizon}"
             )
-    all_decisions = {
-        node_id
-        for graph in model.processes.values()
-        for node_id, node in graph.nodes.items()
-        if node.kind is ActivityKind.DECISION
-    }
     for key in config.guard_inputs:
-        if key not in all_decisions:
+        if key not in plan.decisions:
             raise InvalidConfigError(f"guard input {key!r} names no decision node")
 
 
@@ -912,22 +947,45 @@ def compute_metrics(
     return out
 
 
+# The trace writer builds each line itself; this encoder, the same one
+# ``json.dumps(..., sort_keys=True)`` would build per call, takes every
+# value that is not a str, an exact int or None.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json(value: object) -> str:
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    return _ENCODER.encode(value)
+
+
+def _event_line(e: SimEvent) -> str:
+    details = e.details
+    body = ", ".join(
+        f"{_quote(key)}: {_json(details[key])}" for key in sorted(details)
+    )
+    return (
+        f'{{"actor": {_json(e.actor)}, "details": {{{body}}}, '
+        f'"kind": {_json(e.kind)}, "time": {_json(e.time)}}}'
+    )
+
+
 def format_trace(trace: SimTrace) -> str:
-    """One JSON record per event plus a trailing summary record."""
-    lines = [
-        json.dumps(
-            {
-                "time": e.time,
-                "kind": e.kind,
-                "actor": e.actor,
-                "details": dict(e.details),
-            },
-            sort_keys=True,
-        )
-        for e in trace.events
-    ]
+    """One JSON record per event plus a trailing summary record.
+
+    Every line is byte for byte what ``json.dumps(record, sort_keys=True)``
+    gives: keys sorted at every level, ``", "``/``": "`` separators and
+    non-ASCII escaped.
+    """
+    lines = [_event_line(e) for e in trace.events]
     lines.append(
-        json.dumps(
+        _ENCODER.encode(
             {
                 "summary": {
                     "outcome": trace.outcome.kind,
@@ -936,8 +994,7 @@ def format_trace(trace: SimTrace) -> str:
                     "metrics": dict(trace.metrics),
                     "events": len(trace.events),
                 }
-            },
-            sort_keys=True,
+            }
         )
     )
     return "\n".join(lines) + "\n"

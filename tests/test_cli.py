@@ -61,6 +61,15 @@ class TestCheck:
         assert main(["check", str(path)]) == 3
         assert capsys.readouterr().err.strip()
 
+    def test_non_ascii_digit_exits_three_with_diagnostic(self, tmp_path, capsys):
+        path = tmp_path / "digit.fmaf"
+        path.write_text(
+            "sos X { cs A { nominal P } connection C: A <-> A { latency \u00b2t } }",
+            encoding="utf-8",
+        )
+        assert main(["check", str(path)]) == 3
+        assert "unexpected character '\u00b2'" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_nominal_run(self, paths, capsys):
@@ -166,6 +175,19 @@ class TestExport:
 
 
 class TestTopLevel:
+    @pytest.mark.parametrize("argv", [
+        ["check"],
+        ["simulate", "--scenario", "F1"],
+        ["export", "--view", "fts"],
+    ], ids=["check", "simulate", "export"])
+    def test_non_utf8_model_exits_three(self, argv, tmp_path, capsys):
+        path = tmp_path / "latin1.fmaf"
+        path.write_bytes(b"sos X { cs A \"caf\xe9\" { nominal P } }\n\xff")
+        assert main([argv[0], str(path), *argv[1:]]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"fmaf: cannot read {str(path)!r}: not UTF-8 text (")
+        assert "Traceback" not in err
+
     def test_no_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2
         capsys.readouterr()

@@ -355,6 +355,22 @@ class TestDiagnostics:
         assert not r.ok
         assert "malformed number" in r.diagnostics[0].message
 
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff11"])
+    def test_non_ascii_digits_are_unexpected_characters(self, digit):
+        for src, col in ((f"sos X {{ {digit} }}", 9), (f"sos X {{ 1{digit} }}", 10)):
+            r = dsl.parse(src)
+            assert not r.ok
+            (d,) = r.diagnostics
+            assert d.message == f"unexpected character {digit!r}"
+            assert (d.span.line, d.span.col) == (1, col)
+
+    def test_non_ascii_digit_is_no_duration(self):
+        r = dsl.parse(
+            "sos X { cs A { nominal P } connection C: A <-> A { latency \u0663t } }"
+        )
+        assert not r.ok
+        assert r.diagnostics[0].message == "unexpected character '\u0663'"
+
     def test_latency_requires_tick_suffix(self):
         r = dsl.parse("sos X { cs A { nominal P } connection C: A <-> A { latency 2 } }")
         assert not r.ok
