@@ -29,8 +29,10 @@ declaration or field, so ``cause`` or ``fault.radio`` are fine as ids.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .model import (
     Activity,
@@ -122,17 +124,17 @@ _K_NUMBER = "number"
 _K_DURATION = "duration"
 _K_EOF = "eof"
 
-_IDENT_HEAD = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
-_DIGITS = set("0123456789")  # not str.isdigit, which accepts "\u00b2" and other scripts
-_IDENT_TAIL = _IDENT_HEAD | _DIGITS | set("_.")
 
-
-@dataclass(frozen=True, slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     value: object
-    span: SourceSpan
+    line: int
+    col: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.line, self.col)
 
     def describe(self) -> str:
         if self.kind == _K_IDENT:
@@ -155,116 +157,108 @@ def _err(span: SourceSpan, message: str) -> _Abort:
 
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+_ESCAPE = re.compile(r"\\(.)")
+
+_DECIMAL = r"[0-9]+(?:\.[0-9]+)?"
+_STRING_CHARS = r'[^"\\\n]*(?:\\[\\"nt][^"\\\n]*)*'
+
+# Blanks, then one token.  Letters and digits are spelled out as ASCII
+# because ``\w`` and ``\d`` accept other scripts.  The match fails on a
+# malformed string, a number or duration that runs into an identifier
+# character, and any character that starts no token; _lex_error then
+# names the fault.
+_MASTER = re.compile(
+    rf"""[ \t]*(?:
+        (?P<ident>[A-Za-z][A-Za-z0-9_.]*)
+      | (?P<punct><->|->|[{{}}\[\],:])
+      | (?P<nl>\n)
+      | (?P<string>"{_STRING_CHARS}")
+      | (?P<duration>[0-9]+t)(?![A-Za-z0-9_.])
+      | (?P<number>{_DECIMAL})(?![A-Za-z0-9_.])
+      | (?P<comment>\#[^\n]*)
+      | (?P<eof>\Z)
+    )""",
+    re.VERBOSE,
+)
+_STRING_BODY = re.compile(_STRING_CHARS)
+_NUMBER = re.compile(_DECIMAL)
+_BLANKS = re.compile(r"[ \t]*")
+# Builds a token or reference without the Python-level __new__ of NamedTuple.
+_new = tuple.__new__
 
 
 def _lex(text: str) -> list[_Token]:
     # Both newline conventions lex identically.
     text = text.replace("\r\n", "\n").replace("\r", "\n")
+    end = len(text)
     toks: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    append = toks.append
+    match = _MASTER.match
+    pos = 0
+    line = 1
+    base = -1  # offset of the current line's column 0
+    while True:
+        m = match(text, pos)
+        if m is None:
+            raise _lex_error(text, pos, line, base)
+        kind = m.lastgroup
+        word = m[kind]
+        pos = m.end()
+        if kind == "nl":
             line += 1
-            col = 1
+            base = pos - 1
             continue
-        if c in " \t":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = SourceSpan(line, col)
-        if c == '"':
-            i += 1
-            col += 1
-            parts: list[str] = []
-            while True:
-                if i >= n or text[i] == "\n":
-                    raise _err(span, "unterminated string literal")
-                ch = text[i]
-                if ch == '"':
-                    i += 1
-                    col += 1
-                    break
-                if ch == "\\":
-                    if i + 1 >= n or text[i + 1] not in _ESCAPES:
-                        raise _err(
-                            SourceSpan(line, col), "unknown escape in string literal"
-                        )
-                    parts.append(_ESCAPES[text[i + 1]])
-                    i += 2
-                    col += 2
-                    continue
-                parts.append(ch)
-                i += 1
-                col += 1
-            value = "".join(parts)
-            toks.append(_Token(_K_STRING, f'"{value}"', value, span))
-            continue
-        if c in _IDENT_HEAD:
-            j = i
-            while j < n and text[j] in _IDENT_TAIL:
-                j += 1
-            word = text[i:j]
-            toks.append(_Token(_K_IDENT, word, word, span))
-            col += j - i
-            i = j
-            continue
-        if c in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1] in _DIGITS:
-                j += 1
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-                word = text[i:j]
-                toks.append(_Token(_K_NUMBER, word, float(word), span))
-            elif j < n and text[j] == "t" and (j + 1 >= n or text[j + 1] not in _IDENT_TAIL):
-                word = text[i:j]
-                toks.append(_Token(_K_DURATION, word + "t", int(word), span))
-                j += 1
-            else:
-                word = text[i:j]
-                if j < n and text[j] in _IDENT_TAIL:
-                    raise _err(span, f"malformed number {text[i:j + 1]!r}...")
-                toks.append(_Token(_K_NUMBER, word, float(word), span))
-            col += j - i
-            i = j
-            continue
-        if text.startswith("<->", i):
-            toks.append(_Token("<->", "<->", "<->", span))
-            i += 3
-            col += 3
-            continue
-        if text.startswith("->", i):
-            toks.append(_Token("->", "->", "->", span))
-            i += 2
-            col += 2
-            continue
-        if c in "{}[],:":
-            toks.append(_Token(c, c, c, span))
-            i += 1
-            col += 1
-            continue
-        raise _err(span, f"unexpected character {c!r}")
-    toks.append(_Token(_K_EOF, "", None, SourceSpan(line, col)))
-    return toks
+        col = pos - len(word) - base
+        if kind == "ident":
+            append(_new(_Token, (_K_IDENT, word, word, line, col)))
+        elif kind == "punct":
+            append(_new(_Token, (word, word, word, line, col)))
+        elif kind == "string":
+            value = word[1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], value)
+                word = f'"{value}"'
+            append(_new(_Token, (_K_STRING, word, value, line, col)))
+        elif kind == "duration":
+            append(_new(_Token, (_K_DURATION, word, int(word[:-1]), line, col)))
+        elif kind == "number":
+            append(_new(_Token, (_K_NUMBER, word, float(word), line, col)))
+        elif pos == end:
+            # End of input, or a comment that runs to it: the EOF span is
+            # then the comment's '#', because a comment never moves the
+            # column on.
+            append(_new(_Token, (_K_EOF, "", None, line, col)))
+            return toks
+
+
+def _lex_error(text: str, pos: int, line: int, base: int) -> _Abort:
+    """The diagnostic for the token at ``pos`` that _MASTER failed to match."""
+    i = _BLANKS.match(text, pos).end()
+    span = SourceSpan(line, i - base)
+    c = text[i]
+    if c == '"':
+        j = _STRING_BODY.match(text, i + 1).end()
+        if j < len(text) and text[j] == "\\":
+            return _err(SourceSpan(line, j - base), "unknown escape in string literal")
+        return _err(span, "unterminated string literal")
+    if c in "0123456789":
+        j = _NUMBER.match(text, i).end()
+        return _err(span, f"malformed number {text[i:j + 1]!r}...")
+    return _err(span, f"unexpected character {c!r}")
 
 
 # ---------------------------------------------------------------------------
 # Raw declaration records (everything span-tagged for diagnostics)
 
 
-@dataclass(frozen=True, slots=True)
-class _Ref:
+class _Ref(NamedTuple):
     text: str
-    span: SourceSpan
+    line: int
+    col: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.line, self.col)
 
 
 @dataclass(slots=True)
@@ -460,7 +454,7 @@ class _Parser:
 
     def _ident(self, what: str) -> _Ref:
         t = self._expect(_K_IDENT, what)
-        return _Ref(t.text, t.span)
+        return _new(_Ref, (t.text, t.line, t.col))
 
     def _opt_string(self) -> str:
         if self._at(_K_STRING):
@@ -504,11 +498,11 @@ class _Parser:
         self._expect("]", f"']' closing the {what} list")
         return out
 
-    def _dup_field(self, already: bool, span: SourceSpan, fname: str, block: str) -> bool:
+    def _dup_field(self, already: bool, t: _Token, fname: str, block: str) -> bool:
         """Report a repeated single-occurrence field; keep the first value."""
         if already:
             self.diags.append(
-                Diagnostic("error", span, f"repeated '{fname}' in {block}")
+                Diagnostic("error", t.span, f"repeated '{fname}' in {block}")
             )
         return already
 
@@ -568,17 +562,17 @@ class _Parser:
             if self._at_kw("nominal"):
                 self._advance()
                 ref = self._ident("process id")
-                if not self._dup_field(rec.nominal is not None, t.span, "nominal", block):
+                if not self._dup_field(rec.nominal is not None, t, "nominal", block):
                     rec.nominal = ref
             elif self._at_kw("provides"):
                 self._advance()
                 refs = self._idlist("interface id")
-                if not self._dup_field(bool(rec.provides), t.span, "provides", block):
+                if not self._dup_field(bool(rec.provides), t, "provides", block):
                     rec.provides = refs
             elif self._at_kw("requires"):
                 self._advance()
                 refs = self._idlist("interface id")
-                if not self._dup_field(bool(rec.requires), t.span, "requires", block):
+                if not self._dup_field(bool(rec.requires), t, "requires", block):
                     rec.requires = refs
             else:
                 raise _err(
@@ -605,7 +599,7 @@ class _Parser:
                 if self._at_kw("uses"):
                     self._advance()
                     refs = self._idlist("connection id")
-                    if not self._dup_field(bool(rec.uses), t.span, "uses", block):
+                    if not self._dup_field(bool(rec.uses), t, "uses", block):
                         rec.uses = refs
                 else:
                     raise _err(
@@ -632,7 +626,7 @@ class _Parser:
                 if self._at_kw("interface"):
                     self._advance()
                     val = self._ident("interface id")
-                    if not self._dup_field("interface" in seen, t.span, "interface", block):
+                    if not self._dup_field("interface" in seen, t, "interface", block):
                         rec.interface = val.text
                     seen.add("interface")
                 elif self._at_kw("kind"):
@@ -648,20 +642,20 @@ class _Parser:
                             f"expected 'nominal' or 'recovery_only', found {kt.describe()}",
                         )
                     self._advance()
-                    if not self._dup_field("kind" in seen, t.span, "kind", block):
+                    if not self._dup_field("kind" in seen, t, "kind", block):
                         rec.kind = kind
                     seen.add("kind")
                 elif self._at_kw("latency"):
                     self._advance()
                     val2 = self._duration("the link latency")
-                    if not self._dup_field("latency" in seen, t.span, "latency", block):
+                    if not self._dup_field("latency" in seen, t, "latency", block):
                         rec.latency = val2
                     seen.add("latency")
                 elif self._at_kw("reliability"):
                     self._advance()
                     val3 = self._number("a reliability between 0 and 1")
                     if not self._dup_field(
-                        "reliability" in seen, t.span, "reliability", block
+                        "reliability" in seen, t, "reliability", block
                     ):
                         rec.reliability = val3
                     seen.add("reliability")
@@ -698,13 +692,13 @@ class _Parser:
             if t.text in ("fault", "error", "failure", "origin"):
                 self._advance()
                 ref = self._ident(f"{t.text} id")
-                if not self._dup_field(t.text in seen, t.span, t.text, block):
+                if not self._dup_field(t.text in seen, t, t.text, block):
                     setattr(rec, t.text, ref)
                 seen.add(t.text)
             elif t.text == "detectors":
                 self._advance()
                 refs = self._idlist("detector id")
-                if not self._dup_field("detectors" in seen, t.span, "detectors", block):
+                if not self._dup_field("detectors" in seen, t, "detectors", block):
                     rec.detectors = refs
                 seen.add("detectors")
             elif t.text == "observed":
@@ -720,7 +714,7 @@ class _Parser:
                         f"expected 'boundary' or 'internal', found {ot.describe()}",
                     )
                 self._advance()
-                if not self._dup_field("observed" in seen, t.span, "observed", block):
+                if not self._dup_field("observed" in seen, t, "observed", block):
                     rec.observed = obs
                 seen.add("observed")
             elif t.text == "unrecoverable":
@@ -772,12 +766,12 @@ class _Parser:
             elif t.text == "entry":
                 self._advance()
                 ref = self._ident("entry activity id")
-                if not self._dup_field(rec.entry is not None, t.span, "entry", block):
+                if not self._dup_field(rec.entry is not None, t, "entry", block):
                     rec.entry = ref
             elif t.text == "exits":
                 self._advance()
                 refs = self._idlist("exit activity id")
-                if not self._dup_field(bool(rec.exits), t.span, "exits", block):
+                if not self._dup_field(bool(rec.exits), t, "exits", block):
                     rec.exits = refs
             elif t.text == "edge":
                 self._advance()
@@ -817,24 +811,24 @@ class _Parser:
             if self._at_kw("chain"):
                 self._advance()
                 ref = self._ident("chain id")
-                if not self._dup_field("chain" in seen, t.span, "chain", block):
+                if not self._dup_field("chain" in seen, t, "chain", block):
                     rec.chain = ref
                 seen.add("chain")
             elif self._at_kw("origin"):
                 self._advance()
                 ref = self._ident("origin constituent id")
-                if not self._dup_field("origin" in seen, t.span, "origin", block):
+                if not self._dup_field("origin" in seen, t, "origin", block):
                     rec.origin = ref
                 seen.add("origin")
             elif self._at_kw("region"):
                 self._advance()
                 refs = self._idlist("region activity id")
-                if not self._dup_field("region" in seen, t.span, "region", block):
+                if not self._dup_field("region" in seen, t, "region", block):
                     rec.region = refs
                 seen.add("region")
             elif self._at_kw("trigger"):
                 self._advance()
-                dup = self._dup_field("trigger" in seen, t.span, "trigger", block)
+                dup = self._dup_field("trigger" in seen, t, "trigger", block)
                 seen.add("trigger")
                 tt = self._tok()
                 if self._at_kw("at_time"):
@@ -892,18 +886,18 @@ class _Parser:
             if self._at_kw("chain"):
                 self._advance()
                 ref = self._ident("chain id")
-                if not self._dup_field("chain" in seen, t.span, "chain", block):
+                if not self._dup_field("chain" in seen, t, "chain", block):
                     rec.chain = ref
                 seen.add("chain")
             elif self._at_kw("detector"):
                 self._advance()
                 ref = self._ident("detector id")
-                if not self._dup_field("detector" in seen, t.span, "detector", block):
+                if not self._dup_field("detector" in seen, t, "detector", block):
                     rec.detector = ref
                 seen.add("detector")
             elif self._at_kw("condition"):
                 self._advance()
-                dup = self._dup_field("condition" in seen, t.span, "condition", block)
+                dup = self._dup_field("condition" in seen, t, "condition", block)
                 seen.add("condition")
                 ct = self._tok()
                 if self._at_kw("self_report"):
@@ -949,13 +943,13 @@ class _Parser:
                         st.span, f"expected 'separate' or 'shared', found {st.describe()}"
                     )
                 self._advance()
-                if not self._dup_field("style" in seen, t.span, "style", block):
+                if not self._dup_field("style" in seen, t, "style", block):
                     rec.style = style
                 seen.add("style")
             elif self._at_kw("recovery"):
                 self._advance()
                 ref = self._ident("recovery id")
-                if not self._dup_field("recovery" in seen, t.span, "recovery", block):
+                if not self._dup_field("recovery" in seen, t, "recovery", block):
                     rec.recovery = ref
                 seen.add("recovery")
             else:
@@ -995,13 +989,13 @@ class _Parser:
             elif self._at_kw("success"):
                 self._advance()
                 refs = self._idlist("success exit id")
-                if not self._dup_field("success" in seen, t.span, "success", block):
+                if not self._dup_field("success" in seen, t, "success", block):
                     rec.success = refs
                 seen.add("success")
             elif self._at_kw("abort"):
                 self._advance()
                 refs = self._idlist("abort exit id")
-                if not self._dup_field("abort" in seen, t.span, "abort", block):
+                if not self._dup_field("abort" in seen, t, "abort", block):
                     rec.abort = refs
                 seen.add("abort")
             else:
@@ -1033,22 +1027,22 @@ class _Parser:
                 self._expect("->", "'->' between the event patterns")
                 b = self._string("the end event pattern")
                 if not self._dup_field(
-                    "kind" in seen, t.span, "elapsed or count", block
+                    "kind" in seen, t, "elapsed or count", block
                 ):
-                    rec.elapsed = (_Ref(str(a.value), a.span), _Ref(str(b.value), b.span))
+                    rec.elapsed = (_Ref(str(a.value), a.line, a.col), _Ref(str(b.value), b.line, b.col))
                 seen.add("kind")
             elif self._at_kw("count"):
                 self._advance()
                 pat = self._string("the event pattern")
                 if not self._dup_field(
-                    "kind" in seen, t.span, "elapsed or count", block
+                    "kind" in seen, t, "elapsed or count", block
                 ):
-                    rec.count = _Ref(str(pat.value), pat.span)
+                    rec.count = _Ref(str(pat.value), pat.line, pat.col)
                 seen.add("kind")
             elif self._at_kw("target"):
                 self._advance()
                 val = self._duration("the target tick count")
-                if not self._dup_field("target" in seen, t.span, "target", block):
+                if not self._dup_field("target" in seen, t, "target", block):
                     rec.target = val
                 seen.add("target")
             else:
@@ -1072,34 +1066,30 @@ class _Parser:
         self.diags.append(Diagnostic("error", span, message))
 
     def _check_duplicates(self) -> None:
-        def scan(pairs: list[tuple[str, SourceSpan]], what: str) -> None:
-            first: dict[str, SourceSpan] = {}
-            for ident, span in pairs:
-                if ident in first:
+        def scan(refs: list[_Ref], what: str) -> None:
+            first: dict[str, _Ref] = {}
+            for ref in refs:
+                if ref.text in first:
                     self._error(
-                        span,
-                        f"duplicate {what} id {ident!r} "
-                        f"(first declared at {first[ident]})",
+                        ref.span,
+                        f"duplicate {what} id {ref.text!r} "
+                        f"(first declared at {first[ref.text].span})",
                     )
                 else:
-                    first[ident] = span
+                    first[ref.text] = ref
 
-        scan(
-            [(r.ident.text, r.ident.span) for r in self.cs]
-            + [(r.ident.text, r.ident.span) for r in self.envs],
-            "element",
-        )
-        scan([(r.ident.text, r.ident.span) for r in self.conns], "connection")
-        scan([(r.ident.text, r.ident.span) for r in self.threats], "threat node")
-        scan([(r.ident.text, r.ident.span) for r in self.chains], "chain")
-        scan([(r.ident.text, r.ident.span) for r in self.procs], "process")
-        scan([(r.ident.text, r.ident.span) for r in self.acts], "activation")
-        scan([(r.ident.text, r.ident.span) for r in self.dets], "detection")
-        scan([(r.ident.text, r.ident.span) for r in self.recvs], "recovery")
-        scan([(r.ident.text, r.ident.span) for r in self.metrics], "metric")
+        scan([r.ident for r in self.cs] + [r.ident for r in self.envs], "element")
+        scan([r.ident for r in self.conns], "connection")
+        scan([r.ident for r in self.threats], "threat node")
+        scan([r.ident for r in self.chains], "chain")
+        scan([r.ident for r in self.procs], "process")
+        scan([r.ident for r in self.acts], "activation")
+        scan([r.ident for r in self.dets], "detection")
+        scan([r.ident for r in self.recvs], "recovery")
+        scan([r.ident for r in self.metrics], "metric")
         for proc in self.procs:
             scan(
-                [(n.ident.text, n.ident.span) for n in proc.nodes],
+                [n.ident for n in proc.nodes],
                 f"activity (in process {proc.ident.text!r})",
             )
 
@@ -1336,7 +1326,7 @@ class _Parser:
             except FmafError as e:
                 self._error(r.ident.span, str(e))
         processes = []
-        proc_spans = {r.ident.text: r.ident.span for r in self.procs}
+        proc_idents = {r.ident.text: r.ident for r in self.procs}
         for r in self.procs:
             if r.entry is None or not r.exits:
                 continue  # already reported
@@ -1459,8 +1449,7 @@ class _Parser:
                 metrics=metrics,
             )
         except GraphStructureError as e:
-            span = proc_spans.get(e.graph_id, self.sos_name.span)
-            self._error(span, str(e))
+            self._error(proc_idents.get(e.graph_id, self.sos_name).span, str(e))
             return ParseResult(None, tuple(self.diags))
         except FmafError as e:
             self._error(self.sos_name.span, str(e))
@@ -1508,13 +1497,15 @@ def _quote(s: str) -> str:
 
 
 def _num(x: float) -> str:
-    # The grammar has no exponent form, so very small values are written
-    # out in full decimal digits.
+    # The grammar has no exponent form, so a repr that uses one is written
+    # out as the same decimal in positional digits.
     s = repr(x)
-    if "e" in s or "E" in s:
-        s = f"{x:.17f}".rstrip("0")
-        if s.endswith("."):
-            s += "0"
+    if "e" in s:
+        from decimal import Decimal  # here, so that most processes never load it
+
+        s = format(Decimal(s), "f")
+        if "." not in s:
+            s += ".0"
     return s
 
 

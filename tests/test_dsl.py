@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import random
 
 import pytest
 
 from fmaf import dsl
-from fmaf.casestudy import load_bundle
+from fmaf.casestudy import BUNDLE_NAMES, load_bundle
 from fmaf.checker import check
 from fmaf.model import (
     ActivationSpec,
@@ -94,6 +96,18 @@ sos Mini {
 
 def errors(result: dsl.ParseResult) -> list[str]:
     return [str(d) for d in result.diagnostics if d.severity == "error"]
+
+
+def rebuild(m, **parts):
+    """``m`` built again by ``build_model``, with the named parts replaced."""
+    kwargs = {
+        part: list(getattr(m, part).values())
+        for part in (
+            "constituents", "environment", "connections", "threat_nodes", "chains",
+            "processes", "activations", "detections", "recoveries", "metrics",
+        )
+    }
+    return build_model(name=m.name, **{**kwargs, **parts})
 
 
 class TestParseBasics:
@@ -377,6 +391,154 @@ class TestDiagnostics:
         assert any("tick count like 2t" in m for m in errors(r))
 
 
+# A clean model; each duplicate-id test appends one declaration at line 13,
+# then the closing brace.
+DUP_BASE = (
+    "sos X {\n"
+    "  cs A { nominal P }\n"
+    "  cs B { nominal Q }\n"
+    "  process P owner A { entry N exits [N] action N }\n"
+    "  process Q owner B { entry M exits [M] action M }\n"
+    "  connection C: A <-> B\n"
+    '  fault f "d"  error e "d"  failure x "d"\n'
+    "  chain K { fault f error e failure x origin A detectors [B] }\n"
+    "  activation T { chain K origin A region [N] trigger at_time 1t }\n"
+    "  detection D { chain K detector B condition self_report 1t recovery R }\n"
+    "  recovery R { graph B Q success [M] }\n"
+    '  metric Z { count "activity-end:N" }\n'
+)
+
+
+class TestDiagnosticCorpus:
+    """Exact message and position of each lexer diagnostic and each
+    diagnostic whose span the parser keeps from a token or reference."""
+
+    @pytest.mark.parametrize(
+        "src, expected",
+        [
+            ('sos X { fault F "oops', "1:17: error: unterminated string literal"),
+            ('sos X {\n  fault F "oops\n}', "2:11: error: unterminated string literal"),
+            ('sos X { fault F "a\\qb" }', "1:19: error: unknown escape in string literal"),
+            ('sos X { fault F "a\\', "1:19: error: unknown escape in string literal"),
+            ("sos X { cs A { nominal 5x } }", "1:24: error: malformed number '5x'..."),
+            ("sos X { cs A { nominal 12.t } }", "1:24: error: malformed number '12.'..."),
+            ("sos X { cs A { nominal 7tx } }", "1:24: error: malformed number '7t'..."),
+            ("sos X { cs A { nominal 0.9x } }", "1:24: error: malformed number '0.9x'..."),
+            ("sos X { cs A { nominal 0.9t } }", "1:24: error: malformed number '0.9t'..."),
+            ("sos X { cs A { nominal 0.9_ } }", "1:24: error: malformed number '0.9_'..."),
+            ("sos X { cs A { nominal 0.9.1 } }", "1:24: error: malformed number '0.9.'..."),
+            ("sos X {\n\t\t@ }", "2:3: error: unexpected character '@'"),
+            ("sos X {\r\n\t é }", "2:3: error: unexpected character 'é'"),
+            ("sos X {\r\n  ² }", "2:3: error: unexpected character '²'"),
+            ("sos X {\r  - }", "2:3: error: unexpected character '-'"),
+            (
+                "sos X { # no newline after this comment",
+                "1:9: error: expected a declaration keyword or '}', found end of input",
+            ),
+        ],
+    )
+    def test_lexer_diagnostics(self, src, expected):
+        assert [str(d) for d in dsl.parse(src).diagnostics] == [expected]
+
+    @pytest.mark.parametrize(
+        "extra, expected",
+        [
+            ("  env A\n", "13:7: error: duplicate element id 'A' (first declared at 2:6)"),
+            (
+                "  connection C: B <-> A\n",
+                "13:14: error: duplicate connection id 'C' (first declared at 6:14)",
+            ),
+            (
+                '  failure x "again"\n',
+                "13:11: error: duplicate threat node id 'x' (first declared at 7:37)",
+            ),
+            (
+                "  chain K { fault f error e failure x origin A detectors [B] }\n",
+                "13:9: error: duplicate chain id 'K' (first declared at 8:9)",
+            ),
+            (
+                "  process Q owner B { entry M exits [M] action M }\n",
+                "13:11: error: duplicate process id 'Q' (first declared at 5:11)",
+            ),
+            (
+                "  activation T { chain K origin A region [N] trigger at_time 2t }\n",
+                "13:14: error: duplicate activation id 'T' (first declared at 9:14)",
+            ),
+            (
+                "  detection D { chain K detector B condition self_report 2t recovery R }\n",
+                "13:13: error: duplicate detection id 'D' (first declared at 10:13)",
+            ),
+            (
+                "  recovery R { graph B Q }\n",
+                "13:12: error: duplicate recovery id 'R' (first declared at 11:12)",
+            ),
+            (
+                '  metric Z { count "activity-end:M" }\n',
+                "13:10: error: duplicate metric id 'Z' (first declared at 12:10)",
+            ),
+            (
+                "  process P2 owner A { entry N exits [N] action N action N }\n",
+                "13:58: error: duplicate activity (in process 'P2') id 'N' "
+                "(first declared at 13:49)",
+            ),
+        ],
+    )
+    def test_duplicate_ids(self, extra, expected):
+        assert dsl.parse(DUP_BASE + "}").ok
+        r = dsl.parse(DUP_BASE + extra + "}")
+        assert [str(d) for d in r.diagnostics] == [expected]
+
+    @pytest.mark.parametrize(
+        "src, expected",
+        [
+            (
+                "sos X {\n  cs A { nominal P nominal P }\n"
+                "  process P owner A { entry N exits [N] action N }\n}",
+                "2:20: error: repeated 'nominal' in cs A",
+            ),
+            (
+                "sos X {\n  cs A { nominal Nope }\n"
+                "  process P owner A { entry N exits [N] action N }\n}",
+                "2:18: error: unknown process 'Nope'",
+            ),
+            (
+                "sos X {\n  cs A { nominal P }\n"
+                "  process P owner A { entry N exits [N] action N }\n"
+                '  metric M { count "activity-end:Ghost" }\n}',
+                "4:20: error: event pattern qualifier 'Ghost' matches no declared "
+                "element, threat, chain, connection or activity",
+            ),
+            (
+                "sos X {\n  cs A { nominal P }\n  process P owner A {\n"
+                "    entry N exits [M] action N action M fork S\n"
+                "    edge N -> S edge S -> M\n  }\n}",
+                "3:11: error: activity graph 'P': fork 'S' needs >= 2 out-edges",
+            ),
+        ],
+    )
+    def test_reference_spans(self, src, expected):
+        assert [str(d) for d in dsl.parse(src).diagnostics] == [expected]
+
+    @pytest.mark.parametrize("name", BUNDLE_NAMES)
+    def test_clean_parse_builds_spans_only_for_its_diagnostics(self, name, monkeypatch):
+        bundle = load_bundle(name)
+        text = bundle.model_file.read_text(encoding="utf-8")
+        made = []
+
+        def counting_span(line, col):
+            made.append((line, col))
+            return real_span(line, col)
+
+        real_span = dsl.SourceSpan
+        monkeypatch.setattr(dsl, "SourceSpan", counting_span)
+        r = dsl.parse(text)
+        assert r.ok
+        assert len(made) == len(r.diagnostics)
+        duplicate = f"  env {next(iter(bundle.model.constituents))}\n}}\n"
+        assert not dsl.parse(text.rstrip()[:-1] + duplicate).ok
+        assert len(made) == 2, "the duplicate's span and its first declaration's"
+
+
 class TestCanonicalForm:
     def test_serialize_empty(self):
         r = dsl.parse("sos Empty { }")
@@ -482,25 +644,43 @@ class TestCanonicalForm:
         caller = ActivationSpec(
             "F3.1.act", "F3.1", "Caller", template.region, template.trigger
         )
-        m = build_model(
-            name=m.name,
-            constituents=list(m.constituents.values()),
-            environment=list(m.environment.values()),
-            connections=list(m.connections.values()),
-            threat_nodes=list(m.threat_nodes.values()),
-            chains=list(m.chains.values()),
-            processes=list(m.processes.values()),
-            activations=[*m.activations.values(), caller],
-            detections=list(m.detections.values()),
-            recoveries=list(m.recoveries.values()),
-            metrics=list(m.metrics.values()),
-        )
+        m = rebuild(m, activations=[*m.activations.values(), caller])
         r = dsl.parse(dsl.serialize(m))
         assert r.ok, errors(r)
         assert r.model == m
         assert any(
             f.rule_id == "R2" and f.subject == "F3.1.act" for f in check(r.model)
         )
+
+    def test_numbers_keep_every_digit(self):
+        rng = random.Random(5)
+        values = [1.0 - rng.random() for _ in range(2000)]  # (0, 1]
+        values += [10 ** rng.uniform(-12, -4) for _ in range(2000)]
+        values += [math.ldexp(rng.getrandbits(52) | 1, -1074) for _ in range(200)]
+        values += [5e-324, 2.2250738585072014e-308, 3e-21, 1.5e-17, 1 / 30000]
+        for x in values:
+            text = dsl._num(x)
+            assert float(text) == x, (x, text)
+            number, eof = dsl._lex(text)
+            assert (number.kind, number.text, eof.kind) == ("number", text, "eof")
+        assert dsl._num(1 / 30000) == "0.000033333333333333335"
+        assert dsl._num(1e-05) == "0.00001"
+
+    def test_small_reliability_round_trips(self):
+        m = load_bundle("fault3").model
+        first = next(iter(m.connections))
+        m = rebuild(
+            m,
+            connections=[
+                dataclasses.replace(c, reliability=1 / 30000) if c.id == first else c
+                for c in m.connections.values()
+            ],
+        )
+        text = dsl.serialize(m)
+        assert "reliability 0.000033333333333333335\n" in text
+        r = dsl.parse(text)
+        assert r.ok, errors(r)
+        assert r.model == m
 
 
 if __name__ == "__main__":
