@@ -4,150 +4,98 @@ The package bundles a textual modelling language (.fmaf), a
 dependability-taxonomy consistency checker, a deterministic
 fault-injection simulator, viewpoint projections to DOT, and a set of
 emergency-response case-study models.
-"""
 
-from fmaf.checker import (
-    CATALOG,
-    Finding,
-    Rule,
-    Severity,
-    blocking_violations,
-    check,
-    explain,
-    format_report,
-    has_violations,
-)
-from fmaf.dsl import Diagnostic, ParseResult, SourceSpan, parse, parse_file, serialize
-from fmaf.model import (
-    ActivationSpec,
-    Activity,
-    ActivityGraph,
-    ActivityKind,
-    AtTime,
-    Connection,
-    ConnectionKind,
-    ConstituentSystem,
-    Count,
-    DetectionSpec,
-    DetectionStyle,
-    Edge,
-    ElapsedBetween,
-    EnvironmentEntity,
-    FailureObservation,
-    FmafError,
-    MetricSpec,
-    OnEntry,
-    Probabilistic,
-    RecoverySpec,
-    SelfReport,
-    SosModel,
-    ThirdPartyReport,
-    ThreatChain,
-    ThreatKind,
-    ThreatNode,
-    Timeout,
-    build_model,
-    lift_cs_failure,
-    partition_fault,
-)
-from fmaf.casestudy import (
-    BUNDLE_NAMES,
-    ScenarioBundle,
-    UnknownBundleError,
-    load_bundle,
-)
-from fmaf.viewgen import (
-    VIEW_KINDS,
-    ViewCluster,
-    ViewEdge,
-    ViewGraph,
-    ViewNode,
-    project,
-    to_dot,
-)
-from fmaf.simulator import (
-    Outcome,
-    SimConfig,
-    SimEvent,
-    SimTrace,
-    compute_metrics,
-    detection_race,
-    enumerate_outcomes,
-    format_trace,
-    run,
-    summarize,
-    write_trace,
-)
+``import fmaf`` loads no submodule: each public name below is imported
+from its home module on first access (PEP 562), so a caller pays only
+for the layers it uses.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUNDLE_NAMES",
-    "CATALOG",
-    "Diagnostic",
-    "Finding",
-    "Outcome",
-    "ParseResult",
-    "Rule",
-    "Severity",
-    "SimConfig",
-    "SimEvent",
-    "SimTrace",
-    "ScenarioBundle",
-    "UnknownBundleError",
-    "SourceSpan",
-    "blocking_violations",
-    "check",
-    "compute_metrics",
-    "detection_race",
-    "enumerate_outcomes",
-    "explain",
-    "format_report",
-    "format_trace",
-    "has_violations",
-    "load_bundle",
-    "parse",
-    "parse_file",
-    "run",
-    "serialize",
-    "summarize",
-    "write_trace",
-    "VIEW_KINDS",
-    "ViewCluster",
-    "ViewEdge",
-    "ViewGraph",
-    "ViewNode",
-    "project",
-    "to_dot",
-    "ActivationSpec",
-    "Activity",
-    "ActivityGraph",
-    "ActivityKind",
-    "AtTime",
-    "Connection",
-    "ConnectionKind",
-    "ConstituentSystem",
-    "Count",
-    "DetectionSpec",
-    "DetectionStyle",
-    "Edge",
-    "ElapsedBetween",
-    "EnvironmentEntity",
-    "FailureObservation",
-    "FmafError",
-    "MetricSpec",
-    "OnEntry",
-    "Probabilistic",
-    "RecoverySpec",
-    "SelfReport",
-    "SosModel",
-    "ThirdPartyReport",
-    "ThreatChain",
-    "ThreatKind",
-    "ThreatNode",
-    "Timeout",
-    "build_model",
-    "lift_cs_failure",
-    "partition_fault",
-    "__version__",
-]
+#: Public name -> home module, in ``__all__`` order.
+_HOME = {
+    "BUNDLE_NAMES": "casestudy",
+    "CATALOG": "checker",
+    "Diagnostic": "dsl",
+    "Finding": "checker",
+    "Outcome": "simulator",
+    "ParseResult": "dsl",
+    "Rule": "checker",
+    "Severity": "checker",
+    "SimConfig": "simulator",
+    "SimEvent": "simulator",
+    "SimTrace": "simulator",
+    "ScenarioBundle": "casestudy",
+    "UnknownBundleError": "casestudy",
+    "SourceSpan": "dsl",
+    "blocking_violations": "checker",
+    "check": "checker",
+    "compute_metrics": "simulator",
+    "detection_race": "simulator",
+    "enumerate_outcomes": "simulator",
+    "explain": "checker",
+    "format_report": "checker",
+    "format_trace": "simulator",
+    "has_violations": "checker",
+    "load_bundle": "casestudy",
+    "parse": "dsl",
+    "parse_file": "dsl",
+    "run": "simulator",
+    "serialize": "dsl",
+    "summarize": "simulator",
+    "write_trace": "simulator",
+    "VIEW_KINDS": "model",
+    "ViewCluster": "viewgen",
+    "ViewEdge": "viewgen",
+    "ViewGraph": "viewgen",
+    "ViewNode": "viewgen",
+    "project": "viewgen",
+    "to_dot": "viewgen",
+    "ActivationSpec": "model",
+    "Activity": "model",
+    "ActivityGraph": "model",
+    "ActivityKind": "model",
+    "AtTime": "model",
+    "Connection": "model",
+    "ConnectionKind": "model",
+    "ConstituentSystem": "model",
+    "Count": "model",
+    "DetectionSpec": "model",
+    "DetectionStyle": "model",
+    "Edge": "model",
+    "ElapsedBetween": "model",
+    "EnvironmentEntity": "model",
+    "FailureObservation": "model",
+    "FmafError": "model",
+    "MetricSpec": "model",
+    "OnEntry": "model",
+    "Probabilistic": "model",
+    "RecoverySpec": "model",
+    "SelfReport": "model",
+    "SosModel": "model",
+    "ThirdPartyReport": "model",
+    "ThreatChain": "model",
+    "ThreatKind": "model",
+    "ThreatNode": "model",
+    "Timeout": "model",
+    "build_model": "model",
+    "lift_cs_failure": "model",
+    "partition_fault": "model",
+}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

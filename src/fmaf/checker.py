@@ -72,6 +72,8 @@ class Finding:
 
 @dataclass(frozen=True, slots=True)
 class Rule:
+    """One entry of the consistency rule catalog."""
+
     rule_id: str
     title: str
     severity: Severity

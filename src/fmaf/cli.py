@@ -7,30 +7,27 @@ Three subcommands tie the library together for batch use:
 - ``fmaf export MODEL``: project a viewpoint and emit DOT text.
 
 Exit codes are a stable contract: 0 ok, 1 violations found, 2 usage
-error, 3 I/O or parse error. A simulation that ends in a failure
-outcome still exits 0: the simulator answering "the SoS fails" is a
-successful analysis, distinct from tool failure.
+error, 3 I/O or parse error, or a model that cannot be loaded for any
+other reason. A simulation that ends in a failure outcome still exits
+0: the simulator answering "the SoS fails" is a successful analysis,
+distinct from tool failure.
+
+Each subcommand imports the layers it needs when it runs, so ``check``
+never loads the simulator or the viewpoint projections.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from typing import TYPE_CHECKING
 
 from .checker import check, format_report, has_violations, to_records
 from .dsl import parse_file
-from .model import SosModel
-from .simulator import (
-    InvalidConfigError,
-    ModelViolationsError,
-    SimConfig,
-    SimulationError,
-    SimTrace,
-    run,
-    write_trace,
-)
-from .viewgen import VIEW_KINDS, ViewError, project, to_dot
+from .model import VIEW_KINDS, FmafError, SosModel
+
+if TYPE_CHECKING:
+    from .simulator import SimTrace
 
 __all__ = ["main"]
 
@@ -53,6 +50,11 @@ def _load_model(path: str) -> SosModel | None:
     except UnicodeDecodeError as exc:
         _fail(f"cannot read {path!r}: not UTF-8 text ({exc.reason} at byte {exc.start})")
         return None
+    except FmafError:
+        raise
+    except Exception as exc:
+        _fail(f"cannot load {path!r}: {type(exc).__name__}")
+        return None
     if result.model is None:
         for diagnostic in result.diagnostics:
             print(diagnostic, file=sys.stderr)
@@ -66,6 +68,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return IO_OR_PARSE_ERROR
     findings = check(model)
     if args.format == "json":
+        import json
+
         print(json.dumps(to_records(findings), indent=2))
     else:
         report = format_report(findings)
@@ -106,6 +110,15 @@ def _print_summary(trace: SimTrace, model: SosModel) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulator import (
+        InvalidConfigError,
+        ModelViolationsError,
+        SimConfig,
+        SimulationError,
+        run,
+        write_trace,
+    )
+
     model = _load_model(args.model)
     if model is None:
         return IO_OR_PARSE_ERROR
@@ -148,6 +161,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    from .viewgen import ViewError, project, to_dot
+
     model = _load_model(args.model)
     if model is None:
         return IO_OR_PARSE_ERROR

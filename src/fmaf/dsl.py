@@ -30,7 +30,7 @@ declaration or field, so ``cause`` or ``fault.radio`` are fine as ids.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -90,6 +90,8 @@ class SourceSpan:
 
 @dataclass(frozen=True, slots=True)
 class Diagnostic:
+    """An error or warning at a source position."""
+
     severity: str  # "error" or "warning"
     span: SourceSpan
     message: str
@@ -261,55 +263,73 @@ class _Ref(NamedTuple):
         return SourceSpan(self.line, self.col)
 
 
-@dataclass(slots=True)
+# Records filled field by field are plain slotted classes, and records
+# built whole are ``NamedTuple``s, not dataclasses: a dataclass costs
+# about a millisecond to build at import.  The parser reads and writes
+# these fields often enough that a dict-backed record such as
+# ``SimpleNamespace`` parses the bundles measurably slower.
+
+
 class _CsRec:
-    ident: _Ref
-    name: str
-    nominal: _Ref | None = None
-    provides: list[_Ref] = field(default_factory=list)
-    requires: list[_Ref] = field(default_factory=list)
+    __slots__ = ("ident", "name", "nominal", "provides", "requires")
+
+    def __init__(self, ident: _Ref, name: str) -> None:
+        self.ident = ident
+        self.name = name
+        self.nominal: _Ref | None = None
+        self.provides: list[_Ref] = []
+        self.requires: list[_Ref] = []
 
 
-@dataclass(slots=True)
 class _EnvRec:
-    ident: _Ref
-    name: str
-    uses: list[_Ref] = field(default_factory=list)
+    __slots__ = ("ident", "name", "uses")
+
+    def __init__(self, ident: _Ref, name: str) -> None:
+        self.ident = ident
+        self.name = name
+        self.uses: list[_Ref] = []
 
 
-@dataclass(slots=True)
 class _ConnRec:
-    ident: _Ref
-    provider: _Ref
-    consumer: _Ref
-    interface: str | None = None
-    kind: ConnectionKind = ConnectionKind.NOMINAL
-    latency: int = 1
-    reliability: float = 1.0
+    __slots__ = ("ident", "provider", "consumer", "interface", "kind", "latency",
+                 "reliability")
+
+    def __init__(self, ident: _Ref, provider: _Ref, consumer: _Ref) -> None:
+        self.ident = ident
+        self.provider = provider
+        self.consumer = consumer
+        self.interface: str | None = None
+        self.kind = ConnectionKind.NOMINAL
+        self.latency = 1
+        self.reliability = 1.0
 
 
-@dataclass(slots=True)
 class _ThreatRec:
-    ident: _Ref
-    kind: ThreatKind
-    description: str
-    category: str | None = None
+    __slots__ = ("ident", "kind", "description", "category")
+
+    def __init__(self, ident: _Ref, kind: ThreatKind, description: str) -> None:
+        self.ident = ident
+        self.kind = kind
+        self.description = description
+        self.category: str | None = None
 
 
-@dataclass(slots=True)
 class _ChainRec:
-    ident: _Ref
-    fault: _Ref | None = None
-    error: _Ref | None = None
-    failure: _Ref | None = None
-    origin: _Ref | None = None
-    detectors: list[_Ref] = field(default_factory=list)
-    observed: FailureObservation = FailureObservation.SOS_BOUNDARY
-    unrecoverable: bool = False
+    __slots__ = ("ident", "fault", "error", "failure", "origin", "detectors", "observed",
+                 "unrecoverable")
+
+    def __init__(self, ident: _Ref) -> None:
+        self.ident = ident
+        self.fault: _Ref | None = None
+        self.error: _Ref | None = None
+        self.failure: _Ref | None = None
+        self.origin: _Ref | None = None
+        self.detectors: list[_Ref] = []
+        self.observed = FailureObservation.SOS_BOUNDARY
+        self.unrecoverable = False
 
 
-@dataclass(slots=True)
-class _NodeRec:
+class _NodeRec(NamedTuple):
     ident: _Ref
     kind: ActivityKind
     name: str
@@ -318,61 +338,71 @@ class _NodeRec:
     timer_bound: int | None
 
 
-@dataclass(slots=True)
-class _EdgeRec:
+class _EdgeRec(NamedTuple):
     src: _Ref
     dst: _Ref
     guard: str | None
 
 
-@dataclass(slots=True)
 class _ProcRec:
-    ident: _Ref
-    owner: _Ref
-    entry: _Ref | None = None
-    exits: list[_Ref] = field(default_factory=list)
-    nodes: list[_NodeRec] = field(default_factory=list)
-    edges: list[_EdgeRec] = field(default_factory=list)
+    __slots__ = ("ident", "owner", "entry", "exits", "nodes", "edges")
+
+    def __init__(self, ident: _Ref, owner: _Ref) -> None:
+        self.ident = ident
+        self.owner = owner
+        self.entry: _Ref | None = None
+        self.exits: list[_Ref] = []
+        self.nodes: list[_NodeRec] = []
+        self.edges: list[_EdgeRec] = []
 
 
-@dataclass(slots=True)
 class _ActRec:
-    ident: _Ref
-    chain: _Ref | None = None
-    origin: _Ref | None = None
-    region: list[_Ref] = field(default_factory=list)
-    trigger: AtTime | Probabilistic | None = None
-    on_entry: _Ref | None = None  # trigger on_entry keeps its span
+    __slots__ = ("ident", "chain", "origin", "region", "trigger", "on_entry")
+
+    def __init__(self, ident: _Ref) -> None:
+        self.ident = ident
+        self.chain: _Ref | None = None
+        self.origin: _Ref | None = None
+        self.region: list[_Ref] = []
+        self.trigger: AtTime | Probabilistic | None = None
+        self.on_entry: _Ref | None = None  # trigger on_entry keeps its span
 
 
-@dataclass(slots=True)
 class _DetRec:
-    ident: _Ref
-    chain: _Ref | None = None
-    detector: _Ref | None = None
-    condition: SelfReport | ThirdPartyReport | None = None
-    watching: _Ref | None = None  # timeout target keeps its span
-    timeout_bound: int | None = None
-    style: DetectionStyle = DetectionStyle.SEPARATE_REGION
-    recovery: _Ref | None = None
+    __slots__ = ("ident", "chain", "detector", "condition", "watching", "timeout_bound",
+                 "style", "recovery")
+
+    def __init__(self, ident: _Ref) -> None:
+        self.ident = ident
+        self.chain: _Ref | None = None
+        self.detector: _Ref | None = None
+        self.condition: SelfReport | ThirdPartyReport | None = None
+        self.watching: _Ref | None = None  # timeout target keeps its span
+        self.timeout_bound: int | None = None
+        self.style = DetectionStyle.SEPARATE_REGION
+        self.recovery: _Ref | None = None
 
 
-@dataclass(slots=True)
 class _RecvRec:
-    ident: _Ref
-    name: str
-    graphs: list[tuple[_Ref, _Ref]] = field(default_factory=list)  # (cs, graph)
-    success: list[_Ref] = field(default_factory=list)
-    abort: list[_Ref] = field(default_factory=list)
+    __slots__ = ("ident", "name", "graphs", "success", "abort")
+
+    def __init__(self, ident: _Ref, name: str) -> None:
+        self.ident = ident
+        self.name = name
+        self.graphs: list[tuple[_Ref, _Ref]] = []  # (cs, graph)
+        self.success: list[_Ref] = []
+        self.abort: list[_Ref] = []
 
 
-@dataclass(slots=True)
 class _MetricRec:
-    ident: _Ref
-    name: str
-    elapsed: tuple[_Ref, _Ref] | None = None  # pattern strings with spans
-    count: _Ref | None = None
-    target: int | None = None
+    __slots__ = ("ident", "name", "elapsed", "count", "target")
+
+    def __init__(self, ident: _Ref, name: str) -> None:
+        self.ident = ident
+        self.name = name
+        self.elapsed: tuple[_Ref, _Ref] | None = None  # pattern strings with spans
+        self.count: _Ref | None = None
+        self.target: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +792,7 @@ class _Parser:
                     duration = self._opt_duration() or 0
                 elif kind is ActivityKind.TIMER:
                     bound = self._duration("the timer bound")
-                rec.nodes.append(_NodeRec(nid, kind, name, duration, channel, bound))
+                rec.nodes.append(_new(_NodeRec, (nid, kind, name, duration, channel, bound)))
             elif t.text == "entry":
                 self._advance()
                 ref = self._ident("entry activity id")
@@ -782,7 +812,7 @@ class _Parser:
                 if self._at_kw("when"):
                     self._advance()
                     guard = str(self._string("the guard label").value)
-                rec.edges.append(_EdgeRec(src, dst, guard))
+                rec.edges.append(_new(_EdgeRec, (src, dst, guard)))
             else:
                 raise _err(
                     t.span,

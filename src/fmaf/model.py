@@ -105,6 +105,20 @@ EVENT_KINDS: tuple[str, ...] = (
     "timer-expired",
 )
 
+#: Every viewpoint ``viewgen.project`` can render, in the order the CLI
+#: lists them.  Defined here so that the CLI's ``--view`` choices need
+#: no import of ``viewgen``; ``viewgen`` re-exports it.
+VIEW_KINDS: tuple[str, ...] = (
+    "tcv",
+    "ftcv",
+    "fts",
+    "fav",
+    "recovery",
+    "erroneous-process",
+    "erroneous-scenario",
+    "fef",
+)
+
 _IDENT_HEAD = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 _IDENT_TAIL = _IDENT_HEAD | set("0123456789_.")
 
@@ -120,6 +134,8 @@ def _require_identifier(ident: str, what: str) -> None:
 
 @dataclass(frozen=True, slots=True)
 class ConstituentSystem:
+    """A constituent system, its nominal process and its interfaces."""
+
     id: str
     name: str
     nominal_process: str
@@ -132,6 +148,8 @@ class ConstituentSystem:
 
 @dataclass(frozen=True, slots=True)
 class EnvironmentEntity:
+    """An actor outside the SoS and the connections it uses."""
+
     id: str
     name: str
     connections_used: frozenset[str] = frozenset()
@@ -171,6 +189,8 @@ class Connection:
 
 @dataclass(frozen=True, slots=True)
 class ThreatNode:
+    """One fault, error or failure of the threat vocabulary."""
+
     id: str
     kind: ThreatKind
     description: str
@@ -205,6 +225,8 @@ class ThreatChain:
 
 @dataclass(frozen=True, slots=True)
 class Activity:
+    """One node of an activity graph."""
+
     id: str
     kind: ActivityKind
     name: str = ""
@@ -239,6 +261,8 @@ class Activity:
 
 @dataclass(frozen=True, slots=True)
 class Edge:
+    """A control-flow edge, taken when ``guard`` matches (or by default)."""
+
     src: str
     dst: str
     guard: str | None = None
@@ -331,6 +355,8 @@ Trigger = Union[AtTime, OnEntry, Probabilistic]
 
 @dataclass(frozen=True, slots=True)
 class ActivationSpec:
+    """When and where the fault of chain ``threat`` is injected."""
+
     id: str
     threat: str
     origin_constituent: str
@@ -345,6 +371,8 @@ class ActivationSpec:
 
 @dataclass(frozen=True, slots=True)
 class SelfReport:
+    """Detection by self-report, ``delay`` ticks after the error is raised."""
+
     delay: int
 
     def __post_init__(self) -> None:
@@ -354,6 +382,8 @@ class SelfReport:
 
 @dataclass(frozen=True, slots=True)
 class Timeout:
+    """Detection by a timeout on ``watched``, ``bound`` ticks after the error."""
+
     bound: int
     watched: str
 
@@ -364,6 +394,8 @@ class Timeout:
 
 @dataclass(frozen=True, slots=True)
 class ThirdPartyReport:
+    """A report ``delay`` ticks after the error, made with ``probability``."""
+
     probability: float
     delay: int
 
@@ -379,6 +411,8 @@ DetectionCondition = Union[SelfReport, Timeout, ThirdPartyReport]
 
 @dataclass(frozen=True, slots=True)
 class DetectionSpec:
+    """Who detects the error of chain ``threat``, how, and which recovery follows."""
+
     id: str
     threat: str
     detector: str
@@ -427,6 +461,8 @@ class ElapsedBetween:
 
 @dataclass(frozen=True, slots=True)
 class Count:
+    """The number of events matching ``pattern``."""
+
     pattern: str
 
 
@@ -435,6 +471,8 @@ MetricKind = Union[ElapsedBetween, Count]
 
 @dataclass(frozen=True, slots=True)
 class MetricSpec:
+    """A named measurement taken from every simulation trace."""
+
     id: str
     kind: MetricKind
     name: str = ""

@@ -29,7 +29,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .checker import Finding, blocking_violations, check
 from .model import (
@@ -135,6 +135,8 @@ class SimConfig:
 
 @dataclass(frozen=True, slots=True)
 class SimEvent:
+    """One trace event: at ``time``, ``actor`` did ``kind``."""
+
     time: int
     kind: str
     actor: str
@@ -143,6 +145,8 @@ class SimEvent:
 
 @dataclass(frozen=True, slots=True)
 class Outcome:
+    """How a run ended."""
+
     kind: str  # recovered | failed-at-boundary | horizon-exhausted | nominal
     by: str | None = None  # winning detector for recovered outcomes
     recovery: str | None = None
@@ -150,6 +154,8 @@ class Outcome:
 
 @dataclass(frozen=True)
 class SimTrace:
+    """Everything one run produced: events, metrics and outcome."""
+
     config: SimConfig
     events: tuple[SimEvent, ...]
     metrics: Mapping[str, int | None]
@@ -221,6 +227,8 @@ class RaceState:
 
 @dataclass(frozen=True, slots=True)
 class RaceResult:
+    """The winning detection and the tick it fires, or ``None`` for both."""
+
     winner: DetectionSpec | None
     time: int | None
 
@@ -489,9 +497,9 @@ class _Engine:
         self.emit(
             time, "message-delivered", receiver, channel=channel, sender=sender
         )
-        for key in sorted(self.instances):
-            inst = self.instances[key]
-            if inst.owner != receiver or inst.suspended:
+        for key in self.plan.owned.get(receiver, ()):
+            inst = self.instances.get(key)
+            if inst is None or inst.owner != receiver or inst.suspended:
                 continue
             for node_id in sorted(inst.waiting_recv):
                 node = inst.graph.nodes[node_id]
@@ -764,14 +772,14 @@ class _Engine:
 # Public operations
 
 
-@dataclass(frozen=True, slots=True)
-class _Plan:
+class _Plan(NamedTuple):
     """What every run of one model needs and no run changes."""
 
     findings: tuple[Finding, ...]
     decisions: frozenset[str]
     activation: Mapping[str, ActivationSpec]  # chain id -> activation_for's pick
     detections: Mapping[str, tuple[DetectionSpec, ...]]  # chain id -> by spec id
+    owned: Mapping[str, tuple[str, ...]]  # owner -> every instance key it may start, sorted
 
 
 def _plan(model: SosModel) -> _Plan:
@@ -784,6 +792,12 @@ def _plan(model: SosModel) -> _Plan:
         detections: dict[str, list[DetectionSpec]] = {}
         for spec in sorted(model.detections.values(), key=lambda d: d.id):
             detections.setdefault(spec.threat, []).append(spec)
+        owned: dict[str, list[str]] = {}
+        for cs_id in model.constituents:
+            owned.setdefault(cs_id, []).append(f"nominal:{cs_id}")
+        for recovery in model.recoveries.values():
+            for cs_id, graph_id in recovery.graphs.items():
+                owned.setdefault(cs_id, []).append(f"recovery:{recovery.id}:{graph_id}")
         plan = _Plan(
             findings=tuple(check(model)),
             decisions=frozenset(
@@ -794,6 +808,7 @@ def _plan(model: SosModel) -> _Plan:
             ),
             activation=activation,
             detections={k: tuple(v) for k, v in detections.items()},
+            owned={k: tuple(sorted(v)) for k, v in owned.items()},
         )
         object.__setattr__(model, "_plan", plan)
     return plan

@@ -25,10 +25,13 @@ byte-identical DOT text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .model import ActivityGraph, ActivityKind, FmafError, SosModel
-from .simulator import SimTrace
+from .model import VIEW_KINDS, ActivityGraph, ActivityKind, FmafError, SosModel
+
+if TYPE_CHECKING:
+    from .simulator import SimTrace
 
 __all__ = [
     "VIEW_KINDS",
@@ -42,17 +45,6 @@ __all__ = [
     "project",
     "to_dot",
 ]
-
-VIEW_KINDS: tuple[str, ...] = (
-    "tcv",
-    "ftcv",
-    "fts",
-    "fav",
-    "recovery",
-    "erroneous-process",
-    "erroneous-scenario",
-    "fef",
-)
 
 #: View kinds that make no sense without a focused threat chain.
 _FOCUS_REQUIRED = ("tcv", "ftcv", "fav", "recovery", "erroneous-process")
@@ -72,6 +64,8 @@ class UnknownChainError(ViewError):
 
 @dataclass(frozen=True, slots=True)
 class ViewNode:
+    """A node of a projected view."""
+
     id: str
     label: str
     shape_class: str
@@ -79,6 +73,8 @@ class ViewNode:
 
 @dataclass(frozen=True, slots=True)
 class ViewEdge:
+    """An edge of a projected view."""
+
     src: str
     dst: str
     label: str = ""
@@ -87,6 +83,8 @@ class ViewEdge:
 
 @dataclass(frozen=True, slots=True)
 class ViewCluster:
+    """A labelled group of view nodes, rendered as a DOT subgraph."""
+
     id: str
     label: str
     kind: str
@@ -95,6 +93,8 @@ class ViewCluster:
 
 @dataclass(frozen=True)
 class ViewGraph:
+    """A projected view: nodes, edges and clusters, ready for DOT."""
+
     view_kind: str
     nodes: tuple[ViewNode, ...] = ()
     edges: tuple[ViewEdge, ...] = ()

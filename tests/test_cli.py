@@ -1,9 +1,14 @@
 """End-to-end command-line tests over the bundled models."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fmaf
 from fmaf.casestudy import load_bundle
 from fmaf.cli import main
 
@@ -23,6 +28,16 @@ sos Warned {
   process GB owner B { entry b exits [b] action b 1t }
 }
 """
+
+
+def zero_time_chain(length: int) -> str:
+    """A valid model whose graph is ``length`` zero-duration actions in a
+    line; at 2000 its zero-time-cycle search overflows the stack."""
+    lines = ["sos Deep {", '  cs A "Unit" { nominal Line }', "  process Line owner A {",
+             "    entry a0", f"    exits [a{length - 1}]"]
+    lines += [f"    action a{i}" for i in range(length)]
+    lines += [f"    edge a{i} -> a{i + 1}" for i in range(length - 1)]
+    return "\n".join(lines + ["  }", "}"]) + "\n"
 
 
 class TestCheck:
@@ -187,6 +202,43 @@ class TestTopLevel:
         err = capsys.readouterr().err
         assert err.startswith(f"fmaf: cannot read {str(path)!r}: not UTF-8 text (")
         assert "Traceback" not in err
+
+    def test_model_that_cannot_load_exits_three_in_one_line(self, tmp_path, capsys):
+        path = tmp_path / "deep.fmaf"
+        path.write_text(zero_time_chain(2000))
+        assert main(["check", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"fmaf: cannot load {str(path)!r}: RecursionError\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["check"],
+        ["simulate"],
+        ["export", "--view", "fts"],
+    ], ids=["check", "simulate", "export"])
+    def test_any_non_fmaf_exception_while_loading_exits_three(
+        self, argv, paths, monkeypatch, capsys
+    ):
+        def broken(path):
+            raise MemoryError("no room")
+
+        monkeypatch.setattr("fmaf.cli.parse_file", broken)
+        assert main([argv[0], paths["nominal"], *argv[1:]]) == 3
+        assert capsys.readouterr().err == (
+            f"fmaf: cannot load {paths['nominal']!r}: MemoryError\n"
+        )
+
+    def test_model_that_cannot_load_exits_three_in_a_subprocess(self, tmp_path):
+        path = tmp_path / "deep.fmaf"
+        path.write_text(zero_time_chain(2000))
+        env = dict(os.environ, PYTHONPATH=str(Path(fmaf.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fmaf.cli", "check", str(path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == f"fmaf: cannot load {str(path)!r}: RecursionError\n"
 
     def test_no_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2

@@ -213,3 +213,23 @@ def test_plan_matches_the_public_lookups():
             assert list(plan.detections.get(chain_id, ())) == model.detections_for(
                 chain_id
             )
+
+
+def test_plan_lists_every_started_instance_under_its_owner_in_key_order():
+    started = 0
+    for model in _models():
+        plan = simulator._plan(model)
+        assert all(list(keys) == sorted(keys) for keys in plan.owned.values())
+        for scenario in (None, *sorted(model.chains)):
+            config = SimConfig(scenario=scenario, seed=0)
+            try:
+                simulator._validate(model, config)
+            except simulator.SimulationError:
+                continue
+            engine = simulator._Engine(model, config, simulator.RandomSampler(0))
+            engine.start()
+            engine.loop()
+            for key, inst in engine.instances.items():
+                assert key in plan.owned[inst.owner]
+                started += inst.role == "recovery"
+    assert started > 0
