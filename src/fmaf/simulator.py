@@ -23,7 +23,6 @@ quiescence, the moment the event queue drains with no progress possible.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import json
 import random
@@ -334,15 +333,21 @@ class _Instance:
 
 
 class _Engine:
-    def __init__(self, model: SosModel, config: SimConfig, sampler) -> None:
+    def __init__(
+        self, model: SosModel, config: SimConfig, sampler, record: bool = True
+    ) -> None:
         self.model = model
         self.config = config
         self.sampler = sampler
+        self.record = record  # False: build no events, only the outcome
         self.events: list[SimEvent] = []
         self.heap: list[tuple] = []
         self.seq = 0
         self.clock = 0
+        # Forks share instances; ``mine`` holds the keys this engine may
+        # change in place, and ``own`` clones any other on first write.
         self.instances: dict[str, _Instance] = {}
+        self.mine: set[str] = set()
         self.mailbox: dict[tuple[str, str], list[tuple[int, str]]] = {}
         self.outcome: Outcome | None = None
         self.pops = -1  # events popped; -1 until start() has run
@@ -369,7 +374,8 @@ class _Engine:
     # -- low-level plumbing
 
     def emit(self, time: int, kind: str, actor: str, **details) -> None:
-        self.events.append(SimEvent(time, kind, actor, details))
+        if self.record:
+            self.events.append(SimEvent(time, kind, actor, details))
 
     def push(self, time: int, actor: str, rank: int, kind: str, payload: tuple) -> None:
         heapq.heappush(self.heap, (time, actor, rank, self.seq, kind, payload))
@@ -377,8 +383,17 @@ class _Engine:
 
     # -- token movement
 
+    def own(self, key: str) -> _Instance:
+        """The instance under ``key``, cloned first if a fork shares it."""
+        inst = self.instances[key]
+        if key not in self.mine:
+            inst = self.instances[key] = inst.clone()
+            self.mine.add(key)
+        return inst
+
     def start_instance(self, inst: _Instance, time: int) -> None:
         self.instances[inst.key] = inst
+        self.mine.add(inst.key)
         inst.live = 1
         self.enter_node(inst, inst.graph.entry, time)
 
@@ -391,10 +406,11 @@ class _Engine:
                 inst.live -= 1
                 return
         if inst.role == "nominal":
-            details = {"activity": node_id, "graph": inst.graph.id}
-            if node.name:
-                details["name"] = node.name
-            self.emit(time, "activity-start", inst.owner, **details)
+            if self.record:
+                details = {"activity": node_id, "graph": inst.graph.id}
+                if node.name:
+                    details["name"] = node.name
+                self.events.append(SimEvent(time, "activity-start", inst.owner, details))
             self.on_nominal_start(inst, node_id, time)
         if node.kind is ActivityKind.RECEIVE:
             box = self.mailbox.get((inst.owner, node.channel))
@@ -411,23 +427,25 @@ class _Engine:
 
     def complete_node(self, inst: _Instance, node_id: str, time: int) -> None:
         node = inst.graph.nodes[node_id]
-        if node.kind is ActivityKind.TIMER:
-            self.emit(
-                time,
-                "timer-expired",
-                inst.owner,
-                activity=node_id,
-                graph=inst.graph.id,
-                bound=node.timer_bound,
-            )
-        details = {"activity": node_id, "graph": inst.graph.id}
-        if node.name:
-            details["name"] = node.name
-        if inst.role == "nominal":
-            self.emit(time, "activity-end", inst.owner, **details)
-        else:
-            details["recovery"] = inst.recovery_id
-            self.emit(time, "recovery-step", inst.owner, **details)
+        if self.record:
+            if node.kind is ActivityKind.TIMER:
+                self.emit(
+                    time,
+                    "timer-expired",
+                    inst.owner,
+                    activity=node_id,
+                    graph=inst.graph.id,
+                    bound=node.timer_bound,
+                )
+            details = {"activity": node_id, "graph": inst.graph.id}
+            if node.name:
+                details["name"] = node.name
+            if inst.role == "nominal":
+                kind = "activity-end"
+            else:
+                kind = "recovery-step"
+                details["recovery"] = inst.recovery_id
+            self.events.append(SimEvent(time, kind, inst.owner, details))
         if node.kind is ActivityKind.SEND:
             self.send_message(inst, node, time)
 
@@ -467,23 +485,14 @@ class _Engine:
     def send_message(self, inst: _Instance, node, time: int) -> None:
         conn = self.model.connections[node.channel]
         receiver = conn.consumer if conn.provider == inst.owner else conn.provider
-        self.emit(
-            time,
-            "message-sent",
-            inst.owner,
-            channel=conn.id,
-            activity=node.id,
-            graph=inst.graph.id,
-        )
+        if self.record:
+            details = {"channel": conn.id, "activity": node.id, "graph": inst.graph.id}
+            self.events.append(SimEvent(time, "message-sent", inst.owner, details))
         if not _draw(self.sampler, conn.reliability):
-            self.emit(
-                time,
-                "message-lost",
-                inst.owner,
-                channel=conn.id,
-                activity=node.id,
-                graph=inst.graph.id,
-            )
+            if self.record:
+                self.events.append(
+                    SimEvent(time, "message-lost", inst.owner, details.copy())
+                )
             return
         self.push(
             time + conn.latency,
@@ -494,17 +503,30 @@ class _Engine:
         )
 
     def deliver_message(self, receiver: str, channel: str, sender: str, time: int) -> None:
-        self.emit(
-            time, "message-delivered", receiver, channel=channel, sender=sender
-        )
+        if self.record:
+            self.events.append(
+                SimEvent(
+                    time,
+                    "message-delivered",
+                    receiver,
+                    {"channel": channel, "sender": sender},
+                )
+            )
+        receives = self.plan.receives
         for key in self.plan.owned.get(receiver, ()):
             inst = self.instances.get(key)
-            if inst is None or inst.owner != receiver or inst.suspended:
+            if (
+                inst is None
+                or not inst.waiting_recv
+                or inst.suspended
+                or inst.owner != receiver
+            ):
                 continue
-            for node_id in sorted(inst.waiting_recv):
-                node = inst.graph.nodes[node_id]
-                if node.channel == channel:
+            for node_id in receives.get((inst.graph.id, channel), ()):
+                if node_id in inst.waiting_recv:
+                    inst = self.own(key)
                     del inst.waiting_recv[node_id]
+                    node = inst.graph.nodes[node_id]
                     self.schedule_completion(inst, node_id, time + node.duration)
                     return
         self.mailbox.setdefault((receiver, channel), []).append((time, sender))
@@ -543,9 +565,9 @@ class _Engine:
             fault=chain.fault,
             description=fault.description if fault else "",
         )
-        nominal = self.instances.get(f"nominal:{origin}")
-        if nominal is not None:
-            nominal.suspend()
+        key = f"nominal:{origin}"
+        if key in self.instances:
+            self.own(key).suspend()
         self.push(time + 1, origin, _R_ERROR, "raise-error", ())
 
     def raise_error(self, time: int) -> None:
@@ -611,9 +633,9 @@ class _Engine:
             detection=spec.id,
             chain=spec.threat,
         )
-        for inst in self.instances.values():
-            if inst.role == "nominal":
-                inst.suspend()
+        for key, inst in list(self.instances.items()):
+            if inst.role == "nominal" and not inst.suspended:
+                self.own(key).suspend()
         for cs_id, graph_id in recovery.graphs.items():
             inst = _Instance(
                 key=f"recovery:{recovery.id}:{graph_id}",
@@ -701,6 +723,8 @@ class _Engine:
                 inst = self.instances[key]
                 if gen != inst.gen or inst.suspended:
                     continue  # cancelled by a suspension; not progress
+                if key not in self.mine:
+                    inst = self.own(key)
             if time > self.config.horizon:
                 self.outcome = Outcome("horizon-exhausted")
                 break
@@ -723,31 +747,35 @@ class _Engine:
             elif kind == "finalize":
                 self.on_finalize(time)
 
-    def finish(self) -> SimTrace:
-        """The trace of a drained or decided run, without metrics."""
+    def finish(self, metrics: bool = False) -> SimTrace:
+        """The trace of a drained or decided run, its metrics only if asked."""
         if self.outcome is None:
             self.finish_at_quiescence()
         assert self.outcome is not None
-        return SimTrace(self.config, tuple(self.events), {}, self.outcome)
+        events = tuple(self.events)
+        measured = _measure(events, self.plan.metrics) if metrics else {}
+        return SimTrace(self.config, events, measured, self.outcome)
 
     def run(self) -> SimTrace:
         self.start()
         self.loop()
-        trace = self.finish()
-        metrics = compute_metrics(trace, self.model.metrics.values())
-        return dataclasses.replace(trace, metrics=metrics)
+        return self.finish(metrics=True)
 
     def fork(self, sampler) -> _Engine:
         """An independent copy of this engine's state drawing from ``sampler``.
 
-        The model, config and emitted events are immutable and shared.
+        The model, config and emitted events are immutable and shared, and
+        so is every instance until one of the two engines changes it.
         """
         twin = _Engine.__new__(_Engine)
         twin.__dict__.update(self.__dict__)
         twin.sampler = sampler
-        twin.events = self.events.copy()
+        if self.record:
+            twin.events = self.events.copy()
         twin.heap = self.heap.copy()
-        twin.instances = {key: inst.clone() for key, inst in self.instances.items()}
+        twin.instances = self.instances.copy()
+        twin.mine = set()
+        self.mine.clear()
         twin.mailbox = {key: box.copy() for key, box in self.mailbox.items()}
         return twin
 
@@ -780,6 +808,8 @@ class _Plan(NamedTuple):
     activation: Mapping[str, ActivationSpec]  # chain id -> activation_for's pick
     detections: Mapping[str, tuple[DetectionSpec, ...]]  # chain id -> by spec id
     owned: Mapping[str, tuple[str, ...]]  # owner -> every instance key it may start, sorted
+    receives: Mapping[tuple[str, str], tuple[str, ...]]  # (graph, channel) -> receive ids, sorted
+    metrics: _Metrics
 
 
 def _plan(model: SosModel) -> _Plan:
@@ -798,6 +828,12 @@ def _plan(model: SosModel) -> _Plan:
         for recovery in model.recoveries.values():
             for cs_id, graph_id in recovery.graphs.items():
                 owned.setdefault(cs_id, []).append(f"recovery:{recovery.id}:{graph_id}")
+        receives: dict[tuple[str, str], list[str]] = {}
+        for graph in model.processes.values():
+            for node_id in sorted(graph.nodes):
+                node = graph.nodes[node_id]
+                if node.kind is ActivityKind.RECEIVE:
+                    receives.setdefault((graph.id, node.channel), []).append(node_id)
         plan = _Plan(
             findings=tuple(check(model)),
             decisions=frozenset(
@@ -809,6 +845,8 @@ def _plan(model: SosModel) -> _Plan:
             activation=activation,
             detections={k: tuple(v) for k, v in detections.items()},
             owned={k: tuple(sorted(v)) for k, v in owned.items()},
+            receives={k: tuple(v) for k, v in receives.items()},
+            metrics=_prepare(model.metrics.values()),
         )
         object.__setattr__(model, "_plan", plan)
     return plan
@@ -864,9 +902,11 @@ def enumerate_outcomes(
     Explores both branches of every Bernoulli choice the seeded run
     would sample, depth-first over choice prefixes.  Each branch resumes
     a fork of the engine as it stood just before the event that makes
-    the choice, so no prefix is replayed from tick 0, and leaves compute
-    only their outcome, no metrics.  Only usable on small models: any
-    activity graph larger than ``bound`` nodes is rejected.
+    the choice, so no prefix is replayed from tick 0.  Branches record
+    no trace events and compute no metrics, only the outcome, and a fork
+    shares every activity-graph instance with its snapshot until it
+    changes one.  Only usable on small models: any activity graph larger
+    than ``bound`` nodes is rejected.
     """
     for graph in model.processes.values():
         if len(graph.nodes) > bound:
@@ -879,7 +919,7 @@ def enumerate_outcomes(
     # (snapshot, choice prefix): a snapshot is an engine stopped between
     # two events, never advanced itself; its sampler holds the number of
     # prefix choices consumed so far.
-    root = _Engine(model, config, ScriptedSampler(()))
+    root = _Engine(model, config, ScriptedSampler(()), record=False)
     stack: list[tuple[_Engine, tuple[bool, ...]]] = [(root, ())]
     explored = 0
     while stack:
@@ -915,16 +955,75 @@ def _advance(engine: _Engine, stop: int = -1) -> None:
     engine.loop(stop)
 
 
-def _matches(event: SimEvent, kind: str, qualifier: str | None) -> bool:
-    if event.kind != kind:
-        return False
-    if qualifier is None or event.actor == qualifier:
-        return True
-    return any(
-        value == qualifier
-        for value in event.details.values()
-        if isinstance(value, str)
+class _Metrics(NamedTuple):
+    """Metric specs with their event patterns split, ready for one scan."""
+
+    error: str | None  # the first unknown pattern's message, in spec order
+    # event kind -> (qualifier, slot, whether the slot counts or takes a first time)
+    watch: Mapping[str, tuple[tuple[str | None, int, bool], ...]]
+    initial: tuple[int | None, ...]  # each slot before the scan: None, or 0 if it counts
+    results: tuple[tuple[str, int, int], ...]  # (metric id, slot a, slot b or -1 for a count)
+
+
+def _prepare(specs: Iterable[MetricSpec]) -> _Metrics:
+    slots: dict[tuple[bool, str, str | None], int] = {}
+
+    def slot(pattern: str, counts: bool) -> int:
+        kind, qualifier = split_event_pattern(pattern)
+        return slots.setdefault((counts, kind, qualifier), len(slots))
+
+    results = []
+    try:
+        for spec in specs:
+            if isinstance(spec.kind, ElapsedBetween):
+                a, b = slot(spec.kind.a, False), slot(spec.kind.b, False)
+                results.append((spec.id, a, b))
+            elif isinstance(spec.kind, Count):
+                results.append((spec.id, slot(spec.kind.pattern, True), -1))
+    except DanglingReferenceError as e:
+        return _Metrics(str(e), {}, (), ())
+    watch: dict[str, list[tuple[str | None, int, bool]]] = {}
+    for (counts, kind, qualifier), index in slots.items():
+        watch.setdefault(kind, []).append((qualifier, index, counts))
+    return _Metrics(
+        None,
+        {kind: tuple(hits) for kind, hits in watch.items()},
+        tuple(0 if counts else None for counts, _, _ in slots),
+        tuple(results),
     )
+
+
+def _measure(events: Iterable[SimEvent], metrics: _Metrics) -> dict[str, int | None]:
+    """Every metric from one scan of ``events``."""
+    if metrics.error is not None:
+        raise UnknownEventPatternError(metrics.error)
+    found = list(metrics.initial)
+    watch = metrics.watch
+    for event in events:
+        hits = watch.get(event.kind)
+        if hits is None:
+            continue
+        for qualifier, index, counts in hits:
+            if not counts and found[index] is not None:
+                continue
+            if (
+                qualifier is None
+                or event.actor == qualifier
+                or any(
+                    value == qualifier
+                    for value in event.details.values()
+                    if isinstance(value, str)
+                )
+            ):
+                found[index] = found[index] + 1 if counts else event.time
+    out: dict[str, int | None] = {}
+    for metric_id, a, b in metrics.results:
+        if b < 0:
+            out[metric_id] = found[a]
+        else:
+            start, end = found[a], found[b]
+            out[metric_id] = None if start is None or end is None else end - start
+    return out
 
 
 def compute_metrics(
@@ -934,32 +1033,7 @@ def compute_metrics(
 
     Elapsed metrics whose endpoints never occur yield None, never zero.
     """
-
-    def first(pattern: str) -> int | None:
-        try:
-            kind, qualifier = split_event_pattern(pattern)
-        except DanglingReferenceError as e:
-            raise UnknownEventPatternError(str(e)) from None
-        for event in trace.events:
-            if _matches(event, kind, qualifier):
-                return event.time
-        return None
-
-    out: dict[str, int | None] = {}
-    for spec in specs:
-        if isinstance(spec.kind, ElapsedBetween):
-            a = first(spec.kind.a)
-            b = first(spec.kind.b)
-            out[spec.id] = None if a is None or b is None else b - a
-        elif isinstance(spec.kind, Count):
-            try:
-                kind, qualifier = split_event_pattern(spec.kind.pattern)
-            except DanglingReferenceError as e:
-                raise UnknownEventPatternError(str(e)) from None
-            out[spec.id] = sum(
-                1 for event in trace.events if _matches(event, kind, qualifier)
-            )
-    return out
+    return _measure(trace.events, _prepare(specs))
 
 
 # The trace writer builds each line itself; this encoder, the same one

@@ -4,6 +4,10 @@
 ``replay_outcomes`` below is the original algorithm, which re-ran the
 engine from tick 0 for every choice prefix; both must agree on the
 outcome set or raise the same exception with the same message.
+
+Forks share activity-graph instances until one engine changes them, and
+enumeration engines record no trace events; the fork-isolation tests at
+the end hold both properties.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import random
 
 import pytest
 
+import fmaf.simulator as simulator
 from fmaf.casestudy import BUNDLE_NAMES, load_bundle
 from fmaf.model import (
     Activity,
@@ -28,6 +33,7 @@ from fmaf.simulator import (
     NeedChoice,
     ScriptedSampler,
     SimConfig,
+    SimulationError,
     _Engine,
     _validate,
     enumerate_outcomes,
@@ -139,3 +145,170 @@ def test_choice_space_cap():
     assert enumerate_outcomes(_many_lossy_sends(11), config) == {(None, "nominal")}
     result = assert_same(_many_lossy_sends(12), config)
     assert result == (BoundExceededError, "choice space exceeds 4096 branches")
+
+
+# ---------------------------------------------------------------------------
+# Fork isolation
+
+
+def _lossy_race_fixture():
+    model = race_fixture()
+    link = dataclasses.replace(model.connections["LinkPQ"], reliability=0.5)
+    return dataclasses.replace(
+        model, connections={**model.connections, "LinkPQ": link}
+    )
+
+
+def _enumerated_models():
+    yield pytest.param(
+        _lossy_race_fixture(), SimConfig(scenario="CH", horizon=60), id="lossy-race"
+    )
+    yield from _bundle_scenarios()
+
+
+def _choice_models():
+    """The enumerated scenarios that run and make at least one choice."""
+    for param in _enumerated_models():
+        try:
+            _validate(*param.values)
+        except SimulationError:
+            continue
+        if _snapshot_before_first_choice(*param.values) is not None:
+            yield param
+
+
+def _instance_fields(engine):
+    return {
+        key: (
+            inst.gen,
+            inst.live,
+            dict(inst.join_arrivals),
+            dict(inst.waiting_recv),
+            inst.suspended,
+            list(inst.exits_reached),
+        )
+        for key, inst in engine.instances.items()
+    }
+
+
+def _snapshot_before_first_choice(model, config):
+    """A recording engine stopped just before its first Bernoulli draw."""
+    probe = _Engine(model, config, ScriptedSampler(()))
+    probe.start()
+    try:
+        probe.loop()
+    except NeedChoice:
+        pass
+    else:
+        return None
+    snap = _Engine(model, config, ScriptedSampler(()))
+    snap.start()
+    snap.loop(stop=probe.pops - 1)
+    return snap
+
+
+def _fresh_trace(model, config, choices):
+    engine = _Engine(model, config, ScriptedSampler(choices))
+    engine.start()
+    engine.loop()
+    return engine.finish()
+
+
+@pytest.mark.parametrize("model,config", _choice_models())
+def test_recording_forks_leave_their_snapshot_untouched(model, config):
+    snap = _snapshot_before_first_choice(model, config)
+    assert snap.pops > 0 and snap.events
+    before = _instance_fields(snap)
+    for choices in ((True,) * 16, (False,) * 16):
+        fork = snap.fork(ScriptedSampler(choices))
+        fork.loop()
+        got = fork.finish()
+        expected = _fresh_trace(model, config, choices)
+        assert (got.events, got.outcome) == (expected.events, expected.outcome)
+        assert _instance_fields(snap) == before
+
+
+@pytest.mark.parametrize("model,config", _enumerated_models())
+def test_enumeration_builds_no_trace_events(model, config, monkeypatch):
+    expected = _result(replay_outcomes, model, config)
+    made = []
+    real = simulator.SimEvent
+
+    def counted(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(simulator, "SimEvent", counted)
+    assert _result(enumerate_outcomes, model, config) == expected
+    assert made == []
+    if expected[0] == "ok":
+        # The counter sees what a recording run builds.
+        simulator.run(model, config)
+        assert made
+
+
+def _parallel_receivers():
+    """B forks into two receives on one channel; A sends twice over it.
+
+    ``r_b`` starts waiting at tick 0 and ``r_a`` at tick 1, after
+    ``pre``, so the order they started waiting in and id order disagree.
+    """
+    sends = [
+        Activity("s1", ActivityKind.SEND, duration=1, channel="Link"),
+        Activity("s2", ActivityKind.SEND, duration=1, channel="Link"),
+    ]
+    graph_b = ActivityGraph(
+        id="GB",
+        owner="B",
+        nodes={
+            "split": Activity("split", ActivityKind.FORK),
+            "pre": action("pre", 1),
+            "r_a": Activity("r_a", ActivityKind.RECEIVE, duration=1, channel="Link"),
+            "r_b": Activity("r_b", ActivityKind.RECEIVE, duration=5, channel="Link"),
+            "meet": Activity("meet", ActivityKind.JOIN),
+            "done": action("done", 1),
+        },
+        edges=(
+            Edge("split", "pre"),
+            Edge("pre", "r_a"),
+            Edge("split", "r_b"),
+            Edge("r_a", "meet"),
+            Edge("r_b", "meet"),
+            Edge("meet", "done"),
+        ),
+        entry="split",
+        exits=frozenset({"done"}),
+    )
+    return build_model(
+        name="Parallel",
+        constituents=[
+            ConstituentSystem("A", "Sender", "GA"),
+            ConstituentSystem("B", "Receiver", "GB"),
+        ],
+        connections=[Connection("Link", "Link", "A", "B")],
+        processes=[seq_graph("GA", "A", sends), graph_b],
+    )
+
+
+def test_lowest_receive_id_takes_the_first_message_on_parent_and_fork():
+    model = _parallel_receivers()
+    config = SimConfig(horizon=60)
+    snap = _Engine(model, config, ScriptedSampler(()))
+    snap.start()
+    while len(snap.instances["nominal:B"].waiting_recv) < 2:
+        snap.loop(stop=snap.pops + 1)
+    assert list(snap.instances["nominal:B"].waiting_recv) == ["r_b", "r_a"]
+    assert not any(e.kind == "message-delivered" for e in snap.events)
+    fork = snap.fork(ScriptedSampler(()))
+    traces = []
+    for engine in (fork, snap):
+        engine.loop()
+        traces.append(engine.finish())
+    assert traces[0] == traces[1] == _fresh_trace(model, config, ())
+    events = traces[0].events
+    delivered = [e.time for e in events if e.kind == "message-delivered"]
+    ends = {e.details["activity"]: e.time for e in events if e.kind == "activity-end"}
+    assert len(delivered) == 2
+    assert ends["r_a"] == delivered[0] + 1
+    assert ends["r_b"] == delivered[1] + 5
+    assert traces[0].outcome.kind == "nominal"

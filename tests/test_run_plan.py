@@ -1,10 +1,11 @@
 """The run plan: what every run of a model needs, built once per model.
 
 The simulator checks a model on its first ``run`` or
-``enumerate_outcomes`` and keeps the findings, the decision nodes and
-each chain's activation and detections on the model object.  Later
-calls reuse them; the per-configuration checks still run on every call,
-with the same messages in the same order.
+``enumerate_outcomes`` and keeps the findings, the decision nodes, each
+chain's activation and detections, each channel's receive nodes and the
+split metric patterns on the model object.  Later calls reuse them; the
+per-configuration checks still run on every call, with the same
+messages in the same order.
 """
 
 from __future__ import annotations
@@ -18,11 +19,23 @@ import fmaf.simulator as simulator
 from fmaf import dsl
 from fmaf.casestudy import BUNDLE_NAMES, load_bundle
 from fmaf.checker import check
-from fmaf.model import ActivityKind, AtTime, FailureObservation
+from fmaf.model import (
+    ActivityKind,
+    AtTime,
+    Count,
+    DanglingReferenceError,
+    ElapsedBetween,
+    FailureObservation,
+    MetricSpec,
+    split_event_pattern,
+)
 from fmaf.simulator import (
     InvalidConfigError,
     ModelViolationsError,
     SimConfig,
+    SimulationError,
+    UnknownEventPatternError,
+    compute_metrics,
     enumerate_outcomes,
     run,
 )
@@ -213,6 +226,11 @@ def test_plan_matches_the_public_lookups():
             assert list(plan.detections.get(chain_id, ())) == model.detections_for(
                 chain_id
             )
+        for graph in model.processes.values():
+            for node_id, node in graph.nodes.items():
+                if node.kind is ActivityKind.RECEIVE:
+                    assert node_id in plan.receives[graph.id, node.channel]
+        assert all(list(ids) == sorted(ids) for ids in plan.receives.values())
 
 
 def test_plan_lists_every_started_instance_under_its_owner_in_key_order():
@@ -233,3 +251,129 @@ def test_plan_lists_every_started_instance_under_its_owner_in_key_order():
                 assert key in plan.owned[inst.owner]
                 started += inst.role == "recovery"
     assert started > 0
+
+
+# ---------------------------------------------------------------------------
+# Metrics: one scan of the trace against the per-pattern reference
+
+
+def reference_metrics(trace, specs):
+    """``compute_metrics`` as it was: split each pattern, rescan per endpoint."""
+
+    def matches(event, kind, qualifier):
+        if event.kind != kind:
+            return False
+        if qualifier is None or event.actor == qualifier:
+            return True
+        return any(
+            value == qualifier
+            for value in event.details.values()
+            if isinstance(value, str)
+        )
+
+    def split(pattern):
+        try:
+            return split_event_pattern(pattern)
+        except DanglingReferenceError as e:
+            raise UnknownEventPatternError(str(e)) from None
+
+    def first(pattern):
+        kind, qualifier = split(pattern)
+        for event in trace.events:
+            if matches(event, kind, qualifier):
+                return event.time
+        return None
+
+    out = {}
+    for spec in specs:
+        if isinstance(spec.kind, ElapsedBetween):
+            a = first(spec.kind.a)
+            b = first(spec.kind.b)
+            out[spec.id] = None if a is None or b is None else b - a
+        elif isinstance(spec.kind, Count):
+            kind, qualifier = split(spec.kind.pattern)
+            out[spec.id] = sum(
+                1 for event in trace.events if matches(event, kind, qualifier)
+            )
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def _traced_runs():
+    for name in BUNDLE_NAMES:
+        bundle = load_bundle(name)
+        for config in bundle.scenarios.values():
+            for seed in range(5):
+                yield bundle.model, dataclasses.replace(config, seed=seed)
+    for seed in range(100):
+        model = random_model(random.Random(seed))
+        for scenario in (None, *sorted(model.chains)):
+            yield model, SimConfig(scenario=scenario, seed=seed, horizon=60)
+
+
+def _specs_from_events(events):
+    """Counts and elapsed spans over patterns the trace itself holds."""
+    patterns = []
+    for event in events[:12]:
+        patterns.append(event.kind)
+        patterns.append(f"{event.kind}:{event.actor}")
+        patterns += [
+            f"{event.kind}:{value}"
+            for value in event.details.values()
+            if isinstance(value, str) and value
+        ]
+    specs = [MetricSpec(f"c{i}", Count(p)) for i, p in enumerate(patterns)]
+    specs += [
+        MetricSpec(f"e{i}", ElapsedBetween(a, b))
+        for i, (a, b) in enumerate(zip(patterns, reversed(patterns)))
+    ]
+    return specs
+
+
+def test_one_pass_metrics_match_the_per_pattern_reference():
+    compared = measured = 0
+    for model, config in _traced_runs():
+        try:
+            trace = run(model, config)
+        except SimulationError:
+            continue
+        for specs in (list(model.metrics.values()), _specs_from_events(trace.events)):
+            expected = reference_metrics(trace, specs)
+            got = compute_metrics(trace, specs)
+            assert got == expected and list(got) == list(expected)
+            measured += sum(v is not None and v != 0 for v in expected.values())
+        assert trace.metrics == reference_metrics(trace, model.metrics.values())
+        assert list(trace.metrics) == list(model.metrics)
+        compared += 1
+    assert compared > 150 and measured > 10000
+
+
+def test_first_unknown_pattern_in_spec_order_is_raised():
+    trace = run(race_fixture(), SimConfig(horizon=60))
+    good = MetricSpec("G", Count("activity-end"))
+    late_b = MetricSpec("X", ElapsedBetween("activity-end", "no-such-b"))
+    both = MetricSpec("Y", ElapsedBetween("no-such-a", "no-such-b"))
+    count = MetricSpec("Z", Count("no-such-c:P"))
+    for specs in ([good, late_b, count], [count, both], [both, late_b], [good, count]):
+        expected = _outcome(reference_metrics, trace, specs)
+        assert expected[0] is UnknownEventPatternError
+        assert _outcome(compute_metrics, trace, specs) == expected
+
+
+def test_model_with_an_unknown_pattern_fails_only_where_metrics_are_taken():
+    model = race_fixture()
+    bad = MetricSpec("Z", Count("no-such-kind"))
+    model = dataclasses.replace(model, metrics={**model.metrics, "Z": bad})
+    config = SimConfig(scenario="CH", horizon=60)
+    trace = run(race_fixture(), config)
+    expected = _outcome(reference_metrics, trace, model.metrics.values())
+    assert expected[0] is UnknownEventPatternError
+    for _ in range(2):
+        assert _outcome(run, model, config) == expected
+    assert enumerate_outcomes(model, config) == enumerate_outcomes(race_fixture(), config)
