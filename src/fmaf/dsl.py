@@ -118,16 +118,16 @@ class ParseResult:
 
 # ---------------------------------------------------------------------------
 # Lexer
-
-
-_K_IDENT = "ident"
-_K_STRING = "string"
-_K_NUMBER = "number"
-_K_DURATION = "duration"
-_K_EOF = "eof"
+#
+# A token is its source text, a "word".  Its kind follows from its first
+# character: a letter starts an identifier, '"' a string, a digit a
+# duration when the word ends in 't' and a number otherwise, anything else
+# is punctuation, and the empty word stands for the end of input.
 
 
 class _Token(NamedTuple):
+    """A word with its kind, value and position, built for diagnostics."""
+
     kind: str
     text: str
     value: object
@@ -137,15 +137,6 @@ class _Token(NamedTuple):
     @property
     def span(self) -> SourceSpan:
         return SourceSpan(self.line, self.col)
-
-    def describe(self) -> str:
-        if self.kind == _K_IDENT:
-            return f"'{self.text}'"
-        if self.kind == _K_EOF:
-            return "end of input"
-        if self.kind in (_K_STRING, _K_NUMBER, _K_DURATION):
-            return f"{self.kind} {self.text}"
-        return f"'{self.text}'"
 
 
 class _Abort(Exception):
@@ -163,79 +154,93 @@ _ESCAPE = re.compile(r"\\(.)")
 
 _DECIMAL = r"[0-9]+(?:\.[0-9]+)?"
 _STRING_CHARS = r'[^"\\\n]*(?:\\[\\"nt][^"\\\n]*)*'
+_JUNK = r"[ \t\n]*(?:\#[^\n]*[ \t\n]*)*"  # blanks and comments
 
-# Blanks, then one token.  Letters and digits are spelled out as ASCII
-# because ``\w`` and ``\d`` accept other scripts.  The match fails on a
-# malformed string, a number or duration that runs into an identifier
-# character, and any character that starts no token; _lex_error then
-# names the fault.
-_MASTER = re.compile(
-    rf"""[ \t]*(?:
-        (?P<ident>[A-Za-z][A-Za-z0-9_.]*)
-      | (?P<punct><->|->|[{{}}\[\],:])
-      | (?P<nl>\n)
-      | (?P<string>"{_STRING_CHARS}")
-      | (?P<duration>[0-9]+t)(?![A-Za-z0-9_.])
-      | (?P<number>{_DECIMAL})(?![A-Za-z0-9_.])
-      | (?P<comment>\#[^\n]*)
-      | (?P<eof>\Z)
-    )""",
+# Each match is one word (group 1) with the blanks and comments after it.
+# The first alternative takes the blanks and comments before the first
+# word, so matches tile the text and ``findall`` gives ``""`` and then
+# every word.  Letters and digits are spelled out as ASCII because ``\w``
+# and ``\d`` accept other scripts.  A malformed string, a number or
+# duration that runs into an identifier character, or a character that
+# starts no word leaves only the catch-all, which swallows the rest of the
+# text outside group 1, so the list then ends in ``""``; _lex_error names
+# the fault.
+_TOKEN = re.compile(
+    rf"""\A{_JUNK}
+      | (?:
+          ( [A-Za-z][A-Za-z0-9_.]*
+          | <->|->|[{{}}\[\],:]
+          | "{_STRING_CHARS}"
+          | [0-9]+t(?![A-Za-z0-9_.])
+          | {_DECIMAL}(?![A-Za-z0-9_.])
+          )
+        | [\s\S]+
+        ){_JUNK}""",
     re.VERBOSE,
 )
 _STRING_BODY = re.compile(_STRING_CHARS)
 _NUMBER = re.compile(_DECIMAL)
-_BLANKS = re.compile(r"[ \t]*")
-# Builds a token or reference without the Python-level __new__ of NamedTuple.
-_new = tuple.__new__
+
+
+def _words(text: str) -> list[str] | None:
+    """Every word of ``text`` and then ``""``, or None if it does not lex."""
+    words = _TOKEN.findall(text)
+    if len(words) > 1 and not words[-1]:
+        return None
+    del words[0]
+    words.append("")
+    return words
+
+
+def _unquote(word: str) -> str:
+    """The value of a string word."""
+    s = word[1:-1]
+    return _ESCAPE.sub(lambda e: _ESCAPES[e[1]], s) if "\\" in s else s
 
 
 def _lex(text: str) -> list[_Token]:
+    """The words of ``text`` with kinds, values and positions, then EOF."""
     # Both newline conventions lex identically.
     text = text.replace("\r\n", "\n").replace("\r", "\n")
-    end = len(text)
     toks: list[_Token] = []
-    append = toks.append
-    match = _MASTER.match
-    pos = 0
     line = 1
     base = -1  # offset of the current line's column 0
-    while True:
-        m = match(text, pos)
-        if m is None:
-            raise _lex_error(text, pos, line, base)
-        kind = m.lastgroup
-        word = m[kind]
-        pos = m.end()
-        if kind == "nl":
-            line += 1
-            base = pos - 1
-            continue
-        col = pos - len(word) - base
-        if kind == "ident":
-            append(_new(_Token, (_K_IDENT, word, word, line, col)))
-        elif kind == "punct":
-            append(_new(_Token, (word, word, word, line, col)))
-        elif kind == "string":
-            value = word[1:-1]
-            if "\\" in value:
-                value = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], value)
-                word = f'"{value}"'
-            append(_new(_Token, (_K_STRING, word, value, line, col)))
-        elif kind == "duration":
-            append(_new(_Token, (_K_DURATION, word, int(word[:-1]), line, col)))
-        elif kind == "number":
-            append(_new(_Token, (_K_NUMBER, word, float(word), line, col)))
-        elif pos == end:
-            # End of input, or a comment that runs to it: the EOF span is
-            # then the comment's '#', because a comment never moves the
-            # column on.
-            append(_new(_Token, (_K_EOF, "", None, line, col)))
-            return toks
+    last = 0  # end of the last word
+    for m in _TOKEN.finditer(text):
+        word = m[1]
+        start = m.start()
+        if word is not None:
+            col = start - base
+            c = word[0]
+            if c == '"':
+                value = _unquote(word)
+                toks.append(_Token("string", f'"{value}"', value, line, col))
+            elif c.isdigit():
+                if word[-1] == "t":
+                    toks.append(_Token("duration", word, int(word[:-1]), line, col))
+                else:
+                    toks.append(_Token("number", word, float(word), line, col))
+            elif c.isalpha():
+                toks.append(_Token("ident", word, word, line, col))
+            else:
+                toks.append(_Token(word, word, word, line, col))
+            last = m.end(1)
+        elif m[0][:1] not in " \t\n#":  # the catch-all, not the leading blanks
+            raise _lex_error(text, start, line, base)
+        lines = text.count("\n", start, m.end())
+        if lines:
+            line += lines
+            base = text.rfind("\n", start, m.end())
+    # End of input, or a comment that runs to it: the EOF span is then the
+    # comment's '#', because a comment never moves the column on.
+    hash_at = text.find("#", max(base + 1, last))
+    end = hash_at if hash_at >= 0 else len(text)
+    toks.append(_Token("eof", "", None, line, end - base))
+    return toks
 
 
-def _lex_error(text: str, pos: int, line: int, base: int) -> _Abort:
-    """The diagnostic for the token at ``pos`` that _MASTER failed to match."""
-    i = _BLANKS.match(text, pos).end()
+def _lex_error(text: str, i: int, line: int, base: int) -> _Abort:
+    """The diagnostic for the word at ``i`` that only the catch-all matched."""
     span = SourceSpan(line, i - base)
     c = text[i]
     if c == '"':
@@ -249,1247 +254,881 @@ def _lex_error(text: str, pos: int, line: int, base: int) -> _Abort:
     return _err(span, f"unexpected character {c!r}")
 
 
+def _describe(word: str) -> str:
+    c = word[:1]
+    if not c:
+        return "end of input"
+    if c == '"':
+        return f'string "{_unquote(word)}"'
+    if c.isdigit():
+        return f"{'duration' if word[-1] == 't' else 'number'} {word}"
+    return f"'{word}'"
+
+
+def _alternatives(words) -> str:
+    quoted = [f"'{w}'" for w in words]
+    return ", ".join(quoted[:-1]) + " or " + quoted[-1]
+
+
 # ---------------------------------------------------------------------------
-# Raw declaration records (everything span-tagged for diagnostics)
+# Block tables
+#
+# One table per declaration keyword drives the parser: its header items,
+# whether a braced body follows, and its fields.  The parser reads each
+# declaration into a plain dict.  Ids, and strings whose diagnostics point
+# at them, are kept as the index of their word, so a span is made only
+# when a diagnostic is emitted.
+
+# Value kinds.  Next to the kind, ``what`` names the value in diagnostics;
+# for a keyword choice it maps each keyword to its value, and for a
+# sub-form it gives the items, (kind, what) each, or maps each keyword
+# that picks a form to (items, build).  A literal word stands as its own
+# kind, and its value is None.
+_ID = "id"
+_IDS = "id list"
+_STR = "string"
+_DUR = "duration"
+_NUM = "number"
+_CHOICE = "keyword choice"
+_FORM = "sub-form"
+_FLAG = "flag"
+_NAME = "name"  # the optional display string of a header
+
+_REQUIRED = "required"
 
 
-class _Ref(NamedTuple):
-    text: str
-    line: int
-    col: int
+class _Field(NamedTuple):
+    """One field of a block body: a keyword, then a value of ``kind``."""
+
+    keyword: str
+    kind: str
+    what: object
+    default: object = _REQUIRED
+    repeated: bool = False  # a list of every value, never a repeat error
+    slot: str = ""  # fields that exclude each other share one record key
 
     @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.col)
+    def key(self) -> str:
+        return self.slot or self.keyword
 
 
-# Records filled field by field are plain slotted classes, and records
-# built whole are ``NamedTuple``s, not dataclasses: a dataclass costs
-# about a millisecond to build at import.  The parser reads and writes
-# these fields often enough that a dict-backed record such as
-# ``SimpleNamespace`` parses the bundles measurably slower.
+class _Block(NamedTuple):
+    header: tuple  # (record key, or None for a literal word; kind; what) per item
+    body: str  # "{": a braced body follows; "{?": it may; "": fields follow the header
+    fields: tuple[_Field, ...]
+    missing: str = ""  # the message for a missing required field, from block and key
+    nonword: str = ""  # what is expected where a non-word starts a field
 
 
-class _CsRec:
-    __slots__ = ("ident", "name", "nominal", "provides", "requires")
+_HAS_NO_FIELD = "{} has no '{}' field"
 
-    def __init__(self, ident: _Ref, name: str) -> None:
-        self.ident = ident
-        self.name = name
-        self.nominal: _Ref | None = None
-        self.provides: list[_Ref] = []
-        self.requires: list[_Ref] = []
+_BLOCKS = {
+    "cs": _Block(
+        (("ident", _ID, "constituent id"), ("name", _NAME, None)),
+        "{",
+        (
+            _Field("nominal", _ID, "process id"),
+            _Field("provides", _IDS, "interface id", ()),
+            _Field("requires", _IDS, "interface id", ()),
+        ),
+        "{} has no '{}' process",
+    ),
+    "env": _Block(
+        (("ident", _ID, "environment entity id"), ("name", _NAME, None)),
+        "{?",
+        (_Field("uses", _IDS, "connection id", ()),),
+    ),
+    "connection": _Block(
+        (
+            ("ident", _ID, "connection id"),
+            (None, ":", "':' after the connection id"),
+            ("provider", _ID, "endpoint id"),
+            (None, "<->", "'<->' between the connection endpoints"),
+            ("consumer", _ID, "endpoint id"),
+        ),
+        "{?",
+        (
+            _Field("interface", _ID, "interface id", None),
+            _Field(
+                "kind",
+                _CHOICE,
+                {"nominal": ConnectionKind.NOMINAL, "recovery_only": ConnectionKind.RECOVERY_ONLY},
+                ConnectionKind.NOMINAL,
+            ),
+            _Field("latency", _DUR, "the link latency", 1),
+            _Field("reliability", _NUM, "a reliability between 0 and 1", 1.0),
+        ),
+    ),
+    **{
+        kind.value: _Block(
+            (("ident", _ID, f"{kind.value} id"), ("description", _STR, "the threat description")),
+            "",
+            (_Field("category", _ID, "category tag", None),),
+        )
+        for kind in ThreatKind
+    },
+    "chain": _Block(
+        (("ident", _ID, "chain id"),),
+        "{",
+        (
+            _Field("fault", _ID, "fault id"),
+            _Field("error", _ID, "error id"),
+            _Field("failure", _ID, "failure id"),
+            _Field("origin", _ID, "origin id"),
+            _Field("detectors", _IDS, "detector id", ()),
+            _Field(
+                "observed",
+                _CHOICE,
+                {
+                    "boundary": FailureObservation.SOS_BOUNDARY,
+                    "internal": FailureObservation.INTERNAL,
+                },
+                FailureObservation.SOS_BOUNDARY,
+            ),
+            _Field("unrecoverable", _FLAG, None, False),
+        ),
+        _HAS_NO_FIELD,
+        "a chain field",
+    ),
+    # Activity statements and edges are read on a path of their own
+    # (_Parser.process).
+    "process": _Block(
+        (
+            ("ident", _ID, "process id"),
+            (None, "owner", "'owner'"),
+            ("owner", _ID, "owner constituent id"),
+        ),
+        "{",
+        (
+            _Field("entry", _ID, "entry activity id"),
+            _Field("exits", _IDS, "exit activity id"),
+        ),
+        "{} has no '{}'",
+        "a process statement",
+    ),
+    "activation": _Block(
+        (("ident", _ID, "activation id"),),
+        "{",
+        (
+            _Field("chain", _ID, "chain id"),
+            _Field("origin", _ID, "origin constituent id"),
+            _Field("region", _IDS, "region activity id"),
+            _Field(
+                "trigger",
+                _FORM,
+                {
+                    "at_time": (((_DUR, "the trigger time"),), AtTime),
+                    "on_entry": (((_ID, "trigger activity id"),), None),
+                    "probabilistic": (((_NUM, "a probability between 0 and 1"),), Probabilistic),
+                },
+            ),
+        ),
+        _HAS_NO_FIELD,
+    ),
+    "detection": _Block(
+        (("ident", _ID, "detection id"),),
+        "{",
+        (
+            _Field("chain", _ID, "chain id"),
+            _Field("detector", _ID, "detector id"),
+            _Field(
+                "condition",
+                _FORM,
+                {
+                    "self_report": (((_DUR, "the self-report delay"),), SelfReport),
+                    "timeout": (
+                        (
+                            (_DUR, "the timeout bound"),
+                            ("watching", "'watching'"),
+                            (_ID, "watched element id"),
+                        ),
+                        None,
+                    ),
+                    "third_party": (
+                        (
+                            (_NUM, "a report probability between 0 and 1"),
+                            (_DUR, "the report delay"),
+                        ),
+                        ThirdPartyReport,
+                    ),
+                },
+            ),
+            _Field(
+                "style",
+                _CHOICE,
+                {
+                    "separate": DetectionStyle.SEPARATE_REGION,
+                    "shared": DetectionStyle.SHARED_REGION,
+                },
+                DetectionStyle.SEPARATE_REGION,
+            ),
+            _Field("recovery", _ID, "recovery id"),
+        ),
+        _HAS_NO_FIELD,
+    ),
+    "recovery": _Block(
+        (("ident", _ID, "recovery id"), ("name", _NAME, None)),
+        "{",
+        (
+            _Field("graph", _FORM, ((_ID, "constituent id"), (_ID, "process id")), repeated=True),
+            _Field("success", _IDS, "success exit id", ()),
+            _Field("abort", _IDS, "abort exit id", ()),
+        ),
+        "{} declares no graphs",
+    ),
+    "metric": _Block(
+        (("ident", _ID, "metric id"), ("name", _NAME, None)),
+        "{",
+        (
+            _Field(
+                "elapsed",
+                _FORM,
+                (
+                    (_STR, "the start event pattern"),
+                    ("->", "'->' between the event patterns"),
+                    (_STR, "the end event pattern"),
+                ),
+                slot="elapsed or count",
+            ),
+            _Field("count", _STR, "the event pattern", slot="elapsed or count"),
+            _Field("target", _DUR, "the target tick count", None),
+        ),
+        "{} has neither 'elapsed' nor 'count'",
+    ),
+}
 
-
-class _EnvRec:
-    __slots__ = ("ident", "name", "uses")
-
-    def __init__(self, ident: _Ref, name: str) -> None:
-        self.ident = ident
-        self.name = name
-        self.uses: list[_Ref] = []
-
-
-class _ConnRec:
-    __slots__ = ("ident", "provider", "consumer", "interface", "kind", "latency",
-                 "reliability")
-
-    def __init__(self, ident: _Ref, provider: _Ref, consumer: _Ref) -> None:
-        self.ident = ident
-        self.provider = provider
-        self.consumer = consumer
-        self.interface: str | None = None
-        self.kind = ConnectionKind.NOMINAL
-        self.latency = 1
-        self.reliability = 1.0
-
-
-class _ThreatRec:
-    __slots__ = ("ident", "kind", "description", "category")
-
-    def __init__(self, ident: _Ref, kind: ThreatKind, description: str) -> None:
-        self.ident = ident
-        self.kind = kind
-        self.description = description
-        self.category: str | None = None
-
-
-class _ChainRec:
-    __slots__ = ("ident", "fault", "error", "failure", "origin", "detectors", "observed",
-                 "unrecoverable")
-
-    def __init__(self, ident: _Ref) -> None:
-        self.ident = ident
-        self.fault: _Ref | None = None
-        self.error: _Ref | None = None
-        self.failure: _Ref | None = None
-        self.origin: _Ref | None = None
-        self.detectors: list[_Ref] = []
-        self.observed = FailureObservation.SOS_BOUNDARY
-        self.unrecoverable = False
-
-
-class _NodeRec(NamedTuple):
-    ident: _Ref
-    kind: ActivityKind
-    name: str
-    duration: int
-    channel: _Ref | None
-    timer_bound: int | None
-
-
-class _EdgeRec(NamedTuple):
-    src: _Ref
-    dst: _Ref
-    guard: str | None
-
-
-class _ProcRec:
-    __slots__ = ("ident", "owner", "entry", "exits", "nodes", "edges")
-
-    def __init__(self, ident: _Ref, owner: _Ref) -> None:
-        self.ident = ident
-        self.owner = owner
-        self.entry: _Ref | None = None
-        self.exits: list[_Ref] = []
-        self.nodes: list[_NodeRec] = []
-        self.edges: list[_EdgeRec] = []
-
-
-class _ActRec:
-    __slots__ = ("ident", "chain", "origin", "region", "trigger", "on_entry")
-
-    def __init__(self, ident: _Ref) -> None:
-        self.ident = ident
-        self.chain: _Ref | None = None
-        self.origin: _Ref | None = None
-        self.region: list[_Ref] = []
-        self.trigger: AtTime | Probabilistic | None = None
-        self.on_entry: _Ref | None = None  # trigger on_entry keeps its span
-
-
-class _DetRec:
-    __slots__ = ("ident", "chain", "detector", "condition", "watching", "timeout_bound",
-                 "style", "recovery")
-
-    def __init__(self, ident: _Ref) -> None:
-        self.ident = ident
-        self.chain: _Ref | None = None
-        self.detector: _Ref | None = None
-        self.condition: SelfReport | ThirdPartyReport | None = None
-        self.watching: _Ref | None = None  # timeout target keeps its span
-        self.timeout_bound: int | None = None
-        self.style = DetectionStyle.SEPARATE_REGION
-        self.recovery: _Ref | None = None
-
-
-class _RecvRec:
-    __slots__ = ("ident", "name", "graphs", "success", "abort")
-
-    def __init__(self, ident: _Ref, name: str) -> None:
-        self.ident = ident
-        self.name = name
-        self.graphs: list[tuple[_Ref, _Ref]] = []  # (cs, graph)
-        self.success: list[_Ref] = []
-        self.abort: list[_Ref] = []
-
-
-class _MetricRec:
-    __slots__ = ("ident", "name", "elapsed", "count", "target")
-
-    def __init__(self, ident: _Ref, name: str) -> None:
-        self.ident = ident
-        self.name = name
-        self.elapsed: tuple[_Ref, _Ref] | None = None  # pattern strings with spans
-        self.count: _Ref | None = None
-        self.target: int | None = None
+_FIELDS = {kw: {f.keyword: f for f in b.fields} for kw, b in _BLOCKS.items()}
+# Each record key with its default, or _REQUIRED; fields sharing a slot share a key.
+_DEFAULTS = {kw: {f.key: f.default for f in b.fields} for kw, b in _BLOCKS.items()}
+_NODE_KINDS = {kind.value: kind for kind in ActivityKind}
+_MESSAGING = (ActivityKind.SEND, ActivityKind.RECEIVE)
+_THREATS = tuple(kind.value for kind in ThreatKind)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
 
-_TOP_KEYWORDS = (
-    "cs",
-    "env",
-    "connection",
-    "fault",
-    "error",
-    "failure",
-    "chain",
-    "process",
-    "activation",
-    "detection",
-    "recovery",
-    "metric",
-)
-
-_NODE_KEYWORDS = {
-    "action": ActivityKind.ACTION,
-    "send": ActivityKind.SEND,
-    "receive": ActivityKind.RECEIVE,
-    "fork": ActivityKind.FORK,
-    "join": ActivityKind.JOIN,
-    "decision": ActivityKind.DECISION,
-    "timer": ActivityKind.TIMER,
-}
-
-
 class _Parser:
-    def __init__(self, tokens: list[_Token]) -> None:
-        self.toks = tokens
-        self.i = 0
+    def __init__(self, text: str, words: list[str]) -> None:
+        self.text = text
+        self.words = words
+        self.toks: list[_Token] | None = None  # lexed when a span is needed
         self.diags: list[Diagnostic] = []
-        self.sos_name: _Ref | None = None
-        self.cs: list[_CsRec] = []
-        self.envs: list[_EnvRec] = []
-        self.conns: list[_ConnRec] = []
-        self.threats: list[_ThreatRec] = []
-        self.chains: list[_ChainRec] = []
-        self.procs: list[_ProcRec] = []
-        self.acts: list[_ActRec] = []
-        self.dets: list[_DetRec] = []
-        self.recvs: list[_RecvRec] = []
-        self.metrics: list[_MetricRec] = []
+        # Records by declaration keyword, in declaration order; the three
+        # threat keywords share one list.
+        self.recs: dict[str, list[dict]] = {kw: [] for kw in _BLOCKS}
+        for kw in _THREATS:
+            self.recs[kw] = self.recs["fault"]
 
-    # -- token helpers
+    # -- positions and diagnostics
 
-    def _tok(self) -> _Token:
-        return self.toks[self.i]
+    def span(self, i: int) -> SourceSpan:
+        """The position of word ``i``."""
+        if self.toks is None:
+            self.toks = _lex(self.text)
+        t = self.toks[i]
+        return SourceSpan(t.line, t.col)
 
-    def _at(self, kind: str) -> bool:
-        return self._tok().kind == kind
+    def error(self, i: int, message: str) -> None:
+        self.diags.append(Diagnostic("error", self.span(i), message))
 
-    def _at_kw(self, word: str) -> bool:
-        t = self._tok()
-        return t.kind == _K_IDENT and t.text == word
+    def expected(self, i: int, what: str) -> _Abort:
+        return _err(self.span(i), f"expected {what}, found {_describe(self.words[i])}")
 
-    def _advance(self) -> _Token:
-        t = self.toks[self.i]
-        if t.kind != _K_EOF:
-            self.i += 1
-        return t
+    # -- values
 
-    def _expect(self, kind: str, what: str) -> _Token:
-        t = self._tok()
-        if t.kind != kind:
-            raise _err(t.span, f"expected {what}, found {t.describe()}")
-        return self._advance()
+    def ident(self, i: int, what: str) -> int:
+        if not self.words[i][:1].isalpha():
+            raise self.expected(i, what)
+        return i
 
-    def _expect_kw(self, word: str) -> _Token:
-        t = self._tok()
-        if not self._at_kw(word):
-            raise _err(t.span, f"expected '{word}', found {t.describe()}")
-        return self._advance()
+    def value(self, kind: str, what, i: int) -> tuple[object, int]:
+        """The value of ``kind`` at word ``i``, and the index after it.
 
-    def _ident(self, what: str) -> _Ref:
-        t = self._expect(_K_IDENT, what)
-        return _new(_Ref, (t.text, t.line, t.col))
+        Ids and strings are kept as their word's index; a literal keyword
+        or punctuation (its own kind) has the value None.
+        """
+        w = self.words[i]
+        if kind == _ID:
+            if w[:1].isalpha():
+                return i, i + 1
+        elif kind == _IDS:
+            return self.idlist(i, what)
+        elif kind == _STR:
+            if w[:1] == '"':
+                return i, i + 1
+        elif kind == _DUR:
+            if w[:1].isdigit() and w[-1] == "t":
+                return int(w[:-1]), i + 1
+            what = f"{what} as a tick count like 2t"
+        elif kind == _NUM:
+            if w[:1].isdigit() and w[-1] != "t":
+                return float(w), i + 1
+        elif kind == _CHOICE:
+            if w in what:
+                return what[w], i + 1
+            what = _alternatives(what)
+        elif kind == _FORM:
+            return self.form(what, i)
+        elif kind == _NAME:
+            return (_unquote(w), i + 1) if w[:1] == '"' else ("", i)
+        elif w == kind:
+            return None, i + 1
+        raise self.expected(i, what)
 
-    def _opt_string(self) -> str:
-        if self._at(_K_STRING):
-            return str(self._advance().value)
-        return ""
+    def idlist(self, i: int, what: str) -> tuple[list[int], int]:
+        words = self.words
+        if words[i] != "[":
+            raise self.expected(i, f"'[' opening the {what} list")
+        refs: list[int] = []
+        i += 1
+        if words[i] == "]":
+            return refs, i + 1
+        refs.append(self.ident(i, what))
+        i += 1
+        while words[i] == ",":
+            refs.append(self.ident(i + 1, what))
+            i += 2
+        if words[i] != "]":
+            raise self.expected(i, f"']' closing the {what} list")
+        return refs, i + 1
 
-    def _string(self, what: str) -> _Token:
-        return self._expect(_K_STRING, what)
+    def form(self, what, i: int) -> tuple[object, int]:
+        """A sub-form: its items, after the keyword that picks them if any.
 
-    def _duration(self, what: str) -> int:
-        t = self._tok()
-        if t.kind != _K_DURATION:
-            raise _err(
-                t.span, f"expected {what} as a tick count like 2t, found {t.describe()}"
-            )
-        self._advance()
-        return int(t.value)  # type: ignore[arg-type]
-
-    def _opt_duration(self) -> int | None:
-        if self._at(_K_DURATION):
-            return int(self._advance().value)  # type: ignore[arg-type]
-        return None
-
-    def _number(self, what: str) -> float:
-        t = self._tok()
-        if t.kind == _K_NUMBER:
-            self._advance()
-            return float(t.value)  # type: ignore[arg-type]
-        raise _err(t.span, f"expected {what}, found {t.describe()}")
-
-    def _idlist(self, what: str) -> list[_Ref]:
-        self._expect("[", f"'[' opening the {what} list")
-        out: list[_Ref] = []
-        if self._at("]"):
-            self._advance()
-            return out
-        out.append(self._ident(what))
-        while self._at(","):
-            self._advance()
-            out.append(self._ident(what))
-        self._expect("]", f"']' closing the {what} list")
-        return out
-
-    def _dup_field(self, already: bool, t: _Token, fname: str, block: str) -> bool:
-        """Report a repeated single-occurrence field; keep the first value."""
-        if already:
-            self.diags.append(
-                Diagnostic("error", t.span, f"repeated '{fname}' in {block}")
-            )
-        return already
+        The value is ``build(*values)`` over the items that are not literal
+        words; without ``build`` it is those values, or the only one.
+        """
+        at = i
+        if isinstance(what, dict):
+            if self.words[i] not in what:
+                raise self.expected(i, _alternatives(what))
+            items, build = what[self.words[i]]
+            i += 1
+        else:
+            items, build = what, None
+        values = []
+        for kind, item_what in items:
+            v, i = self.value(kind, item_what, i)
+            if v is not None:
+                values.append(v)
+        if build is None:
+            return values[0] if len(values) == 1 else tuple(values), i
+        try:
+            return build(*values), i
+        except FmafError as e:
+            raise _err(self.span(at), str(e)) from None
 
     # -- grammar
 
     def parse_sos(self) -> None:
-        self._expect_kw("sos")
-        self.sos_name = self._ident("model name")
-        self._expect("{", "'{' opening the sos block")
-        while not self._at("}"):
-            t = self._tok()
-            if t.kind != _K_IDENT:
-                raise _err(
-                    t.span,
-                    f"expected a declaration keyword or '}}', found {t.describe()}",
-                )
-            if t.text == "cs":
-                self._parse_cs()
-            elif t.text == "env":
-                self._parse_env()
-            elif t.text == "connection":
-                self._parse_connection()
-            elif t.text in ("fault", "error", "failure"):
-                self._parse_threat()
-            elif t.text == "chain":
-                self._parse_chain()
-            elif t.text == "process":
-                self._parse_process()
-            elif t.text == "activation":
-                self._parse_activation()
-            elif t.text == "detection":
-                self._parse_detection()
-            elif t.text == "recovery":
-                self._parse_recovery()
-            elif t.text == "metric":
-                self._parse_metric()
+        words = self.words
+        if words[0] != "sos":
+            raise self.expected(0, "'sos'")
+        self.ident(1, "model name")
+        if words[2] != "{":
+            raise self.expected(2, "'{' opening the sos block")
+        i = 3
+        while (w := words[i]) != "}":
+            if w in _BLOCKS:
+                i = self.block(w, i)
+            elif w[:1].isalpha():
+                raise self.expected(i, "one of " + ", ".join(f"'{k}'" for k in _BLOCKS))
             else:
-                raise _err(
-                    t.span,
-                    "expected one of "
-                    + ", ".join(f"'{k}'" for k in _TOP_KEYWORDS)
-                    + f", found {t.describe()}",
-                )
-        self._advance()  # }
-        t = self._tok()
-        if t.kind != _K_EOF:
-            raise _err(t.span, f"trailing content after sos block: {t.describe()}")
-
-    def _parse_cs(self) -> None:
-        self._advance()
-        rec = _CsRec(self._ident("constituent id"), "")
-        rec.name = self._opt_string()
-        self._expect("{", "'{' opening the cs block")
-        block = f"cs {rec.ident.text}"
-        while not self._at("}"):
-            t = self._tok()
-            if self._at_kw("nominal"):
-                self._advance()
-                ref = self._ident("process id")
-                if not self._dup_field(rec.nominal is not None, t, "nominal", block):
-                    rec.nominal = ref
-            elif self._at_kw("provides"):
-                self._advance()
-                refs = self._idlist("interface id")
-                if not self._dup_field(bool(rec.provides), t, "provides", block):
-                    rec.provides = refs
-            elif self._at_kw("requires"):
-                self._advance()
-                refs = self._idlist("interface id")
-                if not self._dup_field(bool(rec.requires), t, "requires", block):
-                    rec.requires = refs
-            else:
-                raise _err(
-                    t.span,
-                    f"expected 'nominal', 'provides', 'requires' or '}}' in {block}, "
-                    f"found {t.describe()}",
-                )
-        self._advance()
-        if rec.nominal is None:
-            self.diags.append(
-                Diagnostic("error", rec.ident.span, f"{block} has no 'nominal' process")
+                raise self.expected(i, "a declaration keyword or '}'")
+        if words[i + 1]:
+            raise _err(
+                self.span(i + 1), f"trailing content after sos block: {_describe(words[i + 1])}"
             )
-        self.cs.append(rec)
 
-    def _parse_env(self) -> None:
-        self._advance()
-        rec = _EnvRec(self._ident("environment entity id"), "")
-        rec.name = self._opt_string()
-        if self._at("{"):
-            self._advance()
-            block = f"env {rec.ident.text}"
-            while not self._at("}"):
-                t = self._tok()
-                if self._at_kw("uses"):
-                    self._advance()
-                    refs = self._idlist("connection id")
-                    if not self._dup_field(bool(rec.uses), t, "uses", block):
-                        rec.uses = refs
-                else:
-                    raise _err(
-                        t.span,
-                        f"expected 'uses' or '}}' in {block}, found {t.describe()}",
-                    )
-            self._advance()
-        self.envs.append(rec)
-
-    def _parse_connection(self) -> None:
-        self._advance()
-        ident = self._ident("connection id")
-        self._expect(":", "':' after the connection id")
-        provider = self._ident("endpoint id")
-        self._expect("<->", "'<->' between the connection endpoints")
-        consumer = self._ident("endpoint id")
-        rec = _ConnRec(ident, provider, consumer)
-        if self._at("{"):
-            self._advance()
-            block = f"connection {ident.text}"
-            seen: set[str] = set()
-            while not self._at("}"):
-                t = self._tok()
-                if self._at_kw("interface"):
-                    self._advance()
-                    val = self._ident("interface id")
-                    if not self._dup_field("interface" in seen, t, "interface", block):
-                        rec.interface = val.text
-                    seen.add("interface")
-                elif self._at_kw("kind"):
-                    self._advance()
-                    kt = self._tok()
-                    if self._at_kw("nominal"):
-                        kind = ConnectionKind.NOMINAL
-                    elif self._at_kw("recovery_only"):
-                        kind = ConnectionKind.RECOVERY_ONLY
-                    else:
-                        raise _err(
-                            kt.span,
-                            f"expected 'nominal' or 'recovery_only', found {kt.describe()}",
-                        )
-                    self._advance()
-                    if not self._dup_field("kind" in seen, t, "kind", block):
-                        rec.kind = kind
-                    seen.add("kind")
-                elif self._at_kw("latency"):
-                    self._advance()
-                    val2 = self._duration("the link latency")
-                    if not self._dup_field("latency" in seen, t, "latency", block):
-                        rec.latency = val2
-                    seen.add("latency")
-                elif self._at_kw("reliability"):
-                    self._advance()
-                    val3 = self._number("a reliability between 0 and 1")
-                    if not self._dup_field(
-                        "reliability" in seen, t, "reliability", block
-                    ):
-                        rec.reliability = val3
-                    seen.add("reliability")
-                else:
-                    raise _err(
-                        t.span,
-                        f"expected 'interface', 'kind', 'latency', 'reliability' or '}}' "
-                        f"in {block}, found {t.describe()}",
-                    )
-            self._advance()
-        self.conns.append(rec)
-
-    def _parse_threat(self) -> None:
-        kw = self._advance()
-        kind = ThreatKind(kw.text)
-        ident = self._ident(f"{kw.text} id")
-        desc = self._string("the threat description").value
-        rec = _ThreatRec(ident, kind, str(desc))
-        if self._at_kw("category"):
-            self._advance()
-            rec.category = self._ident("category tag").text
-        self.threats.append(rec)
-
-    def _parse_chain(self) -> None:
-        self._advance()
-        rec = _ChainRec(self._ident("chain id"))
-        self._expect("{", "'{' opening the chain block")
-        block = f"chain {rec.ident.text}"
-        seen: set[str] = set()
-        while not self._at("}"):
-            t = self._tok()
-            if t.kind != _K_IDENT:
-                raise _err(t.span, f"expected a chain field, found {t.describe()}")
-            if t.text in ("fault", "error", "failure", "origin"):
-                self._advance()
-                ref = self._ident(f"{t.text} id")
-                if not self._dup_field(t.text in seen, t, t.text, block):
-                    setattr(rec, t.text, ref)
-                seen.add(t.text)
-            elif t.text == "detectors":
-                self._advance()
-                refs = self._idlist("detector id")
-                if not self._dup_field("detectors" in seen, t, "detectors", block):
-                    rec.detectors = refs
-                seen.add("detectors")
-            elif t.text == "observed":
-                self._advance()
-                ot = self._tok()
-                if self._at_kw("boundary"):
-                    obs = FailureObservation.SOS_BOUNDARY
-                elif self._at_kw("internal"):
-                    obs = FailureObservation.INTERNAL
-                else:
-                    raise _err(
-                        ot.span,
-                        f"expected 'boundary' or 'internal', found {ot.describe()}",
-                    )
-                self._advance()
-                if not self._dup_field("observed" in seen, t, "observed", block):
-                    rec.observed = obs
-                seen.add("observed")
-            elif t.text == "unrecoverable":
-                self._advance()
-                rec.unrecoverable = True
+    def block(self, kw: str, i: int) -> int:
+        """Read the declaration at word ``i`` into a record; the index after it."""
+        words = self.words
+        spec = _BLOCKS[kw]
+        fields = _FIELDS[kw]
+        rec: dict = {}
+        i += 1
+        for key, kind, what in spec.header:
+            value, i = self.value(kind, what, i)
+            if key is not None:
+                rec[key] = value
+        ident = rec["ident"]  # the word after the keyword
+        name = f"{kw} {words[ident]}"
+        if not spec.body:
+            f = fields.get(words[i])
+            if f is not None:
+                i = self.field(rec, f, i, name)
+        elif spec.body == "{" or words[i] == "{":
+            if words[i] != "{":
+                raise self.expected(i, f"'{{' opening the {kw} block")
+            i += 1
+            if kw == "process":
+                i = self.process(rec, i, name)
             else:
-                raise _err(
-                    t.span,
-                    f"expected 'fault', 'error', 'failure', 'origin', 'detectors', "
-                    f"'observed', 'unrecoverable' or '}}' in {block}, found {t.describe()}",
-                )
-        self._advance()
-        for f in ("fault", "error", "failure", "origin"):
-            if getattr(rec, f) is None:
-                self.diags.append(
-                    Diagnostic("error", rec.ident.span, f"{block} has no '{f}' field")
-                )
-        self.chains.append(rec)
+                while (w := words[i]) != "}":
+                    f = fields.get(w)
+                    if f is None:
+                        raise self.stray(kw, i, name)
+                    i = self.field(rec, f, i, name)
+            i += 1
+        for key, default in _DEFAULTS[kw].items():
+            if default is not _REQUIRED:
+                rec.setdefault(key, default)
+            elif not rec.get(key):
+                self.error(ident, spec.missing.format(name, key))
+        self.recs[kw].append(rec)
+        return i
 
-    def _parse_process(self) -> None:
-        self._advance()
-        ident = self._ident("process id")
-        self._expect_kw("owner")
-        owner = self._ident("owner constituent id")
-        rec = _ProcRec(ident, owner)
-        self._expect("{", "'{' opening the process block")
-        block = f"process {ident.text}"
-        while not self._at("}"):
-            t = self._tok()
-            if t.kind != _K_IDENT:
-                raise _err(t.span, f"expected a process statement, found {t.describe()}")
-            if t.text in _NODE_KEYWORDS:
-                self._advance()
-                kind = _NODE_KEYWORDS[t.text]
-                nid = self._ident("activity id")
-                name = self._opt_string()
-                channel: _Ref | None = None
+    def stray(self, kw: str, i: int, name: str) -> _Abort:
+        """The error for word ``i``, which starts no field of block ``kw``."""
+        spec = _BLOCKS[kw]
+        if spec.nonword and not self.words[i][:1].isalpha():
+            return self.expected(i, spec.nonword)
+        keywords = [f.keyword for f in spec.fields]
+        if kw == "process":
+            listing = "an activity kind, " + _alternatives(keywords + ["edge", "}"])
+        else:
+            listing = _alternatives(keywords + ["}"])
+        return self.expected(i, f"{listing} in {name}")
+
+    def field(self, rec: dict, f: _Field, i: int, name: str) -> int:
+        """Read field ``f`` at word ``i`` into ``rec``; a repeat keeps the first."""
+        if f.kind == _FLAG:
+            rec[f.key] = True
+            return i + 1
+        value, j = self.value(f.kind, f.what, i + 1)
+        if f.repeated:
+            rec.setdefault(f.key, []).append(value)
+        elif f.key in rec:
+            self.error(i, f"repeated '{f.key}' in {name}")
+        else:
+            rec[f.key] = value
+        return j
+
+    def process(self, rec: dict, i: int, name: str) -> int:
+        """A process body up to its '}': activities and edges on a path of their own.
+
+        An activity is ``(id, kind, name, duration, channel, bound)`` and an
+        edge ``(src, dst, guard)``, ids and channel as word indices.
+        """
+        words = self.words
+        nodes: list[tuple] = []
+        edges: list[tuple] = []
+        rec["nodes"] = nodes
+        rec["edges"] = edges
+        while True:
+            w = words[i]
+            if w == "edge":
+                if not words[i + 1][:1].isalpha():
+                    raise self.expected(i + 1, "edge source activity")
+                if words[i + 2] != "->":
+                    raise self.expected(i + 2, "'->' between the edge endpoints")
+                if not words[i + 3][:1].isalpha():
+                    raise self.expected(i + 3, "edge target activity")
+                src = i + 1
+                i += 4
+                guard = None
+                if words[i] == "when":
+                    if words[i + 1][:1] != '"':
+                        raise self.expected(i + 1, "the guard label")
+                    guard = _unquote(words[i + 1])
+                    i += 2
+                edges.append((src, src + 2, guard))
+            elif w in _NODE_KINDS:
+                kind = _NODE_KINDS[w]
+                if not words[i + 1][:1].isalpha():
+                    raise self.expected(i + 1, "activity id")
+                ident = i + 1
+                i += 2
+                label = ""
+                if words[i][:1] == '"':
+                    label = _unquote(words[i])
+                    i += 1
+                channel = None
                 duration = 0
-                bound: int | None = None
-                if kind in (ActivityKind.SEND, ActivityKind.RECEIVE):
-                    self._expect_kw("on")
-                    channel = self._ident("connection id")
-                    duration = self._opt_duration() or 0
-                elif kind is ActivityKind.ACTION:
-                    duration = self._opt_duration() or 0
-                elif kind is ActivityKind.TIMER:
-                    bound = self._duration("the timer bound")
-                rec.nodes.append(_new(_NodeRec, (nid, kind, name, duration, channel, bound)))
-            elif t.text == "entry":
-                self._advance()
-                ref = self._ident("entry activity id")
-                if not self._dup_field(rec.entry is not None, t, "entry", block):
-                    rec.entry = ref
-            elif t.text == "exits":
-                self._advance()
-                refs = self._idlist("exit activity id")
-                if not self._dup_field(bool(rec.exits), t, "exits", block):
-                    rec.exits = refs
-            elif t.text == "edge":
-                self._advance()
-                src = self._ident("edge source activity")
-                self._expect("->", "'->' between the edge endpoints")
-                dst = self._ident("edge target activity")
-                guard: str | None = None
-                if self._at_kw("when"):
-                    self._advance()
-                    guard = str(self._string("the guard label").value)
-                rec.edges.append(_new(_EdgeRec, (src, dst, guard)))
+                bound = None
+                if kind in _MESSAGING:
+                    if words[i] != "on":
+                        raise self.expected(i, "'on'")
+                    if not words[i + 1][:1].isalpha():
+                        raise self.expected(i + 1, "connection id")
+                    channel = i + 1
+                    i += 2
+                if kind is ActivityKind.TIMER:
+                    w = words[i]
+                    if not (w[:1].isdigit() and w[-1] == "t"):
+                        raise self.expected(i, "the timer bound as a tick count like 2t")
+                    bound = int(w[:-1])
+                    i += 1
+                elif kind is ActivityKind.ACTION or channel is not None:
+                    w = words[i]
+                    if w[:1].isdigit() and w[-1] == "t":
+                        duration = int(w[:-1])
+                        i += 1
+                nodes.append((ident, kind, label, duration, channel, bound))
+            elif w == "}":
+                return i
             else:
-                raise _err(
-                    t.span,
-                    f"expected an activity kind, 'entry', 'exits', 'edge' or '}}' "
-                    f"in {block}, found {t.describe()}",
-                )
-        self._advance()
-        if rec.entry is None:
-            self.diags.append(
-                Diagnostic("error", ident.span, f"{block} has no 'entry'")
-            )
-        if not rec.exits:
-            self.diags.append(
-                Diagnostic("error", ident.span, f"{block} has no 'exits'")
-            )
-        self.procs.append(rec)
-
-    def _parse_activation(self) -> None:
-        self._advance()
-        rec = _ActRec(self._ident("activation id"))
-        self._expect("{", "'{' opening the activation block")
-        block = f"activation {rec.ident.text}"
-        seen: set[str] = set()
-        while not self._at("}"):
-            t = self._tok()
-            if self._at_kw("chain"):
-                self._advance()
-                ref = self._ident("chain id")
-                if not self._dup_field("chain" in seen, t, "chain", block):
-                    rec.chain = ref
-                seen.add("chain")
-            elif self._at_kw("origin"):
-                self._advance()
-                ref = self._ident("origin constituent id")
-                if not self._dup_field("origin" in seen, t, "origin", block):
-                    rec.origin = ref
-                seen.add("origin")
-            elif self._at_kw("region"):
-                self._advance()
-                refs = self._idlist("region activity id")
-                if not self._dup_field("region" in seen, t, "region", block):
-                    rec.region = refs
-                seen.add("region")
-            elif self._at_kw("trigger"):
-                self._advance()
-                dup = self._dup_field("trigger" in seen, t, "trigger", block)
-                seen.add("trigger")
-                tt = self._tok()
-                if self._at_kw("at_time"):
-                    self._advance()
-                    trig: AtTime | Probabilistic = AtTime(self._duration("the trigger time"))
-                    if not dup:
-                        rec.trigger = trig
-                elif self._at_kw("on_entry"):
-                    self._advance()
-                    ref = self._ident("trigger activity id")
-                    if not dup:
-                        rec.on_entry = ref
-                elif self._at_kw("probabilistic"):
-                    self._advance()
-                    p = self._number("a probability between 0 and 1")
-                    try:
-                        trig = Probabilistic(p)
-                    except FmafError as e:
-                        raise _err(tt.span, str(e)) from None
-                    if not dup:
-                        rec.trigger = trig
-                else:
-                    raise _err(
-                        tt.span,
-                        f"expected 'at_time', 'on_entry' or 'probabilistic', "
-                        f"found {tt.describe()}",
-                    )
-            else:
-                raise _err(
-                    t.span,
-                    f"expected 'chain', 'origin', 'region', 'trigger' or '}}' in {block}, "
-                    f"found {t.describe()}",
-                )
-        self._advance()
-        for fname, val in (
-            ("chain", rec.chain),
-            ("origin", rec.origin),
-            ("region", rec.region or None),
-            ("trigger", rec.trigger or rec.on_entry),
-        ):
-            if val is None:
-                self.diags.append(
-                    Diagnostic("error", rec.ident.span, f"{block} has no '{fname}' field")
-                )
-        self.acts.append(rec)
-
-    def _parse_detection(self) -> None:
-        self._advance()
-        rec = _DetRec(self._ident("detection id"))
-        self._expect("{", "'{' opening the detection block")
-        block = f"detection {rec.ident.text}"
-        seen: set[str] = set()
-        while not self._at("}"):
-            t = self._tok()
-            if self._at_kw("chain"):
-                self._advance()
-                ref = self._ident("chain id")
-                if not self._dup_field("chain" in seen, t, "chain", block):
-                    rec.chain = ref
-                seen.add("chain")
-            elif self._at_kw("detector"):
-                self._advance()
-                ref = self._ident("detector id")
-                if not self._dup_field("detector" in seen, t, "detector", block):
-                    rec.detector = ref
-                seen.add("detector")
-            elif self._at_kw("condition"):
-                self._advance()
-                dup = self._dup_field("condition" in seen, t, "condition", block)
-                seen.add("condition")
-                ct = self._tok()
-                if self._at_kw("self_report"):
-                    self._advance()
-                    cond: SelfReport | ThirdPartyReport = SelfReport(
-                        self._duration("the self-report delay")
-                    )
-                    if not dup:
-                        rec.condition = cond
-                elif self._at_kw("timeout"):
-                    self._advance()
-                    bound = self._duration("the timeout bound")
-                    self._expect_kw("watching")
-                    watched = self._ident("watched element id")
-                    if not dup:
-                        rec.timeout_bound = bound
-                        rec.watching = watched
-                elif self._at_kw("third_party"):
-                    self._advance()
-                    p = self._number("a report probability between 0 and 1")
-                    delay = self._duration("the report delay")
-                    try:
-                        cond = ThirdPartyReport(p, delay)
-                    except FmafError as e:
-                        raise _err(ct.span, str(e)) from None
-                    if not dup:
-                        rec.condition = cond
-                else:
-                    raise _err(
-                        ct.span,
-                        f"expected 'self_report', 'timeout' or 'third_party', "
-                        f"found {ct.describe()}",
-                    )
-            elif self._at_kw("style"):
-                self._advance()
-                st = self._tok()
-                if self._at_kw("separate"):
-                    style = DetectionStyle.SEPARATE_REGION
-                elif self._at_kw("shared"):
-                    style = DetectionStyle.SHARED_REGION
-                else:
-                    raise _err(
-                        st.span, f"expected 'separate' or 'shared', found {st.describe()}"
-                    )
-                self._advance()
-                if not self._dup_field("style" in seen, t, "style", block):
-                    rec.style = style
-                seen.add("style")
-            elif self._at_kw("recovery"):
-                self._advance()
-                ref = self._ident("recovery id")
-                if not self._dup_field("recovery" in seen, t, "recovery", block):
-                    rec.recovery = ref
-                seen.add("recovery")
-            else:
-                raise _err(
-                    t.span,
-                    f"expected 'chain', 'detector', 'condition', 'style', 'recovery' "
-                    f"or '}}' in {block}, found {t.describe()}",
-                )
-        self._advance()
-        for fname, val in (
-            ("chain", rec.chain),
-            ("detector", rec.detector),
-            ("condition", rec.condition or rec.watching),
-            ("recovery", rec.recovery),
-        ):
-            if val is None:
-                self.diags.append(
-                    Diagnostic("error", rec.ident.span, f"{block} has no '{fname}' field")
-                )
-        self.dets.append(rec)
-
-    def _parse_recovery(self) -> None:
-        self._advance()
-        ident = self._ident("recovery id")
-        name = self._opt_string()
-        rec = _RecvRec(ident, name)
-        self._expect("{", "'{' opening the recovery block")
-        block = f"recovery {ident.text}"
-        seen: set[str] = set()
-        while not self._at("}"):
-            t = self._tok()
-            if self._at_kw("graph"):
-                self._advance()
-                cs = self._ident("constituent id")
-                graph = self._ident("process id")
-                rec.graphs.append((cs, graph))
-            elif self._at_kw("success"):
-                self._advance()
-                refs = self._idlist("success exit id")
-                if not self._dup_field("success" in seen, t, "success", block):
-                    rec.success = refs
-                seen.add("success")
-            elif self._at_kw("abort"):
-                self._advance()
-                refs = self._idlist("abort exit id")
-                if not self._dup_field("abort" in seen, t, "abort", block):
-                    rec.abort = refs
-                seen.add("abort")
-            else:
-                raise _err(
-                    t.span,
-                    f"expected 'graph', 'success', 'abort' or '}}' in {block}, "
-                    f"found {t.describe()}",
-                )
-        self._advance()
-        if not rec.graphs:
-            self.diags.append(
-                Diagnostic("error", ident.span, f"{block} declares no graphs")
-            )
-        self.recvs.append(rec)
-
-    def _parse_metric(self) -> None:
-        self._advance()
-        ident = self._ident("metric id")
-        name = self._opt_string()
-        rec = _MetricRec(ident, name)
-        self._expect("{", "'{' opening the metric block")
-        block = f"metric {ident.text}"
-        seen: set[str] = set()
-        while not self._at("}"):
-            t = self._tok()
-            if self._at_kw("elapsed"):
-                self._advance()
-                a = self._string("the start event pattern")
-                self._expect("->", "'->' between the event patterns")
-                b = self._string("the end event pattern")
-                if not self._dup_field(
-                    "kind" in seen, t, "elapsed or count", block
-                ):
-                    rec.elapsed = (_Ref(str(a.value), a.line, a.col), _Ref(str(b.value), b.line, b.col))
-                seen.add("kind")
-            elif self._at_kw("count"):
-                self._advance()
-                pat = self._string("the event pattern")
-                if not self._dup_field(
-                    "kind" in seen, t, "elapsed or count", block
-                ):
-                    rec.count = _Ref(str(pat.value), pat.line, pat.col)
-                seen.add("kind")
-            elif self._at_kw("target"):
-                self._advance()
-                val = self._duration("the target tick count")
-                if not self._dup_field("target" in seen, t, "target", block):
-                    rec.target = val
-                seen.add("target")
-            else:
-                raise _err(
-                    t.span,
-                    f"expected 'elapsed', 'count', 'target' or '}}' in {block}, "
-                    f"found {t.describe()}",
-                )
-        self._advance()
-        if rec.elapsed is None and rec.count is None:
-            self.diags.append(
-                Diagnostic(
-                    "error", ident.span, f"{block} has neither 'elapsed' nor 'count'"
-                )
-            )
-        self.metrics.append(rec)
+                f = _FIELDS["process"].get(w)
+                if f is None:
+                    raise self.stray("process", i, name)
+                i = self.field(rec, f, i, name)
 
     # -- semantic analysis and assembly
 
-    def _error(self, span: SourceSpan, message: str) -> None:
-        self.diags.append(Diagnostic("error", span, message))
+    def check_duplicates(self) -> None:
+        words = self.words
+        recs = self.recs
 
-    def _check_duplicates(self) -> None:
-        def scan(refs: list[_Ref], what: str) -> None:
-            first: dict[str, _Ref] = {}
+        def scan(refs, what: str) -> None:
+            first: dict[str, int] = {}
             for ref in refs:
-                if ref.text in first:
-                    self._error(
-                        ref.span,
-                        f"duplicate {what} id {ref.text!r} "
-                        f"(first declared at {first[ref.text].span})",
+                text = words[ref]
+                if text in first:
+                    self.error(
+                        ref,
+                        f"duplicate {what} id {text!r} "
+                        f"(first declared at {self.span(first[text])})",
                     )
                 else:
-                    first[ref.text] = ref
+                    first[text] = ref
 
-        scan([r.ident for r in self.cs] + [r.ident for r in self.envs], "element")
-        scan([r.ident for r in self.conns], "connection")
-        scan([r.ident for r in self.threats], "threat node")
-        scan([r.ident for r in self.chains], "chain")
-        scan([r.ident for r in self.procs], "process")
-        scan([r.ident for r in self.acts], "activation")
-        scan([r.ident for r in self.dets], "detection")
-        scan([r.ident for r in self.recvs], "recovery")
-        scan([r.ident for r in self.metrics], "metric")
-        for proc in self.procs:
+        scan([r["ident"] for kw in ("cs", "env") for r in recs[kw]], "element")
+        for kw in ("connection", "fault", "chain", "process", "activation", "detection",
+                   "recovery", "metric"):
+            scan([r["ident"] for r in recs[kw]], "threat node" if kw == "fault" else kw)
+        for proc in recs["process"]:
             scan(
-                [n.ident for n in proc.nodes],
-                f"activity (in process {proc.ident.text!r})",
+                [n[0] for n in proc["nodes"]],
+                f"activity (in process {words[proc['ident']]!r})",
             )
 
-    def _check_references(self) -> None:
-        cs_ids = {r.ident.text for r in self.cs}
-        env_ids = {r.ident.text for r in self.envs}
-        elements = cs_ids | env_ids
-        conn_ids = {r.ident.text for r in self.conns}
-        threat_by_id = {r.ident.text: r for r in self.threats}
-        chain_by_id = {r.ident.text: r for r in self.chains}
-        proc_by_id = {r.ident.text: r for r in self.procs}
-        recovery_ids = {r.ident.text for r in self.recvs}
-        all_activities = {
-            n.ident.text for proc in self.procs for n in proc.nodes
-        }
+    def check_references(self) -> None:
+        words = self.words
+        recs = self.recs
 
-        def need(ref: _Ref | None, pool: set[str], what: str) -> None:
-            if ref is not None and ref.text not in pool:
-                self._error(ref.span, f"unknown {what} {ref.text!r}")
+        def by_id(kw: str) -> dict[str, dict]:
+            return {words[r["ident"]]: r for r in recs[kw]}
 
-        for r in self.cs:
-            if r.nominal is not None:
-                proc = proc_by_id.get(r.nominal.text)
-                if proc is None:
-                    self._error(
-                        r.nominal.span, f"unknown process {r.nominal.text!r}"
-                    )
-                elif proc.owner.text != r.ident.text:
-                    self._error(
-                        r.nominal.span,
-                        f"process {r.nominal.text!r} is owned by "
-                        f"{proc.owner.text!r}, not by cs {r.ident.text!r}",
-                    )
-        for e in self.envs:
-            for ref in e.uses:
-                need(ref, conn_ids, "connection")
-        for c in self.conns:
-            need(c.provider, elements, "element")
-            need(c.consumer, elements, "element")
-            if c.provider.text == c.consumer.text and c.provider.text in elements:
-                self._error(
-                    c.consumer.span,
-                    f"connection {c.ident.text!r} joins {c.provider.text!r} to itself",
+        cs_ids = by_id("cs")
+        elements = cs_ids.keys() | by_id("env")
+        conn_ids = by_id("connection")
+        threat_by_id = by_id("fault")
+        chain_by_id = by_id("chain")
+        proc_by_id = by_id("process")
+        recovery_ids = by_id("recovery")
+        all_activities = {words[n[0]] for p in recs["process"] for n in p["nodes"]}
+
+        def need(ref: int | None, pool, what: str) -> None:
+            if ref is not None and words[ref] not in pool:
+                self.error(ref, f"unknown {what} {words[ref]!r}")
+
+        def owned(ref: int, cs: str, by: str) -> dict | None:
+            proc = proc_by_id.get(words[ref])
+            if proc is None:
+                self.error(ref, f"unknown process {words[ref]!r}")
+            elif words[proc["owner"]] != cs:
+                self.error(
+                    ref,
+                    f"process {words[ref]!r} is owned by {words[proc['owner']]!r}, not by {by}",
                 )
-        for ch in self.chains:
-            for fname, want in (
-                ("fault", ThreatKind.FAULT),
-                ("error", ThreatKind.ERROR),
-                ("failure", ThreatKind.FAILURE),
-            ):
-                ref = getattr(ch, fname)
+            return proc
+
+        for r in recs["cs"]:
+            if "nominal" in r:
+                cs = words[r["ident"]]
+                owned(r["nominal"], cs, f"cs {cs!r}")
+        for r in recs["env"]:
+            for ref in r["uses"]:
+                need(ref, conn_ids, "connection")
+        for r in recs["connection"]:
+            need(r["provider"], elements, "element")
+            need(r["consumer"], elements, "element")
+            provider = words[r["provider"]]
+            if provider == words[r["consumer"]] and provider in elements:
+                self.error(
+                    r["consumer"],
+                    f"connection {words[r['ident']]!r} joins {provider!r} to itself",
+                )
+        for r in recs["chain"]:
+            for fname in _THREATS:
+                ref = r.get(fname)
                 if ref is None:
                     continue
-                node = threat_by_id.get(ref.text)
+                node = threat_by_id.get(words[ref])
                 if node is None:
-                    self._error(ref.span, f"unknown threat node {ref.text!r}")
-                elif node.kind is not want:
-                    self._error(
-                        ref.span,
-                        f"threat node {ref.text!r} has kind "
-                        f"{node.kind.value}, but chain {ch.ident.text!r} uses it "
-                        f"as its {fname}",
-                    )
-            need(ch.origin, elements, "element")
-            for ref in ch.detectors:
-                need(ref, elements, "element")
-        for p in self.procs:
-            need(p.owner, cs_ids, "constituent")
-            local = {n.ident.text for n in p.nodes}
-            where = f"activity in process {p.ident.text!r}"
-            if p.entry is not None and p.entry.text not in local:
-                self._error(p.entry.span, f"unknown {where}: {p.entry.text!r}")
-            for ref in p.exits:
-                if ref.text not in local:
-                    self._error(ref.span, f"unknown {where}: {ref.text!r}")
-            for n in p.nodes:
-                if n.channel is not None:
-                    need(n.channel, conn_ids, "connection")
-            for edge in p.edges:
-                for ref in (edge.src, edge.dst):
-                    if ref.text not in local:
-                        self._error(ref.span, f"unknown {where}: {ref.text!r}")
-        for a in self.acts:
-            need(a.chain, set(chain_by_id), "chain")
-            need(a.origin, elements, "element")
-            for ref in a.region:
-                need(ref, all_activities, "activity")
-            need(a.on_entry, all_activities, "activity")
-        for d in self.dets:
-            need(d.chain, set(chain_by_id), "chain")
-            need(d.detector, elements, "element")
-            need(d.watching, elements, "element")
-            need(d.recovery, recovery_ids, "recovery")
-            if (
-                d.detector is not None
-                and d.chain is not None
-                and d.chain.text in chain_by_id
-                and d.detector.text in elements
-            ):
-                listed = {ref.text for ref in chain_by_id[d.chain.text].detectors}
-                if d.detector.text not in listed:
-                    self._error(
-                        d.detector.span,
-                        f"detector {d.detector.text!r} is not listed by "
-                        f"chain {d.chain.text!r}",
-                    )
-        for rv in self.recvs:
-            exit_owner: dict[str, str] = {}
-            for cs_ref, graph_ref in rv.graphs:
-                need(cs_ref, cs_ids, "constituent")
-                proc = proc_by_id.get(graph_ref.text)
-                if proc is None:
-                    self._error(graph_ref.span, f"unknown process {graph_ref.text!r}")
+                    self.error(ref, f"unknown threat node {words[ref]!r}")
                     continue
-                if proc.owner.text != cs_ref.text:
-                    self._error(
-                        graph_ref.span,
-                        f"process {graph_ref.text!r} is owned by "
-                        f"{proc.owner.text!r}, not by {cs_ref.text!r}",
+                kind = words[node["ident"] - 1]  # the declaration keyword
+                if kind != fname:
+                    self.error(
+                        ref,
+                        f"threat node {words[ref]!r} has kind {kind}, but chain "
+                        f"{words[r['ident']]!r} uses it as its {fname}",
                     )
-                for ref in proc.exits:
-                    if ref.text in exit_owner and exit_owner[ref.text] != proc.ident.text:
-                        self._error(
-                            graph_ref.span,
-                            f"recovery {rv.ident.text!r}: exit id {ref.text!r} "
+            need(r.get("origin"), elements, "element")
+            for ref in r["detectors"]:
+                need(ref, elements, "element")
+        for r in recs["process"]:
+            need(r["owner"], cs_ids, "constituent")
+            local = {words[n[0]] for n in r["nodes"]}
+            where = f"activity in process {words[r['ident']]!r}"
+
+            def local_ref(ref: int) -> None:
+                if words[ref] not in local:
+                    self.error(ref, f"unknown {where}: {words[ref]!r}")
+
+            if "entry" in r:
+                local_ref(r["entry"])
+            for ref in r.get("exits", ()):
+                local_ref(ref)
+            for n in r["nodes"]:
+                need(n[4], conn_ids, "connection")
+            for src, dst, _ in r["edges"]:
+                local_ref(src)
+                local_ref(dst)
+        for r in recs["activation"]:
+            need(r.get("chain"), chain_by_id, "chain")
+            need(r.get("origin"), elements, "element")
+            for ref in r.get("region", ()):
+                need(ref, all_activities, "activity")
+            trigger = r.get("trigger")
+            if type(trigger) is int:  # on_entry: the activity's word
+                need(trigger, all_activities, "activity")
+        for r in recs["detection"]:
+            chain, detector = r.get("chain"), r.get("detector")
+            need(chain, chain_by_id, "chain")
+            need(detector, elements, "element")
+            condition = r.get("condition")
+            if type(condition) is tuple:  # timeout: (bound, watched element)
+                need(condition[1], elements, "element")
+            need(r.get("recovery"), recovery_ids, "recovery")
+            if (
+                detector is not None
+                and chain is not None
+                and words[chain] in chain_by_id
+                and words[detector] in elements
+            ):
+                listed = {words[ref] for ref in chain_by_id[words[chain]]["detectors"]}
+                if words[detector] not in listed:
+                    self.error(
+                        detector,
+                        f"detector {words[detector]!r} is not listed by "
+                        f"chain {words[chain]!r}",
+                    )
+        for r in recs["recovery"]:
+            name = words[r["ident"]]
+            exit_owner: dict[str, str] = {}
+            given: set[str] = set()
+            for cs_ref, graph_ref in r.get("graph", ()):
+                cs = words[cs_ref]
+                need(cs_ref, cs_ids, "constituent")
+                if cs in given:
+                    self.error(
+                        cs_ref, f"recovery {name!r} gives constituent {cs!r} more than one graph"
+                    )
+                given.add(cs)
+                proc = owned(graph_ref, cs, repr(cs))
+                if proc is None:
+                    continue
+                graph = words[graph_ref]
+                for ref in proc.get("exits", ()):
+                    if exit_owner.setdefault(words[ref], graph) != graph:
+                        self.error(
+                            graph_ref,
+                            f"recovery {name!r}: exit id {words[ref]!r} "
                             f"appears in more than one of its graphs",
                         )
-                    exit_owner.setdefault(ref.text, proc.ident.text)
-            known_exits = set(exit_owner)
-            for ref in rv.success + rv.abort:
-                if ref.text not in known_exits:
-                    self._error(
-                        ref.span,
-                        f"unknown exit {ref.text!r} (not an exit of any graph of "
-                        f"recovery {rv.ident.text!r})",
+            for ref in [*r["success"], *r["abort"]]:
+                if words[ref] not in exit_owner:
+                    self.error(
+                        ref,
+                        f"unknown exit {words[ref]!r} (not an exit of any graph of "
+                        f"recovery {name!r})",
                     )
 
         qualifier_pool = (
-            set(threat_by_id) | elements | conn_ids | set(chain_by_id) | all_activities
+            threat_by_id.keys() | elements | conn_ids.keys() | chain_by_id.keys() | all_activities
         )
-        for m in self.metrics:
-            pats = []
-            if m.elapsed is not None:
-                pats.extend(m.elapsed)
-            if m.count is not None:
-                pats.append(m.count)
-            for pat in pats:
+        for r in recs["metric"]:
+            measure = r.get("elapsed or count")
+            for ref in measure if type(measure) is tuple else (measure,):
+                if ref is None:
+                    continue
                 try:
-                    _kind, qualifier = split_event_pattern(pat.text)
+                    _kind, qualifier = split_event_pattern(_unquote(words[ref]))
                 except FmafError as e:
-                    self._error(pat.span, str(e))
+                    self.error(ref, str(e))
                     continue
                 if qualifier is not None and qualifier not in qualifier_pool:
-                    self._error(
-                        pat.span,
+                    self.error(
+                        ref,
                         f"event pattern qualifier {qualifier!r} matches no "
                         f"declared element, threat, chain, connection or activity",
                     )
 
-    def _assemble(self) -> ParseResult:
-        assert self.sos_name is not None
-        constituents = []
-        for r in self.cs:
-            try:
-                constituents.append(
-                    ConstituentSystem(
-                        id=r.ident.text,
-                        name=r.name,
-                        nominal_process=r.nominal.text if r.nominal else "",
-                        provided_interfaces=frozenset(x.text for x in r.provides),
-                        required_interfaces=frozenset(x.text for x in r.requires),
+    def assemble(self) -> ParseResult:
+        words = self.words
+
+        def ids(refs) -> frozenset[str]:
+            return frozenset(map(words.__getitem__, refs))
+
+        def cs(r):
+            return ConstituentSystem(
+                id=words[r["ident"]],
+                name=r["name"],
+                nominal_process=words[r["nominal"]] if "nominal" in r else "",
+                provided_interfaces=ids(r["provides"]),
+                required_interfaces=ids(r["requires"]),
+            )
+
+        def env(r):
+            return EnvironmentEntity(
+                id=words[r["ident"]], name=r["name"], connections_used=ids(r["uses"])
+            )
+
+        def connection(r):
+            ident = words[r["ident"]]
+            return Connection(
+                id=ident,
+                interface_id=ident if r["interface"] is None else words[r["interface"]],
+                provider=words[r["provider"]],
+                consumer=words[r["consumer"]],
+                kind=r["kind"],
+                latency=r["latency"],
+                reliability=r["reliability"],
+            )
+
+        def threat(r):
+            return ThreatNode(
+                id=words[r["ident"]],
+                kind=ThreatKind(words[r["ident"] - 1]),  # the declaration keyword
+                description=_unquote(words[r["description"]]),
+                category=None if r["category"] is None else words[r["category"]],
+            )
+
+        def chain(r):
+            if any(f not in r for f in ("fault", "error", "failure", "origin")):
+                return None  # already reported
+            return ThreatChain(
+                id=words[r["ident"]],
+                fault=words[r["fault"]],
+                error=words[r["error"]],
+                failure=words[r["failure"]],
+                origin=words[r["origin"]],
+                detectors=tuple(words[x] for x in r["detectors"]),
+                failure_observation=r["observed"],
+                unrecoverable=r["unrecoverable"],
+            )
+
+        def process(r):
+            if "entry" not in r or not r.get("exits"):
+                return None  # already reported
+            return ActivityGraph(
+                id=words[r["ident"]],
+                owner=words[r["owner"]],
+                nodes={
+                    words[n]: Activity(
+                        words[n], kind, label, duration, channel and words[channel], bound
                     )
-                )
-            except FmafError as e:
-                self._error(r.ident.span, str(e))
-        environment = []
-        for r in self.envs:
-            try:
-                environment.append(
-                    EnvironmentEntity(
-                        id=r.ident.text,
-                        name=r.name,
-                        connections_used=frozenset(x.text for x in r.uses),
-                    )
-                )
-            except FmafError as e:
-                self._error(r.ident.span, str(e))
-        connections = []
-        for r in self.conns:
-            try:
-                connections.append(
-                    Connection(
-                        id=r.ident.text,
-                        interface_id=r.interface if r.interface is not None else r.ident.text,
-                        provider=r.provider.text,
-                        consumer=r.consumer.text,
-                        kind=r.kind,
-                        latency=r.latency,
-                        reliability=r.reliability,
-                    )
-                )
-            except FmafError as e:
-                self._error(r.ident.span, str(e))
-        threat_nodes = []
-        for r in self.threats:
-            try:
-                threat_nodes.append(
-                    ThreatNode(
-                        id=r.ident.text,
-                        kind=r.kind,
-                        description=r.description,
-                        category=r.category,
-                    )
-                )
-            except FmafError as e:
-                self._error(r.ident.span, str(e))
-        chains = []
-        for r in self.chains:
-            if None in (r.fault, r.error, r.failure, r.origin):
-                continue  # already reported
-            try:
-                chains.append(
-                    ThreatChain(
-                        id=r.ident.text,
-                        fault=r.fault.text,  # type: ignore[union-attr]
-                        error=r.error.text,  # type: ignore[union-attr]
-                        failure=r.failure.text,  # type: ignore[union-attr]
-                        origin=r.origin.text,  # type: ignore[union-attr]
-                        detectors=tuple(x.text for x in r.detectors),
-                        failure_observation=r.observed,
-                        unrecoverable=r.unrecoverable,
-                    )
-                )
-            except FmafError as e:
-                self._error(r.ident.span, str(e))
-        processes = []
-        proc_idents = {r.ident.text: r.ident for r in self.procs}
-        for r in self.procs:
-            if r.entry is None or not r.exits:
-                continue  # already reported
-            try:
-                nodes = {
-                    n.ident.text: Activity(
-                        id=n.ident.text,
-                        kind=n.kind,
-                        name=n.name,
-                        duration=n.duration,
-                        channel=n.channel.text if n.channel else None,
-                        timer_bound=n.timer_bound,
-                    )
-                    for n in r.nodes
-                }
-                processes.append(
-                    ActivityGraph(
-                        id=r.ident.text,
-                        owner=r.owner.text,
-                        nodes=nodes,
-                        edges=tuple(
-                            Edge(e.src.text, e.dst.text, e.guard) for e in r.edges
-                        ),
-                        entry=r.entry.text,
-                        exits=frozenset(x.text for x in r.exits),
-                    )
-                )
-            except FmafError as e:
-                self._error(r.ident.span, str(e))
-        activations = []
-        for r in self.acts:
-            trigger = r.trigger
-            if r.on_entry is not None:
-                trigger = OnEntry(r.on_entry.text)  # type: ignore[assignment]
-            if r.chain is None or r.origin is None or trigger is None:
-                continue  # already reported
-            try:
-                activations.append(
-                    ActivationSpec(
-                        id=r.ident.text,
-                        threat=r.chain.text,
-                        origin_constituent=r.origin.text,
-                        region=frozenset(x.text for x in r.region),
-                        trigger=trigger,
-                    )
-                )
-            except FmafError as e:
-                self._error(r.ident.span, str(e))
-        detections = []
-        for r in self.dets:
-            condition = r.condition
-            if r.watching is not None and r.timeout_bound is not None:
-                try:
-                    condition = Timeout(r.timeout_bound, r.watching.text)
-                except FmafError as e:
-                    self._error(r.ident.span, str(e))
-                    continue
-            if r.chain is None or r.detector is None or condition is None or r.recovery is None:
-                continue  # already reported
-            try:
-                detections.append(
-                    DetectionSpec(
-                        id=r.ident.text,
-                        threat=r.chain.text,
-                        detector=r.detector.text,
-                        condition=condition,
-                        recovery=r.recovery.text,
-                        style=r.style,
-                    )
-                )
-            except FmafError as e:
-                self._error(r.ident.span, str(e))
-        recoveries = []
-        for r in self.recvs:
-            if not r.graphs:
-                continue  # already reported
-            try:
-                recoveries.append(
-                    RecoverySpec(
-                        id=r.ident.text,
-                        name=r.name,
-                        graphs={cs.text: g.text for cs, g in r.graphs},
-                        success_exits=frozenset(x.text for x in r.success),
-                        abort_exits=frozenset(x.text for x in r.abort),
-                    )
-                )
-            except FmafError as e:
-                self._error(r.ident.span, str(e))
-        metrics = []
-        for r in self.metrics:
-            kind: ElapsedBetween | Count
-            if r.elapsed is not None:
-                kind = ElapsedBetween(r.elapsed[0].text, r.elapsed[1].text)
-            elif r.count is not None:
-                kind = Count(r.count.text)
+                    for n, kind, label, duration, channel, bound in r["nodes"]
+                },
+                edges=tuple(Edge(words[s], words[d], guard) for s, d, guard in r["edges"]),
+                entry=words[r["entry"]],
+                exits=ids(r["exits"]),
+            )
+
+        def activation(r):
+            trigger = r.get("trigger")
+            if type(trigger) is int:
+                trigger = OnEntry(words[trigger])
+            if "chain" not in r or "origin" not in r or trigger is None:
+                return None  # already reported
+            return ActivationSpec(
+                id=words[r["ident"]],
+                threat=words[r["chain"]],
+                origin_constituent=words[r["origin"]],
+                region=ids(r.get("region", ())),
+                trigger=trigger,
+            )
+
+        def detection(r):
+            condition = r.get("condition")
+            if type(condition) is tuple:
+                condition = Timeout(condition[0], words[condition[1]])
+            if condition is None or any(f not in r for f in ("chain", "detector", "recovery")):
+                return None  # already reported
+            return DetectionSpec(
+                id=words[r["ident"]],
+                threat=words[r["chain"]],
+                detector=words[r["detector"]],
+                condition=condition,
+                recovery=words[r["recovery"]],
+                style=r["style"],
+            )
+
+        def recovery(r):
+            if "graph" not in r:
+                return None  # already reported
+            return RecoverySpec(
+                id=words[r["ident"]],
+                name=r["name"],
+                graphs={words[c]: words[g] for c, g in r["graph"]},
+                success_exits=ids(r["success"]),
+                abort_exits=ids(r["abort"]),
+            )
+
+        def metric(r):
+            measure = r.get("elapsed or count")
+            if measure is None:
+                return None  # already reported
+            if type(measure) is tuple:
+                kind = ElapsedBetween(_unquote(words[measure[0]]), _unquote(words[measure[1]]))
             else:
-                continue  # already reported
-            try:
-                metrics.append(
-                    MetricSpec(id=r.ident.text, kind=kind, name=r.name, target=r.target)
-                )
-            except FmafError as e:
-                self._error(r.ident.span, str(e))
+                kind = Count(_unquote(words[measure]))
+            return MetricSpec(id=words[r["ident"]], kind=kind, name=r["name"], target=r["target"])
 
-        if any(d.severity == "error" for d in self.diags):
+        parts = {}
+        for kw, make in (
+            ("cs", cs), ("env", env), ("connection", connection), ("fault", threat),
+            ("chain", chain), ("process", process), ("activation", activation),
+            ("detection", detection), ("recovery", recovery), ("metric", metric),
+        ):
+            made = parts[kw] = []
+            for r in self.recs[kw]:
+                try:
+                    value = make(r)
+                except FmafError as e:
+                    self.error(r["ident"], str(e))
+                    continue
+                if value is not None:
+                    made.append(value)
+
+        if self.diags:
             return ParseResult(None, tuple(self.diags))
-
         try:
             model = build_model(
-                name=self.sos_name.text,
-                constituents=constituents,
-                environment=environment,
-                connections=connections,
-                threat_nodes=threat_nodes,
-                chains=chains,
-                processes=processes,
-                activations=activations,
-                detections=detections,
-                recoveries=recoveries,
-                metrics=metrics,
+                name=words[1],
+                constituents=parts["cs"],
+                environment=parts["env"],
+                connections=parts["connection"],
+                threat_nodes=parts["fault"],
+                chains=parts["chain"],
+                processes=parts["process"],
+                activations=parts["activation"],
+                detections=parts["detection"],
+                recoveries=parts["recovery"],
+                metrics=parts["metric"],
             )
-        except GraphStructureError as e:
-            self._error(proc_idents.get(e.graph_id, self.sos_name).span, str(e))
-            return ParseResult(None, tuple(self.diags))
         except FmafError as e:
-            self._error(self.sos_name.span, str(e))
+            at = 1  # the model name, or the process a graph error names
+            if isinstance(e, GraphStructureError):
+                procs = {words[r["ident"]]: r["ident"] for r in self.recs["process"]}
+                at = procs.get(e.graph_id, at)
+            self.error(at, str(e))
             return ParseResult(None, tuple(self.diags))
         return ParseResult(model, tuple(self.diags))
-
-    def finish(self) -> ParseResult:
-        self._check_duplicates()
-        self._check_references()
-        return self._assemble()
 
 
 def parse(text: str) -> ParseResult:
@@ -1499,17 +1138,23 @@ def parse(text: str) -> ParseResult:
     offence, semantic problems (duplicate ids, unresolved references,
     malformed graphs) are collected together with their source positions.
     """
-    try:
-        tokens = _lex(text)
-    except _Abort as a:
-        return ParseResult(None, (a.diagnostic,))
-    parser = _Parser(tokens)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    words = _words(text)
+    if words is None:
+        try:
+            _lex(text)  # finds the word that only the catch-all took, and says why
+        except _Abort as a:
+            return ParseResult(None, (a.diagnostic,))
+    parser = _Parser(text, words)
     try:
         parser.parse_sos()
     except _Abort as a:
         parser.diags.append(a.diagnostic)
         return ParseResult(None, tuple(parser.diags))
-    return parser.finish()
+    parser.check_duplicates()
+    parser.check_references()
+    return parser.assemble()
 
 
 def parse_file(path: str | Path) -> ParseResult:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -514,6 +515,16 @@ class TestDiagnosticCorpus:
                 "    edge N -> S edge S -> M\n  }\n}",
                 "3:11: error: activity graph 'P': fork 'S' needs >= 2 out-edges",
             ),
+            *(
+                (
+                    "sos X {\n  cs B { nominal Q }\n"
+                    "  process Q owner B { entry M exits [M] action M }\n"
+                    "  process Q2 owner B { entry M2 exits [M2] action M2 }\n"
+                    f"  recovery R {{ graph B {first} graph B {second} success [M] }}\n}}",
+                    f"5:{col}: error: recovery 'R' gives constituent 'B' more than one graph",
+                )
+                for first, second, col in (("Q", "Q2", 32), ("Q2", "Q", 33))
+            ),
         ],
     )
     def test_reference_spans(self, src, expected):
@@ -635,6 +646,19 @@ class TestCanonicalForm:
             assert r.ok, (seed, errors(r))
             assert r.model == m, seed
             assert dsl.serialize(r.model) == text, seed
+
+    def test_serialized_bytes_are_pinned(self):
+        # The canonical bytes of the bundles (as parsed) and of random_model
+        # seeds 0-299.  Only a deliberate change to the canonical form may
+        # move this digest.
+        digest = hashlib.sha256()
+        for name in BUNDLE_NAMES:
+            digest.update(dsl.serialize(load_bundle(name).model).encode())
+        for seed in range(300):
+            digest.update(dsl.serialize(random_model(random.Random(seed))).encode())
+        assert digest.hexdigest() == (
+            "8af1d93114460487582b0babe7543fa208a78577d3617cc2317843005a6a2808"
+        )
 
     def test_environment_origin_activation_round_trips(self):
         # build_model accepts any element as an activation origin; the

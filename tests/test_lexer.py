@@ -1,12 +1,16 @@
-"""The master-regex lexer against the character-loop reference.
+"""The front end's two lexers against each other and the character-loop reference.
 
-``dsl._lex`` matches one compiled regex per token and builds each token
-as a plain tuple whose source span is made only when it is read.
-``reference_lex`` below is the character-by-character lexer it replaced,
-with one correction: a decimal number that runs into an identifier
-character (``0.9x``) is a malformed number, as an integer one always
-was.  Both must give the same tokens, values and positions, or the same
-diagnostic at the same position.
+``dsl._words`` is the fast path ``parse`` takes: one ``findall`` of the
+token regex gives every token's source text, and a catch-all alternative
+makes a text that does not lex end the list in ``""``.  ``dsl._lex``
+runs over the same regex with ``finditer`` only when a diagnostic needs
+a position, and builds each token's kind, value, line and column.
+``reference_lex`` below is the character-by-character lexer both
+replaced, with one correction: a decimal number that runs into an
+identifier character (``0.9x``) is a malformed number, as an integer one
+always was.  ``_lex`` must give the same tokens, values and positions as
+the reference, or the same diagnostic at the same position; ``_words``
+must give ``_lex``'s words, or fail exactly where ``_lex`` does.
 """
 
 from __future__ import annotations
@@ -128,6 +132,46 @@ def reference_lex(text: str) -> list[tuple]:
     return toks
 
 
+EDGE_CASES = [
+    "",
+    " \t ",
+    "#",
+    "# only a comment",
+    "x # c",
+    "\n\n  # c\n",
+    '"abc',
+    '"abc\ndef"',
+    '"a\\qb"',
+    '"a\\',
+    '"a\\\nb"',
+    '"tab\there" "e\\"sc\\\\aped\\n\\t"',
+    '  x "ok" "bad\\x"',
+    "12x 3",
+    "12.",
+    "12.t",
+    "12.5.3",
+    "0.9x",
+    "0.9t",
+    "0.9_",
+    "0.9.1",
+    "7t",
+    "7tx",
+    "7t.",
+    "7t²",
+    "1²",
+    "²",
+    "5 < 6",
+    "a <- b",
+    "a - b",
+    "a <-> b -> c {}[],:",
+    "café",
+    "\ttab\tx é",
+    "a\r\nb\rc\né",
+    "a\r\r\né",
+    "x\x00",
+]
+
+
 def outcome(tokens):
     """(kind, text, repr(value), span) per token, or the diagnostic raised.
 
@@ -169,47 +213,7 @@ def test_serialized_random_models():
         assert_same(dsl.serialize(random_model(random.Random(seed))))
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        " \t ",
-        "#",
-        "# only a comment",
-        "x # c",
-        "\n\n  # c\n",
-        '"abc',
-        '"abc\ndef"',
-        '"a\\qb"',
-        '"a\\',
-        '"a\\\nb"',
-        '"tab\there" "e\\"sc\\\\aped\\n\\t"',
-        '  x "ok" "bad\\x"',
-        "12x 3",
-        "12.",
-        "12.t",
-        "12.5.3",
-        "0.9x",
-        "0.9t",
-        "0.9_",
-        "0.9.1",
-        "7t",
-        "7tx",
-        "7t.",
-        "7t²",
-        "1²",
-        "²",
-        "5 < 6",
-        "a <- b",
-        "a - b",
-        "a <-> b -> c {}[],:",
-        "café",
-        "\ttab\tx é",
-        "a\r\nb\rc\né",
-        "a\r\r\né",
-        "x\x00",
-    ],
-)
+@pytest.mark.parametrize("text", EDGE_CASES)
 def test_edge_cases(text):
     assert_same(text)
 
@@ -218,3 +222,43 @@ def test_eof_after_a_final_comment_points_at_its_hash():
     (eof,) = dsl._lex("  # note")
     assert (eof.kind, eof.span) == ("eof", SourceSpan(1, 3))
     assert dsl._lex("x\n  # note\n")[-1].span == SourceSpan(3, 1)
+
+
+def assert_paths_agree(text: str) -> None:
+    """``_words`` against ``_lex``: the same words, or the same failure.
+
+    A string token's ``text`` is its value re-quoted (the reference lexer
+    pins that), so a string word is compared through ``_unquote``; each
+    word must also stand in the source where its token does, since a
+    diagnostic finds a word's span by its index.
+    """
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    words = dsl._words(text)
+    try:
+        toks = dsl._lex(text)
+    except dsl._Abort as a:
+        assert words is None, repr(text)
+        assert dsl.parse(text).diagnostics == (a.diagnostic,), repr(text)
+        return
+    assert words is not None, repr(text)
+    shown = [f'"{dsl._unquote(w)}"' if w[:1] == '"' else w for w in words]
+    assert shown == [t.text for t in toks], repr(text)
+    lines = text.split("\n")
+    for w, t in zip(words, toks):
+        assert lines[t.line - 1].startswith(w, t.col - 1), (repr(text), w, t)
+
+
+@pytest.mark.parametrize("name", BUNDLE_NAMES)
+def test_fast_path_on_bundles_and_their_variants(name):
+    for text in variants(load_bundle(name).model_file.read_text(encoding="utf-8")):
+        assert_paths_agree(text)
+
+
+def test_fast_path_on_serialized_random_models():
+    for seed in range(300):
+        assert_paths_agree(dsl.serialize(random_model(random.Random(seed))))
+
+
+@pytest.mark.parametrize("text", EDGE_CASES)
+def test_fast_path_edge_cases(text):
+    assert_paths_agree(text)

@@ -6,7 +6,7 @@ import pytest
 
 from fmaf import dsl
 
-from test_lexer import assert_same
+from test_lexer import assert_paths_agree, assert_same
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -26,6 +26,12 @@ _PIECES = [
 @hypothesis.given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join))
 def test_dsl_alphabet_lexes_like_the_reference(text):
     assert_same(text)
+
+
+@hypothesis.settings(max_examples=250, deadline=None, database=None)
+@hypothesis.given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join))
+def test_dsl_alphabet_fast_path_matches_lex(text):
+    assert_paths_agree(text)
 
 
 @hypothesis.settings(max_examples=150, deadline=None, database=None)
