@@ -15,6 +15,7 @@ well-formed activity graphs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -119,12 +120,14 @@ VIEW_KINDS: tuple[str, ...] = (
     "fef",
 )
 
-_IDENT_HEAD = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
-_IDENT_TAIL = _IDENT_HEAD | set("0123456789_.")
+# ASCII only, spelled out: ``\w`` and ``\d`` would admit non-ASCII letters
+# and digits.  Matched with ``fullmatch``, since ``$`` also matches before
+# a trailing newline.
+_IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_.]*")
 
 
 def is_identifier(text: str) -> bool:
-    return bool(text) and text[0] in _IDENT_HEAD and all(c in _IDENT_TAIL for c in text)
+    return _IDENTIFIER.fullmatch(text) is not None
 
 
 def _require_identifier(ident: str, what: str) -> None:

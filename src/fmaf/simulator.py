@@ -131,6 +131,18 @@ class SimConfig:
             )
         object.__setattr__(self, "guard_inputs", dict(self.guard_inputs))
 
+    def __hash__(self) -> int:
+        return hash(
+            (
+                self.scenario,
+                self.seed,
+                self.horizon,
+                self.enabled_detectors,
+                frozenset(self.guard_inputs.items()),
+                self.recovery_enabled,
+            )
+        )
+
 
 @dataclass(frozen=True, slots=True)
 class SimEvent:
@@ -140,6 +152,33 @@ class SimEvent:
     kind: str
     actor: str
     details: Mapping[str, object]
+
+
+class _Details(dict):
+    """Read-only event details shared by every event of one node or link.
+
+    Built at most once per model, in the run plan.  ``text`` is the JSON
+    object the trace writer puts on each line, rendered when the first
+    line needs it, so runs that are never written do not pay for it.
+    Copies, deep copies and pickles are plain dicts.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, items: Mapping[str, object]) -> None:
+        dict.__init__(self, items)
+        self.text: str | None = None
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(
+            "trace event details are read-only; copy them with dict(...) to change them"
+        )
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return dict, (dict(self),)
 
 
 @dataclass(frozen=True, slots=True)
@@ -297,6 +336,7 @@ class _Instance:
         "waiting_recv",
         "suspended",
         "exits_reached",
+        "details",
     )
 
     def __init__(self, key, graph, owner, role, recovery_id=None):
@@ -311,6 +351,8 @@ class _Instance:
         self.waiting_recv: dict[str, bool] = {}
         self.suspended = False
         self.exits_reached: list[str] = []
+        # node id -> shared details, from the run plan; None when not recording
+        self.details: dict[str, _Details] | None = None
 
     def clone(self) -> _Instance:
         twin = _Instance(self.key, self.graph, self.owner, self.role, self.recovery_id)
@@ -320,6 +362,7 @@ class _Instance:
         twin.waiting_recv = self.waiting_recv.copy()
         twin.suspended = self.suspended
         twin.exits_reached = self.exits_reached.copy()
+        twin.details = self.details
         return twin
 
     @property
@@ -394,6 +437,10 @@ class _Engine:
     def start_instance(self, inst: _Instance, time: int) -> None:
         self.instances[inst.key] = inst
         self.mine.add(inst.key)
+        if self.record:
+            inst.details = self.plan.node_details.setdefault(
+                (inst.graph.id, inst.recovery_id), {}
+            )
         inst.live = 1
         self.enter_node(inst, inst.graph.entry, time)
 
@@ -407,9 +454,9 @@ class _Engine:
                 return
         if inst.role == "nominal":
             if self.record:
-                details = {"activity": node_id, "graph": inst.graph.id}
-                if node.name:
-                    details["name"] = node.name
+                details = inst.details.get(node_id)
+                if details is None:
+                    details = self.make_node_details(inst, node)
                 self.events.append(SimEvent(time, "activity-start", inst.owner, details))
             self.on_nominal_start(inst, node_id, time)
         if node.kind is ActivityKind.RECEIVE:
@@ -437,14 +484,10 @@ class _Engine:
                     graph=inst.graph.id,
                     bound=node.timer_bound,
                 )
-            details = {"activity": node_id, "graph": inst.graph.id}
-            if node.name:
-                details["name"] = node.name
-            if inst.role == "nominal":
-                kind = "activity-end"
-            else:
-                kind = "recovery-step"
-                details["recovery"] = inst.recovery_id
+            kind = "activity-end" if inst.role == "nominal" else "recovery-step"
+            details = inst.details.get(node_id)
+            if details is None:
+                details = self.make_node_details(inst, node)
             self.events.append(SimEvent(time, kind, inst.owner, details))
         if node.kind is ActivityKind.SEND:
             self.send_message(inst, node, time)
@@ -466,6 +509,16 @@ class _Engine:
         for target in targets:
             self.enter_node(inst, target, time)
 
+    def make_node_details(self, inst: _Instance, node) -> _Details:
+        """The details of ``node``'s activity-start/-end or recovery-step."""
+        items = {"activity": node.id, "graph": inst.graph.id}
+        if node.name:
+            items["name"] = node.name
+        if inst.recovery_id is not None:
+            items["recovery"] = inst.recovery_id
+        details = inst.details[node.id] = _Details(items)
+        return details
+
     def pick_branch(self, inst: _Instance, node_id: str, out) -> str:
         chosen = self.config.guard_inputs.get(node_id)
         default = None
@@ -486,13 +539,17 @@ class _Engine:
         conn = self.model.connections[node.channel]
         receiver = conn.consumer if conn.provider == inst.owner else conn.provider
         if self.record:
-            details = {"channel": conn.id, "activity": node.id, "graph": inst.graph.id}
+            table = self.plan.sent_details
+            key = (inst.graph.id, node.id)
+            details = table.get(key)
+            if details is None:
+                details = table[key] = _Details(
+                    {"channel": conn.id, "activity": node.id, "graph": inst.graph.id}
+                )
             self.events.append(SimEvent(time, "message-sent", inst.owner, details))
         if not _draw(self.sampler, conn.reliability):
             if self.record:
-                self.events.append(
-                    SimEvent(time, "message-lost", inst.owner, details.copy())
-                )
+                self.events.append(SimEvent(time, "message-lost", inst.owner, details))
             return
         self.push(
             time + conn.latency,
@@ -504,14 +561,12 @@ class _Engine:
 
     def deliver_message(self, receiver: str, channel: str, sender: str, time: int) -> None:
         if self.record:
-            self.events.append(
-                SimEvent(
-                    time,
-                    "message-delivered",
-                    receiver,
-                    {"channel": channel, "sender": sender},
-                )
-            )
+            table = self.plan.delivered_details
+            key = (channel, sender)
+            details = table.get(key)
+            if details is None:
+                details = table[key] = _Details({"channel": channel, "sender": sender})
+            self.events.append(SimEvent(time, "message-delivered", receiver, details))
         receives = self.plan.receives
         for key in self.plan.owned.get(receiver, ()):
             inst = self.instances.get(key)
@@ -810,6 +865,12 @@ class _Plan(NamedTuple):
     owned: Mapping[str, tuple[str, ...]]  # owner -> every instance key it may start, sorted
     receives: Mapping[tuple[str, str], tuple[str, ...]]  # (graph, channel) -> receive ids, sorted
     metrics: _Metrics
+    # Shared trace-event details, filled as recorded runs first need them:
+    # (graph, recovery or None) -> node -> activity-start/-end, recovery-step;
+    # (graph, send node) -> message-sent/-lost; (channel, sender) -> message-delivered
+    node_details: dict[tuple[str, str | None], dict[str, _Details]]
+    sent_details: dict[tuple[str, str], _Details]
+    delivered_details: dict[tuple[str, str], _Details]
 
 
 def _plan(model: SosModel) -> _Plan:
@@ -847,6 +908,9 @@ def _plan(model: SosModel) -> _Plan:
             owned={k: tuple(sorted(v)) for k, v in owned.items()},
             receives={k: tuple(v) for k, v in receives.items()},
             metrics=_prepare(model.metrics.values()),
+            node_details={},
+            sent_details={},
+            delivered_details={},
         )
         object.__setattr__(model, "_plan", plan)
     return plan
@@ -1054,13 +1118,23 @@ def _json(value: object) -> str:
     return _ENCODER.encode(value)
 
 
-def _event_line(e: SimEvent) -> str:
-    details = e.details
+def _object_text(details: Mapping[str, object]) -> str:
     body = ", ".join(
         f"{_quote(key)}: {_json(details[key])}" for key in sorted(details)
     )
+    return f"{{{body}}}"
+
+
+def _event_line(e: SimEvent) -> str:
+    details = e.details
+    if type(details) is _Details:
+        body = details.text
+        if body is None:
+            body = details.text = _object_text(details)
+    else:
+        body = _object_text(details)
     return (
-        f'{{"actor": {_json(e.actor)}, "details": {{{body}}}, '
+        f'{{"actor": {_json(e.actor)}, "details": {body}, '
         f'"kind": {_json(e.kind)}, "time": {_json(e.time)}}}'
     )
 

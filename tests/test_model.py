@@ -24,6 +24,7 @@ from fmaf.model import (
     ThreatKind,
     ThreatNode,
     build_model,
+    is_identifier,
     lift_cs_failure,
     partition_fault,
 )
@@ -102,6 +103,21 @@ def test_model_is_immutable():
     cs = model.constituents["Alpha"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         cs.name = "Renamed"  # type: ignore[misc]
+
+
+def _set_based_is_identifier(text: str) -> bool:
+    head = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+    tail = head | set("0123456789_.")
+    return bool(text) and text[0] in head and all(c in tail for c in text)
+
+
+def test_is_identifier_matches_the_set_based_definition():
+    alphabet = "aZ09_.-é\u0663\n "
+    texts = ["", "a\n", "é", "a\u0663", "ａ", "a\x00", "ERU_2.1", "CallCentre", "1a"]
+    texts += list(alphabet) + [a + b for a in alphabet for b in alphabet]
+    texts += [a + b + c for a in "a0_" for b in alphabet for c in alphabet]
+    for text in texts:
+        assert is_identifier(text) is _set_based_is_identifier(text), repr(text)
 
 
 # -- activity graph structure -------------------------------------------------

@@ -1,0 +1,192 @@
+"""Trace-event details the engine shares between events of one model.
+
+The details of ``activity-start``, ``activity-end``, ``recovery-step`` and
+the ``message-*`` events depend only on the model, so the run plan builds
+each mapping once, with its JSON text, and every event of that node or
+link holds the same read-only object.  These tests pin that the sharing
+is invisible: the mappings cannot be changed, their copies are plain
+dicts, and equality, ``repr`` and trace bytes are what plain dicts give.
+"""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import json
+import pickle
+import random
+
+import pytest
+
+import fmaf.simulator as simulator
+from fmaf.casestudy import load_bundle
+from fmaf.simulator import (
+    SimConfig,
+    SimEvent,
+    SimTrace,
+    enumerate_outcomes,
+    format_trace,
+    run,
+)
+
+from _builders import race_fixture, random_model
+
+SHARED_KINDS = (
+    "activity-start",
+    "activity-end",
+    "recovery-step",
+    "message-sent",
+    "message-lost",
+    "message-delivered",
+)
+
+
+@pytest.fixture(scope="module")
+def trace() -> SimTrace:
+    bundle = load_bundle("fault1")
+    return run(bundle.model, dataclasses.replace(bundle.scenarios["F1"], seed=0))
+
+
+def _shared(trace: SimTrace) -> list[SimEvent]:
+    return [e for e in trace.events if e.kind in SHARED_KINDS]
+
+
+def _plain(trace: SimTrace) -> SimTrace:
+    events = tuple(dataclasses.replace(e, details=dict(e.details)) for e in trace.events)
+    return dataclasses.replace(trace, events=events)
+
+
+def test_the_trace_holds_every_shared_kind(trace):
+    assert {e.kind for e in _shared(trace)} == set(SHARED_KINDS)
+
+
+MUTATIONS = {
+    "setitem": lambda d: d.__setitem__("activity", "x"),
+    "new key": lambda d: d.__setitem__("new", 1),
+    "delitem": lambda d: d.__delitem__("graph"),
+    "clear": lambda d: d.clear(),
+    "pop": lambda d: d.pop("graph"),
+    "pop default": lambda d: d.pop("missing", None),
+    "popitem": lambda d: d.popitem(),
+    "setdefault": lambda d: d.setdefault("new", 1),
+    "setdefault present": lambda d: d.setdefault("graph"),
+    "update": lambda d: d.update(new=1),
+    "update empty": lambda d: d.update(),
+    "ior": lambda d: d.__ior__({"new": 1}),
+}
+
+
+@pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=MUTATIONS.keys())
+def test_every_mutator_raises_and_leaves_the_bytes(trace, mutate):
+    before = format_trace(trace)
+    for event in _shared(trace):
+        with pytest.raises(TypeError, match="read-only"):
+            mutate(event.details)
+    assert format_trace(trace) == before
+
+
+def test_copies_pickles_and_deep_copies_are_plain_dicts(trace):
+    for event in _shared(trace):
+        d = event.details
+        copies = [
+            dict(d),
+            d.copy(),
+            copy.copy(d),
+            copy.deepcopy(d),
+            pickle.loads(pickle.dumps(d)),
+            d | {},
+        ]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copies.append(pickle.loads(pickle.dumps(d, protocol)))
+        for twin in copies:
+            assert type(twin) is dict
+            assert twin == d
+            twin["changed"] = True  # a copy is free to change
+        assert "changed" not in d
+
+
+def test_a_copied_event_pickles_with_plain_details(trace):
+    event = _shared(trace)[0]
+    twin = pickle.loads(pickle.dumps(event))
+    assert twin == event
+    assert type(twin.details) is dict
+    assert type(copy.deepcopy(event).details) is dict
+
+
+def test_repr_is_that_of_a_plain_dict(trace):
+    for event in _shared(trace):
+        plain = dataclasses.replace(event, details=dict(event.details))
+        assert repr(event) == repr(plain)
+        assert repr(event.details) == repr(dict(event.details))
+
+
+def test_a_trace_equals_its_plain_dict_rebuild(trace):
+    plain = _plain(trace)
+    assert trace == plain
+    assert trace.events == plain.events
+    assert format_trace(plain) == format_trace(trace)
+
+
+def test_replaced_events_format_as_json_dumps(trace):
+    for event in _shared(trace):
+        for changed in (
+            dataclasses.replace(event, kind="renamed"),
+            dataclasses.replace(event, actor="Somebody é"),
+        ):
+            assert changed.details is event.details
+            one = SimTrace(trace.config, (changed,), {}, trace.outcome)
+            line = format_trace(one).split("\n")[0]
+            want = json.dumps(
+                {
+                    "time": changed.time,
+                    "kind": changed.kind,
+                    "actor": changed.actor,
+                    "details": dict(changed.details),
+                },
+                sort_keys=True,
+            )
+            assert line == want
+
+
+def test_events_of_one_node_share_their_details(trace):
+    by_content: dict[tuple, object] = {}
+    for event in _shared(trace):
+        key = tuple(sorted(event.details.items()))
+        assert by_content.setdefault(key, event.details) is event.details
+
+
+def _bytes(model, config) -> str:
+    return format_trace(run(model, config))
+
+
+def test_models_and_configs_run_alternately_give_their_solo_bytes():
+    fault2 = load_bundle("fault2")
+    first = fault2.model
+    second = random_model(random.Random(4))
+    plans = [
+        (first, dataclasses.replace(fault2.scenarios["F2.1"], seed=3)),
+        (first, dataclasses.replace(fault2.scenarios["F2.3"], seed=5)),
+        (second, SimConfig(horizon=60, seed=1)),
+        (race_fixture(), SimConfig(scenario="CH", horizon=60, seed=1)),
+    ]
+    # Solo bytes come from fresh model objects, each with an empty plan.
+    solo = [
+        _bytes(load_bundle("fault2").model, plans[0][1]),
+        _bytes(load_bundle("fault2").model, plans[1][1]),
+        _bytes(random_model(random.Random(4)), plans[2][1]),
+        _bytes(race_fixture(), plans[3][1]),
+    ]
+    for _ in range(3):
+        for (model, config), want in zip(plans, solo):
+            assert _bytes(model, config) == want
+        for (model, config), want in reversed(list(zip(plans, solo))):
+            assert _bytes(model, config) == want
+
+
+def test_enumeration_leaves_the_tables_empty():
+    bundle = load_bundle("fault1")
+    enumerate_outcomes(bundle.model, bundle.scenarios["F1"])
+    plan = simulator._plan(bundle.model)
+    assert plan.node_details == plan.sent_details == plan.delivered_details == {}
+    run(bundle.model, bundle.scenarios["F1"])
+    assert plan.node_details and plan.sent_details and plan.delivered_details

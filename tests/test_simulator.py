@@ -92,6 +92,38 @@ class TestConfigValidation:
         assert trace.outcome.kind == "nominal"
 
 
+class TestConfigHashing:
+    def test_equal_configs_hash_equal(self):
+        a = SimConfig(scenario="CH", guard_inputs={"d1": "x", "d2": "y"})
+        b = SimConfig(scenario="CH", guard_inputs={"d2": "y", "d1": "x"})
+        assert a == b and hash(a) == hash(b)
+        assert hash(SimConfig()) == hash(SimConfig())
+        c = SimConfig(enabled_detectors={"D1"})
+        assert hash(c) == hash(SimConfig(enabled_detectors=frozenset({"D1"})))
+
+    def test_configs_work_as_set_members_and_dict_keys(self):
+        configs = [
+            SimConfig(),
+            SimConfig(seed=1),
+            SimConfig(guard_inputs={"d1": "x"}),
+            SimConfig(guard_inputs={"d1": "y"}),
+            SimConfig(enabled_detectors=frozenset()),
+            SimConfig(recovery_enabled=False),
+        ]
+        assert len(set(configs + [SimConfig(), SimConfig(guard_inputs={"d1": "x"})])) == 6
+        table = {config: i for i, config in enumerate(configs)}
+        assert table[SimConfig(guard_inputs={"d1": "y"})] == 3
+        assert SimConfig(seed=1) in table
+
+    def test_repr_and_equality_are_unchanged(self):
+        config = SimConfig(scenario="CH", guard_inputs={"d1": "x"})
+        assert repr(config) == (
+            "SimConfig(scenario='CH', seed=0, horizon=200, enabled_detectors=None, "
+            "guard_inputs={'d1': 'x'}, recovery_enabled=True)"
+        )
+        assert config != SimConfig(scenario="CH", guard_inputs={"d1": "y"})
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("seed", [0, 1, 7, 1234])
     def test_identical_runs_produce_identical_trace_bytes(self, seed):
