@@ -19,6 +19,13 @@ A fault's activation suspends the origin's nominal execution; the start
 of recovery suspends every nominal execution (recovery replaces the
 nominal flow).  An undetected error ends in failure-observed at
 quiescence, the moment the event queue drains with no progress possible.
+
+Each model keeps a run plan, built on its first run: the checker's
+findings, one step table per activity graph (what each node does, in
+plain tuples the engine reads), and the details shared by the trace
+events of each node and link.  Each shared mapping caches its JSON text
+for the trace writer and its set of string values for metric
+qualifiers.  None of these caches changes a trace's bytes.
 """
 
 from __future__ import annotations
@@ -160,14 +167,17 @@ class _Details(dict):
     Built at most once per model, in the run plan.  ``text`` is the JSON
     object the trace writer puts on each line, rendered when the first
     line needs it, so runs that are never written do not pay for it.
-    Copies, deep copies and pickles are plain dicts.
+    ``strings``, the set of string values a metric qualifier may match,
+    is likewise built when a qualified metric first tests it.  Copies,
+    deep copies and pickles are plain dicts.
     """
 
-    __slots__ = ("text",)
+    __slots__ = ("text", "strings")
 
     def __init__(self, items: Mapping[str, object]) -> None:
         dict.__init__(self, items)
         self.text: str | None = None
+        self.strings: frozenset[str] | None = None
 
     def _read_only(self, *args, **kwargs):
         raise TypeError(
@@ -216,12 +226,9 @@ class NeedChoice(Exception):
 class RandomSampler:
     def __init__(self, seed: int) -> None:
         self._rng = random.Random(seed)
-        self.draws: list[bool] = []
 
     def bernoulli(self, probability: float) -> bool:
-        result = self._rng.random() < probability
-        self.draws.append(result)
-        return result
+        return self._rng.random() < probability
 
 
 class ScriptedSampler:
@@ -320,6 +327,46 @@ _R_DETECT = 4
 _R_RECOVERY_START = 5
 _R_FINALIZE = 6
 
+# Step kinds: what entering or completing a node does besides taking time.
+_S_ACTION = 0
+_S_SEND = 1
+_S_RECEIVE = 2
+_S_FORK = 3
+_S_JOIN = 4
+_S_DECISION = 5
+_S_TIMER = 6
+_STEP_KINDS = {
+    ActivityKind.ACTION: _S_ACTION,
+    ActivityKind.SEND: _S_SEND,
+    ActivityKind.RECEIVE: _S_RECEIVE,
+    ActivityKind.FORK: _S_FORK,
+    ActivityKind.JOIN: _S_JOIN,
+    ActivityKind.DECISION: _S_DECISION,
+    ActivityKind.TIMER: _S_TIMER,
+}
+
+
+def _step_table(graph) -> dict[str, tuple]:
+    """Node id -> (activity, step kind, time to completion, successors, in-degree).
+
+    Successors are the target ids a completion enters: every target of a
+    fork, the first of any other node, none at an exit; a decision keeps
+    its out-edges, whose guards pick the one target.
+    """
+    table = {}
+    for node_id, node in graph.nodes.items():
+        kind = _STEP_KINDS[node.kind]
+        out = graph.out_edges(node_id)
+        if kind == _S_DECISION:
+            successors = out
+        elif kind == _S_FORK:
+            successors = tuple(edge.dst for edge in out)
+        else:
+            successors = (out[0].dst,) if out else ()
+        ticks = node.duration if kind == _S_RECEIVE else node.effective_duration()
+        table[node_id] = (node, kind, ticks, successors, len(graph.in_edges(node_id)))
+    return table
+
 
 class _Instance:
     """One executing copy of an activity graph."""
@@ -336,6 +383,7 @@ class _Instance:
         "waiting_recv",
         "suspended",
         "exits_reached",
+        "steps",
         "details",
     )
 
@@ -351,6 +399,7 @@ class _Instance:
         self.waiting_recv: dict[str, bool] = {}
         self.suspended = False
         self.exits_reached: list[str] = []
+        self.steps: dict[str, tuple] | None = None  # the graph's, from the run plan
         # node id -> shared details, from the run plan; None when not recording
         self.details: dict[str, _Details] | None = None
 
@@ -362,6 +411,7 @@ class _Instance:
         twin.waiting_recv = self.waiting_recv.copy()
         twin.suspended = self.suspended
         twin.exits_reached = self.exits_reached.copy()
+        twin.steps = self.steps
         twin.details = self.details
         return twin
 
@@ -407,7 +457,11 @@ class _Engine:
                 if config.enabled_detectors is not None
                 else frozenset(self.chain.detectors)
             )
-        self.injected = False
+        # An activation waits for a nominal start to trigger it; at-time
+        # triggers are scheduled by start() instead.
+        self.pending = self.activation is not None and not isinstance(
+            self.activation.trigger, AtTime
+        )
         self.injected_fired = False
         self.error_time: int | None = None
         self.detected: DetectionSpec | None = None
@@ -437,19 +491,24 @@ class _Engine:
     def start_instance(self, inst: _Instance, time: int) -> None:
         self.instances[inst.key] = inst
         self.mine.add(inst.key)
+        graph_id = inst.graph.id
+        steps = self.plan.steps.get(graph_id)
+        if steps is None:
+            steps = self.plan.steps[graph_id] = _step_table(inst.graph)
+        inst.steps = steps
         if self.record:
             inst.details = self.plan.node_details.setdefault(
-                (inst.graph.id, inst.recovery_id), {}
+                (graph_id, inst.recovery_id), {}
             )
         inst.live = 1
         self.enter_node(inst, inst.graph.entry, time)
 
     def enter_node(self, inst: _Instance, node_id: str, time: int) -> None:
-        node = inst.graph.nodes[node_id]
-        if node.kind is ActivityKind.JOIN:
+        node, kind, ticks, _, in_degree = inst.steps[node_id]
+        if kind == _S_JOIN:
             arrived = inst.join_arrivals.get(node_id, 0) + 1
             inst.join_arrivals[node_id] = arrived
-            if arrived < len(inst.graph.in_edges(node_id)):
+            if arrived < in_degree:
                 inst.live -= 1
                 return
         if inst.role == "nominal":
@@ -458,24 +517,31 @@ class _Engine:
                 if details is None:
                     details = self.make_node_details(inst, node)
                 self.events.append(SimEvent(time, "activity-start", inst.owner, details))
-            self.on_nominal_start(inst, node_id, time)
-        if node.kind is ActivityKind.RECEIVE:
+            if self.pending:
+                self.on_nominal_start(inst, node_id, time)
+        if kind == _S_RECEIVE:
             box = self.mailbox.get((inst.owner, node.channel))
-            if box:
-                box.pop(0)
-                self.schedule_completion(inst, node_id, time + node.duration)
-            else:
+            if not box:
                 inst.waiting_recv[node_id] = True
-            return
-        self.schedule_completion(inst, node_id, time + node.effective_duration())
-
-    def schedule_completion(self, inst: _Instance, node_id: str, time: int) -> None:
-        self.push(time, inst.owner, _R_COMPLETE, "complete", (inst.key, inst.gen, node_id))
+                return
+            box.pop(0)
+        heapq.heappush(
+            self.heap,
+            (
+                time + ticks,
+                inst.owner,
+                _R_COMPLETE,
+                self.seq,
+                "complete",
+                (inst.key, inst.gen, node_id),
+            ),
+        )
+        self.seq += 1
 
     def complete_node(self, inst: _Instance, node_id: str, time: int) -> None:
-        node = inst.graph.nodes[node_id]
+        node, kind, _, successors, _ = inst.steps[node_id]
         if self.record:
-            if node.kind is ActivityKind.TIMER:
+            if kind == _S_TIMER:
                 self.emit(
                     time,
                     "timer-expired",
@@ -484,29 +550,26 @@ class _Engine:
                     graph=inst.graph.id,
                     bound=node.timer_bound,
                 )
-            kind = "activity-end" if inst.role == "nominal" else "recovery-step"
+            event = "activity-end" if inst.role == "nominal" else "recovery-step"
             details = inst.details.get(node_id)
             if details is None:
                 details = self.make_node_details(inst, node)
-            self.events.append(SimEvent(time, kind, inst.owner, details))
-        if node.kind is ActivityKind.SEND:
+            self.events.append(SimEvent(time, event, inst.owner, details))
+        if kind == _S_SEND:
             self.send_message(inst, node, time)
 
-        out = inst.graph.out_edges(node_id)
-        if not out:
+        if not successors:
             inst.live -= 1
             inst.exits_reached.append(node_id)
             if inst.role == "recovery":
                 self.on_recovery_exit(inst, node_id, time)
             return
-        if node.kind is ActivityKind.DECISION:
-            targets = [self.pick_branch(inst, node_id, out)]
-        elif node.kind is ActivityKind.FORK:
-            targets = [e.dst for e in out]
-            inst.live += len(targets) - 1
-        else:
-            targets = [out[0].dst]
-        for target in targets:
+        if kind == _S_DECISION:
+            self.enter_node(inst, self.pick_branch(inst, node_id, successors), time)
+            return
+        if kind == _S_FORK:
+            inst.live += len(successors) - 1
+        for target in successors:
             self.enter_node(inst, target, time)
 
     def make_node_details(self, inst: _Instance, node) -> _Details:
@@ -581,37 +644,40 @@ class _Engine:
                 if node_id in inst.waiting_recv:
                     inst = self.own(key)
                     del inst.waiting_recv[node_id]
-                    node = inst.graph.nodes[node_id]
-                    self.schedule_completion(inst, node_id, time + node.duration)
+                    self.push(
+                        time + inst.steps[node_id][2],
+                        inst.owner,
+                        _R_COMPLETE,
+                        "complete",
+                        (inst.key, inst.gen, node_id),
+                    )
                     return
         self.mailbox.setdefault((receiver, channel), []).append((time, sender))
 
     # -- fault injection and detection
 
     def on_nominal_start(self, inst: _Instance, node_id: str, time: int) -> None:
-        if self.injected or self.activation is None:
-            return
+        """Schedule the pending activation if this nominal start triggers it."""
         origin = self.activation.origin_constituent
-        if inst.owner != origin or inst.role != "nominal":
+        if inst.owner != origin:
             return
         trigger = self.activation.trigger
         if isinstance(trigger, OnEntry):
             if node_id == trigger.activity:
                 self.push(time, origin, _R_INJECT, "inject", ())
-                self.injected = True  # reserved; the event does the work
+                self.pending = False  # reserved; the event does the work
         elif isinstance(trigger, Probabilistic):
             if node_id in self.activation.region and _draw(
                 self.sampler, trigger.probability
             ):
                 self.push(time, origin, _R_INJECT, "inject", ())
-                self.injected = True
+                self.pending = False
 
     def inject_fault(self, time: int) -> None:
         chain = self.chain
         assert chain is not None and self.activation is not None
         origin = self.activation.origin_constituent
         fault = self.model.threat_nodes.get(chain.fault)
-        self.injected = True
         self.emit(
             time,
             "fault-activated",
@@ -765,7 +831,6 @@ class _Engine:
                 "inject",
                 (),
             )
-            self.injected = True
 
     def loop(self, stop: int = -1) -> None:
         """Process events until an outcome is set, the queue drains, or
@@ -856,7 +921,14 @@ class _Engine:
 
 
 class _Plan(NamedTuple):
-    """What every run of one model needs and no run changes."""
+    """What every run of one model needs and no run changes.
+
+    Built once per model object, so a ``dataclasses.replace``d model gets
+    its own.  It holds the checker's findings and per-chain lookups, the
+    step table of each activity graph an instance has started, and the
+    shared trace-event details of recorded runs.  The tables fill as runs
+    first need them; none of them changes trace bytes.
+    """
 
     findings: tuple[Finding, ...]
     decisions: frozenset[str]
@@ -865,6 +937,7 @@ class _Plan(NamedTuple):
     owned: Mapping[str, tuple[str, ...]]  # owner -> every instance key it may start, sorted
     receives: Mapping[tuple[str, str], tuple[str, ...]]  # (graph, channel) -> receive ids, sorted
     metrics: _Metrics
+    steps: dict[str, dict[str, tuple]]  # graph -> its step table, built when first started
     # Shared trace-event details, filled as recorded runs first need them:
     # (graph, recovery or None) -> node -> activity-start/-end, recovery-step;
     # (graph, send node) -> message-sent/-lost; (channel, sender) -> message-delivered
@@ -908,6 +981,7 @@ def _plan(model: SosModel) -> _Plan:
             owned={k: tuple(sorted(v)) for k, v in owned.items()},
             receives={k: tuple(v) for k, v in receives.items()},
             metrics=_prepare(model.metrics.values()),
+            steps={},
             node_details={},
             sent_details={},
             delivered_details={},
@@ -1070,16 +1144,23 @@ def _measure(events: Iterable[SimEvent], metrics: _Metrics) -> dict[str, int | N
         for qualifier, index, counts in hits:
             if not counts and found[index] is not None:
                 continue
-            if (
-                qualifier is None
-                or event.actor == qualifier
-                or any(
+            if qualifier is not None and event.actor != qualifier:
+                details = event.details
+                if type(details) is _Details:
+                    strings = details.strings
+                    if strings is None:
+                        strings = details.strings = frozenset(
+                            v for v in details.values() if isinstance(v, str)
+                        )
+                    if qualifier not in strings:
+                        continue
+                elif not any(
                     value == qualifier
-                    for value in event.details.values()
+                    for value in details.values()
                     if isinstance(value, str)
-                )
-            ):
-                found[index] = found[index] + 1 if counts else event.time
+                ):
+                    continue
+            found[index] = found[index] + 1 if counts else event.time
     out: dict[str, int | None] = {}
     for metric_id, a, b in metrics.results:
         if b < 0:
@@ -1125,18 +1206,43 @@ def _object_text(details: Mapping[str, object]) -> str:
     return f"{{{body}}}"
 
 
-def _event_line(e: SimEvent) -> str:
-    details = e.details
+def _body(details: Mapping[str, object]) -> str:
     if type(details) is _Details:
-        body = details.text
-        if body is None:
-            body = details.text = _object_text(details)
-    else:
-        body = _object_text(details)
-    return (
-        f'{{"actor": {_json(e.actor)}, "details": {body}, '
-        f'"kind": {_json(e.kind)}, "time": {_json(e.time)}}}'
-    )
+        text = details.text
+        if text is None:
+            text = details.text = _object_text(details)
+        return text
+    return _object_text(details)
+
+
+def _event_lines(events: Iterable[SimEvent]) -> list[str]:
+    lines = []
+    # actor -> the line's text up to its details; kind -> the text from
+    # the details to the time.  Actors and kinds come from small
+    # per-model vocabularies, so each is quoted once per call.
+    heads: dict[str, str] = {}
+    tails: dict[str, str] = {}
+    for e in events:
+        time, kind, actor, details = e.time, e.kind, e.actor, e.details
+        if type(time) is int and type(actor) is str and type(kind) is str:
+            head = heads.get(actor)
+            if head is None:
+                head = heads[actor] = f'{{"actor": {_quote(actor)}, "details": '
+            tail = tails.get(kind)
+            if tail is None:
+                tail = tails[kind] = f', "kind": {_quote(kind)}, "time": '
+            body = details.text if type(details) is _Details else None
+            if body is None:
+                body = _body(details)
+            lines.append(f"{head}{body}{tail}{time}}}")
+        else:
+            # A replaced event may hold a bool, a float or an unhashable
+            # value here: encode each field as json.dumps would.
+            lines.append(
+                f'{{"actor": {_json(actor)}, "details": {_body(details)}, '
+                f'"kind": {_json(kind)}, "time": {_json(time)}}}'
+            )
+    return lines
 
 
 def format_trace(trace: SimTrace) -> str:
@@ -1146,7 +1252,7 @@ def format_trace(trace: SimTrace) -> str:
     gives: keys sorted at every level, ``", "``/``": "`` separators and
     non-ASCII escaped.
     """
-    lines = [_event_line(e) for e in trace.events]
+    lines = _event_lines(trace.events)
     lines.append(
         _ENCODER.encode(
             {

@@ -19,11 +19,15 @@ import random
 import pytest
 
 import fmaf.simulator as simulator
-from fmaf.casestudy import load_bundle
+from fmaf.casestudy import BUNDLE_NAMES, load_bundle
+from fmaf.model import Count, Edge, ElapsedBetween, MetricSpec
 from fmaf.simulator import (
+    Outcome,
     SimConfig,
     SimEvent,
     SimTrace,
+    SimulationError,
+    compute_metrics,
     enumerate_outcomes,
     format_trace,
     run,
@@ -128,10 +132,18 @@ def test_a_trace_equals_its_plain_dict_rebuild(trace):
 
 
 def test_replaced_events_format_as_json_dumps(trace):
+    format_trace(trace)  # render the text of every shared mapping
     for event in _shared(trace):
         for changed in (
             dataclasses.replace(event, kind="renamed"),
             dataclasses.replace(event, actor="Somebody é"),
+            dataclasses.replace(event, time=True),
+            dataclasses.replace(event, time=False),
+            dataclasses.replace(event, time=2.5),
+            dataclasses.replace(event, actor=7),
+            dataclasses.replace(event, actor=None),
+            dataclasses.replace(event, actor=["unhashable"]),
+            dataclasses.replace(event, kind={"un": "hashable"}),
         ):
             assert changed.details is event.details
             one = SimTrace(trace.config, (changed,), {}, trace.outcome)
@@ -146,6 +158,7 @@ def test_replaced_events_format_as_json_dumps(trace):
                 sort_keys=True,
             )
             assert line == want
+    assert format_trace(trace) == format_trace(_plain(trace))
 
 
 def test_events_of_one_node_share_their_details(trace):
@@ -190,3 +203,82 @@ def test_enumeration_leaves_the_tables_empty():
     assert plan.node_details == plan.sent_details == plan.delivered_details == {}
     run(bundle.model, bundle.scenarios["F1"])
     assert plan.node_details and plan.sent_details and plan.delivered_details
+
+
+def _detail_only_metrics(model) -> dict[str, MetricSpec]:
+    """A qualified count and elapsed metric matched by detail values alone."""
+    actors = set(model.constituents) | set(model.environment)
+    graph = min(g for g in model.processes if g not in actors)
+    activity = min(a for a in model.processes[graph].nodes if a not in actors)
+    return {
+        "DetailCount": MetricSpec("DetailCount", Count(f"activity-end:{graph}")),
+        "DetailSpan": MetricSpec(
+            "DetailSpan",
+            ElapsedBetween(f"activity-start:{activity}", f"activity-end:{graph}"),
+        ),
+    }
+
+
+def _metric_runs():
+    for name in BUNDLE_NAMES:
+        bundle = load_bundle(name)
+        for config in bundle.scenarios.values():
+            for seed in range(5):
+                yield bundle.model, dataclasses.replace(config, seed=seed)
+    for seed in range(50):
+        model = random_model(random.Random(seed))
+        for scenario in (None, *sorted(model.chains)):
+            yield model, SimConfig(scenario=scenario, seed=seed, horizon=60)
+
+
+def test_metrics_from_shared_details_equal_those_of_plain_dicts():
+    compared = matched = 0
+    for model, config in _metric_runs():
+        model = dataclasses.replace(
+            model, metrics={**model.metrics, **_detail_only_metrics(model)}
+        )
+        try:
+            trace = run(model, config)
+        except SimulationError:
+            continue  # refused by the checker, or a trigger that never fired
+        assert compute_metrics(_plain(trace), model.metrics.values()) == trace.metrics
+        compared += 1
+        matched += trace.metrics["DetailCount"] > 0
+        matched += trace.metrics["DetailSpan"] is not None
+    assert compared > 90 and matched > 60
+
+
+def test_a_non_string_detail_value_never_matches_a_qualifier():
+    details = {"channel": "Radio", "tick": 5, "flag": True, "ratio": 1.0}
+    specs = [
+        MetricSpec("Str", Count("message-sent:Radio")),
+        MetricSpec("Int", Count("message-sent:5")),
+        MetricSpec("Bool", Count("message-sent:True")),
+        MetricSpec("Float", Count("message-sent:1.0")),
+        MetricSpec("Actor", Count("message-sent:Unit")),
+    ]
+    want = {"Str": 1, "Int": 0, "Bool": 0, "Float": 0, "Actor": 1}
+    for d in (details, simulator._Details(details)):
+        event = SimEvent(3, "message-sent", "Unit", d)
+        trace = SimTrace(SimConfig(), (event,), {}, Outcome("nominal"))
+        assert compute_metrics(trace, specs) == want
+
+
+def test_step_tables_belong_to_the_model_they_were_built_for():
+    original = race_fixture()
+    config = SimConfig(horizon=60, seed=1)
+    before = _bytes(original, config)
+    assert "GP" in simulator._plan(original).steps
+    # GP runs p_setup -> p_serve -> p_report -> p_done; skip the report.
+    graph = original.processes["GP"]
+    edges = [e for e in graph.edges if e.src not in ("p_serve", "p_report")]
+    edges.append(Edge("p_serve", "p_done"))
+    rewired = dataclasses.replace(graph, edges=tuple(edges))
+    changed = dataclasses.replace(
+        original, processes={**original.processes, "GP": rewired}
+    )
+    fresh = dataclasses.replace(race_fixture(), processes=changed.processes)
+    after = _bytes(changed, config)
+    assert after == _bytes(fresh, config)
+    assert after != before and '"activity": "p_report"' not in after
+    assert _bytes(original, config) == before
