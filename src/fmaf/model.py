@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 
 class FmafError(Exception):
@@ -124,14 +124,15 @@ VIEW_KINDS: tuple[str, ...] = (
 # and digits.  Matched with ``fullmatch``, since ``$`` also matches before
 # a trailing newline.
 _IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_.]*")
+_match_identifier = _IDENTIFIER.fullmatch
 
 
 def is_identifier(text: str) -> bool:
-    return _IDENTIFIER.fullmatch(text) is not None
+    return _match_identifier(text) is not None
 
 
 def _require_identifier(ident: str, what: str) -> None:
-    if not is_identifier(ident):
+    if _match_identifier(ident) is None:
         raise FmafError(f"{what} id {ident!r} is not a valid identifier")
 
 
@@ -238,15 +239,17 @@ class Activity:
     timer_bound: int | None = None
 
     def __post_init__(self) -> None:
-        _require_identifier(self.id, "activity")
+        if _match_identifier(self.id) is None:
+            raise FmafError(f"activity id {self.id!r} is not a valid identifier")
         if self.duration < 0:
             raise FmafError(f"activity {self.id!r}: negative duration")
-        needs_channel = self.kind in (ActivityKind.SEND, ActivityKind.RECEIVE)
-        if needs_channel and not self.channel:
-            raise FmafError(f"activity {self.id!r}: {self.kind.value} requires a channel")
-        if not needs_channel and self.channel is not None:
+        kind = self.kind
+        if kind is ActivityKind.SEND or kind is ActivityKind.RECEIVE:
+            if not self.channel:
+                raise FmafError(f"activity {self.id!r}: {kind.value} requires a channel")
+        elif self.channel is not None:
             raise FmafError(f"activity {self.id!r}: channel on non-messaging activity")
-        if self.kind is ActivityKind.TIMER:
+        if kind is ActivityKind.TIMER:
             if self.timer_bound is None or self.timer_bound < 0:
                 raise FmafError(f"activity {self.id!r}: timer requires a non-negative bound")
         elif self.timer_bound is not None:
@@ -276,16 +279,20 @@ class ActivityGraph:
     """A directed activity graph owned by one constituent.
 
     Activity ids are scoped to their graph; the graph is the namespace.
-    Structural rules (checked by :func:`build_model`):
+    Nodes are kept sorted by id, edges by (src, dst, guard) and ``exits``
+    as a frozenset. :func:`build_model` reports the first structural rule
+    broken, checked in this order:
 
-    * the entry reaches every node and every node reaches some exit;
-    * exits are exactly the nodes without outgoing edges;
-    * forks have at least two unguarded out-edges and a unique matching
-      join (the fork's immediate post-dominator) whose in-degree equals
-      the fork's out-degree;
-    * out-edges of a decision carry mutually exclusive guard labels with
-      at most one unguarded default;
-    * any other node has at most one (unguarded) out-edge;
+    * there is a node, each keyed by its own id; edge ends, the entry and
+      the exits are nodes; exits are exactly the nodes without out-edges;
+    * the entry reaches every node, then every node reaches some exit;
+    * node by node, in id order: forks have at least two unguarded
+      out-edges; a decision has out-edges with mutually exclusive guard
+      labels and at most one unguarded default; any other node has at most
+      one (unguarded) out-edge; joins have at least two in-edges;
+    * fork by fork, in id order: its immediate post-dominator is a join no
+      other fork matches, of in-degree equal to the fork's out-degree;
+      then every join is matched;
     * every cycle contains an activity that consumes time.
     """
 
@@ -295,33 +302,28 @@ class ActivityGraph:
     edges: tuple[Edge, ...]
     entry: str
     exits: frozenset[str]
-    # Adjacency index derived from ``edges``: rebuilt by every construction
-    # (``dataclasses.replace`` included), invisible to equality and repr.
+    # Out-edges by source id: rebuilt by every construction (``replace``
+    # included), invisible to equality and repr.
     _out: Mapping[str, tuple[Edge, ...]] = field(init=False, compare=False, repr=False)
-    _in: Mapping[str, tuple[Edge, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _require_identifier(self.id, "activity graph")
         # Canonical internal order: declaration order must never leak into
         # equality or serialized form.
-        object.__setattr__(
-            self, "nodes", {k: self.nodes[k] for k in sorted(self.nodes)}
-        )
+        object.__setattr__(self, "nodes", {k: self.nodes[k] for k in sorted(self.nodes)})
         edges = tuple(sorted(self.edges, key=lambda e: (e.src, e.dst, e.guard or "")))
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "exits", frozenset(self.exits))
         out: dict[str, list[Edge]] = {}
-        into: dict[str, list[Edge]] = {}
         for edge in edges:
             out.setdefault(edge.src, []).append(edge)
-            into.setdefault(edge.dst, []).append(edge)
         object.__setattr__(self, "_out", {k: tuple(v) for k, v in out.items()})
-        object.__setattr__(self, "_in", {k: tuple(v) for k, v in into.items()})
 
     def out_edges(self, node_id: str) -> tuple[Edge, ...]:
         return self._out.get(node_id, ())
 
     def in_edges(self, node_id: str) -> tuple[Edge, ...]:
-        return self._in.get(node_id, ())
+        return tuple(edge for edge in self.edges if edge.dst == node_id)
 
 
 @dataclass(frozen=True, slots=True)
@@ -528,138 +530,150 @@ class SosModel:
         return None
 
 
-def _check_unique(category: str, items: Iterable[str]) -> None:
-    seen: set[str] = set()
-    for ident in items:
-        if ident in seen:
-            raise DuplicateIdError(category, ident)
-        seen.add(ident)
+def _by_id(category: str, items: Iterable) -> dict:
+    """``items`` keyed by id in id order; raises on the first id seen twice."""
+    found = {}
+    for item in items:
+        if item.id in found:
+            raise DuplicateIdError(category, item.id)
+        found[item.id] = item
+    return {ident: found[ident] for ident in sorted(found)}
 
 
-def _reachable(start: str, step: Callable[[str], Iterable[str]]) -> set[str]:
-    seen = {start}
-    stack = [start]
+def _numbered(graph: ActivityGraph) -> tuple[dict[str, int], list[list[int]], list[list[int]]]:
+    """Node numbers in canonical (id) order and, per number, successors and
+    predecessors, one per edge in edge order; raises on a dangling edge end."""
+    index = {node: i for i, node in enumerate(graph.nodes)}
+    succ: list[list[int]] = [[] for _ in index]
+    pred: list[list[int]] = [[] for _ in index]
+    try:
+        for edge in graph.edges:
+            src = index[edge.src]
+            dst = index[edge.dst]
+            succ[src].append(dst)
+            pred[dst].append(src)
+    except KeyError as missing:
+        end = missing.args[0]
+        raise DanglingReferenceError("activity", end, f"edge in graph {graph.id!r}") from None
+    return index, succ, pred
+
+
+def _unreached(names: list[str], starts: list[int], step: list[list[int]]) -> list[str]:
+    """The nodes, in canonical order, not reachable from ``starts`` along ``step``."""
+    seen = bytearray(len(step))
+    stack = list(starts)
     while stack:
         node = stack.pop()
-        for nxt in step(node):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
+        if not seen[node]:
+            seen[node] = 1
+            stack.extend(step[node])
+    return [name for name, hit in zip(names, seen) if not hit] if 0 in seen else []
 
 
-def _immediate_postdominators(graph: ActivityGraph) -> dict[str, str | None]:
-    """Immediate post-dominator of each node, over a virtual common sink.
+def _postdominators(succ: list[list[int]], pred: list[list[int]]) -> list[int]:
+    """Immediate post-dominator of each node; -1 for none but the virtual sink
+    (number ``len(succ)``) that every node without successors leads to.
 
-    Cooper, Harvey & Kennedy, "A Simple, Fast Dominance Algorithm" (2001),
-    run on the reversed graph rooted at the sink. Nodes are numbered in
-    postorder of a depth-first search from the sink, which gets the highest
-    number; ``-1`` marks a node not yet processed. Exits, whose only
-    post-dominator is the sink, and nodes that reach no exit map to None.
+    Cooper, Harvey & Kennedy, "A Simple, Fast Dominance Algorithm" (2001), on
+    the reversed graph. ``rank`` is the postorder of a depth-first search from
+    the sink, which ranks highest; ``-1`` in ``idom`` marks "not yet".
     """
-    # Depth-first search of the reversed graph: from the sink to each exit,
-    # from a node to its predecessors.
-    number: dict[str, int] = {}
-    order: list[str] = []
-    seen: set[str] = set()
-    for ex in sorted(graph.exits):
-        if ex in seen:
+    sink = len(succ)
+    rank = [-1] * (sink + 1)
+    order: list[int] = []
+    seen = bytearray(sink)
+    for root in range(sink):
+        if succ[root]:
             continue
-        seen.add(ex)
-        stack = [(ex, iter(graph.in_edges(ex)))]
+        seen[root] = 1
+        stack = [(root, iter(pred[root]))]
         while stack:
             node, preds = stack[-1]
-            for edge in preds:
-                if edge.src not in seen:
-                    seen.add(edge.src)
-                    stack.append((edge.src, iter(graph.in_edges(edge.src))))
+            for p in preds:
+                if not seen[p]:
+                    seen[p] = 1
+                    stack.append((p, iter(pred[p])))
                     break
             else:
                 stack.pop()
-                number[node] = len(order)
+                rank[node] = len(order)
                 order.append(node)
-    sink = len(order)
-    # Predecessors in the reversed graph are the original successors.
-    succs: list[list[int]] = [
-        [number[e.dst] for e in graph.out_edges(n) if e.dst in number] for n in order
-    ]
-    for ex in graph.exits:
-        if ex in number:
-            succs[number[ex]].append(sink)
+    rank[sink] = len(order)
+    order.reverse()
 
     idom = [-1] * (sink + 1)
     idom[sink] = sink
+    to_sink = [sink]
     changed = True
     while changed:
         changed = False
-        for b in range(sink - 1, -1, -1):
+        for b in order:
             new = -1
-            for p in succs[b]:
+            for p in succ[b] or to_sink:
                 if idom[p] == -1:
                     continue
                 if new == -1:
                     new = p
                     continue
                 while p != new:
-                    while p < new:
+                    while rank[p] < rank[new]:
                         p = idom[p]
-                    while new < p:
+                    while rank[new] < rank[p]:
                         new = idom[new]
             if idom[b] != new:
                 idom[b] = new
                 changed = True
+    return [-1 if d == sink else d for d in idom[:sink]]
 
-    result: dict[str, str | None] = {}
-    for n in graph.nodes:
-        b = number.get(n)
-        result[n] = None if b is None or idom[b] == sink else order[idom[b]]
-    return result
+
+def _immediate_postdominators(graph: ActivityGraph) -> dict[str, str | None]:
+    """Immediate post-dominator by node id, or None; the exits must be the sinks."""
+    _, succ, pred = _numbered(graph)
+    names = list(graph.nodes)
+    return {n: None if d < 0 else names[d] for n, d in zip(names, _postdominators(succ, pred))}
 
 
 def _validate_graph(graph: ActivityGraph) -> None:
+    """Raise for the first rule in the :class:`ActivityGraph` docstring broken."""
     gid = graph.id
-    if not graph.nodes:
+    nodes = graph.nodes
+    if not nodes:
         raise GraphStructureError(gid, "no activities")
-    for node_id, activity in graph.nodes.items():
+    for node_id, activity in nodes.items():
         if node_id != activity.id:
             raise GraphStructureError(gid, f"node key {node_id!r} != activity id {activity.id!r}")
-    for edge in graph.edges:
-        for end in (edge.src, edge.dst):
-            if end not in graph.nodes:
-                raise DanglingReferenceError("activity", end, f"edge in graph {gid!r}")
-    if graph.entry not in graph.nodes:
+    index, succ, pred = _numbered(graph)
+    if graph.entry not in index:
         raise DanglingReferenceError("activity", graph.entry, f"entry of graph {gid!r}")
     for ex in graph.exits:
-        if ex not in graph.nodes:
+        if ex not in index:
             raise DanglingReferenceError("activity", ex, f"exit of graph {gid!r}")
 
-    sinks = {n for n in graph.nodes if not graph.out_edges(n)}
-    if sinks != set(graph.exits):
-        raise GraphStructureError(
-            gid,
-            f"exits {sorted(graph.exits)} must be exactly the sink nodes {sorted(sinks)}",
-        )
-
-    reachable = _reachable(graph.entry, lambda n: (e.dst for e in graph.out_edges(n)))
-    if reachable != set(graph.nodes):
-        missing = sorted(set(graph.nodes) - reachable)
+    names = list(nodes)
+    sinks = [v for v, out in enumerate(succ) if not out]
+    sink_ids = [names[v] for v in sinks]
+    if set(sink_ids) != graph.exits:
+        detail = f"exits {sorted(graph.exits)} must be exactly the sink nodes {sink_ids}"
+        raise GraphStructureError(gid, detail)
+    missing = _unreached(names, [index[graph.entry]], succ)
+    if missing:
         raise GraphStructureError(gid, f"unreachable from entry: {missing}")
-    reaches_exit: set[str] = set()
-    for ex in graph.exits:
-        reaches_exit |= _reachable(ex, lambda n: (e.src for e in graph.in_edges(n)))
-    if reaches_exit != set(graph.nodes):
-        stuck = sorted(set(graph.nodes) - reaches_exit)
+    stuck = _unreached(names, sinks, pred)
+    if stuck:
         raise GraphStructureError(gid, f"cannot reach any exit: {stuck}")
 
-    for node_id, activity in graph.nodes.items():
-        outs = graph.out_edges(node_id)
-        if activity.kind is ActivityKind.FORK:
+    forks: list[int] = []
+    joins: set[int] = set()
+    for v, (node_id, activity, outs) in enumerate(zip(names, nodes.values(), succ)):
+        kind = activity.kind
+        if kind is ActivityKind.FORK:
             if len(outs) < 2:
                 raise GraphStructureError(gid, f"fork {node_id!r} needs >= 2 out-edges")
-            if any(e.guard for e in outs):
+            if any(e.guard for e in graph._out[node_id]):
                 raise GraphStructureError(gid, f"fork {node_id!r} has guarded out-edges")
-        elif activity.kind is ActivityKind.DECISION:
-            guards = [e.guard for e in outs]
+            forks.append(v)
+        elif kind is ActivityKind.DECISION:
+            guards = [e.guard for e in graph._out.get(node_id, ())]
             labelled = [g for g in guards if g is not None]
             if len(set(labelled)) != len(labelled):
                 raise GraphStructureError(gid, f"decision {node_id!r} has duplicate guards")
@@ -669,57 +683,53 @@ def _validate_graph(graph: ActivityGraph) -> None:
                 raise GraphStructureError(gid, f"decision {node_id!r} has no out-edges")
         else:
             if len(outs) > 1:
-                raise GraphStructureError(
-                    gid, f"{activity.kind.value} {node_id!r} has multiple out-edges"
-                )
-            if outs and outs[0].guard is not None:
+                raise GraphStructureError(gid, f"{kind.value} {node_id!r} has multiple out-edges")
+            if outs and graph._out[node_id][0].guard is not None:
                 raise GraphStructureError(gid, f"guard on out-edge of non-decision {node_id!r}")
-        if activity.kind is ActivityKind.JOIN and len(graph.in_edges(node_id)) < 2:
-            raise GraphStructureError(gid, f"join {node_id!r} needs >= 2 in-edges")
+            if kind is ActivityKind.JOIN:
+                if len(pred[v]) < 2:
+                    raise GraphStructureError(gid, f"join {node_id!r} needs >= 2 in-edges")
+                joins.add(v)
 
     # Fork/join well-nesting: the immediate post-dominator of a fork must be a
     # join claimed by exactly that fork, arity-matched.
-    forks = [n for n, a in graph.nodes.items() if a.kind is ActivityKind.FORK]
-    joins = {n for n, a in graph.nodes.items() if a.kind is ActivityKind.JOIN}
     if forks or joins:
-        ipdom = _immediate_postdominators(graph)
-        claimed: dict[str, str] = {}
-        for fork in sorted(forks):
+        ipdom = _postdominators(succ, pred)
+        claimed: dict[int, int] = {}
+        for fork in forks:
             match = ipdom[fork]
-            if match is None or match not in joins:
-                raise GraphStructureError(gid, f"fork {fork!r} has no matching join")
+            if match not in joins:
+                raise GraphStructureError(gid, f"fork {names[fork]!r} has no matching join")
+            f, j = names[fork], names[match]
             if match in claimed:
-                raise GraphStructureError(
-                    gid, f"join {match!r} matches forks {claimed[match]!r} and {fork!r}"
-                )
-            if len(graph.in_edges(match)) != len(graph.out_edges(fork)):
-                raise GraphStructureError(
-                    gid,
-                    f"join {match!r} in-degree differs from fork {fork!r} out-degree",
-                )
+                other = names[claimed[match]]
+                raise GraphStructureError(gid, f"join {j!r} matches forks {other!r} and {f!r}")
+            if len(pred[match]) != len(succ[fork]):
+                detail = f"join {j!r} in-degree differs from fork {f!r} out-degree"
+                raise GraphStructureError(gid, detail)
             claimed[match] = fork
-        unclaimed = joins - set(claimed)
-        if unclaimed:
-            raise GraphStructureError(gid, f"join without matching fork: {sorted(unclaimed)}")
+        if len(claimed) < len(joins):
+            unclaimed = [names[j] for j in sorted(joins.difference(claimed))]
+            raise GraphStructureError(gid, f"join without matching fork: {unclaimed}")
 
-    # Zero-time cycles would let simulated time stand still forever.
-    zero = {n for n, a in graph.nodes.items() if a.effective_duration() == 0}
-    zero_forward = {n: [e.dst for e in graph.out_edges(n) if e.dst in zero] for n in zero}
-    state: dict[str, int] = {}
+    # Zero-time cycles would let simulated time stand still forever. The
+    # depth-first search recurses once per zero-time node on its path.
+    zero = [activity.effective_duration() == 0 for activity in nodes.values()]
+    state = [0] * len(names)
 
-    def visit(node: str) -> None:
+    def visit(node: int) -> None:
         state[node] = 1
-        for nxt in zero_forward[node]:
-            mark = state.get(nxt)
-            if mark == 1:
-                raise GraphStructureError(gid, "cycle with no time-consuming activity")
-            if mark is None:
-                visit(nxt)
+        for nxt in succ[node]:
+            if zero[nxt]:
+                if state[nxt] == 1:
+                    raise GraphStructureError(gid, "cycle with no time-consuming activity")
+                if state[nxt] == 0:
+                    visit(nxt)
         state[node] = 2
 
-    for n in sorted(zero):
-        if n not in state:
-            visit(n)
+    for v, instant in enumerate(zero):
+        if instant and not state[v]:
+            visit(v)
 
 
 _PATTERN_CONTEXT = "metric event pattern"
@@ -766,34 +776,23 @@ def build_model(
     """
 
     _require_identifier(name, "model")
-    _check_unique("constituent", (c.id for c in constituents))
-    _check_unique("environment entity", (e.id for e in environment))
-    _check_unique("connection", (c.id for c in connections))
-    _check_unique("threat node", (n.id for n in threat_nodes))
-    _check_unique("threat chain", (c.id for c in chains))
-    _check_unique("activity graph", (g.id for g in processes))
-    _check_unique("activation", (a.id for a in activations))
-    _check_unique("detection", (d.id for d in detections))
-    _check_unique("recovery", (r.id for r in recoveries))
-    _check_unique("metric", (m.id for m in metrics))
-    element_ids = {c.id for c in constituents} | {e.id for e in environment}
-    overlap = {c.id for c in constituents} & {e.id for e in environment}
-    if overlap:
-        raise DuplicateIdError("element", sorted(overlap)[0], "constituent vs environment")
-
     model = SosModel(
         name=name,
-        constituents={c.id: c for c in sorted(constituents, key=lambda x: x.id)},
-        environment={e.id: e for e in sorted(environment, key=lambda x: x.id)},
-        connections={c.id: c for c in sorted(connections, key=lambda x: x.id)},
-        threat_nodes={n.id: n for n in sorted(threat_nodes, key=lambda x: x.id)},
-        chains={c.id: c for c in sorted(chains, key=lambda x: x.id)},
-        processes={g.id: g for g in sorted(processes, key=lambda x: x.id)},
-        activations={a.id: a for a in sorted(activations, key=lambda x: x.id)},
-        detections={d.id: d for d in sorted(detections, key=lambda x: x.id)},
-        recoveries={r.id: r for r in sorted(recoveries, key=lambda x: x.id)},
-        metrics={m.id: m for m in sorted(metrics, key=lambda x: x.id)},
+        constituents=_by_id("constituent", constituents),
+        environment=_by_id("environment entity", environment),
+        connections=_by_id("connection", connections),
+        threat_nodes=_by_id("threat node", threat_nodes),
+        chains=_by_id("threat chain", chains),
+        processes=_by_id("activity graph", processes),
+        activations=_by_id("activation", activations),
+        detections=_by_id("detection", detections),
+        recoveries=_by_id("recovery", recoveries),
+        metrics=_by_id("metric", metrics),
     )
+    element_ids = model.constituents.keys() | model.environment.keys()
+    overlap = model.constituents.keys() & model.environment.keys()
+    if overlap:
+        raise DuplicateIdError("element", sorted(overlap)[0], "constituent vs environment")
 
     for conn in model.connections.values():
         for end in (conn.provider, conn.consumer):
@@ -900,12 +899,12 @@ def build_model(
                 raise GraphStructureError(
                     graph_id, f"recovery {rec.id!r} maps it to {cs_id!r} but owner is {graph.owner!r}"
                 )
-            collision = exit_pool & set(graph.exits)
+            collision = exit_pool & graph.exits
             if collision:
                 raise DuplicateIdError(
                     "recovery exit", sorted(collision)[0], f"within recovery {rec.id!r}"
                 )
-            exit_pool |= set(graph.exits)
+            exit_pool |= graph.exits
         for ex in rec.success_exits | rec.abort_exits:
             if ex not in exit_pool:
                 raise DanglingReferenceError(

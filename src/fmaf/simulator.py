@@ -54,6 +54,7 @@ from .model import (
     SosModel,
     ThirdPartyReport,
     Timeout,
+    _numbered,
     split_event_pattern,
 )
 
@@ -353,18 +354,19 @@ def _step_table(graph) -> dict[str, tuple]:
     fork, the first of any other node, none at an exit; a decision keeps
     its out-edges, whose guards pick the one target.
     """
+    _, succ, pred = _numbered(graph)
+    names = list(graph.nodes)
     table = {}
-    for node_id, node in graph.nodes.items():
+    for node_id, node, outs, ins in zip(names, graph.nodes.values(), succ, pred):
         kind = _STEP_KINDS[node.kind]
-        out = graph.out_edges(node_id)
         if kind == _S_DECISION:
-            successors = out
+            successors = graph.out_edges(node_id)
         elif kind == _S_FORK:
-            successors = tuple(edge.dst for edge in out)
+            successors = tuple(names[w] for w in outs)
         else:
-            successors = (out[0].dst,) if out else ()
+            successors = (names[outs[0]],) if outs else ()
         ticks = node.duration if kind == _S_RECEIVE else node.effective_duration()
-        table[node_id] = (node, kind, ticks, successors, len(graph.in_edges(node_id)))
+        table[node_id] = (node, kind, ticks, successors, len(ins))
     return table
 
 

@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from fmaf import dsl
 from fmaf.model import (
     Activity,
     ActivityGraph,
@@ -317,6 +318,25 @@ def test_zero_time_cycle_is_rejected():
     with pytest.raises(GraphStructureError) as err:
         _build_with(graph)
     assert "cycle" in str(err.value)
+
+
+def test_exits_are_normalised_to_a_frozenset():
+    nodes = {"a": action("a"), "b": action("b")}
+    listed = ActivityGraph("G", "A", nodes, (Edge("a", "b"),), "a", ["b", "b"])
+    assert type(listed.exits) is frozenset
+    assert listed == _graph(list(nodes.values()), [Edge("a", "b")], "a", {"b"})
+    assert dataclasses.replace(listed, exits=("b",)) == listed
+
+
+def test_library_built_model_round_trips_with_listed_exits():
+    graph = ActivityGraph("AlphaWork", "Alpha", {"one": action("one"), "two": action("two")},
+                          (Edge("one", "two"),), "one", ["two"])
+    model = build_model(
+        name="Listed",
+        constituents=[ConstituentSystem("Alpha", "Alpha system", "AlphaWork")],
+        processes=[graph],
+    )
+    assert dsl.parse(dsl.serialize(model)).model == model
 
 
 def test_send_requires_channel_and_channel_must_include_owner():
