@@ -279,9 +279,10 @@ class ActivityGraph:
     """A directed activity graph owned by one constituent.
 
     Activity ids are scoped to their graph; the graph is the namespace.
-    Nodes are kept sorted by id, edges by (src, dst, guard) and ``exits``
-    as a frozenset. :func:`build_model` reports the first structural rule
-    broken, checked in this order:
+    Nodes are kept sorted by id, edges by (src, dst, guard) with a default
+    edge before any guarded one, and ``exits`` as a frozenset.
+    :func:`build_model` reports the first structural rule broken, checked
+    in this order:
 
     * there is a node, each keyed by its own id; edge ends, the entry and
       the exits are nodes; exits are exactly the nodes without out-edges;
@@ -311,7 +312,10 @@ class ActivityGraph:
         # Canonical internal order: declaration order must never leak into
         # equality or serialized form.
         object.__setattr__(self, "nodes", {k: self.nodes[k] for k in sorted(self.nodes)})
-        edges = tuple(sorted(self.edges, key=lambda e: (e.src, e.dst, e.guard or "")))
+        # A default edge sorts before every guarded one, ``when ""`` included.
+        edges = tuple(
+            sorted(self.edges, key=lambda e: (e.src, e.dst, e.guard is not None, e.guard or ""))
+        )
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "exits", frozenset(self.exits))
         out: dict[str, list[Edge]] = {}

@@ -117,9 +117,6 @@ class ViewGraph:
                     raise ViewError(f"node {m!r} belongs to two clusters")
                 claimed.add(m)
 
-    def node_ids(self) -> set[str]:
-        return {n.id for n in self.nodes}
-
 
 # ---------------------------------------------------------------------------
 # Builders
@@ -131,7 +128,8 @@ class _Builder:
         self.nodes: list[ViewNode] = []
         self._seen: set[str] = set()
         self.edges: list[ViewEdge] = []
-        self._seen_edges: set[ViewEdge] = set()
+        # Plain (src, dst, label, style) tuples hash faster than ViewEdges.
+        self._seen_edges: set[tuple[str, str, str, str]] = set()
         self.clusters: list[ViewCluster] = []
 
     def node(self, node_id: str, label: str, shape_class: str) -> str:
@@ -141,10 +139,10 @@ class _Builder:
         return node_id
 
     def edge(self, src: str, dst: str, label: str = "", style: str = "flow") -> None:
-        candidate = ViewEdge(src, dst, label, style)
-        if candidate not in self._seen_edges:
-            self._seen_edges.add(candidate)
-            self.edges.append(candidate)
+        key = (src, dst, label, style)
+        if key not in self._seen_edges:
+            self._seen_edges.add(key)
+            self.edges.append(ViewEdge(src, dst, label, style))
 
     def cluster(self, cid: str, label: str, kind: str, members: list[str]) -> None:
         self.clusters.append(ViewCluster(cid, label, kind, tuple(members)))
@@ -164,11 +162,10 @@ def _element_shape(model: SosModel, ident: str) -> str:
     return "constituent" if model.is_constituent(ident) else "environment"
 
 
-def _threat_label(model: SosModel, node_id: str) -> str:
+def _threat_node(b: _Builder, model: SosModel, node_id: str, shape_class: str) -> str:
     node = model.threat_nodes.get(node_id)
-    if node is None or not node.description:
-        return node_id
-    return f"{node_id}: {node.description}"
+    label = f"{node_id}: {node.description}" if node is not None and node.description else node_id
+    return b.node(f"threat:{node_id}", label, shape_class)
 
 
 def _require_chain(model: SosModel, view_kind: str, focus: str | None):
@@ -180,30 +177,37 @@ def _require_chain(model: SosModel, view_kind: str, focus: str | None):
     return chain
 
 
-def _activity_shape(kind: ActivityKind) -> str:
-    return {
-        ActivityKind.ACTION: "activity",
-        ActivityKind.DECISION: "decision",
-        ActivityKind.FORK: "bar",
-        ActivityKind.JOIN: "bar",
-        ActivityKind.SEND: "send",
-        ActivityKind.RECEIVE: "receive",
-        ActivityKind.TIMER: "timer",
-    }[kind]
+_ACTIVITY_SHAPES = {
+    ActivityKind.ACTION: "activity",
+    ActivityKind.DECISION: "decision",
+    ActivityKind.FORK: "bar",
+    ActivityKind.JOIN: "bar",
+    ActivityKind.SEND: "send",
+    ActivityKind.RECEIVE: "receive",
+    ActivityKind.TIMER: "timer",
+}
 
 
 def _add_activity_graph(
     b: _Builder, graph: ActivityGraph, prefix: str = "", style: str = "flow"
 ) -> dict[str, str]:
-    """Adds a graph's activities and control edges; returns id mapping."""
-    mapping: dict[str, str] = {}
-    for node_id in graph.nodes:
-        node = graph.nodes[node_id]
-        vid = f"{prefix}{node_id}"
-        mapping[node_id] = vid
-        b.node(vid, node.display_name, _activity_shape(node.kind))
+    """Adds a graph's activities and control edges; returns id mapping.
+
+    Appends straight into the builder, with ``_Builder``'s dedup rules.
+    """
+    mapping = {node_id: prefix + node_id for node_id in graph.nodes}
+    seen, nodes = b._seen, b.nodes
+    for node_id, node in graph.nodes.items():
+        vid = mapping[node_id]
+        if vid not in seen:
+            seen.add(vid)
+            nodes.append(ViewNode(vid, node.name or node_id, _ACTIVITY_SHAPES[node.kind]))
+    seen_edges, edges = b._seen_edges, b.edges
     for edge in graph.edges:
-        b.edge(mapping[edge.src], mapping[edge.dst], edge.guard or "", style)
+        key = (mapping[edge.src], mapping[edge.dst], edge.guard or "", style)
+        if key not in seen_edges:
+            seen_edges.add(key)
+            edges.append(ViewEdge(*key))
     return mapping
 
 
@@ -213,11 +217,9 @@ def _add_activity_graph(
 def _project_tcv(model: SosModel, focus: str) -> ViewGraph:
     chain = _require_chain(model, "tcv", focus)
     b = _Builder("tcv")
-    fault = b.node(f"threat:{chain.fault}", _threat_label(model, chain.fault), "fault")
-    error = b.node(f"threat:{chain.error}", _threat_label(model, chain.error), "error")
-    failure = b.node(
-        f"threat:{chain.failure}", _threat_label(model, chain.failure), "failure"
-    )
+    fault = _threat_node(b, model, chain.fault, "fault")
+    error = _threat_node(b, model, chain.error, "error")
+    failure = _threat_node(b, model, chain.failure, "failure")
     b.edge(fault, error, "raises")
     b.edge(error, failure, "propagates to")
 
@@ -326,7 +328,7 @@ def _project_fav(model: SosModel, focus: str) -> ViewGraph:
     mapping = _add_activity_graph(b, graph)
 
     region = activation.region if activation is not None else frozenset()
-    fault = b.node(f"threat:{chain.fault}", _threat_label(model, chain.fault), "fault")
+    fault = _threat_node(b, model, chain.fault, "fault")
     activation_members = [fault] + [mapping[a] for a in sorted(region) if a in mapping]
     b.cluster("cluster:activation", "fault activation", "activation-region", activation_members)
 
@@ -410,10 +412,8 @@ def _project_erroneous_process(model: SosModel, focus: str) -> ViewGraph:
 
     b = _Builder("erroneous-process")
     mapping = _add_activity_graph(b, graph)
-    error = b.node(f"threat:{chain.error}", _threat_label(model, chain.error), "error")
-    failure = b.node(
-        f"threat:{chain.failure}", _threat_label(model, chain.failure), "failure"
-    )
+    error = _threat_node(b, model, chain.error, "error")
+    failure = _threat_node(b, model, chain.failure, "failure")
     sources = sorted(region & set(mapping)) or [graph.entry]
     for activity in sources:
         b.edge(mapping[activity], error, "raises", "threat")
@@ -467,15 +467,9 @@ def _project_fef(model: SosModel) -> ViewGraph:
     b = _Builder("fef")
     for chain_id in sorted(model.chains):
         chain = model.chains[chain_id]
-        fault = b.node(
-            f"threat:{chain.fault}", _threat_label(model, chain.fault), "fault"
-        )
-        error = b.node(
-            f"threat:{chain.error}", _threat_label(model, chain.error), "error"
-        )
-        failure = b.node(
-            f"threat:{chain.failure}", _threat_label(model, chain.failure), "failure"
-        )
+        fault = _threat_node(b, model, chain.fault, "fault")
+        error = _threat_node(b, model, chain.error, "error")
+        failure = _threat_node(b, model, chain.failure, "failure")
         b.edge(fault, error, chain.id)
         b.edge(error, failure, chain.id)
     return b.build()
@@ -544,12 +538,9 @@ _EDGE_ATTRS = {
 
 
 def _quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
-
-
-def _node_line(node: ViewNode) -> str:
-    attrs = _NODE_ATTRS.get(node.shape_class, "shape=box")
-    return f"{_quote(node.id)} [label={_quote(node.label)}, {attrs}];"
+    if "\\" in text or '"' in text or "\n" in text:
+        text = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{text}"'
 
 
 def to_dot(graph: ViewGraph) -> str:
@@ -558,27 +549,30 @@ def to_dot(graph: ViewGraph) -> str:
     title = name if name.isidentifier() else _quote(name)
     if not graph.nodes and not graph.edges and not graph.clusters:
         return f"digraph {title} {{ }}\n"
+    # Each id is quoted and each node line rendered once; clusters pop
+    # their members' lines, the rest follow in node order.
+    quoted: dict[str, str] = {}
+    node_lines: dict[str, str] = {}
+    for node in graph.nodes:
+        qid = quoted[node.id] = _quote(node.id)
+        attrs = _NODE_ATTRS.get(node.shape_class, "shape=box")
+        node_lines[node.id] = f"{qid} [label={_quote(node.label)}, {attrs}];"
     lines = [f"digraph {title} {{"]
-    clustered = {m for c in graph.clusters for m in c.members}
-    by_id = {n.id: n for n in graph.nodes}
     for i, cluster in enumerate(graph.clusters):
         lines.append(f"  subgraph {_quote(f'cluster_{i}_{cluster.id}')} {{")
         lines.append(f"    label={_quote(cluster.label)};")
         lines.append(f"    class={_quote(cluster.kind)};")
         for member in cluster.members:
-            lines.append("    " + _node_line(by_id[member]))
+            lines.append("    " + node_lines.pop(member))
         lines.append("  }")
-    for node in graph.nodes:
-        if node.id not in clustered:
-            lines.append("  " + _node_line(node))
+    for line in node_lines.values():
+        lines.append("  " + line)
     for edge in graph.edges:
-        attrs = []
+        attrs = _EDGE_ATTRS.get(edge.style_class, "")
         if edge.label:
-            attrs.append(f"label={_quote(edge.label)}")
-        style = _EDGE_ATTRS.get(edge.style_class, "")
-        if style:
-            attrs.append(style)
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {_quote(edge.src)} -> {_quote(edge.dst)}{suffix};")
+            label = f"label={_quote(edge.label)}"
+            attrs = f"{label}, {attrs}" if attrs else label
+        suffix = f" [{attrs}]" if attrs else ""
+        lines.append(f"  {quoted[edge.src]} -> {quoted[edge.dst]}{suffix};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -328,6 +328,18 @@ def test_exits_are_normalised_to_a_frozenset():
     assert dataclasses.replace(listed, exits=("b",)) == listed
 
 
+def test_default_edge_sorts_before_an_empty_guard_in_either_order():
+    nodes = [Activity("d", ActivityKind.DECISION), action("x")]
+    default, empty = Edge("d", "x"), Edge("d", "x", "")
+    g1 = _graph(nodes, [default, empty], "d", {"x"})
+    g2 = _graph(nodes, [empty, default], "d", {"x"})
+    assert g1.edges == g2.edges == (default, empty)
+    assert g1 == g2
+    models = [_build_with(g) for g in (g1, g2)]
+    assert models[0] == models[1]
+    assert dsl.serialize(models[0]) == dsl.serialize(models[1])
+
+
 def test_library_built_model_round_trips_with_listed_exits():
     graph = ActivityGraph("AlphaWork", "Alpha", {"one": action("one"), "two": action("two")},
                           (Edge("one", "two"),), "one", ["two"])

@@ -12,10 +12,12 @@ from fmaf.viewgen import (
     VIEW_KINDS,
     MissingFocusError,
     UnknownChainError,
+    ViewCluster,
     ViewEdge,
     ViewError,
     ViewGraph,
     ViewNode,
+    _quote,
     project,
     to_dot,
 )
@@ -25,6 +27,10 @@ from _builders import checker_fixture, fixture_mutants, race_fixture
 
 def clusters_of(graph, kind: str):
     return [c for c in graph.clusters if c.kind == kind]
+
+
+def node_ids(graph) -> set[str]:
+    return {n.id for n in graph.nodes}
 
 
 class TestFocusHandling:
@@ -63,7 +69,7 @@ class TestFocusHandling:
 class TestThreatChainView:
     def test_progression_and_boundary(self):
         graph = project(race_fixture(), "tcv", focus="CH")
-        ids = graph.node_ids()
+        ids = node_ids(graph)
         assert {"threat:Tf", "threat:Te", "threat:Tx", "sos-boundary"} <= ids
         labels = {e.label for e in graph.edges}
         assert {"raises", "propagates to", "observed at"} <= labels
@@ -86,7 +92,7 @@ class TestThreatChainView:
         )
         model = dataclasses.replace(model, chains={"CH": chain})
         graph = project(model, "tcv", focus="CH")
-        assert "sos-boundary" not in graph.node_ids()
+        assert "sos-boundary" not in node_ids(graph)
 
 
 class TestConstituentConnectionView:
@@ -101,7 +107,7 @@ class TestConstituentConnectionView:
         owners = set()
         for det in model.detections_for("CH"):
             owners |= set(model.recoveries[det.recovery].graphs)
-        assert owners <= graph.node_ids()
+        assert owners <= node_ids(graph)
 
 
 class TestActivationView:
@@ -157,7 +163,7 @@ class TestActivationView:
         threats = {f"threat:{t}" for t in model.threat_nodes}
         markers = {f"detect:{d}" for d in model.detections}
         allowed = activities | threats | markers | {"sos-boundary", "erroneous-state"}
-        assert graph.node_ids() <= allowed
+        assert node_ids(graph) <= allowed
 
 
 class TestRecoveryView:
@@ -180,7 +186,7 @@ class TestErroneousViews:
     def test_process_splices_error_into_nominal_flow(self):
         model = race_fixture()
         graph = project(model, "erroneous-process", focus="CH")
-        assert {"p_setup", "p_serve", "threat:Te", "threat:Tx", "sos-boundary"} <= graph.node_ids()
+        assert {"p_setup", "p_serve", "threat:Te", "threat:Tx", "sos-boundary"} <= node_ids(graph)
         raises = [e for e in graph.edges if e.label == "raises"]
         assert [(e.src, e.dst) for e in raises] == [("p_serve", "threat:Te")]
 
@@ -199,14 +205,14 @@ class TestErroneousViews:
             SimConfig(scenario="CH", seed=0, horizon=60, recovery_enabled=False),
         )
         graph = project(model, "erroneous-scenario", trace=trace)
-        assert "sos-boundary" in graph.node_ids()
+        assert "sos-boundary" in node_ids(graph)
         assert any(e.dst == "sos-boundary" for e in graph.edges)
 
 
 class TestChainCatalogView:
     def test_every_chain_appears(self):
         graph = project(checker_fixture(), "fef")
-        assert graph.node_ids() == {"threat:Nf", "threat:Ne", "threat:Nx"}
+        assert node_ids(graph) == {"threat:Nf", "threat:Ne", "threat:Nx"}
         assert {e.label for e in graph.edges} == {"CH1"}
 
 
@@ -251,6 +257,61 @@ class TestDotOutput:
         )
         text = to_dot(graph)
         assert '\\"hi\\"' in text and "\\n" in text
+
+
+def _reference_quote(text: str) -> str:
+    """The DOT quoting rule written as three unconditional replaces."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
+
+
+_AWKWARD = [
+    "",
+    "plain",
+    "back\\slash",
+    'say "hi"',
+    "line\nbreak",
+    "cr\rreturn",
+    "tab\there",
+    "caf\u00e9 \u2014 \u6d88\u9632",
+    '\\"\n\r\t mixed',
+    "\\n is not a newline",
+    '"',
+    "\\",
+    "\n",
+]
+
+
+class TestDotEscaping:
+    @pytest.mark.parametrize("text", _AWKWARD)
+    def test_quote_matches_the_reference(self, text):
+        assert _quote(text) == _reference_quote(text)
+
+    @pytest.mark.parametrize("text", _AWKWARD)
+    def test_every_quoted_place_in_a_document(self, text):
+        # The text as a node id (also at both edge ends), node label, edge
+        # label, cluster id, label and kind, and in a quoted view kind.
+        other = text + "'"
+        graph = ViewGraph(
+            "v-" + text,
+            nodes=(ViewNode(text, text, "constituent"), ViewNode(other, text, "environment")),
+            edges=(ViewEdge(text, other, text, "message"), ViewEdge(other, text)),
+            clusters=(ViewCluster(text, text, text, (text,)),),
+        )
+        q = _reference_quote
+        # An empty edge label is left out, not written as label="".
+        edge_attrs = f"label={q(text)}, style=dashed" if text else "style=dashed"
+        assert to_dot(graph) == "\n".join([
+            f"digraph {q('v-' + text)} {{",
+            f"  subgraph {q('cluster_0_' + text)} {{",
+            f"    label={q(text)};",
+            f"    class={q(text)};",
+            f"    {q(text)} [label={q(text)}, shape=box, style=rounded];",
+            "  }",
+            f"  {q(other)} [label={q(text)}, shape=box, style=dashed];",
+            f"  {q(text)} -> {q(other)} [{edge_attrs}];",
+            f"  {q(other)} -> {q(text)};",
+            "}",
+        ]) + "\n"
 
 
 class TestViewGraphValidation:
