@@ -25,7 +25,9 @@ findings, one step table per activity graph (what each node does, in
 plain tuples the engine reads), and the details shared by the trace
 events of each node and link.  Each shared mapping caches its JSON text
 for the trace writer and its set of string values for metric
-qualifiers.  None of these caches changes a trace's bytes.
+qualifiers.  None of these caches changes a trace's bytes.  The engine
+builds each trace event with plain slot stores into the same frozen
+``SimEvent`` type that the public constructor gives.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .model import (
     ActivationSpec,
     ActivityKind,
     AtTime,
+    Connection,
     Count,
     DanglingReferenceError,
     DetectionSpec,
@@ -160,6 +163,30 @@ class SimEvent:
     kind: str
     actor: str
     details: Mapping[str, object]
+
+
+class _EventSlots:
+    """``SimEvent``'s slot layout without its frozen ``__setattr__``."""
+
+    __slots__ = SimEvent.__slots__
+
+
+def _event(time: int, kind: str, actor: str, details: Mapping[str, object]) -> SimEvent:
+    """``SimEvent(time, kind, actor, details)`` at a fraction of its cost.
+
+    The frozen dataclass ``__init__`` stores each field through
+    ``object.__setattr__``.  Here plain slot stores fill an
+    ``_EventSlots``, which then becomes a ``SimEvent``; CPython allows
+    the class change because the two slot layouts are the same.  The
+    result is the frozen ``SimEvent`` that the public constructor gives.
+    """
+    event = _EventSlots()
+    event.time = time
+    event.kind = kind
+    event.actor = actor
+    event.details = details
+    event.__class__ = SimEvent
+    return event
 
 
 class _Details(dict):
@@ -347,12 +374,14 @@ _STEP_KINDS = {
 }
 
 
-def _step_table(graph) -> dict[str, tuple]:
-    """Node id -> (activity, step kind, time to completion, successors, in-degree).
+def _step_table(graph, connections: Mapping[str, Connection]) -> dict[str, tuple]:
+    """Node id -> (activity, step kind, time to completion, successors,
+    in-degree, connection).
 
     Successors are the target ids a completion enters: every target of a
     fork, the first of any other node, none at an exit; a decision keeps
-    its out-edges, whose guards pick the one target.
+    its out-edges, whose guards pick the one target.  The connection is
+    the one a send node sends over, None for every other node.
     """
     _, succ, pred = _numbered(graph)
     names = list(graph.nodes)
@@ -366,7 +395,8 @@ def _step_table(graph) -> dict[str, tuple]:
         else:
             successors = (names[outs[0]],) if outs else ()
         ticks = node.duration if kind == _S_RECEIVE else node.effective_duration()
-        table[node_id] = (node, kind, ticks, successors, len(ins))
+        link = connections.get(node.channel) if kind == _S_SEND else None
+        table[node_id] = (node, kind, ticks, successors, len(ins), link)
     return table
 
 
@@ -474,7 +504,7 @@ class _Engine:
 
     def emit(self, time: int, kind: str, actor: str, **details) -> None:
         if self.record:
-            self.events.append(SimEvent(time, kind, actor, details))
+            self.events.append(_event(time, kind, actor, details))
 
     def push(self, time: int, actor: str, rank: int, kind: str, payload: tuple) -> None:
         heapq.heappush(self.heap, (time, actor, rank, self.seq, kind, payload))
@@ -496,7 +526,9 @@ class _Engine:
         graph_id = inst.graph.id
         steps = self.plan.steps.get(graph_id)
         if steps is None:
-            steps = self.plan.steps[graph_id] = _step_table(inst.graph)
+            steps = self.plan.steps[graph_id] = _step_table(
+                inst.graph, self.model.connections
+            )
         inst.steps = steps
         if self.record:
             inst.details = self.plan.node_details.setdefault(
@@ -506,7 +538,7 @@ class _Engine:
         self.enter_node(inst, inst.graph.entry, time)
 
     def enter_node(self, inst: _Instance, node_id: str, time: int) -> None:
-        node, kind, ticks, _, in_degree = inst.steps[node_id]
+        node, kind, ticks, _, in_degree, _ = inst.steps[node_id]
         if kind == _S_JOIN:
             arrived = inst.join_arrivals.get(node_id, 0) + 1
             inst.join_arrivals[node_id] = arrived
@@ -518,7 +550,7 @@ class _Engine:
                 details = inst.details.get(node_id)
                 if details is None:
                     details = self.make_node_details(inst, node)
-                self.events.append(SimEvent(time, "activity-start", inst.owner, details))
+                self.events.append(_event(time, "activity-start", inst.owner, details))
             if self.pending:
                 self.on_nominal_start(inst, node_id, time)
         if kind == _S_RECEIVE:
@@ -541,7 +573,7 @@ class _Engine:
         self.seq += 1
 
     def complete_node(self, inst: _Instance, node_id: str, time: int) -> None:
-        node, kind, _, successors, _ = inst.steps[node_id]
+        node, kind, _, successors, _, link = inst.steps[node_id]
         if self.record:
             if kind == _S_TIMER:
                 self.emit(
@@ -556,9 +588,9 @@ class _Engine:
             details = inst.details.get(node_id)
             if details is None:
                 details = self.make_node_details(inst, node)
-            self.events.append(SimEvent(time, event, inst.owner, details))
+            self.events.append(_event(time, event, inst.owner, details))
         if kind == _S_SEND:
-            self.send_message(inst, node, time)
+            self.send_message(inst, node, link, time)
 
         if not successors:
             inst.live -= 1
@@ -600,8 +632,7 @@ class _Engine:
             )
         return default
 
-    def send_message(self, inst: _Instance, node, time: int) -> None:
-        conn = self.model.connections[node.channel]
+    def send_message(self, inst: _Instance, node, conn: Connection, time: int) -> None:
         receiver = conn.consumer if conn.provider == inst.owner else conn.provider
         if self.record:
             table = self.plan.sent_details
@@ -611,10 +642,10 @@ class _Engine:
                 details = table[key] = _Details(
                     {"channel": conn.id, "activity": node.id, "graph": inst.graph.id}
                 )
-            self.events.append(SimEvent(time, "message-sent", inst.owner, details))
+            self.events.append(_event(time, "message-sent", inst.owner, details))
         if not _draw(self.sampler, conn.reliability):
             if self.record:
-                self.events.append(SimEvent(time, "message-lost", inst.owner, details))
+                self.events.append(_event(time, "message-lost", inst.owner, details))
             return
         self.push(
             time + conn.latency,
@@ -631,7 +662,7 @@ class _Engine:
             details = table.get(key)
             if details is None:
                 details = table[key] = _Details({"channel": channel, "sender": sender})
-            self.events.append(SimEvent(time, "message-delivered", receiver, details))
+            self.events.append(_event(time, "message-delivered", receiver, details))
         receives = self.plan.receives
         for key in self.plan.owned.get(receiver, ()):
             inst = self.instances.get(key)

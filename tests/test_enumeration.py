@@ -232,13 +232,14 @@ def test_recording_forks_leave_their_snapshot_untouched(model, config):
 def test_enumeration_builds_no_trace_events(model, config, monkeypatch):
     expected = _result(replay_outcomes, model, config)
     made = []
-    real = simulator.SimEvent
+    real = simulator._event
 
     def counted(*args):
         made.append(args)
         return real(*args)
 
-    monkeypatch.setattr(simulator, "SimEvent", counted)
+    # Every engine event goes through the private constructor.
+    monkeypatch.setattr(simulator, "_event", counted)
     assert _result(enumerate_outcomes, model, config) == expected
     assert made == []
     if expected[0] == "ok":
