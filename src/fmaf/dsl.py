@@ -44,6 +44,7 @@ from .model import (
     ConnectionKind,
     ConstituentSystem,
     Count,
+    DanglingReferenceError,
     DetectionSpec,
     DetectionStyle,
     Edge,
@@ -51,7 +52,6 @@ from .model import (
     EnvironmentEntity,
     FailureObservation,
     FmafError,
-    GraphStructureError,
     MetricSpec,
     OnEntry,
     Probabilistic,
@@ -63,8 +63,7 @@ from .model import (
     ThreatKind,
     ThreatNode,
     Timeout,
-    build_model,
-    split_event_pattern,
+    _problems,
 )
 
 __all__ = [
@@ -504,6 +503,19 @@ _NODE_KINDS = {kind.value: kind for kind in ActivityKind}
 _MESSAGING = (ActivityKind.SEND, ActivityKind.RECEIVE)
 _THREATS = tuple(kind.value for kind in ThreatKind)
 
+# The record key of each model field that differs from it by name.
+_RECORD_KEYS = {
+    "nominal_process": "nominal", "connections_used": "uses", "threat": "chain",
+    "origin_constituent": "origin", "graphs": "graph", "success_exits": "success",
+    "abort_exits": "abort", "kind": "elapsed or count",
+}
+# The word diagnostics use for each reference category that differs from it.
+_CATEGORY_WORDS = {"threat chain": "chain", "activity graph": "process", "graph exit": "exit"}
+_QUALIFIER = (
+    "event pattern qualifier {!r} matches no declared element, threat, chain, connection "
+    "or activity"
+)
+
 
 # ---------------------------------------------------------------------------
 # Parser
@@ -520,6 +532,9 @@ class _Parser:
         self.recs: dict[str, list[dict]] = {kw: [] for kw in _BLOCKS}
         for kw in _THREATS:
             self.recs[kw] = self.recs["fault"]
+        # Id words of declarations the model leaves out: those missing a
+        # required field, and every declaration of an id after its first.
+        self.left_out: set[int] = set()
 
     # -- positions and diagnostics
 
@@ -677,6 +692,7 @@ class _Parser:
                 rec.setdefault(key, default)
             elif not rec.get(key):
                 self.error(ident, spec.missing.format(name, key))
+                self.left_out.add(ident)
         self.recs[kw].append(rec)
         return i
 
@@ -778,11 +794,14 @@ class _Parser:
     # -- semantic analysis and assembly
 
     def check_duplicates(self) -> None:
+        """Report each id declared again in its namespace; each declaration
+        after the first is left out, each activity after the first kept."""
         words = self.words
         recs = self.recs
 
-        def scan(refs, what: str) -> None:
+        def scan(refs, what: str) -> list[int]:
             first: dict[str, int] = {}
+            again = []
             for ref in refs:
                 text = words[ref]
                 if text in first:
@@ -791,184 +810,44 @@ class _Parser:
                         f"duplicate {what} id {text!r} "
                         f"(first declared at {self.span(first[text])})",
                     )
+                    again.append(ref)
                 else:
                     first[text] = ref
+            return again
 
-        scan([r["ident"] for kw in ("cs", "env") for r in recs[kw]], "element")
+        left_out = self.left_out
+        left_out.update(scan([r["ident"] for kw in ("cs", "env") for r in recs[kw]], "element"))
         for kw in ("connection", "fault", "chain", "process", "activation", "detection",
                    "recovery", "metric"):
-            scan([r["ident"] for r in recs[kw]], "threat node" if kw == "fault" else kw)
+            what = "threat node" if kw == "fault" else kw
+            left_out.update(scan([r["ident"] for r in recs[kw]], what))
         for proc in recs["process"]:
             scan(
                 [n[0] for n in proc["nodes"]],
                 f"activity (in process {words[proc['ident']]!r})",
             )
 
-    def check_references(self) -> None:
-        words = self.words
-        recs = self.recs
-
-        def by_id(kw: str) -> dict[str, dict]:
-            return {words[r["ident"]]: r for r in recs[kw]}
-
-        cs_ids = by_id("cs")
-        elements = cs_ids.keys() | by_id("env")
-        conn_ids = by_id("connection")
-        threat_by_id = by_id("fault")
-        chain_by_id = by_id("chain")
-        proc_by_id = by_id("process")
-        recovery_ids = by_id("recovery")
-        all_activities = {words[n[0]] for p in recs["process"] for n in p["nodes"]}
-
-        def need(ref: int | None, pool, what: str) -> None:
-            if ref is not None and words[ref] not in pool:
-                self.error(ref, f"unknown {what} {words[ref]!r}")
-
-        def owned(ref: int, cs: str, by: str) -> dict | None:
-            proc = proc_by_id.get(words[ref])
-            if proc is None:
-                self.error(ref, f"unknown process {words[ref]!r}")
-            elif words[proc["owner"]] != cs:
-                self.error(
-                    ref,
-                    f"process {words[ref]!r} is owned by {words[proc['owner']]!r}, not by {by}",
-                )
-            return proc
-
-        for r in recs["cs"]:
-            if "nominal" in r:
-                cs = words[r["ident"]]
-                owned(r["nominal"], cs, f"cs {cs!r}")
-        for r in recs["env"]:
-            for ref in r["uses"]:
-                need(ref, conn_ids, "connection")
-        for r in recs["connection"]:
-            need(r["provider"], elements, "element")
-            need(r["consumer"], elements, "element")
-            provider = words[r["provider"]]
-            if provider == words[r["consumer"]] and provider in elements:
-                self.error(
-                    r["consumer"],
-                    f"connection {words[r['ident']]!r} joins {provider!r} to itself",
-                )
-        for r in recs["chain"]:
-            for fname in _THREATS:
-                ref = r.get(fname)
-                if ref is None:
-                    continue
-                node = threat_by_id.get(words[ref])
-                if node is None:
-                    self.error(ref, f"unknown threat node {words[ref]!r}")
-                    continue
-                kind = words[node["ident"] - 1]  # the declaration keyword
-                if kind != fname:
-                    self.error(
-                        ref,
-                        f"threat node {words[ref]!r} has kind {kind}, but chain "
-                        f"{words[r['ident']]!r} uses it as its {fname}",
-                    )
-            need(r.get("origin"), elements, "element")
-            for ref in r["detectors"]:
-                need(ref, elements, "element")
-        for r in recs["process"]:
-            need(r["owner"], cs_ids, "constituent")
-            local = {words[n[0]] for n in r["nodes"]}
-            where = f"activity in process {words[r['ident']]!r}"
-
-            def local_ref(ref: int) -> None:
-                if words[ref] not in local:
-                    self.error(ref, f"unknown {where}: {words[ref]!r}")
-
-            if "entry" in r:
-                local_ref(r["entry"])
-            for ref in r.get("exits", ()):
-                local_ref(ref)
-            for n in r["nodes"]:
-                need(n[4], conn_ids, "connection")
-            for src, dst, _ in r["edges"]:
-                local_ref(src)
-                local_ref(dst)
-        for r in recs["activation"]:
-            need(r.get("chain"), chain_by_id, "chain")
-            need(r.get("origin"), elements, "element")
-            for ref in r.get("region", ()):
-                need(ref, all_activities, "activity")
-            trigger = r.get("trigger")
-            if type(trigger) is int:  # on_entry: the activity's word
-                need(trigger, all_activities, "activity")
-        for r in recs["detection"]:
-            chain, detector = r.get("chain"), r.get("detector")
-            need(chain, chain_by_id, "chain")
-            need(detector, elements, "element")
-            condition = r.get("condition")
-            if type(condition) is tuple:  # timeout: (bound, watched element)
-                need(condition[1], elements, "element")
-            need(r.get("recovery"), recovery_ids, "recovery")
-            if (
-                detector is not None
-                and chain is not None
-                and words[chain] in chain_by_id
-                and words[detector] in elements
-            ):
-                listed = {words[ref] for ref in chain_by_id[words[chain]]["detectors"]}
-                if words[detector] not in listed:
-                    self.error(
-                        detector,
-                        f"detector {words[detector]!r} is not listed by "
-                        f"chain {words[chain]!r}",
-                    )
-        for r in recs["recovery"]:
-            name = words[r["ident"]]
-            exit_owner: dict[str, str] = {}
-            given: set[str] = set()
-            for cs_ref, graph_ref in r.get("graph", ()):
-                cs = words[cs_ref]
-                need(cs_ref, cs_ids, "constituent")
-                if cs in given:
-                    self.error(
-                        cs_ref, f"recovery {name!r} gives constituent {cs!r} more than one graph"
-                    )
-                given.add(cs)
-                proc = owned(graph_ref, cs, repr(cs))
-                if proc is None:
-                    continue
-                graph = words[graph_ref]
-                for ref in proc.get("exits", ()):
-                    if exit_owner.setdefault(words[ref], graph) != graph:
-                        self.error(
-                            graph_ref,
-                            f"recovery {name!r}: exit id {words[ref]!r} "
-                            f"appears in more than one of its graphs",
-                        )
-            for ref in [*r["success"], *r["abort"]]:
-                if words[ref] not in exit_owner:
-                    self.error(
-                        ref,
-                        f"unknown exit {words[ref]!r} (not an exit of any graph of "
-                        f"recovery {name!r})",
-                    )
-
-        qualifier_pool = (
-            threat_by_id.keys() | elements | conn_ids.keys() | chain_by_id.keys() | all_activities
-        )
-        for r in recs["metric"]:
-            measure = r.get("elapsed or count")
-            for ref in measure if type(measure) is tuple else (measure,):
-                if ref is None:
-                    continue
-                try:
-                    _kind, qualifier = split_event_pattern(_unquote(words[ref]))
-                except FmafError as e:
-                    self.error(ref, str(e))
-                    continue
-                if qualifier is not None and qualifier not in qualifier_pool:
-                    self.error(
-                        ref,
-                        f"event pattern qualifier {qualifier!r} matches no "
-                        f"declared element, threat, chain, connection or activity",
-                    )
+    def word_of(self, rec: dict, field: str | None, ref: str | None) -> int:
+        """The word of record ``rec`` that gives ``ref`` in the model field
+        ``field``, or else the record's id."""
+        value = rec.get(_RECORD_KEYS.get(field, field))
+        if field == "nodes":
+            value = [n[4] for n in value]  # the channels
+        elif field == "condition":
+            value = value[1]  # a timeout's watched element
+        for i in _indices(value):
+            w = self.words[i]
+            if (_unquote(w) if w[:1] == '"' else w) == ref:
+                return i
+        return rec["ident"]
 
     def assemble(self) -> ParseResult:
+        """The model of the declarations, or every diagnostic against them.
+
+        A declaration left out or not built has a diagnostic of its own, so
+        references to what it declares get none.  A maker returns None
+        after reporting what a model cannot hold.
+        """
         words = self.words
 
         def ids(refs) -> frozenset[str]:
@@ -978,7 +857,7 @@ class _Parser:
             return ConstituentSystem(
                 id=words[r["ident"]],
                 name=r["name"],
-                nominal_process=words[r["nominal"]] if "nominal" in r else "",
+                nominal_process=words[r["nominal"]],
                 provided_interfaces=ids(r["provides"]),
                 required_interfaces=ids(r["requires"]),
             )
@@ -1009,8 +888,6 @@ class _Parser:
             )
 
         def chain(r):
-            if any(f not in r for f in ("fault", "error", "failure", "origin")):
-                return None  # already reported
             return ThreatChain(
                 id=words[r["ident"]],
                 fault=words[r["fault"]],
@@ -1023,8 +900,6 @@ class _Parser:
             )
 
         def process(r):
-            if "entry" not in r or not r.get("exits"):
-                return None  # already reported
             return ActivityGraph(
                 id=words[r["ident"]],
                 owner=words[r["owner"]],
@@ -1040,25 +915,19 @@ class _Parser:
             )
 
         def activation(r):
-            trigger = r.get("trigger")
-            if type(trigger) is int:
-                trigger = OnEntry(words[trigger])
-            if "chain" not in r or "origin" not in r or trigger is None:
-                return None  # already reported
+            trigger = r["trigger"]
             return ActivationSpec(
                 id=words[r["ident"]],
                 threat=words[r["chain"]],
                 origin_constituent=words[r["origin"]],
-                region=ids(r.get("region", ())),
-                trigger=trigger,
+                region=ids(r["region"]),
+                trigger=OnEntry(words[trigger]) if type(trigger) is int else trigger,
             )
 
         def detection(r):
-            condition = r.get("condition")
+            condition = r["condition"]
             if type(condition) is tuple:
                 condition = Timeout(condition[0], words[condition[1]])
-            if condition is None or any(f not in r for f in ("chain", "detector", "recovery")):
-                return None  # already reported
             return DetectionSpec(
                 id=words[r["ident"]],
                 threat=words[r["chain"]],
@@ -1069,20 +938,28 @@ class _Parser:
             )
 
         def recovery(r):
-            if "graph" not in r:
-                return None  # already reported
+            # A model maps each constituent to one graph, so only the parser
+            # can see a second one.
+            ident = words[r["ident"]]
+            graphs: dict[str, str] = {}
+            for c, g in r["graph"]:
+                if words[c] in graphs:
+                    self.error(
+                        c, f"recovery {ident!r} gives constituent {words[c]!r} more than one graph"
+                    )
+                graphs[words[c]] = words[g]
+            if len(graphs) < len(r["graph"]):
+                return None
             return RecoverySpec(
-                id=words[r["ident"]],
+                id=ident,
                 name=r["name"],
-                graphs={words[c]: words[g] for c, g in r["graph"]},
+                graphs=graphs,
                 success_exits=ids(r["success"]),
                 abort_exits=ids(r["abort"]),
             )
 
         def metric(r):
-            measure = r.get("elapsed or count")
-            if measure is None:
-                return None  # already reported
+            measure = r["elapsed or count"]
             if type(measure) is tuple:
                 kind = ElapsedBetween(_unquote(words[measure[0]]), _unquote(words[measure[1]]))
             else:
@@ -1090,45 +967,71 @@ class _Parser:
             return MetricSpec(id=words[r["ident"]], kind=kind, name=r["name"], target=r["target"])
 
         parts = {}
-        for kw, make in (
-            ("cs", cs), ("env", env), ("connection", connection), ("fault", threat),
-            ("chain", chain), ("process", process), ("activation", activation),
-            ("detection", detection), ("recovery", recovery), ("metric", metric),
+        records = {}  # (collection, id) -> the record of what was built
+        # (category, id) of each reference target declared but not built:
+        # references to it are not reported again.
+        unbuilt: set[tuple[str, str]] = set()
+        # Each block: the model collection it fills, its maker, and the
+        # reference categories under which its declarations are named.
+        for kw, collection, make, targets in (
+            ("cs", "constituents", cs, ("element", "constituent", "event label")),
+            ("env", "environment", env, ("element", "event label")),
+            ("connection", "connections", connection, ("connection", "event label")),
+            ("fault", "threat_nodes", threat, ("threat node", "event label")),
+            ("chain", "chains", chain, ("threat chain", "event label")),
+            ("process", "processes", process, ("activity graph",)),
+            ("activation", "activations", activation, ()),
+            ("detection", "detections", detection, ()),
+            ("recovery", "recoveries", recovery, ("recovery",)),
+            ("metric", "metrics", metric, ()),
         ):
-            made = parts[kw] = []
+            made = {}
             for r in self.recs[kw]:
-                try:
-                    value = make(r)
-                except FmafError as e:
-                    self.error(r["ident"], str(e))
-                    continue
+                value = None
+                if r["ident"] not in self.left_out:
+                    try:
+                        value = make(r)
+                    except FmafError as e:
+                        self.error(r["ident"], str(e))
                 if value is not None:
-                    made.append(value)
+                    made[value.id] = value
+                    records[collection, value.id] = r
+                    continue
+                unbuilt.update((category, words[r["ident"]]) for category in targets)
+                if kw == "process":
+                    names = [words[n[0]] for n in r["nodes"]]
+                    unbuilt.update((c, a) for a in names for c in ("activity", "event label"))
+            parts[collection] = {ident: made[ident] for ident in sorted(made)}
 
+        model = SosModel(words[1], **parts)
+        for error, collection, ident, field, ref in _problems(model):
+            message = str(error)
+            if isinstance(error, DanglingReferenceError):
+                category = error.category
+                # The activities a graph names are its own, always built.
+                local = collection == "processes" and category == "activity"
+                if not local and (category, error.ref) in unbuilt:
+                    continue
+                if category == "event label":
+                    message = _QUALIFIER.format(error.ref)
+                else:
+                    message = f"unknown {_CATEGORY_WORDS.get(category, category)} {error.ref!r}"
+            self.error(self.word_of(records[collection, ident], field, ref), message)
         if self.diags:
-            return ParseResult(None, tuple(self.diags))
-        try:
-            model = build_model(
-                name=words[1],
-                constituents=parts["cs"],
-                environment=parts["env"],
-                connections=parts["connection"],
-                threat_nodes=parts["fault"],
-                chains=parts["chain"],
-                processes=parts["process"],
-                activations=parts["activation"],
-                detections=parts["detection"],
-                recoveries=parts["recovery"],
-                metrics=parts["metric"],
-            )
-        except FmafError as e:
-            at = 1  # the model name, or the process a graph error names
-            if isinstance(e, GraphStructureError):
-                procs = {words[r["ident"]]: r["ident"] for r in self.recs["process"]}
-                at = procs.get(e.graph_id, at)
-            self.error(at, str(e))
-            return ParseResult(None, tuple(self.diags))
-        return ParseResult(model, tuple(self.diags))
+            # The resolver meets problems in model order: list them in source
+            # order, each once.
+            diags = sorted(dict.fromkeys(self.diags), key=lambda d: (d.span.line, d.span.col))
+            return ParseResult(None, tuple(diags))
+        return ParseResult(model, ())
+
+
+def _indices(value) -> list[int]:
+    """The word indices in a record value: an index, or lists and tuples of them."""
+    if type(value) is int:
+        return [value]
+    if type(value) in (list, tuple):
+        return [i for v in value for i in _indices(v)]
+    return []
 
 
 def parse(text: str) -> ParseResult:
@@ -1136,7 +1039,8 @@ def parse(text: str) -> ParseResult:
 
     Returns a :class:`ParseResult`; syntax errors abort at the first
     offence, semantic problems (duplicate ids, unresolved references,
-    malformed graphs) are collected together with their source positions.
+    malformed graphs) are collected together with their source positions,
+    in source order.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -1153,7 +1057,6 @@ def parse(text: str) -> ParseResult:
         parser.diags.append(a.diagnostic)
         return ParseResult(None, tuple(parser.diags))
     parser.check_duplicates()
-    parser.check_references()
     return parser.assemble()
 
 
@@ -1188,184 +1091,133 @@ def _idlist_text(ids) -> str:
     return "[" + ", ".join(ids) + "]"
 
 
-class _Writer:
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-        self.depth = 0
-
-    def put(self, text: str) -> None:
-        self.lines.append("  " * self.depth + text)
-
-    def block(self, header: str, body) -> None:
-        """Emit ``header { body }``, collapsing an empty body to one line."""
-        opened = len(self.lines)
-        self.put(header + " {")
-        self.depth += 1
-        body()
-        self.depth -= 1
-        if len(self.lines) == opened + 1:
-            self.lines[opened] = self.lines[opened][:-1].rstrip() + " { }"
-        else:
-            self.put("}")
+def _named(header: str, name: str) -> str:
+    return f"{header} {_quote(name)}" if name else header
 
 
 def serialize(model: SosModel) -> str:
     """Canonical text for a model; ``parse`` reads it back to an equal value."""
-    w = _Writer()
+    lines = [f"sos {model.name} {{"]
 
-    def body() -> None:
-        for cs in model.constituents.values():
-            header = f"cs {cs.id}"
-            if cs.name:
-                header += f" {_quote(cs.name)}"
+    def put(header: str, fields: list[str]) -> None:
+        """A declaration, with its fields in braces if it has any."""
+        if fields:
+            lines.append(f"  {header} {{")
+            lines.extend(f"    {f}" for f in fields)
+            lines.append("  }")
+        else:
+            lines.append(f"  {header}")
 
-            def cs_body(cs=cs) -> None:
-                w.put(f"nominal {cs.nominal_process}")
-                if cs.provided_interfaces:
-                    w.put(f"provides {_idlist_text(sorted(cs.provided_interfaces))}")
-                if cs.required_interfaces:
-                    w.put(f"requires {_idlist_text(sorted(cs.required_interfaces))}")
+    for cs in model.constituents.values():
+        fields = [f"nominal {cs.nominal_process}"]
+        if cs.provided_interfaces:
+            fields.append(f"provides {_idlist_text(sorted(cs.provided_interfaces))}")
+        if cs.required_interfaces:
+            fields.append(f"requires {_idlist_text(sorted(cs.required_interfaces))}")
+        put(_named(f"cs {cs.id}", cs.name), fields)
+    for env in model.environment.values():
+        fields = []
+        if env.connections_used:
+            fields.append(f"uses {_idlist_text(sorted(env.connections_used))}")
+        put(_named(f"env {env.id}", env.name), fields)
+    for conn in model.connections.values():
+        fields = []
+        if conn.interface_id != conn.id:
+            fields.append(f"interface {conn.interface_id}")
+        if conn.kind is not ConnectionKind.NOMINAL:
+            fields.append("kind recovery_only")
+        if conn.latency != 1:
+            fields.append(f"latency {conn.latency}t")
+        if conn.reliability != 1.0:
+            fields.append(f"reliability {_num(conn.reliability)}")
+        put(f"connection {conn.id}: {conn.provider} <-> {conn.consumer}", fields)
+    for want in (ThreatKind.FAULT, ThreatKind.ERROR, ThreatKind.FAILURE):
+        for node in model.threat_nodes.values():
+            if node.kind is not want:
+                continue
+            line = f"{node.kind.value} {node.id} {_quote(node.description)}"
+            if node.category:
+                line += f" category {node.category}"
+            put(line, [])
+    for chain in model.chains.values():
+        fields = [
+            f"fault {chain.fault}",
+            f"error {chain.error}",
+            f"failure {chain.failure}",
+            f"origin {chain.origin}",
+        ]
+        if chain.detectors:
+            fields.append(f"detectors {_idlist_text(chain.detectors)}")
+        if chain.failure_observation is not FailureObservation.SOS_BOUNDARY:
+            fields.append("observed internal")
+        if chain.unrecoverable:
+            fields.append("unrecoverable")
+        put(f"chain {chain.id}", fields)
+    for proc in model.processes.values():
+        fields = [f"entry {proc.entry}", f"exits {_idlist_text(sorted(proc.exits))}"]
+        for node in proc.nodes.values():
+            line = _named(f"{node.kind.value} {node.id}", node.name)
+            if node.kind in _MESSAGING:
+                line += f" on {node.channel}"
+                if node.duration:
+                    line += f" {node.duration}t"
+            elif node.kind is ActivityKind.TIMER:
+                line += f" {node.timer_bound}t"
+            elif node.kind is ActivityKind.ACTION and node.duration:
+                line += f" {node.duration}t"
+            fields.append(line)
+        for edge in proc.edges:
+            line = f"edge {edge.src} -> {edge.dst}"
+            if edge.guard is not None:
+                line += f" when {_quote(edge.guard)}"
+            fields.append(line)
+        put(f"process {proc.id} owner {proc.owner}", fields)
+    for act in model.activations.values():
+        trig = act.trigger
+        if isinstance(trig, AtTime):
+            trigger = f"at_time {trig.time}t"
+        elif isinstance(trig, OnEntry):
+            trigger = f"on_entry {trig.activity}"
+        else:
+            trigger = f"probabilistic {_num(trig.probability)}"
+        fields = [
+            f"chain {act.threat}",
+            f"origin {act.origin_constituent}",
+            f"region {_idlist_text(sorted(act.region))}",
+            f"trigger {trigger}",
+        ]
+        put(f"activation {act.id}", fields)
+    for det in model.detections.values():
+        cond = det.condition
+        if isinstance(cond, SelfReport):
+            condition = f"self_report {cond.delay}t"
+        elif isinstance(cond, Timeout):
+            condition = f"timeout {cond.bound}t watching {cond.watched}"
+        else:
+            condition = f"third_party {_num(cond.probability)} {cond.delay}t"
+        fields = [f"chain {det.threat}", f"detector {det.detector}", f"condition {condition}"]
+        if det.style is not DetectionStyle.SEPARATE_REGION:
+            fields.append("style shared")
+        fields.append(f"recovery {det.recovery}")
+        put(f"detection {det.id}", fields)
+    for recv in model.recoveries.values():
+        fields = [f"graph {cs_id} {graph_id}" for cs_id, graph_id in recv.graphs.items()]
+        if recv.success_exits:
+            fields.append(f"success {_idlist_text(sorted(recv.success_exits))}")
+        if recv.abort_exits:
+            fields.append(f"abort {_idlist_text(sorted(recv.abort_exits))}")
+        put(_named(f"recovery {recv.id}", recv.name), fields)
+    for metric in model.metrics.values():
+        kind = metric.kind
+        if isinstance(kind, ElapsedBetween):
+            fields = [f"elapsed {_quote(kind.a)} -> {_quote(kind.b)}"]
+        else:
+            fields = [f"count {_quote(kind.pattern)}"]
+        if metric.target is not None:
+            fields.append(f"target {metric.target}t")
+        put(_named(f"metric {metric.id}", metric.name), fields)
 
-            w.block(header, cs_body)
-        for env in model.environment.values():
-            header = f"env {env.id}"
-            if env.name:
-                header += f" {_quote(env.name)}"
-            if env.connections_used:
-                w.block(
-                    header,
-                    lambda env=env: w.put(
-                        f"uses {_idlist_text(sorted(env.connections_used))}"
-                    ),
-                )
-            else:
-                w.put(header)
-        for conn in model.connections.values():
-            header = f"connection {conn.id}: {conn.provider} <-> {conn.consumer}"
-            fields: list[str] = []
-            if conn.interface_id != conn.id:
-                fields.append(f"interface {conn.interface_id}")
-            if conn.kind is not ConnectionKind.NOMINAL:
-                fields.append("kind recovery_only")
-            if conn.latency != 1:
-                fields.append(f"latency {conn.latency}t")
-            if conn.reliability != 1.0:
-                fields.append(f"reliability {_num(conn.reliability)}")
-            if fields:
-                w.block(header, lambda fields=fields: [w.put(f) for f in fields])
-            else:
-                w.put(header)
-        for want in (ThreatKind.FAULT, ThreatKind.ERROR, ThreatKind.FAILURE):
-            for node in model.threat_nodes.values():
-                if node.kind is not want:
-                    continue
-                line = f"{node.kind.value} {node.id} {_quote(node.description)}"
-                if node.category:
-                    line += f" category {node.category}"
-                w.put(line)
-        for chain in model.chains.values():
-
-            def chain_body(chain=chain) -> None:
-                w.put(f"fault {chain.fault}")
-                w.put(f"error {chain.error}")
-                w.put(f"failure {chain.failure}")
-                w.put(f"origin {chain.origin}")
-                if chain.detectors:
-                    w.put(f"detectors {_idlist_text(chain.detectors)}")
-                if chain.failure_observation is not FailureObservation.SOS_BOUNDARY:
-                    w.put("observed internal")
-                if chain.unrecoverable:
-                    w.put("unrecoverable")
-
-            w.block(f"chain {chain.id}", chain_body)
-        for proc in model.processes.values():
-
-            def proc_body(proc=proc) -> None:
-                w.put(f"entry {proc.entry}")
-                w.put(f"exits {_idlist_text(sorted(proc.exits))}")
-                for node in proc.nodes.values():
-                    line = f"{node.kind.value} {node.id}"
-                    if node.name:
-                        line += f" {_quote(node.name)}"
-                    if node.kind in (ActivityKind.SEND, ActivityKind.RECEIVE):
-                        line += f" on {node.channel}"
-                        if node.duration:
-                            line += f" {node.duration}t"
-                    elif node.kind is ActivityKind.TIMER:
-                        line += f" {node.timer_bound}t"
-                    elif node.kind is ActivityKind.ACTION and node.duration:
-                        line += f" {node.duration}t"
-                    w.put(line)
-                for edge in proc.edges:
-                    line = f"edge {edge.src} -> {edge.dst}"
-                    if edge.guard is not None:
-                        line += f" when {_quote(edge.guard)}"
-                    w.put(line)
-
-            w.block(f"process {proc.id} owner {proc.owner}", proc_body)
-        for act in model.activations.values():
-
-            def act_body(act=act) -> None:
-                w.put(f"chain {act.threat}")
-                w.put(f"origin {act.origin_constituent}")
-                w.put(f"region {_idlist_text(sorted(act.region))}")
-                trig = act.trigger
-                if isinstance(trig, AtTime):
-                    w.put(f"trigger at_time {trig.time}t")
-                elif isinstance(trig, OnEntry):
-                    w.put(f"trigger on_entry {trig.activity}")
-                else:
-                    w.put(f"trigger probabilistic {_num(trig.probability)}")
-
-            w.block(f"activation {act.id}", act_body)
-        for det in model.detections.values():
-
-            def det_body(det=det) -> None:
-                w.put(f"chain {det.threat}")
-                w.put(f"detector {det.detector}")
-                cond = det.condition
-                if isinstance(cond, SelfReport):
-                    w.put(f"condition self_report {cond.delay}t")
-                elif isinstance(cond, Timeout):
-                    w.put(f"condition timeout {cond.bound}t watching {cond.watched}")
-                else:
-                    w.put(
-                        f"condition third_party {_num(cond.probability)} {cond.delay}t"
-                    )
-                if det.style is not DetectionStyle.SEPARATE_REGION:
-                    w.put("style shared")
-                w.put(f"recovery {det.recovery}")
-
-            w.block(f"detection {det.id}", det_body)
-        for recv in model.recoveries.values():
-            header = f"recovery {recv.id}"
-            if recv.name:
-                header += f" {_quote(recv.name)}"
-
-            def recv_body(recv=recv) -> None:
-                for cs_id, graph_id in recv.graphs.items():
-                    w.put(f"graph {cs_id} {graph_id}")
-                if recv.success_exits:
-                    w.put(f"success {_idlist_text(sorted(recv.success_exits))}")
-                if recv.abort_exits:
-                    w.put(f"abort {_idlist_text(sorted(recv.abort_exits))}")
-
-            w.block(header, recv_body)
-        for metric in model.metrics.values():
-            header = f"metric {metric.id}"
-            if metric.name:
-                header += f" {_quote(metric.name)}"
-
-            def metric_body(metric=metric) -> None:
-                kind = metric.kind
-                if isinstance(kind, ElapsedBetween):
-                    w.put(f"elapsed {_quote(kind.a)} -> {_quote(kind.b)}")
-                else:
-                    w.put(f"count {_quote(kind.pattern)}")
-                if metric.target is not None:
-                    w.put(f"target {metric.target}t")
-
-            w.block(header, metric_body)
-
-    w.block(f"sos {model.name}", body)
-    return "\n".join(w.lines) + "\n"
+    if len(lines) == 1:
+        return f"sos {model.name} {{ }}\n"
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 
 class FmafError(Exception):
@@ -255,10 +255,6 @@ class Activity:
         elif self.timer_bound is not None:
             raise FmafError(f"activity {self.id!r}: timer_bound on non-timer activity")
 
-    @property
-    def display_name(self) -> str:
-        return self.name or self.id
-
     def effective_duration(self) -> int:
         if self.kind is ActivityKind.TIMER:
             return self.timer_bound or 0
@@ -281,11 +277,12 @@ class ActivityGraph:
     Activity ids are scoped to their graph; the graph is the namespace.
     Nodes are kept sorted by id, edges by (src, dst, guard) with a default
     edge before any guarded one, and ``exits`` as a frozenset.
-    :func:`build_model` reports the first structural rule broken, checked
-    in this order:
+    :func:`build_model` reports the first structural rule broken, and
+    :func:`fmaf.dsl.parse` the first each graph breaks, checked in this order:
 
     * there is a node, each keyed by its own id; edge ends, the entry and
-      the exits are nodes; exits are exactly the nodes without out-edges;
+      the exits (in id order) are nodes; exits are exactly the nodes without
+      out-edges;
     * the entry reaches every node, then every node reaches some exit;
     * node by node, in id order: forks have at least two unguarded
       out-edges; a decision has out-edges with mutually exclusive guard
@@ -649,7 +646,7 @@ def _validate_graph(graph: ActivityGraph) -> None:
     index, succ, pred = _numbered(graph)
     if graph.entry not in index:
         raise DanglingReferenceError("activity", graph.entry, f"entry of graph {gid!r}")
-    for ex in graph.exits:
+    for ex in sorted(graph.exits):
         if ex not in index:
             raise DanglingReferenceError("activity", ex, f"exit of graph {gid!r}")
 
@@ -747,16 +744,6 @@ def split_event_pattern(pattern: str) -> tuple[str, str | None]:
     return kind, (qualifier or None)
 
 
-def _validate_metric_pattern(vocabulary: set[str], metric_id: str, pattern: str) -> None:
-    kind, qualifier = split_event_pattern(pattern)
-    if qualifier is None:
-        return
-    if qualifier not in vocabulary:
-        raise DanglingReferenceError(
-            "event label", qualifier, f"metric {metric_id!r} pattern {pattern!r}"
-        )
-
-
 def build_model(
     name: str = "Empty",
     constituents: Sequence[ConstituentSystem] = (),
@@ -793,139 +780,188 @@ def build_model(
         recoveries=_by_id("recovery", recoveries),
         metrics=_by_id("metric", metrics),
     )
-    element_ids = model.constituents.keys() | model.environment.keys()
     overlap = model.constituents.keys() & model.environment.keys()
     if overlap:
         raise DuplicateIdError("element", sorted(overlap)[0], "constituent vs environment")
+    for problem in _problems(model):
+        raise problem[0]
+    return model
 
+
+# The field of an activity graph that each dangling-activity context of
+# _validate_graph names, keyed by the context's first word.
+_GRAPH_FIELDS = {"edge": "edges", "entry": "entry", "exit": "exits"}
+
+# A reference problem and where it is: the error, the model collection,
+# the id of the object in it, the field and the id or pattern given there.
+_Problem = tuple[FmafError, str, str, str | None, str | None]
+
+
+def _problems(model: SosModel) -> Iterator[_Problem]:
+    """Every unresolved reference and malformed graph of ``model``.
+
+    Problems come in the order :func:`build_model` meets them; it raises the
+    first.  A graph's own structure has no field.  What would only follow
+    from an unknown element (a channel or an owner checked against it) is
+    not a problem of its own.  Only toolkit errors are caught, so a graph
+    too deep to check still raises.
+    """
+    elements = model.constituents.keys() | model.environment.keys()
+
+    def resolver(collection: str, ident: str, context: str):
+        """A check of the references of object ``ident`` of ``collection``;
+        a message names the object by ``context``, then the check's ``detail``."""
+
+        def need(pool, category: str, ref: str, field: str, detail: str = ""):
+            if ref not in pool:
+                error = DanglingReferenceError(category, ref, context + detail)
+                yield error, collection, ident, field, ref
+
+        return need
+
+    unlinked = set()  # connections with an unknown end: no owner is checked against them
     for conn in model.connections.values():
-        for end in (conn.provider, conn.consumer):
-            if end not in element_ids:
-                raise DanglingReferenceError("element", end, f"connection {conn.id!r}")
+        need = resolver("connections", conn.id, f"connection {conn.id!r}")
+        yield from need(elements, "element", conn.provider, "provider")
+        yield from need(elements, "element", conn.consumer, "consumer")
+        if not elements.issuperset((conn.provider, conn.consumer)):
+            unlinked.add(conn.id)
+    for env in model.environment.values():
+        need = resolver("environment", env.id, f"environment entity {env.id!r}")
+        for ref in sorted(env.connections_used):
+            yield from need(model.connections, "connection", ref, "connections_used")
 
-    all_activity_ids: set[str] = set()
+    activity_ids: set[str] = set()
     for graph in model.processes.values():
-        _validate_graph(graph)
-        all_activity_ids |= set(graph.nodes)
-        if graph.owner not in model.constituents:
-            raise DanglingReferenceError("constituent", graph.owner, f"graph {graph.id!r}")
+        gid = graph.id
+        need = resolver("processes", gid, f"graph {gid!r}")
+        try:
+            _validate_graph(graph)
+        except DanglingReferenceError as e:
+            yield e, "processes", gid, _GRAPH_FIELDS[e.context.partition(" ")[0]], e.ref
+        except FmafError as e:
+            yield e, "processes", gid, None, None
+        activity_ids.update(graph.nodes)
+        owner = graph.owner
+        if owner not in model.constituents:
+            yield from need(model.constituents, "constituent", owner, "owner")
+            owner = None  # so no channel is checked against it
         for activity in graph.nodes.values():
-            if activity.channel is None:
+            channel = activity.channel
+            if channel is None:
                 continue
-            conn = model.connections.get(activity.channel)
+            conn = model.connections.get(channel)
             if conn is None:
-                raise DanglingReferenceError(
-                    "connection", activity.channel, f"activity {activity.id!r} in {graph.id!r}"
-                )
-            if graph.owner not in conn.endpoints():
-                raise GraphStructureError(
-                    graph.id,
-                    f"activity {activity.id!r} uses channel {conn.id!r} "
-                    f"whose endpoints exclude owner {graph.owner!r}",
-                )
+                context = f"activity {activity.id!r} in {gid!r}"
+                error = DanglingReferenceError("connection", channel, context)
+                yield error, "processes", gid, "nodes", channel
+            elif owner and channel not in unlinked and owner not in conn.endpoints():
+                detail = (f"activity {activity.id!r} uses channel {conn.id!r} "
+                          f"whose endpoints exclude owner {owner!r}")
+                yield GraphStructureError(gid, detail), "processes", gid, None, None
 
     for cs in model.constituents.values():
-        graph = model.processes.get(cs.nominal_process)
+        ref = cs.nominal_process
+        graph = model.processes.get(ref)
         if graph is None:
-            raise DanglingReferenceError(
-                "activity graph", cs.nominal_process, f"constituent {cs.id!r}"
+            need = resolver("constituents", cs.id, f"constituent {cs.id!r}")
+            yield from need(model.processes, "activity graph", ref, "nominal_process")
+        elif graph.owner != cs.id and graph.owner in model.constituents:
+            error = GraphStructureError(
+                ref, f"nominal process of {cs.id!r} is owned by {graph.owner!r}"
             )
-        if graph.owner != cs.id:
-            raise GraphStructureError(
-                graph.id, f"nominal process of {cs.id!r} is owned by {graph.owner!r}"
-            )
+            yield error, "constituents", cs.id, "nominal_process", ref
 
     for chain in model.chains.values():
-        for role, ref, want in (
-            ("fault", chain.fault, ThreatKind.FAULT),
-            ("error", chain.error, ThreatKind.ERROR),
-            ("failure", chain.failure, ThreatKind.FAILURE),
+        cid = chain.id
+        need = resolver("chains", cid, f"chain {cid!r}")
+        for role, want in (
+            ("fault", ThreatKind.FAULT),
+            ("error", ThreatKind.ERROR),
+            ("failure", ThreatKind.FAILURE),
         ):
+            ref = getattr(chain, role)
             node = model.threat_nodes.get(ref)
             if node is None:
-                raise DanglingReferenceError("threat node", ref, f"chain {chain.id!r}")
-            if node.kind is not want:
-                raise KindMismatchError(
-                    f"chain {chain.id!r}: {role} slot references {node.kind.value} node {ref!r}"
+                yield from need(model.threat_nodes, "threat node", ref, role)
+            elif node.kind is not want:
+                error = KindMismatchError(
+                    f"threat node {ref!r} has kind {node.kind.value}, "
+                    f"but chain {cid!r} uses it as its {role}"
                 )
-        if chain.origin not in element_ids:
-            raise DanglingReferenceError("element", chain.origin, f"chain {chain.id!r}")
+                yield error, "chains", cid, role, ref
+        yield from need(elements, "element", chain.origin, "origin")
         for det in chain.detectors:
-            if det not in element_ids:
-                raise DanglingReferenceError("element", det, f"chain {chain.id!r} detectors")
+            yield from need(elements, "element", det, "detectors", " detectors")
 
     for spec in model.activations.values():
-        if spec.threat not in model.chains:
-            raise DanglingReferenceError("threat chain", spec.threat, f"activation {spec.id!r}")
-        if spec.origin_constituent not in element_ids:
-            raise DanglingReferenceError(
-                "element", spec.origin_constituent, f"activation {spec.id!r}"
-            )
-        for act_id in spec.region:
-            if act_id not in all_activity_ids:
-                raise DanglingReferenceError(
-                    "activity", act_id, f"activation {spec.id!r} region"
-                )
-        if isinstance(spec.trigger, OnEntry) and spec.trigger.activity not in all_activity_ids:
-            raise DanglingReferenceError(
-                "activity", spec.trigger.activity, f"activation {spec.id!r} trigger"
-            )
+        need = resolver("activations", spec.id, f"activation {spec.id!r}")
+        yield from need(model.chains, "threat chain", spec.threat, "threat")
+        yield from need(elements, "element", spec.origin_constituent, "origin_constituent")
+        for ref in sorted(spec.region):
+            yield from need(activity_ids, "activity", ref, "region", " region")
+        if isinstance(spec.trigger, OnEntry):
+            yield from need(activity_ids, "activity", spec.trigger.activity, "trigger", " trigger")
 
     for det in model.detections.values():
+        need = resolver("detections", det.id, f"detection {det.id!r}")
         chain = model.chains.get(det.threat)
-        if chain is None:
-            raise DanglingReferenceError("threat chain", det.threat, f"detection {det.id!r}")
-        if det.detector not in element_ids:
-            raise DanglingReferenceError("element", det.detector, f"detection {det.id!r}")
-        if det.detector not in chain.detectors:
-            raise FmafError(
-                f"detection {det.id!r}: detector {det.detector!r} not in "
-                f"chain {chain.id!r} detectors"
-            )
-        if isinstance(det.condition, Timeout) and det.condition.watched not in element_ids:
-            raise DanglingReferenceError(
-                "element", det.condition.watched, f"detection {det.id!r} watch target"
-            )
-        if det.recovery not in model.recoveries:
-            raise DanglingReferenceError("recovery", det.recovery, f"detection {det.id!r}")
+        yield from need(model.chains, "threat chain", det.threat, "threat")
+        if det.detector not in elements:
+            yield from need(elements, "element", det.detector, "detector")
+        elif chain is not None and det.detector not in chain.detectors:
+            error = FmafError(f"detector {det.detector!r} is not listed by chain {chain.id!r}")
+            yield error, "detections", det.id, "detector", det.detector
+        if isinstance(det.condition, Timeout):
+            ref = det.condition.watched
+            yield from need(elements, "element", ref, "condition", " watch target")
+        yield from need(model.recoveries, "recovery", det.recovery, "recovery")
 
     for rec in model.recoveries.values():
-        exit_pool: set[str] = set()
+        rid = rec.id
+        need = resolver("recoveries", rid, f"recovery {rid!r}")
+        exit_pool: set[str] | None = set()  # None once a graph is missing
         for cs_id, graph_id in rec.graphs.items():
-            if cs_id not in model.constituents:
-                raise DanglingReferenceError("constituent", cs_id, f"recovery {rec.id!r}")
+            yield from need(model.constituents, "constituent", cs_id, "graphs")
             graph = model.processes.get(graph_id)
             if graph is None:
-                raise DanglingReferenceError(
-                    "activity graph", graph_id, f"recovery {rec.id!r}"
-                )
-            if graph.owner != cs_id:
-                raise GraphStructureError(
-                    graph_id, f"recovery {rec.id!r} maps it to {cs_id!r} but owner is {graph.owner!r}"
-                )
+                yield from need(model.processes, "activity graph", graph_id, "graphs")
+                exit_pool = None
+                continue
+            if graph.owner != cs_id and {cs_id, graph.owner} <= model.constituents.keys():
+                detail = f"recovery {rid!r} maps it to {cs_id!r} but owner is {graph.owner!r}"
+                yield GraphStructureError(graph_id, detail), "recoveries", rid, "graphs", graph_id
+            if exit_pool is None:
+                continue
             collision = exit_pool & graph.exits
             if collision:
-                raise DuplicateIdError(
-                    "recovery exit", sorted(collision)[0], f"within recovery {rec.id!r}"
+                error = DuplicateIdError(
+                    "recovery exit", min(collision), f"within recovery {rid!r}"
                 )
+                yield error, "recoveries", rid, "graphs", graph_id
             exit_pool |= graph.exits
-        for ex in rec.success_exits | rec.abort_exits:
-            if ex not in exit_pool:
-                raise DanglingReferenceError(
-                    "graph exit", ex, f"recovery {rec.id!r} exit classification"
-                )
+        if exit_pool is None:
+            continue
+        for exits in ("success_exits", "abort_exits"):
+            for ex in sorted(getattr(rec, exits)):
+                yield from need(exit_pool, "graph exit", ex, exits, " exit classification")
 
     # Every label an event pattern's qualifier may name.
-    vocabulary = all_activity_ids | set(model.threat_nodes) | set(model.constituents)
-    vocabulary |= set(model.environment) | set(model.connections) | set(model.chains)
+    vocabulary = activity_ids.union(
+        model.threat_nodes, elements, model.connections, model.chains
+    )
     for metric in model.metrics.values():
-        if isinstance(metric.kind, ElapsedBetween):
-            _validate_metric_pattern(vocabulary, metric.id, metric.kind.a)
-            _validate_metric_pattern(vocabulary, metric.id, metric.kind.b)
-        else:
-            _validate_metric_pattern(vocabulary, metric.id, metric.kind.pattern)
-
-    return model
+        kind = metric.kind
+        for pattern in (kind.a, kind.b) if isinstance(kind, ElapsedBetween) else (kind.pattern,):
+            try:
+                qualifier = split_event_pattern(pattern)[1]
+            except DanglingReferenceError as e:
+                yield e, "metrics", metric.id, "kind", pattern
+                continue
+            if qualifier is not None and qualifier not in vocabulary:
+                context = f"metric {metric.id!r} pattern {pattern!r}"
+                error = DanglingReferenceError("event label", qualifier, context)
+                yield error, "metrics", metric.id, "kind", pattern
 
 
 def lift_cs_failure(model: SosModel, cs_failure: ThreatNode, cs: str) -> ThreatNode:

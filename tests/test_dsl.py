@@ -17,7 +17,9 @@ from fmaf.model import (
     ActivityKind,
     ConnectionKind,
     DetectionStyle,
+    ElapsedBetween,
     FailureObservation,
+    FmafError,
     OnEntry,
     SelfReport,
     ThirdPartyReport,
@@ -548,6 +550,369 @@ class TestDiagnosticCorpus:
         duplicate = f"  env {next(iter(bundle.model.constituents))}\n}}\n"
         assert not dsl.parse(text.rstrip()[:-1] + duplicate).ok
         assert len(made) == 2, "the duplicate's span and its first declaration's"
+
+
+# A clean model naming every kind of reference; each span-corpus case edits
+# one of its lines.
+REF_BASE = (
+    "sos X {\n"
+    "  cs A { nominal P }\n"
+    "  cs B { nominal Q }\n"
+    "  env E { uses [C] }\n"
+    "  connection C: A <-> B\n"
+    "  connection L: B <-> E\n"
+    '  fault f "d"  error e "d"  failure x "d"\n'
+    "  chain K { fault f error e failure x origin A detectors [B] }\n"
+    "  process P owner A { entry N exits [M] action N 1t send S on C action M\n"
+    "    edge N -> S edge S -> M }\n"
+    "  process Q owner B { entry R exits [T] receive R on C action T edge R -> T }\n"
+    "  process Rp owner B { entry F exits [G] action F 1t action G edge F -> G }\n"
+    "  process W owner A { entry V exits [V] action V }\n"
+    "  activation T1 { chain K origin A region [N] trigger on_entry N }\n"
+    "  detection D { chain K detector B condition timeout 5t watching A recovery Rec }\n"
+    "  recovery Rec { graph B Rp success [G] }\n"
+    '  metric Z { elapsed "activity-end:N" -> "recovery-complete" }\n'
+    "}"
+)
+
+# A word in undeclared references only, never an id of random_model.
+UNDECLARED = "Undeclared"
+
+
+def _edited(line: int, old: str, new: str) -> str:
+    lines = REF_BASE.split("\n")
+    assert lines[line - 1].count(old) == 1, (line, old)
+    lines[line - 1] = lines[line - 1].replace(old, new)
+    return "\n".join(lines)
+
+
+def _renamings(m, new: str):
+    """Each way to rename one reference of ``m`` to ``new``, in a fixed
+    order: the collection and the object that replaces the one of the same
+    id there."""
+    R = dataclasses.replace
+
+    def swap(items, old):
+        return type(items)(new if x == old else x for x in items)
+
+    for c in m.connections.values():
+        yield "connections", R(c, provider=new)
+        yield "connections", R(c, consumer=new)
+    for e in m.environment.values():
+        for ref in sorted(e.connections_used):
+            yield "environment", R(e, connections_used=swap(e.connections_used, ref))
+    for cs in m.constituents.values():
+        yield "constituents", R(cs, nominal_process=new)
+    for g in m.processes.values():
+        yield "processes", R(g, owner=new)
+        yield "processes", R(g, entry=new)
+        for ex in sorted(g.exits):
+            yield "processes", R(g, exits=swap(g.exits, ex))
+        for i, edge in enumerate(g.edges):
+            for end in ("src", "dst"):
+                renamed = (*g.edges[:i], R(edge, **{end: new}), *g.edges[i + 1:])
+                yield "processes", R(g, edges=renamed)
+        for a in g.nodes.values():
+            if a.channel is not None:
+                yield "processes", R(g, nodes={**g.nodes, a.id: R(a, channel=new)})
+    for ch in m.chains.values():
+        for slot in ("fault", "error", "failure", "origin"):
+            yield "chains", R(ch, **{slot: new})
+        for det in ch.detectors:
+            yield "chains", R(ch, detectors=swap(ch.detectors, det))
+    for a in m.activations.values():
+        yield "activations", R(a, threat=new)
+        yield "activations", R(a, origin_constituent=new)
+        for ref in sorted(a.region):
+            yield "activations", R(a, region=swap(a.region, ref))
+        if isinstance(a.trigger, OnEntry):
+            yield "activations", R(a, trigger=OnEntry(new))
+    for d in m.detections.values():
+        for slot in ("threat", "detector", "recovery"):
+            yield "detections", R(d, **{slot: new})
+        if isinstance(d.condition, Timeout):
+            yield "detections", R(d, condition=R(d.condition, watched=new))
+    for r in m.recoveries.values():
+        for cs, graph in r.graphs.items():
+            others = {k: v for k, v in r.graphs.items() if k != cs}
+            yield "recoveries", R(r, graphs={**others, new: graph})
+            yield "recoveries", R(r, graphs={**r.graphs, cs: new})
+        for exits in ("success_exits", "abort_exits"):
+            for ex in sorted(getattr(r, exits)):
+                yield "recoveries", R(r, **{exits: swap(getattr(r, exits), ex)})
+    for x in m.metrics.values():
+        kind = x.kind
+        patterns = (kind.a, kind.b) if isinstance(kind, ElapsedBetween) else (kind.pattern,)
+        for i, pattern in enumerate(patterns):
+            event, _, qualifier = pattern.partition(":")
+            if qualifier:
+                renamed = list(patterns)
+                renamed[i] = f"{event}:{new}"
+                yield "metrics", R(x, kind=type(kind)(*renamed))
+
+
+def _span_of(text: str, word: str) -> tuple[int, int]:
+    """Line and column of the one word of ``text`` that holds ``word``."""
+    i = text.index(word)
+    assert text.find(word, i + 1) < 0
+    if text[i - 1] == ":":  # the qualifier of an event pattern string
+        i = text.rindex('"', 0, i)
+    return text.count("\n", 0, i) + 1, i - text.rfind("\n", 0, i)
+
+
+class TestReferenceResolution:
+    """Each reference problem of parsed source is found by the rules
+    ``build_model`` applies, and reported at the word that makes it."""
+
+    @pytest.mark.parametrize(
+        "line, old, new, expected",
+        [
+            pytest.param(
+                2, "nominal P", "nominal Ghost", ["2:18: error: unknown process 'Ghost'"],
+                id="cs nominal",
+            ),
+            pytest.param(
+                2, "nominal P", "nominal Q",
+                ["2:18: error: activity graph 'Q': nominal process of 'A' is owned by 'B'"],
+                id="cs nominal owned by another",
+            ),
+            pytest.param(
+                4, "[C]", "[C, Ghost]", ["4:20: error: unknown connection 'Ghost'"],
+                id="env uses",
+            ),
+            pytest.param(
+                5, "C: A", "C: Ghost", ["5:17: error: unknown element 'Ghost'"],
+                id="connection provider",
+            ),
+            pytest.param(
+                5, "<-> B", "<-> Ghost", ["5:23: error: unknown element 'Ghost'"],
+                id="connection consumer",
+            ),
+            pytest.param(
+                8, "fault f", "fault Ghost", ["8:19: error: unknown threat node 'Ghost'"],
+                id="chain fault",
+            ),
+            pytest.param(
+                8, "error e", "error Ghost", ["8:27: error: unknown threat node 'Ghost'"],
+                id="chain error",
+            ),
+            pytest.param(
+                8, "failure x", "failure Ghost", ["8:37: error: unknown threat node 'Ghost'"],
+                id="chain failure",
+            ),
+            pytest.param(
+                8, "fault f", "fault e",
+                [
+                    "8:19: error: threat node 'e' has kind error, but chain 'K' uses it as "
+                    "its fault"
+                ],
+                id="chain fault of another kind",
+            ),
+            pytest.param(
+                8, "origin A", "origin Ghost", ["8:46: error: unknown element 'Ghost'"],
+                id="chain origin",
+            ),
+            pytest.param(
+                8, "[B]", "[B, Ghost]", ["8:62: error: unknown element 'Ghost'"],
+                id="chain detectors",
+            ),
+            pytest.param(
+                13, "owner A", "owner Ghost", ["13:19: error: unknown constituent 'Ghost'"],
+                id="process owner",
+            ),
+            pytest.param(
+                9, "owner A", "owner Ghost", ["9:19: error: unknown constituent 'Ghost'"],
+                id="owner of a nominal process",
+            ),
+            pytest.param(
+                9, "entry N", "entry Ghost", ["9:29: error: unknown activity 'Ghost'"],
+                id="process entry",
+            ),
+            pytest.param(
+                9, "exits [M]", "exits [Ghost]", ["9:38: error: unknown activity 'Ghost'"],
+                id="process exits",
+            ),
+            pytest.param(
+                10, "edge N", "edge Ghost", ["10:10: error: unknown activity 'Ghost'"],
+                id="edge source",
+            ),
+            pytest.param(
+                10, "-> M", "-> Ghost", ["10:27: error: unknown activity 'Ghost'"],
+                id="edge target",
+            ),
+            pytest.param(
+                9, "on C", "on Ghost", ["9:63: error: unknown connection 'Ghost'"],
+                id="channel",
+            ),
+            pytest.param(
+                9, "on C", "on L",
+                [
+                    "9:11: error: activity graph 'P': activity 'S' uses channel 'L' whose "
+                    "endpoints exclude owner 'A'",
+                ],
+                id="channel whose ends exclude the owner",
+            ),
+            pytest.param(
+                14, "chain K", "chain Ghost", ["14:25: error: unknown chain 'Ghost'"],
+                id="activation chain",
+            ),
+            pytest.param(
+                14, "origin A", "origin Ghost", ["14:34: error: unknown element 'Ghost'"],
+                id="activation origin",
+            ),
+            pytest.param(
+                14, "[N]", "[N, Ghost]", ["14:47: error: unknown activity 'Ghost'"],
+                id="activation region",
+            ),
+            pytest.param(
+                14, "[N]", "[Ghost2, N, Ghost1]",
+                [
+                    "14:44: error: unknown activity 'Ghost2'",
+                    "14:55: error: unknown activity 'Ghost1'",
+                ],
+                id="activation region, two unknown",
+            ),
+            pytest.param(
+                14, "on_entry N", "on_entry Ghost", ["14:64: error: unknown activity 'Ghost'"],
+                id="activation trigger",
+            ),
+            pytest.param(
+                15, "chain K", "chain Ghost", ["15:23: error: unknown chain 'Ghost'"],
+                id="detection chain",
+            ),
+            pytest.param(
+                15, "detector B", "detector Ghost", ["15:34: error: unknown element 'Ghost'"],
+                id="detection detector",
+            ),
+            pytest.param(
+                15, "detector B", "detector A",
+                ["15:34: error: detector 'A' is not listed by chain 'K'"],
+                id="detection detector not listed",
+            ),
+            pytest.param(
+                15, "watching A", "watching Ghost", ["15:66: error: unknown element 'Ghost'"],
+                id="detection watched element",
+            ),
+            pytest.param(
+                15, "recovery Rec", "recovery Ghost", ["15:77: error: unknown recovery 'Ghost'"],
+                id="detection recovery",
+            ),
+            pytest.param(
+                16, "graph B", "graph Ghost", ["16:24: error: unknown constituent 'Ghost'"],
+                id="recovery constituent",
+            ),
+            pytest.param(
+                16, "B Rp", "B Ghost", ["16:26: error: unknown process 'Ghost'"],
+                id="recovery graph",
+            ),
+            pytest.param(
+                16, "B Rp", "A Rp",
+                [
+                    "16:26: error: activity graph 'Rp': recovery 'Rec' maps it to 'A' but "
+                    "owner is 'B'"
+                ],
+                id="recovery graph of another owner",
+            ),
+            pytest.param(
+                16, "[G]", "[Ghost]", ["16:38: error: unknown exit 'Ghost'"],
+                id="recovery success exit",
+            ),
+            pytest.param(
+                16, "[G]", "[G] abort [Ghost]", ["16:48: error: unknown exit 'Ghost'"],
+                id="recovery abort exit",
+            ),
+            pytest.param(
+                17, '"activity-end:N"', '"no-such-kind"',
+                ["17:22: error: unknown event kind 'no-such-kind'"],
+                id="metric event kind",
+            ),
+            pytest.param(
+                17, '"activity-end:N"', '"activity-end:Ghost"',
+                [
+                    "17:22: error: event pattern qualifier 'Ghost' matches no declared element, "
+                    "threat, chain, connection or activity",
+                ],
+                id="metric start qualifier",
+            ),
+            pytest.param(
+                17, '"recovery-complete"', '"recovery-complete:Ghost"',
+                [
+                    "17:42: error: event pattern qualifier 'Ghost' matches no declared element, "
+                    "threat, chain, connection or activity",
+                ],
+                id="metric end qualifier",
+            ),
+            pytest.param(
+                17,
+                'elapsed "activity-end:N" -> "recovery-complete"',
+                'count "activity-end:Ghost"',
+                [
+                    "17:20: error: event pattern qualifier 'Ghost' matches no declared element, "
+                    "threat, chain, connection or activity",
+                ],
+                id="metric count qualifier",
+            ),
+            pytest.param(
+                8, "fault f ", "", ["8:9: error: chain K has no 'fault' field"],
+                id="a chain not built, named by an activation",
+            ),
+            pytest.param(
+                9, "exits [M] ", "", ["9:11: error: process P has no 'exits'"],
+                id="a process not built, named in a region",
+            ),
+            pytest.param(
+                2, " nominal P ", " ", ["2:6: error: cs A has no 'nominal' process"],
+                id="a cs not built, named as an endpoint",
+            ),
+            pytest.param(
+                5, "A <-> B", "A <-> B { reliability 1.5 }",
+                ["5:14: error: connection 'C': reliability outside [0, 1]"],
+                id="a connection not built, named as a channel",
+            ),
+        ],
+    )
+    def test_span_corpus(self, line, old, new, expected):
+        assert dsl.parse(REF_BASE).ok
+        assert [str(d) for d in dsl.parse(_edited(line, old, new)).diagnostics] == expected
+
+    def test_self_joined_connection_is_one_diagnostic(self):
+        r = dsl.parse(_edited(5, "<-> B", "<-> A"))
+        assert errors(r) == ["5:14: error: connection 'C': provider equals consumer"]
+
+    def test_each_malformed_graph_is_reported(self):
+        src = _edited(11, "edge R -> T", "edge R -> T edge T -> R")
+        src = src.replace("edge F -> G }", "edge F -> G edge G -> F }")
+        r = dsl.parse(src)
+        assert errors(r) == [
+            "11:11: error: activity graph 'Q': exits ['T'] must be exactly the sink nodes []",
+            "12:11: error: activity graph 'Rp': exits ['G'] must be exactly the sink nodes []",
+        ]
+
+    def test_renamed_reference_is_reported_at_its_word(self):
+        # One reference of each random model renamed to an undeclared id:
+        # parse reports that word, and build_model raises for that id.
+        seen = set()
+        for seed in range(200):
+            m = random_model(random.Random(seed))
+            renamings: dict[str, list] = {}
+            for collection, obj in _renamings(m, UNDECLARED):
+                renamings.setdefault(collection, []).append(obj)
+            # Collections in turn, so that each of them is tried.
+            collection = sorted(renamings)[seed % len(renamings)]
+            obj = random.Random(seed).choice(renamings[collection])
+            parts = {collection: [*({**getattr(m, collection), obj.id: obj}).values()]}
+            text = dsl.serialize(
+                dataclasses.replace(m, **{collection: {o.id: o for o in parts[collection]}})
+            )
+            r = dsl.parse(text)
+            assert not r.ok, seed
+            spans = [(d.span.line, d.span.col) for d in r.diagnostics]
+            assert _span_of(text, UNDECLARED) in spans, (seed, collection, errors(r))
+            with pytest.raises(FmafError) as e:
+                rebuild(m, **parts)
+            assert UNDECLARED in str(e.value), seed
+            seen.add(collection)
+        assert len(seen) == 9, seen  # every collection that holds references
 
 
 class TestCanonicalForm:

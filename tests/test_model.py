@@ -61,6 +61,18 @@ def test_connection_to_undeclared_element_names_the_offender():
     assert "ERU2" in str(err.value)
 
 
+def test_environment_entity_using_an_undeclared_connection_is_rejected():
+    parts = emergency_fragments()
+    caller = parts["environment"][0]
+    parts["environment"][0] = dataclasses.replace(caller, connections_used=frozenset({"Ghost"}))
+    with pytest.raises(DanglingReferenceError) as err:
+        build_model(**parts)
+    assert (err.value.category, err.value.ref) == ("connection", "Ghost")
+    assert str(err.value) == (
+        f"environment entity {caller.id!r} references unknown connection 'Ghost'"
+    )
+
+
 def test_duplicate_constituent_id_is_rejected():
     parts = emergency_fragments()
     parts["constituents"].append(ConstituentSystem("ERU", "Second unit", "EruWork"))
