@@ -4,8 +4,10 @@
 into a list of diagnostics carrying 1-based line/column positions when the
 text is unacceptable.  :func:`serialize` writes the canonical textual form,
 which :func:`parse` accepts back unchanged.  Canonical means: declaration
-order never matters.  Two equal models serialize to identical bytes, and
-``parse(serialize(m)).model == m`` for every valid model ``m``.
+order never matters.  A model keeps every collection in id order however
+it was built (by :func:`parse`, ``build_model``, ``SosModel(...)`` or
+``dataclasses.replace``), so two equal models serialize to identical
+bytes, and ``parse(serialize(m)).model == m`` for every valid model ``m``.
 
 The grammar is documented in ``docs/grammar.md``.  In brief::
 
@@ -1001,7 +1003,7 @@ class _Parser:
                 if kw == "process":
                     names = [words[n[0]] for n in r["nodes"]]
                     unbuilt.update((c, a) for a in names for c in ("activity", "event label"))
-            parts[collection] = {ident: made[ident] for ident in sorted(made)}
+            parts[collection] = made
 
         model = SosModel(words[1], **parts)
         for error, collection, ident, field, ref in _problems(model):

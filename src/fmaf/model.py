@@ -16,7 +16,7 @@ well-formed activity graphs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -490,7 +490,13 @@ class MetricSpec:
 
 @dataclass(frozen=True)
 class SosModel:
-    """An immutable system-of-systems fault tolerance model."""
+    """An immutable system-of-systems fault tolerance model.
+
+    Every collection is kept in id order however the model was built:
+    by :func:`fmaf.dsl.parse`, :func:`build_model`, ``SosModel(...)`` or
+    ``dataclasses.replace``.  So equal models iterate alike, serialize to
+    the same bytes and give equal traces for equal configurations.
+    """
 
     name: str
     constituents: Mapping[str, ConstituentSystem] = field(default_factory=dict)
@@ -507,6 +513,11 @@ class SosModel:
     # dropped by ``dataclasses.replace``, invisible to equality and repr.
     _plan: object = field(default=None, init=False, compare=False, repr=False)
 
+    def __post_init__(self) -> None:
+        for name in _COLLECTIONS:
+            items = getattr(self, name)
+            object.__setattr__(self, name, {k: items[k] for k in sorted(items)})
+
     def element(self, ident: str) -> ConstituentSystem | EnvironmentEntity | None:
         """A constituent or environment entity by id, if declared."""
         return self.constituents.get(ident) or self.environment.get(ident)
@@ -516,29 +527,28 @@ class SosModel:
 
     def find_activity(self, activity_id: str) -> list[str]:
         """Ids of every graph declaring an activity with this id."""
-        return sorted(g.id for g in self.processes.values() if activity_id in g.nodes)
+        return [g.id for g in self.processes.values() if activity_id in g.nodes]
 
     def detections_for(self, chain_id: str) -> list[DetectionSpec]:
-        return sorted(
-            (d for d in self.detections.values() if d.threat == chain_id),
-            key=lambda d: d.id,
-        )
+        return [d for d in self.detections.values() if d.threat == chain_id]
 
     def activation_for(self, chain_id: str) -> ActivationSpec | None:
-        for spec in sorted(self.activations.values(), key=lambda a: a.id):
-            if spec.threat == chain_id:
-                return spec
-        return None
+        """The chain's first activation in id order, if it has one."""
+        return next((a for a in self.activations.values() if a.threat == chain_id), None)
+
+
+# The model's collections, each a mapping from id to object.
+_COLLECTIONS = tuple(f.name for f in fields(SosModel) if f.init and f.name != "name")
 
 
 def _by_id(category: str, items: Iterable) -> dict:
-    """``items`` keyed by id in id order; raises on the first id seen twice."""
+    """``items`` keyed by id; raises on the first id seen twice."""
     found = {}
     for item in items:
         if item.id in found:
             raise DuplicateIdError(category, item.id)
         found[item.id] = item
-    return {ident: found[ident] for ident in sorted(found)}
+    return found
 
 
 def _numbered(graph: ActivityGraph) -> tuple[dict[str, int], list[list[int]], list[list[int]]]:

@@ -190,7 +190,7 @@ def _event(time: int, kind: str, actor: str, details: Mapping[str, object]) -> S
 
 
 class _Details(dict):
-    """Read-only event details shared by every event of one node or link.
+    """Read-only event details shared by every event of one node, link or detection.
 
     Built at most once per model, in the run plan.  ``text`` is the JSON
     object the trace writer puts on each line, rendered when the first
@@ -576,14 +576,14 @@ class _Engine:
         node, kind, _, successors, _, link = inst.steps[node_id]
         if self.record:
             if kind == _S_TIMER:
-                self.emit(
-                    time,
-                    "timer-expired",
-                    inst.owner,
-                    activity=node_id,
-                    graph=inst.graph.id,
-                    bound=node.timer_bound,
-                )
+                table = self.plan.timer_details
+                key = (inst.graph.id, node_id)
+                details = table.get(key)
+                if details is None:
+                    details = table[key] = _Details(
+                        {"activity": node_id, "graph": inst.graph.id, "bound": node.timer_bound}
+                    )
+                self.events.append(_event(time, "timer-expired", inst.owner, details))
             event = "activity-end" if inst.role == "nominal" else "recovery-step"
             details = inst.details.get(node_id)
             if details is None:
@@ -756,15 +756,18 @@ class _Engine:
 
     def on_detect(self, spec_id: str, time: int) -> None:
         spec = self.model.detections[spec_id]
-        if isinstance(spec.condition, Timeout):
-            self.emit(
-                time,
-                "timer-expired",
-                spec.detector,
-                detection=spec.id,
-                watched=spec.condition.watched,
-                bound=spec.condition.bound,
-            )
+        if self.record and isinstance(spec.condition, Timeout):
+            table = self.plan.timeout_details
+            details = table.get(spec.id)
+            if details is None:
+                details = table[spec.id] = _Details(
+                    {
+                        "detection": spec.id,
+                        "watched": spec.condition.watched,
+                        "bound": spec.condition.bound,
+                    }
+                )
+            self.events.append(_event(time, "timer-expired", spec.detector, details))
         self.emit(
             time,
             "error-detected",
@@ -965,30 +968,27 @@ class _Plan(NamedTuple):
 
     findings: tuple[Finding, ...]
     decisions: frozenset[str]
-    activation: Mapping[str, ActivationSpec]  # chain id -> activation_for's pick
-    detections: Mapping[str, tuple[DetectionSpec, ...]]  # chain id -> by spec id
+    activation: Mapping[str, ActivationSpec | None]  # chain id -> activation_for(chain)
+    detections: Mapping[str, tuple[DetectionSpec, ...]]  # chain id -> detections_for(chain)
     owned: Mapping[str, tuple[str, ...]]  # owner -> every instance key it may start, sorted
     receives: Mapping[tuple[str, str], tuple[str, ...]]  # (graph, channel) -> receive ids, sorted
     metrics: _Metrics
     steps: dict[str, dict[str, tuple]]  # graph -> its step table, built when first started
     # Shared trace-event details, filled as recorded runs first need them:
     # (graph, recovery or None) -> node -> activity-start/-end, recovery-step;
-    # (graph, send node) -> message-sent/-lost; (channel, sender) -> message-delivered
+    # (graph, send node) -> message-sent/-lost; (channel, sender) -> message-delivered;
+    # (graph, timer node) and detection id -> timer-expired
     node_details: dict[tuple[str, str | None], dict[str, _Details]]
     sent_details: dict[tuple[str, str], _Details]
     delivered_details: dict[tuple[str, str], _Details]
+    timer_details: dict[tuple[str, str], _Details]
+    timeout_details: dict[str, _Details]
 
 
 def _plan(model: SosModel) -> _Plan:
     """The model's run plan, built on first use and kept on the model."""
     plan = model._plan
     if plan is None:
-        activation: dict[str, ActivationSpec] = {}
-        for spec in sorted(model.activations.values(), key=lambda a: a.id):
-            activation.setdefault(spec.threat, spec)
-        detections: dict[str, list[DetectionSpec]] = {}
-        for spec in sorted(model.detections.values(), key=lambda d: d.id):
-            detections.setdefault(spec.threat, []).append(spec)
         owned: dict[str, list[str]] = {}
         for cs_id in model.constituents:
             owned.setdefault(cs_id, []).append(f"nominal:{cs_id}")
@@ -997,8 +997,7 @@ def _plan(model: SosModel) -> _Plan:
                 owned.setdefault(cs_id, []).append(f"recovery:{recovery.id}:{graph_id}")
         receives: dict[tuple[str, str], list[str]] = {}
         for graph in model.processes.values():
-            for node_id in sorted(graph.nodes):
-                node = graph.nodes[node_id]
+            for node_id, node in graph.nodes.items():
                 if node.kind is ActivityKind.RECEIVE:
                     receives.setdefault((graph.id, node.channel), []).append(node_id)
         plan = _Plan(
@@ -1009,8 +1008,8 @@ def _plan(model: SosModel) -> _Plan:
                 for node_id, node in graph.nodes.items()
                 if node.kind is ActivityKind.DECISION
             ),
-            activation=activation,
-            detections={k: tuple(v) for k, v in detections.items()},
+            activation={c: model.activation_for(c) for c in model.chains},
+            detections={c: tuple(model.detections_for(c)) for c in model.chains},
             owned={k: tuple(sorted(v)) for k, v in owned.items()},
             receives={k: tuple(v) for k, v in receives.items()},
             metrics=_prepare(model.metrics.values()),
@@ -1018,6 +1017,8 @@ def _plan(model: SosModel) -> _Plan:
             node_details={},
             sent_details={},
             delivered_details={},
+            timer_details={},
+            timeout_details={},
         )
         object.__setattr__(model, "_plan", plan)
     return plan

@@ -287,12 +287,11 @@ def _project_ftcv(model: SosModel, focus: str) -> ViewGraph:
 
 def _project_fts(model: SosModel) -> ViewGraph:
     b = _Builder("fts")
-    for ident in sorted(model.constituents):
+    for ident in model.constituents:
         b.node(ident, _element_label(model, ident), "constituent")
-    for ident in sorted(model.environment):
+    for ident in model.environment:
         b.node(ident, _element_label(model, ident), "environment")
-    for cid in sorted(model.connections):
-        conn = model.connections[cid]
+    for conn in model.connections.values():
         if conn.kind.value == "recovery-only":
             label = f"{conn.id} (redundancy)"
         else:
@@ -465,8 +464,7 @@ def _other_endpoint(model: SosModel, event) -> str:
 
 def _project_fef(model: SosModel) -> ViewGraph:
     b = _Builder("fef")
-    for chain_id in sorted(model.chains):
-        chain = model.chains[chain_id]
+    for chain in model.chains.values():
         fault = _threat_node(b, model, chain.fault, "fault")
         error = _threat_node(b, model, chain.error, "error")
         failure = _threat_node(b, model, chain.failure, "failure")

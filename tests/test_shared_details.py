@@ -1,9 +1,9 @@
 """Trace-event details the engine shares between events of one model.
 
-The details of ``activity-start``, ``activity-end``, ``recovery-step`` and
-the ``message-*`` events depend only on the model, so the run plan builds
-each mapping once, with its JSON text, and every event of that node or
-link holds the same read-only object.  These tests pin that the sharing
+The details of ``activity-start``, ``activity-end``, ``recovery-step``,
+``timer-expired`` and the ``message-*`` events depend only on the model,
+so the run plan builds each mapping once, with its JSON text, and every
+event of that node, link or detection holds the same read-only object.  These tests pin that the sharing
 is invisible: the mappings cannot be changed, their copies are plain
 dicts, and equality, ``repr`` and trace bytes are what plain dicts give.
 """
@@ -42,13 +42,18 @@ SHARED_KINDS = (
     "message-sent",
     "message-lost",
     "message-delivered",
+    "timer-expired",
 )
 
 
 @pytest.fixture(scope="module")
 def trace() -> SimTrace:
+    """fault1's F1 run, whose detection timeout expires, then the events of
+    a nominal run whose timer activities expire."""
     bundle = load_bundle("fault1")
-    return run(bundle.model, dataclasses.replace(bundle.scenarios["F1"], seed=0))
+    f1 = run(bundle.model, dataclasses.replace(bundle.scenarios["F1"], seed=0))
+    timers = run(random_model(random.Random(0)), SimConfig(horizon=60, seed=0))
+    return dataclasses.replace(f1, events=f1.events + timers.events)
 
 
 def _shared(trace: SimTrace) -> list[SimEvent]:
@@ -62,6 +67,8 @@ def _plain(trace: SimTrace) -> SimTrace:
 
 def test_the_trace_holds_every_shared_kind(trace):
     assert {e.kind for e in _shared(trace)} == set(SHARED_KINDS)
+    timers = [e.details for e in trace.events if e.kind == "timer-expired"]
+    assert {"activity" in d for d in timers} == {True, False}  # node and detection
 
 
 MUTATIONS = {
@@ -200,9 +207,17 @@ def test_enumeration_leaves_the_tables_empty():
     bundle = load_bundle("fault1")
     enumerate_outcomes(bundle.model, bundle.scenarios["F1"])
     plan = simulator._plan(bundle.model)
-    assert plan.node_details == plan.sent_details == plan.delivered_details == {}
+    tables = (
+        plan.node_details,
+        plan.sent_details,
+        plan.delivered_details,
+        plan.timer_details,
+        plan.timeout_details,
+    )
+    assert all(table == {} for table in tables)
     run(bundle.model, bundle.scenarios["F1"])
     assert plan.node_details and plan.sent_details and plan.delivered_details
+    assert plan.timeout_details  # F1's detection timeout; its graphs hold no timer
 
 
 def _detail_only_metrics(model) -> dict[str, MetricSpec]:
