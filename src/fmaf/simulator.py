@@ -23,11 +23,21 @@ quiescence, the moment the event queue drains with no progress possible.
 Each model keeps a run plan, built on its first run: the checker's
 findings, one step table per activity graph (what each node does, in
 plain tuples the engine reads), and the details shared by the trace
-events of each node and link.  Each shared mapping caches its JSON text
-for the trace writer and its set of string values for metric
-qualifiers.  None of these caches changes a trace's bytes.  The engine
-builds each trace event with plain slot stores into the same frozen
-``SimEvent`` type that the public constructor gives.
+events of each node, link, chain and detection.  Each shared mapping
+caches its JSON text for the trace writer and its set of string values
+for metric qualifiers.  None of these caches changes a trace's bytes.
+The engine builds each trace event with plain slot stores into the same
+frozen ``SimEvent`` type that the public constructor gives.
+
+``enumerate_outcomes`` forks at the draw.  Three kinds of event can
+draw: the completion of a send over a lossy link, a nominal start that
+may trigger a ``Probabilistic`` activation, and the raised error's
+detection race.  A branch that pops such an event forks once, keeping
+the copy as a snapshot taken just before the event, and answers each
+new choice True.  Each new choice leaves a sibling that handles the
+same event again from the snapshot, its last choice False; the last
+sibling of a snapshot takes the snapshot itself.  Seeded runs pay one
+test of a local per ``complete`` and ``raise-error`` event for this.
 """
 
 from __future__ import annotations
@@ -190,7 +200,8 @@ def _event(time: int, kind: str, actor: str, details: Mapping[str, object]) -> S
 
 
 class _Details(dict):
-    """Read-only event details shared by every event of one node, link or detection.
+    """Read-only event details shared by every event of one node, link,
+    chain or detection.
 
     Built at most once per model, in the run plan.  ``text`` is the JSON
     object the trace writer puts on each line, rendered when the first
@@ -376,12 +387,14 @@ _STEP_KINDS = {
 
 def _step_table(graph, connections: Mapping[str, Connection]) -> dict[str, tuple]:
     """Node id -> (activity, step kind, time to completion, successors,
-    in-degree, connection).
+    in-degree, connection, draw probability).
 
     Successors are the target ids a completion enters: every target of a
     fork, the first of any other node, none at an exit; a decision keeps
     its out-edges, whose guards pick the one target.  The connection is
-    the one a send node sends over, None for every other node.
+    the one a send node sends over, None for every other node.  The draw
+    probability is the connection's reliability when a send over it
+    draws, 0 < reliability < 1, and None otherwise.
     """
     _, succ, pred = _numbered(graph)
     names = list(graph.nodes)
@@ -396,7 +409,8 @@ def _step_table(graph, connections: Mapping[str, Connection]) -> dict[str, tuple
             successors = (names[outs[0]],) if outs else ()
         ticks = node.duration if kind == _S_RECEIVE else node.effective_duration()
         link = connections.get(node.channel) if kind == _S_SEND else None
-        table[node_id] = (node, kind, ticks, successors, len(ins), link)
+        draw = link.reliability if link is not None and 0.0 < link.reliability < 1.0 else None
+        table[node_id] = (node, kind, ticks, successors, len(ins), link, draw)
     return table
 
 
@@ -436,7 +450,12 @@ class _Instance:
         self.details: dict[str, _Details] | None = None
 
     def clone(self) -> _Instance:
-        twin = _Instance(self.key, self.graph, self.owner, self.role, self.recovery_id)
+        twin = _Instance.__new__(_Instance)
+        twin.key = self.key
+        twin.graph = self.graph
+        twin.owner = self.owner
+        twin.role = self.role
+        twin.recovery_id = self.recovery_id
         twin.gen = self.gen
         twin.live = self.live
         twin.join_arrivals = self.join_arrivals.copy()
@@ -476,6 +495,7 @@ class _Engine:
         self.mailbox: dict[tuple[str, str], list[tuple[int, str]]] = {}
         self.outcome: Outcome | None = None
         self.pops = -1  # events popped; -1 until start() has run
+        self.branches: _Branches | None = None  # set only while enumerating
 
         self.plan = _plan(model)
         self.chain = model.chains[config.scenario] if config.scenario else None
@@ -501,10 +521,6 @@ class _Engine:
         self.recovery_finalize_scheduled = False
 
     # -- low-level plumbing
-
-    def emit(self, time: int, kind: str, actor: str, **details) -> None:
-        if self.record:
-            self.events.append(_event(time, kind, actor, details))
 
     def push(self, time: int, actor: str, rank: int, kind: str, payload: tuple) -> None:
         heapq.heappush(self.heap, (time, actor, rank, self.seq, kind, payload))
@@ -538,7 +554,7 @@ class _Engine:
         self.enter_node(inst, inst.graph.entry, time)
 
     def enter_node(self, inst: _Instance, node_id: str, time: int) -> None:
-        node, kind, ticks, _, in_degree, _ = inst.steps[node_id]
+        node, kind, ticks, _, in_degree, _, _ = inst.steps[node_id]
         if kind == _S_JOIN:
             arrived = inst.join_arrivals.get(node_id, 0) + 1
             inst.join_arrivals[node_id] = arrived
@@ -573,7 +589,7 @@ class _Engine:
         self.seq += 1
 
     def complete_node(self, inst: _Instance, node_id: str, time: int) -> None:
-        node, kind, _, successors, _, link = inst.steps[node_id]
+        node, kind, _, successors, _, link, _ = inst.steps[node_id]
         if self.record:
             if kind == _S_TIMER:
                 table = self.plan.timer_details
@@ -706,19 +722,45 @@ class _Engine:
                 self.push(time, origin, _R_INJECT, "inject", ())
                 self.pending = False
 
+    def chain_details(self) -> tuple[_Details, _Details]:
+        """The focused chain's fault-activated and error-raised details."""
+        chain = self.chain
+        details = self.plan.chain_details.get(chain.id)
+        if details is None:
+            fault = self.model.threat_nodes.get(chain.fault)
+            details = self.plan.chain_details[chain.id] = (
+                _Details(
+                    {
+                        "chain": chain.id,
+                        "fault": chain.fault,
+                        "description": fault.description if fault else "",
+                    }
+                ),
+                _Details({"chain": chain.id, "error": chain.error}),
+            )
+        return details
+
+    def detection_details(self, spec: DetectionSpec) -> tuple[_Details, _Details]:
+        """``spec``'s error-detected and recovery-started details, which
+        are equal, and its recovery-complete details."""
+        details = self.plan.detection_details.get(spec.id)
+        if details is None:
+            details = self.plan.detection_details[spec.id] = (
+                _Details(
+                    {"chain": spec.threat, "detection": spec.id, "recovery": spec.recovery}
+                ),
+                _Details({"chain": spec.threat, "recovery": spec.recovery}),
+            )
+        return details
+
     def inject_fault(self, time: int) -> None:
         chain = self.chain
         assert chain is not None and self.activation is not None
         origin = self.activation.origin_constituent
-        fault = self.model.threat_nodes.get(chain.fault)
-        self.emit(
-            time,
-            "fault-activated",
-            origin,
-            chain=chain.id,
-            fault=chain.fault,
-            description=fault.description if fault else "",
-        )
+        if self.record:
+            self.events.append(
+                _event(time, "fault-activated", origin, self.chain_details()[0])
+            )
         key = f"nominal:{origin}"
         if key in self.instances:
             self.own(key).suspend()
@@ -728,13 +770,10 @@ class _Engine:
         chain = self.chain
         assert chain is not None
         self.error_time = time
-        self.emit(
-            time,
-            "error-raised",
-            chain.origin,
-            chain=chain.id,
-            error=chain.error,
-        )
+        if self.record:
+            self.events.append(
+                _event(time, "error-raised", chain.origin, self.chain_details()[1])
+            )
         if not self.config.recovery_enabled:
             return
         state = RaceState(
@@ -768,28 +807,18 @@ class _Engine:
                     }
                 )
             self.events.append(_event(time, "timer-expired", spec.detector, details))
-        self.emit(
-            time,
-            "error-detected",
-            spec.detector,
-            chain=spec.threat,
-            detection=spec.id,
-            recovery=spec.recovery,
-        )
+        if self.record:
+            details = self.detection_details(spec)[0]
+            self.events.append(_event(time, "error-detected", spec.detector, details))
         self.push(time + 1, spec.detector, _R_RECOVERY_START, "start-recovery", (spec.id,))
 
     def on_recovery_start(self, spec_id: str, time: int) -> None:
         spec = self.model.detections[spec_id]
         recovery = self.model.recoveries[spec.recovery]
         self.recovery_started_at = time
-        self.emit(
-            time,
-            "recovery-started",
-            spec.detector,
-            recovery=recovery.id,
-            detection=spec.id,
-            chain=spec.threat,
-        )
+        if self.record:
+            details = self.detection_details(spec)[0]
+            self.events.append(_event(time, "recovery-started", spec.detector, details))
         for key, inst in list(self.instances.items()):
             if inst.role == "nominal" and not inst.suspended:
                 self.own(key).suspend()
@@ -824,13 +853,11 @@ class _Engine:
 
     def on_finalize(self, time: int) -> None:
         assert self.detected is not None and self.chain is not None
-        self.emit(
-            time,
-            "recovery-complete",
-            self.detected.detector,
-            recovery=self.detected.recovery,
-            chain=self.chain.id,
-        )
+        if self.record:
+            details = self.detection_details(self.detected)[1]
+            self.events.append(
+                _event(time, "recovery-complete", self.detected.detector, details)
+            )
         self.outcome = Outcome(
             "recovered", by=self.detected.detector, recovery=self.detected.recovery
         )
@@ -838,16 +865,21 @@ class _Engine:
     def observe_failure(self, time: int, aborted_by: str | None = None) -> None:
         chain = self.chain
         assert chain is not None
-        failure = self.model.threat_nodes.get(chain.failure)
-        details = {
-            "chain": chain.id,
-            "failure": chain.failure,
-            "description": failure.description if failure else "",
-            "observation": chain.failure_observation.value,
-        }
-        if aborted_by is not None:
-            details["aborted_by"] = aborted_by
-        self.emit(time, "failure-observed", chain.origin, **details)
+        if self.record:
+            table = self.plan.failure_details
+            details = table.get((chain.id, aborted_by))
+            if details is None:
+                failure = self.model.threat_nodes.get(chain.failure)
+                items = {
+                    "chain": chain.id,
+                    "failure": chain.failure,
+                    "description": failure.description if failure else "",
+                    "observation": chain.failure_observation.value,
+                }
+                if aborted_by is not None:
+                    items["aborted_by"] = aborted_by
+                details = table[chain.id, aborted_by] = _Details(items)
+            self.events.append(_event(time, "failure-observed", chain.origin, details))
         self.outcome = Outcome("failed-at-boundary")
 
     # -- main loop
@@ -855,6 +887,8 @@ class _Engine:
     def start(self) -> None:
         """Enter every nominal graph at tick 0; counts as event 0."""
         self.pops = 0
+        if self.branches is not None:
+            self.branches.start(self)
         for cs_id in self.model.constituents:
             graph = self.model.processes[self.model.constituents[cs_id].nominal_process]
             inst = _Instance(f"nominal:{cs_id}", graph, cs_id, "nominal")
@@ -871,21 +905,25 @@ class _Engine:
     def loop(self, stop: int = -1) -> None:
         """Process events until an outcome is set, the queue drains, or
         ``stop`` events have been popped."""
+        branches = self.branches
         while self.heap and self.outcome is None and self.pops != stop:
             self.pops += 1
-            time, actor, rank, _seq, kind, payload = heapq.heappop(self.heap)
+            time, actor, rank, seq, kind, payload = heapq.heappop(self.heap)
             if kind == "complete":
                 key, gen, node_id = payload
                 inst = self.instances[key]
                 if gen != inst.gen or inst.suspended:
                     continue  # cancelled by a suspension; not progress
-                if key not in self.mine:
-                    inst = self.own(key)
             if time > self.config.horizon:
                 self.outcome = Outcome("horizon-exhausted")
                 break
             self.clock = time
             if kind == "complete":
+                if branches is not None:
+                    entry = (time, actor, rank, seq, kind, payload)
+                    branches.complete(self, entry, inst)
+                if key not in self.mine:
+                    inst = self.own(key)  # after a fork too: it shares every instance
                 self.complete_node(inst, node_id, time)
             elif kind == "deliver":
                 receiver, channel, sender = payload
@@ -895,6 +933,9 @@ class _Engine:
                     self.injected_fired = True
                     self.inject_fault(time)
             elif kind == "raise-error":
+                if branches is not None:
+                    entry = (time, actor, rank, seq, kind, payload)
+                    branches.raise_error(self, entry)
                 self.raise_error(time)
             elif kind == "detect":
                 self.on_detect(payload[0], time)
@@ -977,12 +1018,18 @@ class _Plan(NamedTuple):
     # Shared trace-event details, filled as recorded runs first need them:
     # (graph, recovery or None) -> node -> activity-start/-end, recovery-step;
     # (graph, send node) -> message-sent/-lost; (channel, sender) -> message-delivered;
-    # (graph, timer node) and detection id -> timer-expired
+    # (graph, timer node) and detection id -> timer-expired;
+    # chain -> (fault-activated, error-raised);
+    # detection id -> (error-detected and recovery-started, recovery-complete);
+    # (chain, aborting recovery exit or None) -> failure-observed
     node_details: dict[tuple[str, str | None], dict[str, _Details]]
     sent_details: dict[tuple[str, str], _Details]
     delivered_details: dict[tuple[str, str], _Details]
     timer_details: dict[tuple[str, str], _Details]
     timeout_details: dict[str, _Details]
+    chain_details: dict[str, tuple[_Details, _Details]]
+    detection_details: dict[str, tuple[_Details, _Details]]
+    failure_details: dict[tuple[str, str | None], _Details]
 
 
 def _plan(model: SosModel) -> _Plan:
@@ -1019,6 +1066,9 @@ def _plan(model: SosModel) -> _Plan:
             delivered_details={},
             timer_details={},
             timeout_details={},
+            chain_details={},
+            detection_details={},
+            failure_details={},
         )
         object.__setattr__(model, "_plan", plan)
     return plan
@@ -1071,14 +1121,20 @@ def enumerate_outcomes(
 ) -> set[tuple[str | None, str]]:
     """Every reachable (detector, outcome) pair, by exhausting choices.
 
-    Explores both branches of every Bernoulli choice the seeded run
-    would sample, depth-first over choice prefixes.  Each branch resumes
-    a fork of the engine as it stood just before the event that makes
-    the choice, so no prefix is replayed from tick 0.  Branches record
+    Explores both answers of every Bernoulli choice the seeded run would
+    sample, depth first and True first.  A branch runs until it pops an
+    event that can draw: a send over a lossy link, a nominal start that
+    may trigger a ``Probabilistic`` activation, or an error raised into a
+    race with third-party reports.  It forks once there, keeping the copy
+    as a snapshot of the run just before that event, then handles the
+    event and answers each new choice True.  Each new choice leaves a
+    sibling on the stack: the snapshot, to handle the same event again
+    with the choices made before it and then False.  So only a drawing
+    event ever runs twice, and no branch is thrown away.  Branches record
     no trace events and compute no metrics, only the outcome, and a fork
     shares every activity-graph instance with its snapshot until it
-    changes one.  Only usable on small models: any activity graph larger
-    than ``bound`` nodes is rejected.
+    changes one.  At most 4096 branches (choice prefixes) are explored,
+    and any activity graph larger than ``bound`` nodes is rejected.
     """
     for graph in model.processes.values():
         if len(graph.nodes) > bound:
@@ -1088,43 +1144,152 @@ def enumerate_outcomes(
             )
     _validate(model, config)
     outcomes: set[tuple[str | None, str]] = set()
-    # (snapshot, choice prefix): a snapshot is an engine stopped between
-    # two events, never advanced itself; its sampler holds the number of
-    # prefix choices consumed so far.
-    root = _Engine(model, config, ScriptedSampler(()), record=False)
-    stack: list[tuple[_Engine, tuple[bool, ...]]] = [(root, ())]
-    explored = 0
-    while stack:
-        snap, prefix = stack.pop()
-        explored += 1
-        if explored > 4096:
-            raise BoundExceededError("choice space exceeds 4096 branches")
-        engine = _resume(snap, prefix)
-        try:
-            _advance(engine)
-        except NeedChoice:
-            # engine.pops is the event that ran out of choices; both
-            # children restart that event from a snapshot taken before it.
-            if snap.pops != engine.pops - 1:
-                snap = _resume(snap, prefix)
-                _advance(snap, stop=engine.pops - 1)
-            stack.append((snap, prefix + (False,)))
-            stack.append((snap, prefix + (True,)))
-            continue
+    engine = _Engine(model, config, None, record=False)
+    branches = engine.branches = engine.sampler = _Branches(engine)
+    while engine is not None:
+        if engine.pops < 0:
+            engine.start()
+        engine.loop()
         outcomes.add(summarize(engine.finish()))
+        engine = branches.next()
     return outcomes
 
 
-def _resume(snap: _Engine, prefix: tuple[bool, ...]) -> _Engine:
-    sampler = ScriptedSampler(prefix)
-    sampler._next = snap.sampler._next
-    return snap.fork(sampler)
+_MAX_BRANCHES = 4096
 
 
-def _advance(engine: _Engine, stop: int = -1) -> None:
-    if engine.pops < 0:
-        engine.start()
-    engine.loop(stop)
+class _Snapshot:
+    """An engine stopped just before a drawing event, never advanced
+    itself, and the number of its siblings waiting on the stack."""
+
+    __slots__ = ("engine", "siblings")
+
+    def __init__(self, engine: _Engine) -> None:
+        self.engine = engine
+        self.siblings = 0
+
+
+class _Branches:
+    """The choice tree of one enumeration, walked depth first.
+
+    The engine of every branch calls the draw marks (``start``,
+    ``complete``, ``raise_error``) before it handles an event that may
+    draw, and draws from this object as its sampler.  A draw replays the
+    choice its branch was started with, or else answers True and leaves
+    the False sibling on the stack.  Branches are counted as the choice
+    prefixes a replay from tick 0 would run, in the same order, so the
+    4096-branch cap falls on the same branch.
+    """
+
+    def __init__(self, root: _Engine) -> None:
+        self.stack: list[tuple[_Snapshot, tuple[bool, ...]]] = []
+        self.explored = 1  # the root branch
+        # The drawing event in progress: the branch handling it, its pop
+        # count there, the snapshot taken just before it (None when no
+        # snapshot is pending), the choices it replays and those it made.
+        self.engine = root
+        self.event = -2
+        self.snap: _Snapshot | None = None
+        self.script: tuple[bool, ...] = ()
+        self.made: list[bool] = []
+        # Only the origin's nominal instance starts nodes that may trigger
+        # a Probabilistic activation, and only while it is pending.
+        self.trigger_key = None
+        self.region: frozenset[str] = frozenset()
+        self.start_draws = 0
+        activation = root.activation
+        if activation is not None and isinstance(activation.trigger, Probabilistic):
+            if 0.0 < activation.trigger.probability < 1.0:
+                origin = activation.origin_constituent
+                self.trigger_key = f"nominal:{origin}"
+                self.region = activation.region
+                nominal = root.model.constituents[origin].nominal_process
+                self.start_draws = int(root.model.processes[nominal].entry in self.region)
+        self.race_draws = 0
+        if root.chain is not None and root.config.recovery_enabled:
+            self.race_draws = sum(
+                spec.detector in root.enabled
+                and isinstance(spec.condition, ThirdPartyReport)
+                and 0.0 < spec.condition.probability < 1.0
+                for spec in root.plan.detections.get(root.chain.id, ())
+            )
+
+    # -- draw marks: each names the most draws its event can make
+
+    def start(self, engine: _Engine) -> None:
+        if self.start_draws:
+            self.fork_before(engine, self.start_draws, None)
+
+    def complete(self, engine: _Engine, entry: tuple, inst: _Instance) -> None:
+        step = inst.steps[entry[5][2]]
+        draws = step[6] is not None  # a send over a lossy link
+        if inst.key == self.trigger_key and engine.pending:
+            kind, successors, region = step[1], step[3], self.region
+            if kind == _S_DECISION:
+                draws += any(edge.dst in region for edge in successors)
+            else:
+                draws += sum(target in region for target in successors)
+        if draws:
+            self.fork_before(engine, draws, entry)
+
+    def raise_error(self, engine: _Engine, entry: tuple) -> None:
+        if self.race_draws:
+            self.fork_before(engine, self.race_draws, entry)
+
+    # -- forking and drawing
+
+    def fork_before(self, engine: _Engine, draws: int, entry: tuple | None) -> None:
+        """Keep a snapshot of ``engine`` just before the popped ``entry``
+        (None: before ``start()``) when its up to ``draws`` draws may need one."""
+        if engine is not self.engine or engine.pops != self.event:
+            # A first handling, not a sibling handling its event again.
+            self.engine, self.event, self.snap, self.script = engine, engine.pops, None, ()
+        self.made = []
+        if self.snap is None and draws > len(self.script):
+            twin = engine.fork(self)
+            if entry is not None:
+                heapq.heappush(twin.heap, entry)
+            twin.pops -= 1
+            self.snap = _Snapshot(twin)
+
+    def bernoulli(self, probability: float) -> bool:
+        made, script, snap = self.made, self.script, self.snap
+        replay = len(made) < len(script)
+        if self.engine.pops != self.event or not (replay or snap):
+            raise RuntimeError(
+                f"internal error: event {self.engine.pops} drew a choice with "
+                "no snapshot pending; its draw mark is missing"
+            )
+        if replay:
+            value = script[len(made)]
+        else:
+            self._count()
+            snap.siblings += 1
+            self.stack.append((snap, (*made, False)))
+            value = True
+        made.append(value)
+        return value
+
+    def next(self) -> _Engine | None:
+        """The engine of the next sibling, about to handle its snapshot's
+        event again, or None when the tree is exhausted."""
+        if not self.stack:
+            self.engine = None  # no engine-driver cycle outlives the enumeration
+            return None
+        snap, script = self.stack.pop()
+        self._count()
+        snap.siblings -= 1
+        if snap.siblings:
+            engine = snap.engine.fork(self)
+        else:  # the last sibling takes the snapshot itself
+            engine, snap = snap.engine, None
+        self.engine, self.event, self.snap, self.script = engine, engine.pops + 1, snap, script
+        return engine
+
+    def _count(self) -> None:
+        self.explored += 1
+        if self.explored > _MAX_BRANCHES:
+            raise BoundExceededError(f"choice space exceeds {_MAX_BRANCHES} branches")
 
 
 class _Metrics(NamedTuple):

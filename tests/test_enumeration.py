@@ -1,9 +1,15 @@
-"""The forking enumerator against the replay-from-tick-0 reference.
+"""The fork-at-the-draw enumerator against the replay-from-tick-0 reference.
 
-``enumerate_outcomes`` forks engine state at each Bernoulli choice.
-``replay_outcomes`` below is the original algorithm, which re-ran the
-engine from tick 0 for every choice prefix; both must agree on the
-outcome set or raise the same exception with the same message.
+``enumerate_outcomes`` forks a branch once as it pops an event that can
+draw, keeps the copy as a snapshot taken just before that event, and
+answers each new choice True; the False sibling later handles the same
+event again from the snapshot.  ``replay_outcomes`` below is the
+original algorithm, which re-ran the engine from tick 0 for every choice
+prefix; both must agree on the outcome set or raise the same exception
+with the same message, and the 4096-branch cap must fall on the same
+branch.  The driver tests pin the fork count, events that make several
+new draws, and the internal error a missing draw mark raises.  Every
+seeded run of the generated models must lie in the enumerated set.
 
 Forks share activity-graph instances until one engine changes them, and
 enumeration engines record no trace events; the fork-isolation tests at
@@ -25,7 +31,10 @@ from fmaf.model import (
     ActivityKind,
     Connection,
     ConstituentSystem,
+    DetectionSpec,
     Edge,
+    Probabilistic,
+    ThirdPartyReport,
     build_model,
 )
 from fmaf.simulator import (
@@ -34,16 +43,18 @@ from fmaf.simulator import (
     ScriptedSampler,
     SimConfig,
     SimulationError,
+    _Branches,
     _Engine,
     _validate,
     enumerate_outcomes,
+    run,
     summarize,
 )
 
 from _builders import action, race_fixture, random_model, seq_graph
 
 
-def replay_outcomes(model, config, bound=12):
+def replay_outcomes(model, config, bound=12, leaves=None):
     for graph in model.processes.values():
         if len(graph.nodes) > bound:
             raise BoundExceededError(
@@ -67,6 +78,8 @@ def replay_outcomes(model, config, bound=12):
             stack.append(prefix + (True,))
             continue
         outcomes.add(summarize(trace))
+        if leaves is not None:
+            leaves.append(summarize(trace))
     return outcomes
 
 
@@ -95,12 +108,16 @@ def test_bundle_scenarios_match_replay(model, config):
     assert_same(model, config)
 
 
-def test_lossy_race_fixture_matches_replay():
+def _lossy_race_fixture():
     model = race_fixture()
     link = dataclasses.replace(model.connections["LinkPQ"], reliability=0.5)
-    model = dataclasses.replace(
+    return dataclasses.replace(
         model, connections={**model.connections, "LinkPQ": link}
     )
+
+
+def test_lossy_race_fixture_matches_replay():
+    model = _lossy_race_fixture()
     status, outcomes = assert_same(model, SimConfig(scenario="CH", horizon=60))
     assert status == "ok" and outcomes == {("P", "recovered"), ("Q", "recovered")}
 
@@ -147,16 +164,156 @@ def test_choice_space_cap():
     assert result == (BoundExceededError, "choice space exceeds 4096 branches")
 
 
+def test_seeded_runs_of_generated_models_lie_in_the_enumerated_set():
+    enumerable = 0
+    for seed in range(200):
+        model = random_model(random.Random(seed))
+        for scenario in [None, *sorted(model.chains)]:
+            try:
+                outcomes = enumerate_outcomes(model, SimConfig(scenario=scenario, horizon=60))
+            except SimulationError:
+                continue  # refused by the checker, or a trigger that never fires
+            enumerable += 1
+            for sim_seed in range(5):
+                config = SimConfig(scenario=scenario, horizon=60, seed=sim_seed)
+                assert summarize(run(model, config)) in outcomes, (seed, scenario, sim_seed)
+    assert enumerable == 215
+
+
+# ---------------------------------------------------------------------------
+# The branch driver
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Every draw the driver answers, as (branch engine, its event, new)."""
+    seen = []
+    real = _Branches.bernoulli
+
+    def bernoulli(self, probability):
+        seen.append((id(self.engine), self.event, len(self.made) >= len(self.script)))
+        return real(self, probability)
+
+    monkeypatch.setattr(_Branches, "bernoulli", bernoulli)
+    return seen
+
+
+@pytest.mark.parametrize("sends", [1, 4, 8])
+def test_forks_stay_within_one_per_choice_point(sends, draws, monkeypatch):
+    forks = []
+    real = _Engine.fork
+
+    def fork(self, sampler):
+        forks.append(self)
+        return real(self, sampler)
+
+    monkeypatch.setattr(_Engine, "fork", fork)
+    model = _many_lossy_sends(sends)
+    assert enumerate_outcomes(model, SimConfig(horizon=60)) == {(None, "nominal")}
+    choice_points = sum(new for _, _, new in draws)
+    assert choice_points == 2**sends - 1
+    assert len(forks) <= choice_points + 1
+
+
+def _most_new_draws_in_one_event(draws) -> int:
+    per_event: dict[tuple[int, int], int] = {}
+    for engine, event, new in draws:
+        per_event[engine, event] = per_event.get((engine, event), 0) + new
+    return max(per_event.values())
+
+
+_CH = SimConfig(scenario="CH", horizon=60)
+
+
+def _lossy_send_into_region():
+    """P's lossy report send enters ``p_done``, a Probabilistic region.
+
+    R idles past the horizon, so a branch whose trigger never fires ends
+    horizon-exhausted instead of raising.
+    """
+    model = _lossy_race_fixture()
+    activation = dataclasses.replace(
+        model.activations["ACT"], region=frozenset({"p_done"}), trigger=Probabilistic(0.5)
+    )
+    gr = seq_graph("GR", "R", [action("r_idle", 100)])
+    return dataclasses.replace(
+        model,
+        activations={"ACT": activation},
+        processes={**model.processes, "GR": gr},
+    )
+
+
+def _probabilistic_entry():
+    """P's entry activity lies in a Probabilistic region, so ``start()`` draws."""
+    model = _lossy_send_into_region()
+    activation = dataclasses.replace(
+        model.activations["ACT"], region=frozenset({"p_setup"})
+    )
+    return dataclasses.replace(model, activations={"ACT": activation})
+
+
+def _two_third_party_reports():
+    """Two third-party reports race at the same tick; Q's wins the tie by id."""
+    model = race_fixture()
+    second = DetectionSpec("DTHIRD2", "CH", "P", ThirdPartyReport(0.5, 1), "RSELF")
+    return dataclasses.replace(
+        model, detections={**model.detections, second.id: second}
+    )
+
+
+@pytest.mark.parametrize(
+    "model,want",
+    [
+        pytest.param(
+            _lossy_send_into_region(),
+            {("P", "recovered"), ("Q", "recovered"), (None, "horizon-exhausted")},
+            id="lossy-send-into-region",
+        ),
+        pytest.param(
+            _two_third_party_reports(),
+            {("P", "recovered"), ("Q", "recovered")},
+            id="third-party-race",
+        ),
+    ],
+)
+def test_events_with_several_new_draws_match_replay(model, want, draws):
+    assert assert_same(model, _CH) == ("ok", want)
+    assert _most_new_draws_in_one_event(draws) >= 2
+
+
+def test_branches_end_in_replay_order(monkeypatch):
+    model = _lossy_send_into_region()
+    want: list[tuple] = []
+    replay_outcomes(model, _CH, leaves=want)
+    got = []
+    real = simulator.summarize
+
+    def summarize_leaf(trace):
+        got.append(real(trace))
+        return got[-1]
+
+    monkeypatch.setattr(simulator, "summarize", summarize_leaf)
+    enumerate_outcomes(model, _CH)
+    assert len(set(want)) == 3 and got == want
+
+
+@pytest.mark.parametrize(
+    "mark,model,config",
+    [
+        pytest.param("complete", _many_lossy_sends(3), SimConfig(horizon=60), id="lossy-send"),
+        pytest.param("raise_error", race_fixture(), _CH, id="third-party-race"),
+        pytest.param("start", _probabilistic_entry(), _CH, id="probabilistic-start"),
+    ],
+)
+def test_a_missing_draw_mark_raises_an_internal_error(mark, model, config, monkeypatch):
+    assert assert_same(model, config)[0] == "ok"
+    monkeypatch.setattr(_Branches, mark, lambda *args: None)
+    with pytest.raises(RuntimeError, match="internal error: .* no snapshot pending"):
+        enumerate_outcomes(model, config)
+
+
 # ---------------------------------------------------------------------------
 # Fork isolation
-
-
-def _lossy_race_fixture():
-    model = race_fixture()
-    link = dataclasses.replace(model.connections["LinkPQ"], reliability=0.5)
-    return dataclasses.replace(
-        model, connections={**model.connections, "LinkPQ": link}
-    )
 
 
 def _enumerated_models():

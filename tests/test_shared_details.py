@@ -1,11 +1,11 @@
 """Trace-event details the engine shares between events of one model.
 
-The details of ``activity-start``, ``activity-end``, ``recovery-step``,
-``timer-expired`` and the ``message-*`` events depend only on the model,
-so the run plan builds each mapping once, with its JSON text, and every
-event of that node, link or detection holds the same read-only object.  These tests pin that the sharing
-is invisible: the mappings cannot be changed, their copies are plain
-dicts, and equality, ``repr`` and trace bytes are what plain dicts give.
+The details of every event kind depend only on the model, so the run
+plan builds each mapping once, with its JSON text, and every event of
+that node, link, chain or detection holds the same read-only object.
+These tests pin that the sharing is invisible: the mappings cannot be
+changed, their copies are plain dicts, and equality, ``repr`` and trace
+bytes are what plain dicts give.
 """
 
 from __future__ import annotations
@@ -213,11 +213,42 @@ def test_enumeration_leaves_the_tables_empty():
         plan.delivered_details,
         plan.timer_details,
         plan.timeout_details,
+        plan.chain_details,
+        plan.detection_details,
+        plan.failure_details,
     )
     assert all(table == {} for table in tables)
     run(bundle.model, bundle.scenarios["F1"])
     assert plan.node_details and plan.sent_details and plan.delivered_details
     assert plan.timeout_details  # F1's detection timeout; its graphs hold no timer
+    assert plan.chain_details and plan.detection_details
+    undetected = dataclasses.replace(bundle.scenarios["F1"], recovery_enabled=False)
+    enumerate_outcomes(bundle.model, undetected)
+    assert plan.failure_details == {}
+    run(bundle.model, undetected)
+    assert plan.failure_details
+
+
+def test_every_recorded_event_holds_shared_details():
+    kinds = set()
+    for model, config in _metric_runs():
+        try:
+            first = run(model, config)
+        except SimulationError:
+            continue
+        again = run(model, config)
+        for one, two in zip(first.events, again.events, strict=True):
+            assert type(one.details) is simulator._Details, one.kind
+            assert one.details is two.details, one.kind
+            kinds.add(one.kind)
+    assert {
+        "fault-activated",
+        "error-raised",
+        "error-detected",
+        "recovery-started",
+        "recovery-complete",
+        "failure-observed",
+    } <= kinds
 
 
 def _detail_only_metrics(model) -> dict[str, MetricSpec]:
