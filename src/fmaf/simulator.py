@@ -21,11 +21,14 @@ nominal flow).  An undetected error ends in failure-observed at
 quiescence, the moment the event queue drains with no progress possible.
 
 Each model keeps a run plan, built on its first run: the checker's
-findings, one step table per activity graph (what each node does, in
-plain tuples the engine reads), and the details shared by the trace
-events of each node, link, chain and detection.  Each shared mapping
-caches its JSON text for the trace writer and its set of string values
-for metric qualifiers.  None of these caches changes a trace's bytes.
+findings, one record per chain and per detection spec, and one step
+table per activity-graph instance, built when the instance first
+starts.  A step record holds everything entering and completing its
+node needs, and each record holds the details that its trace events
+share, so a run looks details up and never builds them.  Each shared
+mapping caches its JSON text for the trace writer and its set of string
+values for metric qualifiers.  None of these caches changes a trace's
+bytes.
 The engine builds each trace event with plain slot stores into the same
 frozen ``SimEvent`` type that the public constructor gives.
 
@@ -52,6 +55,7 @@ from typing import Iterable, Mapping, NamedTuple
 from .checker import Finding, blocking_violations, check
 from .model import (
     ActivationSpec,
+    Activity,
     ActivityKind,
     AtTime,
     Connection,
@@ -200,7 +204,7 @@ def _event(time: int, kind: str, actor: str, details: Mapping[str, object]) -> S
 
 
 class _Details(dict):
-    """Read-only event details shared by every event of one node, link,
+    """Read-only event details shared by every event of one step record,
     chain or detection.
 
     Built at most once per model, in the run plan.  ``text`` is the JSON
@@ -385,17 +389,47 @@ _STEP_KINDS = {
 }
 
 
-def _step_table(graph, connections: Mapping[str, Connection]) -> dict[str, tuple]:
-    """Node id -> (activity, step kind, time to completion, successors,
-    in-degree, connection, draw probability).
+class _Step:
+    """What entering and completing one node of one instance does.
 
-    Successors are the target ids a completion enters: every target of a
-    fork, the first of any other node, none at an exit; a decision keeps
-    its out-edges, whose guards pick the one target.  The connection is
-    the one a send node sends over, None for every other node.  The draw
-    probability is the connection's reliability when a send over it
-    draws, 0 < reliability < 1, and None otherwise.
+    ``successors`` are the target ids a completion enters: every target
+    of a fork, the first of any other node, none at an exit; a decision
+    keeps its out-edges, whose guards pick the one target.  The fields
+    from ``link`` to ``receiver`` are a send's, None for every other
+    node; ``draw`` is the link's reliability when a send over it draws,
+    0 < reliability < 1, and None otherwise.  A slotted class, not a
+    named tuple or a dataclass: the engine reads a few fields per node
+    event, a slot read is the cheapest, and the class adds no import cost.
     """
+
+    __slots__ = (
+        "activity", "kind", "ticks", "successors", "in_degree", "details",
+        "link", "draw", "sent", "delivered", "receiver", "timer",
+    )
+
+    def __init__(
+        self, activity, kind, ticks, successors, in_degree, details,
+        link, draw, sent, delivered, receiver, timer,
+    ) -> None:
+        self.activity: Activity = activity
+        self.kind: int = kind  # one of the _S_* step kinds
+        self.ticks: int = ticks  # time from entering the node to completing it
+        self.successors: tuple = successors
+        self.in_degree: int = in_degree
+        self.details: _Details = details  # activity-start and activity-end, or recovery-step
+        self.link: Connection | None = link  # the connection the send sends over
+        self.draw: float | None = draw
+        self.sent: _Details | None = sent  # message-sent and message-lost
+        self.delivered: _Details | None = delivered  # message-delivered
+        self.receiver: str | None = receiver
+        self.timer: _Details | None = timer  # a timer's timer-expired
+
+
+def _step_table(
+    graph, owner: str, recovery: str | None, connections: Mapping[str, Connection]
+) -> dict[str, _Step]:
+    """Node id -> its step record in the instance of ``graph`` that
+    ``owner`` runs, nominal when ``recovery`` is None."""
     _, succ, pred = _numbered(graph)
     names = list(graph.nodes)
     table = {}
@@ -408,9 +442,26 @@ def _step_table(graph, connections: Mapping[str, Connection]) -> dict[str, tuple
         else:
             successors = (names[outs[0]],) if outs else ()
         ticks = node.duration if kind == _S_RECEIVE else node.effective_duration()
-        link = connections.get(node.channel) if kind == _S_SEND else None
-        draw = link.reliability if link is not None and 0.0 < link.reliability < 1.0 else None
-        table[node_id] = (node, kind, ticks, successors, len(ins), link, draw)
+        items = {"activity": node_id, "graph": graph.id}
+        if node.name:
+            items["name"] = node.name
+        if recovery is not None:
+            items["recovery"] = recovery
+        link = draw = sent = delivered = receiver = timer = None
+        if kind == _S_SEND:
+            link = connections.get(node.channel)
+        if link is not None:
+            if 0.0 < link.reliability < 1.0:
+                draw = link.reliability
+            sent = _Details({"channel": link.id, "activity": node_id, "graph": graph.id})
+            delivered = _Details({"channel": link.id, "sender": owner})
+            receiver = link.consumer if link.provider == owner else link.provider
+        if kind == _S_TIMER:
+            timer = _Details({"activity": node_id, "graph": graph.id, "bound": node.timer_bound})
+        table[node_id] = _Step(
+            node, kind, ticks, successors, len(ins), _Details(items),
+            link, draw, sent, delivered, receiver, timer,
+        )
     return table
 
 
@@ -428,9 +479,7 @@ class _Instance:
         "join_arrivals",
         "waiting_recv",
         "suspended",
-        "exits_reached",
         "steps",
-        "details",
     )
 
     def __init__(self, key, graph, owner, role, recovery_id=None):
@@ -444,10 +493,7 @@ class _Instance:
         self.join_arrivals: dict[str, int] = {}
         self.waiting_recv: dict[str, bool] = {}
         self.suspended = False
-        self.exits_reached: list[str] = []
-        self.steps: dict[str, tuple] | None = None  # the graph's, from the run plan
-        # node id -> shared details, from the run plan; None when not recording
-        self.details: dict[str, _Details] | None = None
+        self.steps: dict[str, _Step] | None = None  # this key's, from the run plan
 
     def clone(self) -> _Instance:
         twin = _Instance.__new__(_Instance)
@@ -461,9 +507,7 @@ class _Instance:
         twin.join_arrivals = self.join_arrivals.copy()
         twin.waiting_recv = self.waiting_recv.copy()
         twin.suspended = self.suspended
-        twin.exits_reached = self.exits_reached.copy()
         twin.steps = self.steps
-        twin.details = self.details
         return twin
 
     @property
@@ -492,16 +536,15 @@ class _Engine:
         # change in place, and ``own`` clones any other on first write.
         self.instances: dict[str, _Instance] = {}
         self.mine: set[str] = set()
-        self.mailbox: dict[tuple[str, str], list[tuple[int, str]]] = {}
+        self.mailbox: dict[tuple[str, str], int] = {}  # (receiver, channel) -> unread
         self.outcome: Outcome | None = None
         self.pops = -1  # events popped; -1 until start() has run
         self.branches: _Branches | None = None  # set only while enumerating
 
         self.plan = _plan(model)
         self.chain = model.chains[config.scenario] if config.scenario else None
-        self.activation = (
-            self.plan.activation.get(config.scenario) if config.scenario else None
-        )
+        self.focus = self.plan.chains[config.scenario] if config.scenario else None
+        self.activation = self.focus.activation if self.focus is not None else None
         self.enabled = frozenset()
         if self.chain is not None:
             self.enabled = (
@@ -518,6 +561,7 @@ class _Engine:
         self.error_time: int | None = None
         self.detected: DetectionSpec | None = None
         self.recovery_started_at: int | None = None
+        self.recovery_keys: tuple[str, ...] = ()  # the started recovery's instances
         self.recovery_finalize_scheduled = False
 
     # -- low-level plumbing
@@ -539,46 +583,39 @@ class _Engine:
     def start_instance(self, inst: _Instance, time: int) -> None:
         self.instances[inst.key] = inst
         self.mine.add(inst.key)
-        graph_id = inst.graph.id
-        steps = self.plan.steps.get(graph_id)
+        steps = self.plan.steps.get(inst.key)
         if steps is None:
-            steps = self.plan.steps[graph_id] = _step_table(
-                inst.graph, self.model.connections
+            steps = self.plan.steps[inst.key] = _step_table(
+                inst.graph, inst.owner, inst.recovery_id, self.model.connections
             )
         inst.steps = steps
-        if self.record:
-            inst.details = self.plan.node_details.setdefault(
-                (graph_id, inst.recovery_id), {}
-            )
         inst.live = 1
         self.enter_node(inst, inst.graph.entry, time)
 
     def enter_node(self, inst: _Instance, node_id: str, time: int) -> None:
-        node, kind, ticks, _, in_degree, _, _ = inst.steps[node_id]
+        step = inst.steps[node_id]
+        kind = step.kind
         if kind == _S_JOIN:
             arrived = inst.join_arrivals.get(node_id, 0) + 1
             inst.join_arrivals[node_id] = arrived
-            if arrived < in_degree:
+            if arrived < step.in_degree:
                 inst.live -= 1
                 return
         if inst.role == "nominal":
             if self.record:
-                details = inst.details.get(node_id)
-                if details is None:
-                    details = self.make_node_details(inst, node)
-                self.events.append(_event(time, "activity-start", inst.owner, details))
+                self.events.append(_event(time, "activity-start", inst.owner, step.details))
             if self.pending:
                 self.on_nominal_start(inst, node_id, time)
         if kind == _S_RECEIVE:
-            box = self.mailbox.get((inst.owner, node.channel))
-            if not box:
+            box = (inst.owner, step.activity.channel)
+            if not self.mailbox.get(box):
                 inst.waiting_recv[node_id] = True
                 return
-            box.pop(0)
+            self.mailbox[box] -= 1
         heapq.heappush(
             self.heap,
             (
-                time + ticks,
+                time + step.ticks,
                 inst.owner,
                 _R_COMPLETE,
                 self.seq,
@@ -589,28 +626,19 @@ class _Engine:
         self.seq += 1
 
     def complete_node(self, inst: _Instance, node_id: str, time: int) -> None:
-        node, kind, _, successors, _, link, _ = inst.steps[node_id]
+        step = inst.steps[node_id]
+        kind = step.kind
         if self.record:
             if kind == _S_TIMER:
-                table = self.plan.timer_details
-                key = (inst.graph.id, node_id)
-                details = table.get(key)
-                if details is None:
-                    details = table[key] = _Details(
-                        {"activity": node_id, "graph": inst.graph.id, "bound": node.timer_bound}
-                    )
-                self.events.append(_event(time, "timer-expired", inst.owner, details))
+                self.events.append(_event(time, "timer-expired", inst.owner, step.timer))
             event = "activity-end" if inst.role == "nominal" else "recovery-step"
-            details = inst.details.get(node_id)
-            if details is None:
-                details = self.make_node_details(inst, node)
-            self.events.append(_event(time, event, inst.owner, details))
+            self.events.append(_event(time, event, inst.owner, step.details))
         if kind == _S_SEND:
-            self.send_message(inst, node, link, time)
+            self.send_message(inst, step, time)
 
+        successors = step.successors
         if not successors:
             inst.live -= 1
-            inst.exits_reached.append(node_id)
             if inst.role == "recovery":
                 self.on_recovery_exit(inst, node_id, time)
             return
@@ -621,16 +649,6 @@ class _Engine:
             inst.live += len(successors) - 1
         for target in successors:
             self.enter_node(inst, target, time)
-
-    def make_node_details(self, inst: _Instance, node) -> _Details:
-        """The details of ``node``'s activity-start/-end or recovery-step."""
-        items = {"activity": node.id, "graph": inst.graph.id}
-        if node.name:
-            items["name"] = node.name
-        if inst.recovery_id is not None:
-            items["recovery"] = inst.recovery_id
-        details = inst.details[node.id] = _Details(items)
-        return details
 
     def pick_branch(self, inst: _Instance, node_id: str, out) -> str:
         chosen = self.config.guard_inputs.get(node_id)
@@ -648,36 +666,26 @@ class _Engine:
             )
         return default
 
-    def send_message(self, inst: _Instance, node, conn: Connection, time: int) -> None:
-        receiver = conn.consumer if conn.provider == inst.owner else conn.provider
+    def send_message(self, inst: _Instance, step: _Step, time: int) -> None:
+        link, receiver = step.link, step.receiver
         if self.record:
-            table = self.plan.sent_details
-            key = (inst.graph.id, node.id)
-            details = table.get(key)
-            if details is None:
-                details = table[key] = _Details(
-                    {"channel": conn.id, "activity": node.id, "graph": inst.graph.id}
-                )
-            self.events.append(_event(time, "message-sent", inst.owner, details))
-        if not _draw(self.sampler, conn.reliability):
+            self.events.append(_event(time, "message-sent", inst.owner, step.sent))
+        if not _draw(self.sampler, link.reliability):
             if self.record:
-                self.events.append(_event(time, "message-lost", inst.owner, details))
+                self.events.append(_event(time, "message-lost", inst.owner, step.sent))
             return
         self.push(
-            time + conn.latency,
+            time + link.latency,
             receiver,
             _R_DELIVER,
             "deliver",
-            (receiver, conn.id, inst.owner),
+            (receiver, link.id, step.delivered),
         )
 
-    def deliver_message(self, receiver: str, channel: str, sender: str, time: int) -> None:
+    def deliver_message(
+        self, receiver: str, channel: str, details: _Details, time: int
+    ) -> None:
         if self.record:
-            table = self.plan.delivered_details
-            key = (channel, sender)
-            details = table.get(key)
-            if details is None:
-                details = table[key] = _Details({"channel": channel, "sender": sender})
             self.events.append(_event(time, "message-delivered", receiver, details))
         receives = self.plan.receives
         for key in self.plan.owned.get(receiver, ()):
@@ -694,14 +702,15 @@ class _Engine:
                     inst = self.own(key)
                     del inst.waiting_recv[node_id]
                     self.push(
-                        time + inst.steps[node_id][2],
+                        time + inst.steps[node_id].ticks,
                         inst.owner,
                         _R_COMPLETE,
                         "complete",
                         (inst.key, inst.gen, node_id),
                     )
                     return
-        self.mailbox.setdefault((receiver, channel), []).append((time, sender))
+        box = (receiver, channel)
+        self.mailbox[box] = self.mailbox.get(box, 0) + 1
 
     # -- fault injection and detection
 
@@ -722,45 +731,12 @@ class _Engine:
                 self.push(time, origin, _R_INJECT, "inject", ())
                 self.pending = False
 
-    def chain_details(self) -> tuple[_Details, _Details]:
-        """The focused chain's fault-activated and error-raised details."""
-        chain = self.chain
-        details = self.plan.chain_details.get(chain.id)
-        if details is None:
-            fault = self.model.threat_nodes.get(chain.fault)
-            details = self.plan.chain_details[chain.id] = (
-                _Details(
-                    {
-                        "chain": chain.id,
-                        "fault": chain.fault,
-                        "description": fault.description if fault else "",
-                    }
-                ),
-                _Details({"chain": chain.id, "error": chain.error}),
-            )
-        return details
-
-    def detection_details(self, spec: DetectionSpec) -> tuple[_Details, _Details]:
-        """``spec``'s error-detected and recovery-started details, which
-        are equal, and its recovery-complete details."""
-        details = self.plan.detection_details.get(spec.id)
-        if details is None:
-            details = self.plan.detection_details[spec.id] = (
-                _Details(
-                    {"chain": spec.threat, "detection": spec.id, "recovery": spec.recovery}
-                ),
-                _Details({"chain": spec.threat, "recovery": spec.recovery}),
-            )
-        return details
-
     def inject_fault(self, time: int) -> None:
         chain = self.chain
         assert chain is not None and self.activation is not None
         origin = self.activation.origin_constituent
         if self.record:
-            self.events.append(
-                _event(time, "fault-activated", origin, self.chain_details()[0])
-            )
+            self.events.append(_event(time, "fault-activated", origin, self.focus.activated))
         key = f"nominal:{origin}"
         if key in self.instances:
             self.own(key).suspend()
@@ -771,9 +747,7 @@ class _Engine:
         assert chain is not None
         self.error_time = time
         if self.record:
-            self.events.append(
-                _event(time, "error-raised", chain.origin, self.chain_details()[1])
-            )
+            self.events.append(_event(time, "error-raised", chain.origin, self.focus.raised))
         if not self.config.recovery_enabled:
             return
         state = RaceState(
@@ -782,7 +756,7 @@ class _Engine:
             enabled=self.enabled,
             sampler=self.sampler,
         )
-        result = _race(self.plan.detections.get(chain.id, ()), state)
+        result = _race(self.focus.detections, state)
         if result.winner is not None:
             self.detected = result.winner
             self.push(
@@ -794,43 +768,28 @@ class _Engine:
             )
 
     def on_detect(self, spec_id: str, time: int) -> None:
-        spec = self.model.detections[spec_id]
-        if self.record and isinstance(spec.condition, Timeout):
-            table = self.plan.timeout_details
-            details = table.get(spec.id)
-            if details is None:
-                details = table[spec.id] = _Details(
-                    {
-                        "detection": spec.id,
-                        "watched": spec.condition.watched,
-                        "bound": spec.condition.bound,
-                    }
-                )
-            self.events.append(_event(time, "timer-expired", spec.detector, details))
+        spec, expired, detected, _ = self.plan.detections[spec_id]
         if self.record:
-            details = self.detection_details(spec)[0]
-            self.events.append(_event(time, "error-detected", spec.detector, details))
+            if expired is not None:
+                self.events.append(_event(time, "timer-expired", spec.detector, expired))
+            self.events.append(_event(time, "error-detected", spec.detector, detected))
         self.push(time + 1, spec.detector, _R_RECOVERY_START, "start-recovery", (spec.id,))
 
     def on_recovery_start(self, spec_id: str, time: int) -> None:
-        spec = self.model.detections[spec_id]
+        spec, _, detected, _ = self.plan.detections[spec_id]
         recovery = self.model.recoveries[spec.recovery]
         self.recovery_started_at = time
         if self.record:
-            details = self.detection_details(spec)[0]
-            self.events.append(_event(time, "recovery-started", spec.detector, details))
+            self.events.append(_event(time, "recovery-started", spec.detector, detected))
         for key, inst in list(self.instances.items()):
             if inst.role == "nominal" and not inst.suspended:
                 self.own(key).suspend()
-        for cs_id, graph_id in recovery.graphs.items():
-            inst = _Instance(
-                key=f"recovery:{recovery.id}:{graph_id}",
-                graph=self.model.processes[graph_id],
-                owner=cs_id,
-                role="recovery",
-                recovery_id=recovery.id,
-            )
-            self.start_instance(inst, time)
+        self.recovery_keys = tuple(
+            f"recovery:{recovery.id}:{graph_id}" for graph_id in recovery.graphs.values()
+        )
+        for key, (cs_id, graph_id) in zip(self.recovery_keys, recovery.graphs.items()):
+            graph = self.model.processes[graph_id]
+            self.start_instance(_Instance(key, graph, cs_id, "recovery", recovery.id), time)
         self.check_recovery_done(time)
 
     def on_recovery_exit(self, inst: _Instance, node_id: str, time: int) -> None:
@@ -843,8 +802,9 @@ class _Engine:
     def check_recovery_done(self, time: int) -> None:
         if self.recovery_finalize_scheduled or self.outcome is not None:
             return
-        rec = [i for i in self.instances.values() if i.role == "recovery"]
-        if rec and all(i.finished for i in rec):
+        # Read through ``instances``: ``own`` may have swapped in a clone.
+        keys = self.recovery_keys
+        if keys and all(self.instances[key].finished for key in keys):
             assert self.recovery_started_at is not None
             when = max(time, self.recovery_started_at + 1)
             detector = self.detected.detector if self.detected else ""
@@ -854,7 +814,7 @@ class _Engine:
     def on_finalize(self, time: int) -> None:
         assert self.detected is not None and self.chain is not None
         if self.record:
-            details = self.detection_details(self.detected)[1]
+            details = self.plan.detections[self.detected.id].complete
             self.events.append(
                 _event(time, "recovery-complete", self.detected.detector, details)
             )
@@ -866,19 +826,7 @@ class _Engine:
         chain = self.chain
         assert chain is not None
         if self.record:
-            table = self.plan.failure_details
-            details = table.get((chain.id, aborted_by))
-            if details is None:
-                failure = self.model.threat_nodes.get(chain.failure)
-                items = {
-                    "chain": chain.id,
-                    "failure": chain.failure,
-                    "description": failure.description if failure else "",
-                    "observation": chain.failure_observation.value,
-                }
-                if aborted_by is not None:
-                    items["aborted_by"] = aborted_by
-                details = table[chain.id, aborted_by] = _Details(items)
+            details = self.focus.failed[aborted_by]
             self.events.append(_event(time, "failure-observed", chain.origin, details))
         self.outcome = Outcome("failed-at-boundary")
 
@@ -926,8 +874,8 @@ class _Engine:
                     inst = self.own(key)  # after a fork too: it shares every instance
                 self.complete_node(inst, node_id, time)
             elif kind == "deliver":
-                receiver, channel, sender = payload
-                self.deliver_message(receiver, channel, sender, time)
+                receiver, channel, details = payload
+                self.deliver_message(receiver, channel, details, time)
             elif kind == "inject":
                 if not self.injected_fired:
                     self.injected_fired = True
@@ -973,7 +921,7 @@ class _Engine:
         twin.instances = self.instances.copy()
         twin.mine = set()
         self.mine.clear()
-        twin.mailbox = {key: box.copy() for key, box in self.mailbox.items()}
+        twin.mailbox = self.mailbox.copy()
         return twin
 
     def finish_at_quiescence(self) -> None:
@@ -997,39 +945,90 @@ class _Engine:
 # Public operations
 
 
+class _Chain(NamedTuple):
+    """One chain's activation and detections, and its events' details."""
+
+    activation: ActivationSpec | None  # activation_for(chain)
+    detections: tuple[DetectionSpec, ...]  # detections_for(chain)
+    activated: _Details  # fault-activated
+    raised: _Details  # error-raised
+    failed: Mapping[str | None, _Details]  # aborting recovery exit or None -> failure-observed
+
+
+class _Detection(NamedTuple):
+    """One detection spec and its events' details."""
+
+    spec: DetectionSpec
+    expired: _Details | None  # a Timeout's timer-expired
+    detected: _Details  # error-detected and recovery-started
+    complete: _Details  # recovery-complete
+
+
+def _chain_record(model: SosModel, chain) -> _Chain:
+    detections = tuple(model.detections_for(chain.id))
+    fault = model.threat_nodes.get(chain.fault)
+    failure = model.threat_nodes.get(chain.failure)
+    observed = {
+        "chain": chain.id,
+        "failure": chain.failure,
+        "description": failure.description if failure else "",
+        "observation": chain.failure_observation.value,
+    }
+    failed = {None: _Details(observed)}
+    for spec in detections:
+        recovery = model.recoveries.get(spec.recovery)
+        for exit_id in sorted(recovery.abort_exits) if recovery else ():
+            if exit_id not in failed:
+                failed[exit_id] = _Details({**observed, "aborted_by": exit_id})
+    return _Chain(
+        model.activation_for(chain.id),
+        detections,
+        _Details(
+            {
+                "chain": chain.id,
+                "fault": chain.fault,
+                "description": fault.description if fault else "",
+            }
+        ),
+        _Details({"chain": chain.id, "error": chain.error}),
+        failed,
+    )
+
+
+def _detection_record(spec: DetectionSpec) -> _Detection:
+    cond = spec.condition
+    expired = None
+    if isinstance(cond, Timeout):
+        expired = _Details({"detection": spec.id, "watched": cond.watched, "bound": cond.bound})
+    return _Detection(
+        spec,
+        expired,
+        _Details({"chain": spec.threat, "detection": spec.id, "recovery": spec.recovery}),
+        _Details({"chain": spec.threat, "recovery": spec.recovery}),
+    )
+
+
 class _Plan(NamedTuple):
     """What every run of one model needs and no run changes.
 
     Built once per model object, so a ``dataclasses.replace``d model gets
-    its own.  It holds the checker's findings and per-chain lookups, the
-    step table of each activity graph an instance has started, and the
-    shared trace-event details of recorded runs.  The tables fill as runs
-    first need them; none of them changes trace bytes.
+    its own.  It holds the checker's findings, one record per chain and
+    per detection spec, and the step table of each instance a run has
+    started, under the instance's key: ``nominal:<constituent>`` or
+    ``recovery:<recovery>:<graph>``.  Each record carries the shared
+    details of its trace events.  Since the plan is built before the
+    checker's findings can refuse a run, no record indexes a reference
+    the model may leave dangling.
     """
 
     findings: tuple[Finding, ...]
     decisions: frozenset[str]
-    activation: Mapping[str, ActivationSpec | None]  # chain id -> activation_for(chain)
-    detections: Mapping[str, tuple[DetectionSpec, ...]]  # chain id -> detections_for(chain)
+    chains: Mapping[str, _Chain]
+    detections: Mapping[str, _Detection]  # detection spec id -> its record
     owned: Mapping[str, tuple[str, ...]]  # owner -> every instance key it may start, sorted
     receives: Mapping[tuple[str, str], tuple[str, ...]]  # (graph, channel) -> receive ids, sorted
     metrics: _Metrics
-    steps: dict[str, dict[str, tuple]]  # graph -> its step table, built when first started
-    # Shared trace-event details, filled as recorded runs first need them:
-    # (graph, recovery or None) -> node -> activity-start/-end, recovery-step;
-    # (graph, send node) -> message-sent/-lost; (channel, sender) -> message-delivered;
-    # (graph, timer node) and detection id -> timer-expired;
-    # chain -> (fault-activated, error-raised);
-    # detection id -> (error-detected and recovery-started, recovery-complete);
-    # (chain, aborting recovery exit or None) -> failure-observed
-    node_details: dict[tuple[str, str | None], dict[str, _Details]]
-    sent_details: dict[tuple[str, str], _Details]
-    delivered_details: dict[tuple[str, str], _Details]
-    timer_details: dict[tuple[str, str], _Details]
-    timeout_details: dict[str, _Details]
-    chain_details: dict[str, tuple[_Details, _Details]]
-    detection_details: dict[str, tuple[_Details, _Details]]
-    failure_details: dict[tuple[str, str | None], _Details]
+    steps: dict[str, dict[str, _Step]]  # instance key -> its step table, built when first started
 
 
 def _plan(model: SosModel) -> _Plan:
@@ -1055,20 +1054,12 @@ def _plan(model: SosModel) -> _Plan:
                 for node_id, node in graph.nodes.items()
                 if node.kind is ActivityKind.DECISION
             ),
-            activation={c: model.activation_for(c) for c in model.chains},
-            detections={c: tuple(model.detections_for(c)) for c in model.chains},
+            chains={c.id: _chain_record(model, c) for c in model.chains.values()},
+            detections={d.id: _detection_record(d) for d in model.detections.values()},
             owned={k: tuple(sorted(v)) for k, v in owned.items()},
             receives={k: tuple(v) for k, v in receives.items()},
             metrics=_prepare(model.metrics.values()),
             steps={},
-            node_details={},
-            sent_details={},
-            delivered_details={},
-            timer_details={},
-            timeout_details={},
-            chain_details={},
-            detection_details={},
-            failure_details={},
         )
         object.__setattr__(model, "_plan", plan)
     return plan
@@ -1091,7 +1082,7 @@ def _validate(model: SosModel, config: SimConfig) -> None:
                     f"enabled detectors {sorted(extra)} are not detectors of "
                     f"chain {chain.id!r}"
                 )
-        activation = plan.activation.get(config.scenario)
+        activation = plan.chains[config.scenario].activation
         if activation is None:
             raise InvalidConfigError(
                 f"chain {config.scenario!r} has no activation specification"
@@ -1211,7 +1202,7 @@ class _Branches:
                 spec.detector in root.enabled
                 and isinstance(spec.condition, ThirdPartyReport)
                 and 0.0 < spec.condition.probability < 1.0
-                for spec in root.plan.detections.get(root.chain.id, ())
+                for spec in root.focus.detections
             )
 
     # -- draw marks: each names the most draws its event can make
@@ -1222,9 +1213,9 @@ class _Branches:
 
     def complete(self, engine: _Engine, entry: tuple, inst: _Instance) -> None:
         step = inst.steps[entry[5][2]]
-        draws = step[6] is not None  # a send over a lossy link
+        draws = step.draw is not None  # a send over a lossy link
         if inst.key == self.trigger_key and engine.pending:
-            kind, successors, region = step[1], step[3], self.region
+            kind, successors, region = step.kind, step.successors, self.region
             if kind == _S_DECISION:
                 draws += any(edge.dst in region for edge in successors)
             else:

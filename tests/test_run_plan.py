@@ -27,6 +27,8 @@ from fmaf.model import (
     ElapsedBetween,
     FailureObservation,
     MetricSpec,
+    SosModel,
+    Timeout,
     split_event_pattern,
 )
 from fmaf.simulator import (
@@ -103,6 +105,26 @@ def test_replace_that_adds_a_violation_is_refused():
     with pytest.raises(ModelViolationsError):
         enumerate_outcomes(bad, config)
     assert run(model, config).outcome.kind == "recovered"
+
+
+def test_dangling_references_are_refused_by_the_checker_not_the_plan():
+    # SosModel(...) resolves no reference, and the plan is built before
+    # the checker's findings can refuse a run.
+    base = race_fixture()
+    given = {f.name: getattr(base, f.name) for f in dataclasses.fields(base) if f.init}
+    chain = dataclasses.replace(base.chains["CH"], fault="NoSuchFault")
+    dself = dataclasses.replace(base.detections["DSELF"], recovery="NoSuchRecovery")
+    model = SosModel(
+        **{**given, "chains": {"CH": chain}, "detections": {**base.detections, "DSELF": dself}}
+    )
+    config = SimConfig(scenario="CH", horizon=60)
+    for call in (run, enumerate_outcomes, run):
+        with pytest.raises(ModelViolationsError) as exc:
+            call(model, config)
+        assert [f.rule_id for f in exc.value.findings] == ["R4", "R5"]
+    with pytest.raises(InvalidConfigError, match="unknown scenario chain 'NOPE'"):
+        run(model, SimConfig(scenario="NOPE", horizon=60))
+    assert run(model, SimConfig(horizon=60)).outcome.kind == "nominal"
 
 
 def test_plan_is_invisible_to_equality_repr_and_serialize():
@@ -219,13 +241,50 @@ def test_plan_matches_the_public_lookups():
             for node_id, node in graph.nodes.items()
             if node.kind is ActivityKind.DECISION
         }
-        threats = {a.threat for a in model.activations.values()}
-        threats |= {d.threat for d in model.detections.values()}
-        for chain_id in sorted(set(model.chains) | threats):
-            assert plan.activation.get(chain_id) == model.activation_for(chain_id)
-            assert list(plan.detections.get(chain_id, ())) == model.detections_for(
-                chain_id
-            )
+        assert list(plan.chains) == list(model.chains)
+        for chain in model.chains.values():
+            record = plan.chains[chain.id]
+            assert record.activation == model.activation_for(chain.id)
+            assert list(record.detections) == model.detections_for(chain.id)
+            assert record.activated == {
+                "chain": chain.id,
+                "fault": chain.fault,
+                "description": model.threat_nodes[chain.fault].description,
+            }
+            assert record.raised == {"chain": chain.id, "error": chain.error}
+            observed = {
+                "chain": chain.id,
+                "failure": chain.failure,
+                "description": model.threat_nodes[chain.failure].description,
+                "observation": chain.failure_observation.value,
+            }
+            aborts = {
+                exit_id
+                for spec in record.detections
+                for exit_id in model.recoveries[spec.recovery].abort_exits
+            }
+            assert set(record.failed) == {None} | aborts
+            for exit_id, details in record.failed.items():
+                extra = {} if exit_id is None else {"aborted_by": exit_id}
+                assert details == {**observed, **extra}
+        assert list(plan.detections) == list(model.detections)
+        for spec in model.detections.values():
+            record = plan.detections[spec.id]
+            assert record.spec is spec
+            if isinstance(spec.condition, Timeout):
+                assert record.expired == {
+                    "detection": spec.id,
+                    "watched": spec.condition.watched,
+                    "bound": spec.condition.bound,
+                }
+            else:
+                assert record.expired is None
+            assert record.detected == {
+                "chain": spec.threat,
+                "detection": spec.id,
+                "recovery": spec.recovery,
+            }
+            assert record.complete == {"chain": spec.threat, "recovery": spec.recovery}
         for graph in model.processes.values():
             for node_id, node in graph.nodes.items():
                 if node.kind is ActivityKind.RECEIVE:
@@ -233,11 +292,9 @@ def test_plan_matches_the_public_lookups():
         assert all(list(ids) == sorted(ids) for ids in plan.receives.values())
 
 
-def test_plan_lists_every_started_instance_under_its_owner_in_key_order():
-    started = 0
+def _drained_engines():
+    """An engine run to quiescence for every runnable scenario of _models()."""
     for model in _models():
-        plan = simulator._plan(model)
-        assert all(list(keys) == sorted(keys) for keys in plan.owned.values())
         for scenario in (None, *sorted(model.chains)):
             config = SimConfig(scenario=scenario, seed=0)
             try:
@@ -247,10 +304,80 @@ def test_plan_lists_every_started_instance_under_its_owner_in_key_order():
             engine = simulator._Engine(model, config, simulator.RandomSampler(0))
             engine.start()
             engine.loop()
-            for key, inst in engine.instances.items():
-                assert key in plan.owned[inst.owner]
-                started += inst.role == "recovery"
+            yield engine
+
+
+def test_plan_lists_every_started_instance_under_its_owner_in_key_order():
+    started = 0
+    for engine in _drained_engines():
+        plan = engine.plan
+        assert all(list(keys) == sorted(keys) for keys in plan.owned.values())
+        for key, inst in engine.instances.items():
+            assert key in plan.owned[inst.owner]
+            started += inst.role == "recovery"
     assert started > 0
+
+
+def _expected_step(model, inst, node_id):
+    """The step record of ``node_id`` in ``inst``, from the public model."""
+    graph, owner, recovery = inst.graph, inst.owner, inst.recovery_id
+    node = graph.nodes[node_id]
+    out = graph.out_edges(node_id)
+    if node.kind is ActivityKind.DECISION:
+        successors = out
+    elif node.kind is ActivityKind.FORK:
+        successors = tuple(e.dst for e in out)
+    else:
+        successors = tuple(e.dst for e in out[:1])
+    details = {"activity": node_id, "graph": graph.id}
+    if node.name:
+        details["name"] = node.name
+    if recovery is not None:
+        details["recovery"] = recovery
+    link = draw = sent = delivered = receiver = timer = None
+    if node.kind is ActivityKind.SEND:
+        link = model.connections[node.channel]
+        draw = link.reliability if 0.0 < link.reliability < 1.0 else None
+        sent = {"channel": link.id, "activity": node_id, "graph": graph.id}
+        delivered = {"channel": link.id, "sender": owner}
+        receiver = link.consumer if link.provider == owner else link.provider
+    if node.kind is ActivityKind.TIMER:
+        timer = {"activity": node_id, "graph": graph.id, "bound": node.timer_bound}
+    return (
+        node,
+        simulator._STEP_KINDS[node.kind],
+        node.duration if node.kind is ActivityKind.RECEIVE else node.effective_duration(),
+        successors,
+        sum(e.dst == node_id for e in graph.edges),
+        details,
+        link,
+        draw,
+        sent,
+        delivered,
+        receiver,
+        timer,
+    )
+
+
+def test_step_records_match_their_instances():
+    checked = set()
+    for engine in _drained_engines():
+        model, steps = engine.model, engine.plan.steps
+        for key, inst in engine.instances.items():
+            if inst.role == "nominal":
+                assert key == f"nominal:{inst.owner}"
+                assert inst.graph.id == model.constituents[inst.owner].nominal_process
+            else:
+                assert key == f"recovery:{inst.recovery_id}:{inst.graph.id}"
+                assert model.recoveries[inst.recovery_id].graphs[inst.owner] == inst.graph.id
+            assert inst.steps is steps[key]
+            assert list(inst.steps) == list(inst.graph.nodes)
+            for node_id, step in inst.steps.items():
+                got = tuple(getattr(step, name) for name in step.__slots__)
+                assert got == _expected_step(model, inst, node_id)
+                assert type(step.details) is simulator._Details
+                checked.add(simulator._STEP_KINDS[step.activity.kind])
+    assert checked == set(simulator._STEP_KINDS.values())
 
 
 # ---------------------------------------------------------------------------

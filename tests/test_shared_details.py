@@ -1,8 +1,9 @@
 """Trace-event details the engine shares between events of one model.
 
 The details of every event kind depend only on the model, so the run
-plan builds each mapping once, with its JSON text, and every event of
-that node, link, chain or detection holds the same read-only object.
+plan builds each mapping once, in the record of its node, chain or
+detection, and every event of that record holds the same read-only
+object, which caches its JSON text.
 These tests pin that the sharing is invisible: the mappings cannot be
 changed, their copies are plain dicts, and equality, ``repr`` and trace
 bytes are what plain dicts give.
@@ -203,30 +204,46 @@ def test_models_and_configs_run_alternately_give_their_solo_bytes():
             assert _bytes(model, config) == want
 
 
-def test_enumeration_leaves_the_tables_empty():
-    bundle = load_bundle("fault1")
-    enumerate_outcomes(bundle.model, bundle.scenarios["F1"])
-    plan = simulator._plan(bundle.model)
-    tables = (
-        plan.node_details,
-        plan.sent_details,
-        plan.delivered_details,
-        plan.timer_details,
-        plan.timeout_details,
-        plan.chain_details,
-        plan.detection_details,
-        plan.failure_details,
-    )
-    assert all(table == {} for table in tables)
-    run(bundle.model, bundle.scenarios["F1"])
-    assert plan.node_details and plan.sent_details and plan.delivered_details
-    assert plan.timeout_details  # F1's detection timeout; its graphs hold no timer
-    assert plan.chain_details and plan.detection_details
-    undetected = dataclasses.replace(bundle.scenarios["F1"], recovery_enabled=False)
-    enumerate_outcomes(bundle.model, undetected)
-    assert plan.failure_details == {}
-    run(bundle.model, undetected)
-    assert plan.failure_details
+def _counting(monkeypatch) -> tuple[list, list]:
+    """The details and the trace events built from here on."""
+    details, events = [], []
+    init, event = simulator._Details.__init__, simulator._event
+
+    def counted_details(self, items):
+        details.append(items)
+        init(self, items)
+
+    def counted_event(*args):
+        events.append(args)
+        return event(*args)
+
+    monkeypatch.setattr(simulator._Details, "__init__", counted_details)
+    monkeypatch.setattr(simulator, "_event", counted_event)
+    return details, events
+
+
+def _enumerated_configs():
+    fault1 = load_bundle("fault1")
+    f1 = fault1.scenarios["F1"]
+    yield fault1.model, f1
+    yield fault1.model, dataclasses.replace(f1, recovery_enabled=False)
+    yield race_fixture(), SimConfig(scenario="CH", horizon=60, seed=1)
+
+
+def test_repeated_runs_and_enumerations_build_no_details(monkeypatch):
+    details, events = _counting(monkeypatch)
+    for model, config in _enumerated_configs():
+        run(model, config)
+        built = len(details)
+        run(model, config)
+        assert len(details) == built
+        recorded = len(events)
+        enumerate_outcomes(model, config)
+        built = len(details)
+        enumerate_outcomes(model, config)
+        assert len(details) == built
+        assert len(events) == recorded  # enumeration records no trace events
+    assert details and events
 
 
 def test_every_recorded_event_holds_shared_details():
@@ -314,7 +331,9 @@ def test_step_tables_belong_to_the_model_they_were_built_for():
     original = race_fixture()
     config = SimConfig(horizon=60, seed=1)
     before = _bytes(original, config)
-    assert "GP" in simulator._plan(original).steps
+    steps = simulator._plan(original).steps
+    assert list(steps) == ["nominal:P", "nominal:Q", "nominal:R"]
+    assert steps["nominal:P"]["p_report"].sent["graph"] == "GP"
     # GP runs p_setup -> p_serve -> p_report -> p_done; skip the report.
     graph = original.processes["GP"]
     edges = [e for e in graph.edges if e.src not in ("p_serve", "p_report")]
@@ -328,3 +347,23 @@ def test_step_tables_belong_to_the_model_they_were_built_for():
     assert after == _bytes(fresh, config)
     assert after != before and '"activity": "p_report"' not in after
     assert _bytes(original, config) == before
+
+
+def test_a_nominal_graph_run_as_recovery_gets_its_own_details():
+    model = race_fixture()
+    rself = dataclasses.replace(
+        model.recoveries["RSELF"], graphs={"P": "GP"}, success_exits=frozenset({"p_done"})
+    )
+    model = dataclasses.replace(model, recoveries={**model.recoveries, "RSELF": rself})
+    config = SimConfig(scenario="CH", horizon=60, enabled_detectors=frozenset({"P"}))
+    trace = run(model, config)
+    assert trace.outcome == Outcome("recovered", by="P", recovery="RSELF")
+    nominal = [e.details for e in trace.events if e.kind in ("activity-start", "activity-end")]
+    steps = [e.details for e in trace.events if e.kind == "recovery-step"]
+    assert {d["graph"] for d in nominal} >= {"GP"}
+    assert {d["graph"] for d in steps} == {"GP"}
+    assert all("recovery" not in d for d in nominal)
+    assert all(d["recovery"] == "RSELF" for d in steps)
+    assert {d["activity"] for d in steps} == {"p_setup", "p_serve", "p_report", "p_done"}
+    assert set(simulator._plan(model).steps) >= {"nominal:P", "recovery:RSELF:GP"}
+    assert format_trace(run(model, config)) == format_trace(trace)
