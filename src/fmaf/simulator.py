@@ -17,13 +17,17 @@ bounds are measured from error-raised.
 
 A fault's activation suspends the origin's nominal execution; the start
 of recovery suspends every nominal execution (recovery replaces the
-nominal flow).  An undetected error ends in failure-observed at
-quiescence, the moment the event queue drains with no progress possible.
+nominal flow).  The engine holds the suspended instances' keys as one
+set, ``halted``: a suspended instance's pending completions are dropped
+and its waiting receives take no message, which stays in the mailbox.
+An undetected error ends in failure-observed at quiescence, the moment
+the event queue drains with no progress possible.
 
 Each model keeps a run plan, built on its first run: the checker's
-findings, one record per chain and per detection spec, and one step
-table per activity-graph instance, built when the instance first
-starts.  A step record holds everything entering and completing its
+findings, one record per chain and per detection spec, an index from
+(receiver, channel) to the receive nodes that may take a delivery, and
+one step table per activity-graph instance, built when the instance
+first starts.  A step record holds everything entering and completing its
 node needs, and each record holds the details that its trace events
 share, so a run looks details up and never builds them.  Each shared
 mapping caches its JSON text for the trace writer and its set of string
@@ -466,33 +470,28 @@ def _step_table(
 
 
 class _Instance:
-    """One executing copy of an activity graph."""
+    """One executing copy of an activity graph; nominal when
+    ``recovery_id`` is None."""
 
     __slots__ = (
         "key",
         "graph",
         "owner",
-        "role",
         "recovery_id",
-        "gen",
         "live",
         "join_arrivals",
         "waiting_recv",
-        "suspended",
         "steps",
     )
 
-    def __init__(self, key, graph, owner, role, recovery_id=None):
+    def __init__(self, key, graph, owner, recovery_id=None):
         self.key = key
         self.graph = graph
         self.owner = owner
-        self.role = role  # "nominal" | "recovery"
         self.recovery_id = recovery_id
-        self.gen = 0
         self.live = 0
         self.join_arrivals: dict[str, int] = {}
         self.waiting_recv: dict[str, bool] = {}
-        self.suspended = False
         self.steps: dict[str, _Step] | None = None  # this key's, from the run plan
 
     def clone(self) -> _Instance:
@@ -500,24 +499,12 @@ class _Instance:
         twin.key = self.key
         twin.graph = self.graph
         twin.owner = self.owner
-        twin.role = self.role
         twin.recovery_id = self.recovery_id
-        twin.gen = self.gen
         twin.live = self.live
         twin.join_arrivals = self.join_arrivals.copy()
         twin.waiting_recv = self.waiting_recv.copy()
-        twin.suspended = self.suspended
         twin.steps = self.steps
         return twin
-
-    @property
-    def finished(self) -> bool:
-        return self.live == 0
-
-    def suspend(self) -> None:
-        self.suspended = True
-        self.gen += 1
-        self.waiting_recv.clear()
 
 
 class _Engine:
@@ -537,6 +524,9 @@ class _Engine:
         self.instances: dict[str, _Instance] = {}
         self.mine: set[str] = set()
         self.mailbox: dict[tuple[str, str], int] = {}  # (receiver, channel) -> unread
+        # The suspended nominal instances' keys; replaced, never changed,
+        # so forks share it.
+        self.halted: frozenset[str] = frozenset()
         self.outcome: Outcome | None = None
         self.pops = -1  # events popped; -1 until start() has run
         self.branches: _Branches | None = None  # set only while enumerating
@@ -601,7 +591,7 @@ class _Engine:
             if arrived < step.in_degree:
                 inst.live -= 1
                 return
-        if inst.role == "nominal":
+        if inst.recovery_id is None:
             if self.record:
                 self.events.append(_event(time, "activity-start", inst.owner, step.details))
             if self.pending:
@@ -620,7 +610,7 @@ class _Engine:
                 _R_COMPLETE,
                 self.seq,
                 "complete",
-                (inst.key, inst.gen, node_id),
+                (inst.key, node_id),
             ),
         )
         self.seq += 1
@@ -631,7 +621,7 @@ class _Engine:
         if self.record:
             if kind == _S_TIMER:
                 self.events.append(_event(time, "timer-expired", inst.owner, step.timer))
-            event = "activity-end" if inst.role == "nominal" else "recovery-step"
+            event = "activity-end" if inst.recovery_id is None else "recovery-step"
             self.events.append(_event(time, event, inst.owner, step.details))
         if kind == _S_SEND:
             self.send_message(inst, step, time)
@@ -639,7 +629,7 @@ class _Engine:
         successors = step.successors
         if not successors:
             inst.live -= 1
-            if inst.role == "recovery":
+            if inst.recovery_id is not None:
                 self.on_recovery_exit(inst, node_id, time)
             return
         if kind == _S_DECISION:
@@ -687,28 +677,20 @@ class _Engine:
     ) -> None:
         if self.record:
             self.events.append(_event(time, "message-delivered", receiver, details))
-        receives = self.plan.receives
-        for key in self.plan.owned.get(receiver, ()):
+        for key, node_id in self.plan.receivers.get((receiver, channel), ()):
             inst = self.instances.get(key)
-            if (
-                inst is None
-                or not inst.waiting_recv
-                or inst.suspended
-                or inst.owner != receiver
-            ):
+            if inst is None or node_id not in inst.waiting_recv or key in self.halted:
                 continue
-            for node_id in receives.get((inst.graph.id, channel), ()):
-                if node_id in inst.waiting_recv:
-                    inst = self.own(key)
-                    del inst.waiting_recv[node_id]
-                    self.push(
-                        time + inst.steps[node_id].ticks,
-                        inst.owner,
-                        _R_COMPLETE,
-                        "complete",
-                        (inst.key, inst.gen, node_id),
-                    )
-                    return
+            inst = self.own(key)
+            del inst.waiting_recv[node_id]
+            self.push(
+                time + inst.steps[node_id].ticks,
+                receiver,
+                _R_COMPLETE,
+                "complete",
+                (key, node_id),
+            )
+            return
         box = (receiver, channel)
         self.mailbox[box] = self.mailbox.get(box, 0) + 1
 
@@ -737,9 +719,7 @@ class _Engine:
         origin = self.activation.origin_constituent
         if self.record:
             self.events.append(_event(time, "fault-activated", origin, self.focus.activated))
-        key = f"nominal:{origin}"
-        if key in self.instances:
-            self.own(key).suspend()
+        self.halted = self.halted | {f"nominal:{origin}"}
         self.push(time + 1, origin, _R_ERROR, "raise-error", ())
 
     def raise_error(self, time: int) -> None:
@@ -781,15 +761,12 @@ class _Engine:
         self.recovery_started_at = time
         if self.record:
             self.events.append(_event(time, "recovery-started", spec.detector, detected))
-        for key, inst in list(self.instances.items()):
-            if inst.role == "nominal" and not inst.suspended:
-                self.own(key).suspend()
-        self.recovery_keys = tuple(
-            f"recovery:{recovery.id}:{graph_id}" for graph_id in recovery.graphs.values()
-        )
+        # One recovery starts per run, so every instance so far is nominal.
+        self.halted = frozenset(self.instances)
+        self.recovery_keys = tuple(f"recovery:{recovery.id}:{cs_id}" for cs_id in recovery.graphs)
         for key, (cs_id, graph_id) in zip(self.recovery_keys, recovery.graphs.items()):
             graph = self.model.processes[graph_id]
-            self.start_instance(_Instance(key, graph, cs_id, "recovery", recovery.id), time)
+            self.start_instance(_Instance(key, graph, cs_id, recovery.id), time)
         self.check_recovery_done(time)
 
     def on_recovery_exit(self, inst: _Instance, node_id: str, time: int) -> None:
@@ -804,7 +781,7 @@ class _Engine:
             return
         # Read through ``instances``: ``own`` may have swapped in a clone.
         keys = self.recovery_keys
-        if keys and all(self.instances[key].finished for key in keys):
+        if keys and all(self.instances[key].live == 0 for key in keys):
             assert self.recovery_started_at is not None
             when = max(time, self.recovery_started_at + 1)
             detector = self.detected.detector if self.detected else ""
@@ -839,8 +816,7 @@ class _Engine:
             self.branches.start(self)
         for cs_id in self.model.constituents:
             graph = self.model.processes[self.model.constituents[cs_id].nominal_process]
-            inst = _Instance(f"nominal:{cs_id}", graph, cs_id, "nominal")
-            self.start_instance(inst, 0)
+            self.start_instance(_Instance(f"nominal:{cs_id}", graph, cs_id), 0)
         if self.activation is not None and isinstance(self.activation.trigger, AtTime):
             self.push(
                 self.activation.trigger.time,
@@ -858,15 +834,15 @@ class _Engine:
             self.pops += 1
             time, actor, rank, seq, kind, payload = heapq.heappop(self.heap)
             if kind == "complete":
-                key, gen, node_id = payload
-                inst = self.instances[key]
-                if gen != inst.gen or inst.suspended:
+                key, node_id = payload
+                if key in self.halted:
                     continue  # cancelled by a suspension; not progress
             if time > self.config.horizon:
                 self.outcome = Outcome("horizon-exhausted")
                 break
             self.clock = time
             if kind == "complete":
+                inst = self.instances[key]
                 if branches is not None:
                     entry = (time, actor, rank, seq, kind, payload)
                     branches.complete(self, entry, inst)
@@ -926,8 +902,8 @@ class _Engine:
 
     def finish_at_quiescence(self) -> None:
         if self.chain is None:
-            nominal = [i for i in self.instances.values() if i.role == "nominal"]
-            if all(i.finished for i in nominal):
+            # With no chain, no recovery starts: every instance is nominal.
+            if all(inst.live == 0 for inst in self.instances.values()):
                 self.outcome = Outcome("nominal")
             else:
                 self.outcome = Outcome("horizon-exhausted")
@@ -1013,9 +989,10 @@ class _Plan(NamedTuple):
 
     Built once per model object, so a ``dataclasses.replace``d model gets
     its own.  It holds the checker's findings, one record per chain and
-    per detection spec, and the step table of each instance a run has
-    started, under the instance's key: ``nominal:<constituent>`` or
-    ``recovery:<recovery>:<graph>``.  Each record carries the shared
+    per detection spec, the receive nodes each constituent may wait on
+    per channel, and the step table of each instance a run has started,
+    under the instance's key: ``nominal:<constituent>`` or
+    ``recovery:<recovery>:<constituent>``.  Each record carries the shared
     details of its trace events.  Since the plan is built before the
     checker's findings can refuse a run, no record indexes a reference
     the model may leave dangling.
@@ -1025,8 +1002,8 @@ class _Plan(NamedTuple):
     decisions: frozenset[str]
     chains: Mapping[str, _Chain]
     detections: Mapping[str, _Detection]  # detection spec id -> its record
-    owned: Mapping[str, tuple[str, ...]]  # owner -> every instance key it may start, sorted
-    receives: Mapping[tuple[str, str], tuple[str, ...]]  # (graph, channel) -> receive ids, sorted
+    # (receiver, channel) -> (instance key, receive id) pairs, keys sorted
+    receivers: Mapping[tuple[str, str], tuple[tuple[str, str], ...]]
     metrics: _Metrics
     steps: dict[str, dict[str, _Step]]  # instance key -> its step table, built when first started
 
@@ -1035,17 +1012,6 @@ def _plan(model: SosModel) -> _Plan:
     """The model's run plan, built on first use and kept on the model."""
     plan = model._plan
     if plan is None:
-        owned: dict[str, list[str]] = {}
-        for cs_id in model.constituents:
-            owned.setdefault(cs_id, []).append(f"nominal:{cs_id}")
-        for recovery in model.recoveries.values():
-            for cs_id, graph_id in recovery.graphs.items():
-                owned.setdefault(cs_id, []).append(f"recovery:{recovery.id}:{graph_id}")
-        receives: dict[tuple[str, str], list[str]] = {}
-        for graph in model.processes.values():
-            for node_id, node in graph.nodes.items():
-                if node.kind is ActivityKind.RECEIVE:
-                    receives.setdefault((graph.id, node.channel), []).append(node_id)
         plan = _Plan(
             findings=tuple(check(model)),
             decisions=frozenset(
@@ -1056,13 +1022,32 @@ def _plan(model: SosModel) -> _Plan:
             ),
             chains={c.id: _chain_record(model, c) for c in model.chains.values()},
             detections={d.id: _detection_record(d) for d in model.detections.values()},
-            owned={k: tuple(sorted(v)) for k, v in owned.items()},
-            receives={k: tuple(v) for k, v in receives.items()},
+            receivers=_receivers(model),
             metrics=_prepare(model.metrics.values()),
             steps={},
         )
         object.__setattr__(model, "_plan", plan)
     return plan
+
+
+def _receivers(model: SosModel) -> dict[tuple[str, str], tuple[tuple[str, str], ...]]:
+    """Each receive node of every instance a constituent may start, under
+    (constituent, channel): instance keys in order, then receive ids in
+    node order.  A dangling graph reference lists nothing."""
+    instances = [
+        (f"nominal:{cs_id}", cs_id, cs.nominal_process)
+        for cs_id, cs in model.constituents.items()
+    ]
+    for recovery in model.recoveries.values():
+        for cs_id, graph_id in recovery.graphs.items():
+            instances.append((f"recovery:{recovery.id}:{cs_id}", cs_id, graph_id))
+    index: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    for key, cs_id, graph_id in sorted(instances):
+        graph = model.processes.get(graph_id)
+        for node_id, node in graph.nodes.items() if graph is not None else ():
+            if node.kind is ActivityKind.RECEIVE:
+                index.setdefault((cs_id, node.channel), []).append((key, node_id))
+    return {box: tuple(waiting) for box, waiting in index.items()}
 
 
 def _validate(model: SosModel, config: SimConfig) -> None:
@@ -1212,7 +1197,7 @@ class _Branches:
             self.fork_before(engine, self.start_draws, None)
 
     def complete(self, engine: _Engine, entry: tuple, inst: _Instance) -> None:
-        step = inst.steps[entry[5][2]]
+        step = inst.steps[entry[5][1]]
         draws = step.draw is not None  # a send over a lossy link
         if inst.key == self.trigger_key and engine.pending:
             kind, successors, region = step.kind, step.successors, self.region

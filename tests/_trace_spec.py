@@ -1,0 +1,98 @@
+"""Properties every simulated trace keeps, whatever the model.
+
+``violations(model, trace)`` lists the properties below that one run's
+trace breaks, one line each; an empty list means the trace keeps them
+all.  They restate the simulator's causal and suspension rules
+(``docs/trace-format.md``) on the events alone:
+
+- times never decrease and lie within the horizon;
+- each chain event (fault activation to observed failure) comes at most
+  once;
+- ``error-raised`` comes one tick after ``fault-activated``, and
+  ``recovery-started`` one tick after ``error-detected``;
+- a nominal run has no ``fault-activated``;
+- the origin starts and ends no nominal activity after its
+  ``fault-activated`` (the activation suspends it);
+- no constituent starts or ends a nominal activity after
+  ``recovery-started`` (recovery replaces the nominal flow);
+- ``recovery-step`` comes only after ``recovery-started``;
+- each ``message-lost`` directly follows its ``message-sent``, with the
+  same actor and details;
+- a failed run ends in ``failure-observed``;
+- a run with recovery disabled has no ``recovery-*`` event;
+- the trace's metrics are ``compute_metrics`` over its events.
+"""
+
+from __future__ import annotations
+
+from fmaf.simulator import compute_metrics
+
+CHAIN_EVENTS = (
+    "fault-activated",
+    "error-raised",
+    "error-detected",
+    "recovery-started",
+    "recovery-complete",
+    "failure-observed",
+)
+NOMINAL = ("activity-start", "activity-end")
+
+
+def violations(model, trace) -> list[str]:
+    config, events = trace.config, trace.events
+    found = []
+    times = [e.time for e in events]
+    if any(a > b for a, b in zip(times, times[1:])):
+        found.append("times decrease")
+    if any(not 0 <= t <= config.horizon for t in times):
+        found.append("a time lies outside 0..horizon")
+
+    first: dict[str, int] = {}  # chain event kind -> its index
+    for index, event in enumerate(events):
+        if event.kind in CHAIN_EVENTS:
+            if event.kind in first:
+                found.append(f"{event.kind} comes twice")
+            first.setdefault(event.kind, index)
+    for cause, effect in (
+        ("fault-activated", "error-raised"),
+        ("error-detected", "recovery-started"),
+    ):
+        if effect in first and (
+            cause not in first
+            or events[first[effect]].time != events[first[cause]].time + 1
+        ):
+            found.append(f"{effect} is not one tick after {cause}")
+
+    if "fault-activated" in first:
+        fault = first["fault-activated"]
+        if config.scenario is None:
+            found.append("a nominal run activates a fault")
+        origin = events[fault].actor
+        if any(e.kind in NOMINAL and e.actor == origin for e in events[fault + 1:]):
+            found.append("the origin's nominal flow runs on after fault-activated")
+    started = first.get("recovery-started", len(events))
+    if any(e.kind in NOMINAL for e in events[started + 1:]):
+        found.append("a nominal flow runs on after recovery-started")
+    if any(e.kind == "recovery-step" for e in events[:started]):
+        found.append("recovery-step comes before recovery-started")
+
+    for index, event in enumerate(events):
+        if event.kind != "message-lost":
+            continue
+        sent = events[index - 1] if index else None
+        if sent is None or (sent.kind, sent.actor, sent.details) != (
+            "message-sent",
+            event.actor,
+            event.details,
+        ):
+            found.append(f"message-lost at {event.time} does not follow its message-sent")
+
+    if trace.outcome.kind == "failed-at-boundary" and (
+        not events or events[-1].kind != "failure-observed"
+    ):
+        found.append("a failed run does not end in failure-observed")
+    if not config.recovery_enabled and any(e.kind.startswith("recovery-") for e in events):
+        found.append("a run with recovery disabled recovers")
+    if dict(trace.metrics) != compute_metrics(trace, model.metrics.values()):
+        found.append("metrics differ from compute_metrics")
+    return found

@@ -336,13 +336,7 @@ def _choice_models():
 
 def _instance_fields(engine):
     return {
-        key: (
-            inst.gen,
-            inst.live,
-            dict(inst.join_arrivals),
-            dict(inst.waiting_recv),
-            inst.suspended,
-        )
+        key: (inst.live, dict(inst.join_arrivals), dict(inst.waiting_recv))
         for key, inst in engine.instances.items()
     }
 
@@ -374,14 +368,14 @@ def _fresh_trace(model, config, choices):
 def test_recording_forks_leave_their_snapshot_untouched(model, config):
     snap = _snapshot_before_first_choice(model, config)
     assert snap.pops > 0 and snap.events
-    before = _instance_fields(snap), dict(snap.mailbox)
+    before = _instance_fields(snap), dict(snap.mailbox), snap.halted
     for choices in ((True,) * 16, (False,) * 16):
         fork = snap.fork(ScriptedSampler(choices))
         fork.loop()
         got = fork.finish()
         expected = _fresh_trace(model, config, choices)
         assert (got.events, got.outcome) == (expected.events, expected.outcome)
-        assert (_instance_fields(snap), snap.mailbox) == before
+        assert (_instance_fields(snap), snap.mailbox, snap.halted) == before
 
 
 @pytest.mark.parametrize("model,config", _enumerated_models())
@@ -469,3 +463,34 @@ def test_lowest_receive_id_takes_the_first_message_on_parent_and_fork():
     assert ends["r_a"] == delivered[0] + 1
     assert ends["r_b"] == delivered[1] + 5
     assert traces[0].outcome.kind == "nominal"
+
+
+def test_a_recovery_start_clones_no_instance(monkeypatch):
+    """Suspending the nominal instances copies none of them, even where a
+    fork shares every instance with its snapshot."""
+    starting, counts = [], {"starts": 0, "clones": 0}
+    real_start, real_clone = _Engine.on_recovery_start, simulator._Instance.clone
+
+    def start(engine, spec_id, time):
+        counts["starts"] += 1
+        starting.append(spec_id)
+        try:
+            real_start(engine, spec_id, time)
+        finally:
+            starting.pop()
+
+    def clone(inst):
+        counts["clones"] += bool(starting)
+        return real_clone(inst)
+
+    monkeypatch.setattr(_Engine, "on_recovery_start", start)
+    monkeypatch.setattr(simulator._Instance, "clone", clone)
+    scenarios = [param.values for param in _bundle_scenarios()]
+    scenarios.append((race_fixture(), SimConfig(scenario="CH", horizon=60)))
+    for model, config in scenarios:
+        try:
+            enumerate_outcomes(model, config)
+        except SimulationError:
+            continue
+    assert counts["starts"] > 0
+    assert counts["clones"] == 0

@@ -285,11 +285,31 @@ def test_plan_matches_the_public_lookups():
                 "recovery": spec.recovery,
             }
             assert record.complete == {"chain": spec.threat, "recovery": spec.recovery}
-        for graph in model.processes.values():
-            for node_id, node in graph.nodes.items():
-                if node.kind is ActivityKind.RECEIVE:
-                    assert node_id in plan.receives[graph.id, node.channel]
-        assert all(list(ids) == sorted(ids) for ids in plan.receives.values())
+        assert plan.receivers == _expected_receivers(model)
+
+
+def _instance_graphs(model):
+    """Instance key -> (owner, graph id) of every instance a run may start."""
+    graphs = {
+        f"nominal:{cs.id}": (cs.id, cs.nominal_process)
+        for cs in model.constituents.values()
+    }
+    for recovery in model.recoveries.values():
+        for cs_id, graph_id in recovery.graphs.items():
+            graphs[f"recovery:{recovery.id}:{cs_id}"] = (cs_id, graph_id)
+    return graphs
+
+
+def _expected_receivers(model):
+    """``plan.receivers`` from the public model: the receive nodes of each
+    instance, listed under (owner, channel) in key order, then node order."""
+    expected = {}
+    for key, (owner, graph_id) in sorted(_instance_graphs(model).items()):
+        for node_id, node in model.processes[graph_id].nodes.items():
+            if node.kind is ActivityKind.RECEIVE:
+                box = (owner, node.channel)
+                expected[box] = (*expected.get(box, ()), (key, node_id))
+    return expected
 
 
 def _drained_engines():
@@ -310,11 +330,16 @@ def _drained_engines():
 def test_plan_lists_every_started_instance_under_its_owner_in_key_order():
     started = 0
     for engine in _drained_engines():
-        plan = engine.plan
-        assert all(list(keys) == sorted(keys) for keys in plan.owned.values())
+        receivers, graphs = engine.plan.receivers, _instance_graphs(engine.model)
+        for waiting in receivers.values():
+            keys = [key for key, _ in waiting]
+            assert keys == sorted(keys)
         for key, inst in engine.instances.items():
-            assert key in plan.owned[inst.owner]
-            started += inst.role == "recovery"
+            assert graphs[key] == (inst.owner, inst.graph.id)
+            for node_id, node in inst.graph.nodes.items():
+                if node.kind is ActivityKind.RECEIVE:
+                    assert (key, node_id) in receivers[inst.owner, node.channel]
+            started += inst.recovery_id is not None
     assert started > 0
 
 
@@ -364,11 +389,11 @@ def test_step_records_match_their_instances():
     for engine in _drained_engines():
         model, steps = engine.model, engine.plan.steps
         for key, inst in engine.instances.items():
-            if inst.role == "nominal":
+            if inst.recovery_id is None:
                 assert key == f"nominal:{inst.owner}"
                 assert inst.graph.id == model.constituents[inst.owner].nominal_process
             else:
-                assert key == f"recovery:{inst.recovery_id}:{inst.graph.id}"
+                assert key == f"recovery:{inst.recovery_id}:{inst.owner}"
                 assert model.recoveries[inst.recovery_id].graphs[inst.owner] == inst.graph.id
             assert inst.steps is steps[key]
             assert list(inst.steps) == list(inst.graph.nodes)
@@ -378,6 +403,29 @@ def test_step_records_match_their_instances():
                 assert type(step.details) is simulator._Details
                 checked.add(simulator._STEP_KINDS[step.activity.kind])
     assert checked == set(simulator._STEP_KINDS.values())
+
+
+def test_two_constituents_running_one_recovery_graph_get_their_own_instances():
+    # build_model refuses a recovery graph run by a constituent other than
+    # its owner; a model built directly reaches the engine with one.
+    model = race_fixture()
+    rself = dataclasses.replace(model.recoveries["RSELF"], graphs={"P": "RP", "Q": "RP"})
+    model = dataclasses.replace(model, recoveries={**model.recoveries, "RSELF": rself})
+    config = SimConfig(scenario="CH", horizon=60, enabled_detectors=frozenset({"P"}))
+    trace = run(model, config)
+    steps = sorted(
+        (e.time, e.actor, e.details["activity"])
+        for e in trace.events
+        if e.kind == "recovery-step"
+    )
+    assert steps == [
+        (7, "P", "fix_local"),
+        (7, "Q", "fix_local"),
+        (8, "P", "resume"),
+        (8, "Q", "resume"),
+    ]
+    assert trace.outcome.kind == "recovered"
+    assert set(simulator._plan(model).steps) >= {"recovery:RSELF:P", "recovery:RSELF:Q"}
 
 
 # ---------------------------------------------------------------------------

@@ -365,5 +365,5 @@ def test_a_nominal_graph_run_as_recovery_gets_its_own_details():
     assert all("recovery" not in d for d in nominal)
     assert all(d["recovery"] == "RSELF" for d in steps)
     assert {d["activity"] for d in steps} == {"p_setup", "p_serve", "p_report", "p_done"}
-    assert set(simulator._plan(model).steps) >= {"nominal:P", "recovery:RSELF:GP"}
+    assert set(simulator._plan(model).steps) >= {"nominal:P", "recovery:RSELF:P"}
     assert format_trace(run(model, config)) == format_trace(trace)

@@ -1,0 +1,158 @@
+"""Every run of the generated models and the bundles keeps the trace spec.
+
+``tests/_trace_spec.py`` states the properties.  The generated models are
+``random_model`` seeds 0-199, each run nominal, once per chain and once
+per chain with recovery disabled, at simulator seeds 0-4; the bundles run
+every scenario at seeds 0-4.  Runs the checker refuses or that raise
+``SimulationError`` are counted, not checked.  The doctored-trace tests
+show that each property can fail.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+
+import pytest
+
+from fmaf.casestudy import BUNDLE_NAMES, load_bundle
+from fmaf.simulator import Outcome, SimConfig, SimEvent, SimulationError, run
+
+from _builders import race_fixture, random_model
+from _trace_spec import violations
+
+
+def _check(runs):
+    """(runs checked, runs that raised, the violations found, outcome counts)."""
+    checked = raised = 0
+    found, outcomes = [], {}
+    for model, config in runs:
+        try:
+            trace = run(model, config)
+        except SimulationError:
+            raised += 1
+            continue
+        checked += 1
+        outcomes[trace.outcome.kind] = outcomes.get(trace.outcome.kind, 0) + 1
+        found += [(config, v) for v in violations(model, trace)]
+    return checked, raised, found, outcomes
+
+
+def _generated_runs():
+    for model_seed in range(200):
+        model = random_model(random.Random(model_seed))
+        configs = [SimConfig()]
+        for chain in sorted(model.chains):
+            configs.append(SimConfig(scenario=chain))
+            configs.append(SimConfig(scenario=chain, recovery_enabled=False))
+        for config in configs:
+            for seed in range(5):
+                yield model, dataclasses.replace(config, seed=seed)
+
+
+def _bundle_runs():
+    for name in BUNDLE_NAMES:
+        bundle = load_bundle(name)
+        for config in bundle.scenarios.values():
+            for seed in range(5):
+                yield bundle.model, dataclasses.replace(config, seed=seed)
+
+
+def test_generated_runs_keep_the_trace_spec():
+    checked, raised, found, outcomes = _check(_generated_runs())
+    assert found == []
+    assert (checked, raised) == (1196, 1664)
+    assert outcomes == {"nominal": 1000, "failed-at-boundary": 174, "recovered": 22}
+
+
+def test_bundle_runs_keep_the_trace_spec():
+    checked, raised, found, outcomes = _check(_bundle_runs())
+    assert found == []
+    assert (checked, raised) == (45, 5)  # fault3's F3.1 is refused by the checker
+    assert outcomes.keys() == {"nominal", "recovered", "failed-at-boundary"}
+
+
+# ---------------------------------------------------------------------------
+# Each property can fail
+
+
+def _runs():
+    """race_fixture recovered by P's self-report, and run nominal."""
+    model = race_fixture()
+    config = SimConfig(scenario="CH", horizon=60, enabled_detectors=frozenset({"P"}))
+    trace, nominal = run(model, config), run(model, SimConfig(horizon=60))
+    assert trace.outcome.kind == "recovered" and "message-sent" in _kinds(nominal)
+    return model, trace, nominal
+
+
+def _kinds(trace):
+    return [e.kind for e in trace.events]
+
+
+def _at(trace, kind):
+    return trace.events[_kinds(trace).index(kind)]
+
+
+def _insert(trace, kind, event):
+    """``event`` placed right after the first ``kind`` event."""
+    events = list(trace.events)
+    events.insert(_kinds(trace).index(kind) + 1, event)
+    return dataclasses.replace(trace, events=tuple(events))
+
+
+def _retimed(trace, kind, delta):
+    events = list(trace.events)
+    i = _kinds(trace).index(kind)
+    events[i] = dataclasses.replace(events[i], time=events[i].time + delta)
+    return dataclasses.replace(trace, events=tuple(events))
+
+
+def _start(trace, kind, actor):
+    """A nominal activity-start by ``actor`` at the first ``kind`` event's time."""
+    details = {"activity": "x", "graph": "G"}
+    return SimEvent(_at(trace, kind).time, "activity-start", actor, details)
+
+
+def _config(trace, **changes):
+    return dataclasses.replace(trace, config=dataclasses.replace(trace.config, **changes))
+
+
+def _lost(trace):
+    sent = _at(trace, "message-sent")
+    return SimEvent(sent.time, "message-lost", sent.actor, {**sent.details, "graph": "G"})
+
+
+# the violation expected -> a doctoring of (recovered trace, nominal trace)
+_DOCTORED = {
+    "times decrease": lambda t, n: dataclasses.replace(t, events=t.events[::-1]),
+    "outside 0..horizon": lambda t, n: _config(t, horizon=t.events[-1].time - 1),
+    "fault-activated comes twice": lambda t, n: _insert(
+        t, "fault-activated", _at(t, "fault-activated")
+    ),
+    "error-raised is not one tick": lambda t, n: _retimed(t, "error-raised", 1),
+    "recovery-started is not one tick": lambda t, n: _retimed(t, "recovery-started", 1),
+    "a nominal run activates": lambda t, n: _config(t, scenario=None),
+    "origin's nominal flow runs on": lambda t, n: _insert(
+        t, "fault-activated", _start(t, "fault-activated", "P")
+    ),
+    "a nominal flow runs on": lambda t, n: _insert(
+        t, "recovery-started", _start(t, "recovery-started", "Q")
+    ),
+    "recovery-step comes before": lambda t, n: _insert(
+        t, "fault-activated", _at(t, "recovery-step")
+    ),
+    "does not follow its message-sent": lambda t, n: _insert(n, "message-sent", _lost(n)),
+    "does not end in failure-observed": lambda t, n: dataclasses.replace(
+        t, outcome=Outcome("failed-at-boundary")
+    ),
+    "recovery disabled recovers": lambda t, n: _config(t, recovery_enabled=False),
+    "metrics differ": lambda t, n: dataclasses.replace(t, metrics={**t.metrics, "Extra": 1}),
+}
+
+
+@pytest.mark.parametrize("expected", list(_DOCTORED))
+def test_a_doctored_trace_breaks_the_spec(expected):
+    model, trace, nominal = _runs()
+    assert violations(model, trace) == [] == violations(model, nominal)
+    doctored = _DOCTORED[expected](trace, nominal)
+    assert any(expected in v for v in violations(model, doctored))
