@@ -31,7 +31,6 @@ _HOME = {
     "blocking_violations": "checker",
     "check": "checker",
     "compute_metrics": "simulator",
-    "detection_race": "simulator",
     "enumerate_outcomes": "simulator",
     "explain": "checker",
     "format_report": "checker",

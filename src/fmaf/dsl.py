@@ -1024,6 +1024,7 @@ class _Parser:
             # order, each once.
             diags = sorted(dict.fromkeys(self.diags), key=lambda d: (d.span.line, d.span.col))
             return ParseResult(None, tuple(diags))
+        object.__setattr__(model, "_checked", True)
         return ParseResult(model, ())
 
 

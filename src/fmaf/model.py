@@ -509,9 +509,12 @@ class SosModel:
     detections: Mapping[str, DetectionSpec] = field(default_factory=dict)
     recoveries: Mapping[str, RecoverySpec] = field(default_factory=dict)
     metrics: Mapping[str, MetricSpec] = field(default_factory=dict)
-    # Run plan the simulator builds on this model's first run and reuses:
-    # dropped by ``dataclasses.replace``, invisible to equality and repr.
+    # Run plan the simulator builds on this model's first run and reuses,
+    # and whether build_model or fmaf.dsl.parse, which refuse malformed
+    # models, made this one: both dropped by ``dataclasses.replace``,
+    # invisible to equality and repr.
     _plan: object = field(default=None, init=False, compare=False, repr=False)
+    _checked: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in _COLLECTIONS:
@@ -795,6 +798,7 @@ def build_model(
         raise DuplicateIdError("element", sorted(overlap)[0], "constituent vs environment")
     for problem in _problems(model):
         raise problem[0]
+    object.__setattr__(model, "_checked", True)
     return model
 
 

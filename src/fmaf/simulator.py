@@ -10,10 +10,23 @@ triggers, third-party reports).  Degenerate probabilities (p <= 0,
 p >= 1) never touch the generator, which keeps exhaustive outcome
 enumeration finite.
 
+Every run passes one gate, the engine's constructor, before its first
+event.  In order: the checker's blocking findings for the scenario raise
+``ModelViolationsError``; then, only for a model that neither
+``build_model`` nor ``fmaf.dsl.parse`` made, a structure they refuse (a
+malformed activity graph, or a nominal process or recovery graph that
+names no graph) raises ``SimulationError``; then the configuration (an
+unknown scenario, detectors outside the chain, a chain with no
+activation, an at-time trigger past the horizon, a guard input naming
+no decision) raises ``InvalidConfigError``.  ``enumerate_outcomes``
+refuses a graph larger than its bound before that.
+
 Causal strictness: error-raised happens one tick after fault-activated,
 recovery-started one tick after error-detected, recovery-complete at
 least one tick after recovery-started.  Detection delays and timeout
-bounds are measured from error-raised.
+bounds are measured from error-raised.  In the detection race the
+earliest firing enabled detection wins, a tie going to the lower spec
+id, and one firing after the horizon never wins.
 
 A fault's activation suspends the origin's nominal execution; the start
 of recovery suspends every nominal execution (recovery replaces the
@@ -24,10 +37,10 @@ An undetected error ends in failure-observed at quiescence, the moment
 the event queue drains with no progress possible.
 
 Each model keeps a run plan, built on its first run: the checker's
-findings, one record per chain and per detection spec, an index from
-(receiver, channel) to the receive nodes that may take a delivery, and
-one step table per activity-graph instance, built when the instance
-first starts.  A step record holds everything entering and completing its
+findings, the structure verdict, one record per chain and per detection
+spec, an index from (receiver, channel) to the receive nodes that may
+take a delivery, and one step table per activity-graph instance, built
+when the instance first starts.  A step record holds everything entering and completing its
 node needs, and each record holds the details that its trace events
 share, so a run looks details up and never builds them.  Each shared
 mapping caches its JSON text for the trace writer and its set of string
@@ -71,11 +84,12 @@ from .model import (
     MetricSpec,
     OnEntry,
     Probabilistic,
-    SelfReport,
     SosModel,
     ThirdPartyReport,
+    ThreatChain,
     Timeout,
     _numbered,
+    _validate_graph,
     split_event_pattern,
 )
 
@@ -84,8 +98,6 @@ __all__ = [
     "SimEvent",
     "SimTrace",
     "Outcome",
-    "RaceState",
-    "RaceResult",
     "SimulationError",
     "InvalidConfigError",
     "ModelViolationsError",
@@ -95,7 +107,6 @@ __all__ = [
     "RandomSampler",
     "ScriptedSampler",
     "run",
-    "detection_race",
     "enumerate_outcomes",
     "compute_metrics",
     "summarize",
@@ -304,68 +315,10 @@ def _draw(sampler, probability: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Detection race
-
-
-@dataclass(frozen=True)
-class RaceState:
-    """What the detectors know when the error is raised."""
-
-    error_time: int
-    horizon: int
-    enabled: frozenset[str]
-    sampler: object
-
-
-@dataclass(frozen=True, slots=True)
-class RaceResult:
-    """The winning detection and the tick it fires, or ``None`` for both."""
-
-    winner: DetectionSpec | None
-    time: int | None
-
-
-def detection_race(candidates: Iterable[DetectionSpec], state: RaceState) -> RaceResult:
-    """Earliest-firing enabled detection wins; ties break by spec id.
-
-    Third-party reports consume one Bernoulli draw each, in spec-id
-    order, whether or not they would win.  A candidate firing after the
-    horizon never wins.
-    """
-    return _race(sorted(candidates, key=lambda s: s.id), state)
-
-
-def _race(candidates: Iterable[DetectionSpec], state: RaceState) -> RaceResult:
-    """``detection_race`` over candidates already in spec-id order."""
-    best: tuple[int, str] | None = None
-    winner: DetectionSpec | None = None
-    for spec in candidates:
-        if spec.detector not in state.enabled:
-            continue
-        cond = spec.condition
-        if isinstance(cond, SelfReport):
-            fire = state.error_time + cond.delay
-        elif isinstance(cond, Timeout):
-            fire = state.error_time + cond.bound
-        elif isinstance(cond, ThirdPartyReport):
-            if not _draw(state.sampler, cond.probability):
-                continue
-            fire = state.error_time + cond.delay
-        else:  # pragma: no cover - exhaustive over condition types
-            raise SimulationError(f"unknown detection condition on {spec.id!r}")
-        if fire > state.horizon:
-            continue
-        key = (fire, spec.id)
-        if best is None or key < best:
-            best = key
-            winner = spec
-    return RaceResult(winner, best[0] if best else None)
-
-
-# ---------------------------------------------------------------------------
 # Engine internals
 
-# Same-tick processing order: the heap key is (time, actor, rank, seq).
+# Same-tick processing order: a heap entry is (time, actor, rank, seq,
+# payload).  Each rank names one event kind, which ``loop`` dispatches on.
 _R_INJECT = 0
 _R_ERROR = 1
 _R_DELIVER = 2
@@ -531,24 +484,51 @@ class _Engine:
         self.pops = -1  # events popped; -1 until start() has run
         self.branches: _Branches | None = None  # set only while enumerating
 
-        self.plan = _plan(model)
-        self.chain = model.chains[config.scenario] if config.scenario else None
-        self.focus = self.plan.chains[config.scenario] if config.scenario else None
-        self.activation = self.focus.activation if self.focus is not None else None
-        self.enabled = frozenset()
-        if self.chain is not None:
-            self.enabled = (
-                config.enabled_detectors
-                if config.enabled_detectors is not None
-                else frozenset(self.chain.detectors)
+        # The one gate of a run, in this order: blocking findings, then a
+        # directly built model's structure, then the configuration.
+        self.plan = plan = _plan(model)
+        blocking = blocking_violations(plan.findings, config.scenario or "")
+        if blocking:
+            raise ModelViolationsError(blocking)
+        if plan.malformed is not None:
+            raise SimulationError(plan.malformed)
+        self.focus: _Chain | None = None  # the scenario chain's record
+        self.candidates: tuple[DetectionSpec, ...] = ()  # its enabled detections
+        activation = None
+        if config.scenario is not None:
+            self.focus = plan.chains.get(config.scenario)
+            if self.focus is None:
+                raise InvalidConfigError(f"unknown scenario chain {config.scenario!r}")
+            chain, activation = self.focus.chain, self.focus.activation
+            enabled = config.enabled_detectors
+            if enabled is None:
+                enabled = frozenset(chain.detectors)
+            extra = enabled - set(chain.detectors)
+            if extra:
+                raise InvalidConfigError(
+                    f"enabled detectors {sorted(extra)} are not detectors of "
+                    f"chain {chain.id!r}"
+                )
+            if activation is None:
+                raise InvalidConfigError(
+                    f"chain {chain.id!r} has no activation specification"
+                )
+            trigger = activation.trigger
+            if isinstance(trigger, AtTime) and trigger.time > config.horizon:
+                raise InvalidConfigError(
+                    f"activation time {trigger.time} lies beyond the "
+                    f"horizon {config.horizon}"
+                )
+            self.candidates = tuple(
+                spec for spec in self.focus.detections if spec.detector in enabled
             )
+        for key in config.guard_inputs:
+            if key not in plan.decisions:
+                raise InvalidConfigError(f"guard input {key!r} names no decision node")
         # An activation waits for a nominal start to trigger it; at-time
         # triggers are scheduled by start() instead.
-        self.pending = self.activation is not None and not isinstance(
-            self.activation.trigger, AtTime
-        )
+        self.pending = activation is not None and not isinstance(activation.trigger, AtTime)
         self.injected_fired = False
-        self.error_time: int | None = None
         self.detected: DetectionSpec | None = None
         self.recovery_started_at: int | None = None
         self.recovery_keys: tuple[str, ...] = ()  # the started recovery's instances
@@ -556,8 +536,8 @@ class _Engine:
 
     # -- low-level plumbing
 
-    def push(self, time: int, actor: str, rank: int, kind: str, payload: tuple) -> None:
-        heapq.heappush(self.heap, (time, actor, rank, self.seq, kind, payload))
+    def push(self, time: int, actor: str, rank: int, payload: tuple) -> None:
+        heapq.heappush(self.heap, (time, actor, rank, self.seq, payload))
         self.seq += 1
 
     # -- token movement
@@ -604,14 +584,7 @@ class _Engine:
             self.mailbox[box] -= 1
         heapq.heappush(
             self.heap,
-            (
-                time + step.ticks,
-                inst.owner,
-                _R_COMPLETE,
-                self.seq,
-                "complete",
-                (inst.key, node_id),
-            ),
+            (time + step.ticks, inst.owner, _R_COMPLETE, self.seq, (inst.key, node_id)),
         )
         self.seq += 1
 
@@ -665,11 +638,7 @@ class _Engine:
                 self.events.append(_event(time, "message-lost", inst.owner, step.sent))
             return
         self.push(
-            time + link.latency,
-            receiver,
-            _R_DELIVER,
-            "deliver",
-            (receiver, link.id, step.delivered),
+            time + link.latency, receiver, _R_DELIVER, (receiver, link.id, step.delivered)
         )
 
     def deliver_message(
@@ -683,13 +652,7 @@ class _Engine:
                 continue
             inst = self.own(key)
             del inst.waiting_recv[node_id]
-            self.push(
-                time + inst.steps[node_id].ticks,
-                receiver,
-                _R_COMPLETE,
-                "complete",
-                (key, node_id),
-            )
+            self.push(time + inst.steps[node_id].ticks, receiver, _R_COMPLETE, (key, node_id))
             return
         box = (receiver, channel)
         self.mailbox[box] = self.mailbox.get(box, 0) + 1
@@ -698,54 +661,48 @@ class _Engine:
 
     def on_nominal_start(self, inst: _Instance, node_id: str, time: int) -> None:
         """Schedule the pending activation if this nominal start triggers it."""
-        origin = self.activation.origin_constituent
+        activation = self.focus.activation
+        origin = activation.origin_constituent
         if inst.owner != origin:
             return
-        trigger = self.activation.trigger
+        trigger = activation.trigger
         if isinstance(trigger, OnEntry):
             if node_id == trigger.activity:
-                self.push(time, origin, _R_INJECT, "inject", ())
+                self.push(time, origin, _R_INJECT, ())
                 self.pending = False  # reserved; the event does the work
         elif isinstance(trigger, Probabilistic):
-            if node_id in self.activation.region and _draw(
-                self.sampler, trigger.probability
-            ):
-                self.push(time, origin, _R_INJECT, "inject", ())
+            if node_id in activation.region and _draw(self.sampler, trigger.probability):
+                self.push(time, origin, _R_INJECT, ())
                 self.pending = False
 
     def inject_fault(self, time: int) -> None:
-        chain = self.chain
-        assert chain is not None and self.activation is not None
-        origin = self.activation.origin_constituent
+        origin = self.focus.activation.origin_constituent
         if self.record:
             self.events.append(_event(time, "fault-activated", origin, self.focus.activated))
         self.halted = self.halted | {f"nominal:{origin}"}
-        self.push(time + 1, origin, _R_ERROR, "raise-error", ())
+        self.push(time + 1, origin, _R_ERROR, ())
 
     def raise_error(self, time: int) -> None:
-        chain = self.chain
-        assert chain is not None
-        self.error_time = time
+        """The detection race: the earliest firing enabled detection wins,
+        a tie going to the lower spec id, and one firing after the horizon
+        never wins.  Each third-party report draws once, in spec-id order,
+        whether or not it would win."""
         if self.record:
-            self.events.append(_event(time, "error-raised", chain.origin, self.focus.raised))
+            event = _event(time, "error-raised", self.focus.chain.origin, self.focus.raised)
+            self.events.append(event)
         if not self.config.recovery_enabled:
             return
-        state = RaceState(
-            error_time=time,
-            horizon=self.config.horizon,
-            enabled=self.enabled,
-            sampler=self.sampler,
-        )
-        result = _race(self.focus.detections, state)
-        if result.winner is not None:
-            self.detected = result.winner
-            self.push(
-                result.time,
-                result.winner.detector,
-                _R_DETECT,
-                "detect",
-                (result.winner.id,),
-            )
+        winner, fire = None, self.config.horizon + 1
+        for spec in self.candidates:  # in spec-id order
+            cond = spec.condition
+            if isinstance(cond, ThirdPartyReport) and not _draw(self.sampler, cond.probability):
+                continue
+            at = time + (cond.bound if isinstance(cond, Timeout) else cond.delay)
+            if at < fire:
+                winner, fire = spec, at
+        if winner is not None:
+            self.detected = winner
+            self.push(fire, winner.detector, _R_DETECT, (winner.id,))
 
     def on_detect(self, spec_id: str, time: int) -> None:
         spec, expired, detected, _ = self.plan.detections[spec_id]
@@ -753,7 +710,7 @@ class _Engine:
             if expired is not None:
                 self.events.append(_event(time, "timer-expired", spec.detector, expired))
             self.events.append(_event(time, "error-detected", spec.detector, detected))
-        self.push(time + 1, spec.detector, _R_RECOVERY_START, "start-recovery", (spec.id,))
+        self.push(time + 1, spec.detector, _R_RECOVERY_START, (spec.id,))
 
     def on_recovery_start(self, spec_id: str, time: int) -> None:
         spec, _, detected, _ = self.plan.detections[spec_id]
@@ -785,11 +742,11 @@ class _Engine:
             assert self.recovery_started_at is not None
             when = max(time, self.recovery_started_at + 1)
             detector = self.detected.detector if self.detected else ""
-            self.push(when, detector, _R_FINALIZE, "finalize", ())
+            self.push(when, detector, _R_FINALIZE, ())
             self.recovery_finalize_scheduled = True
 
     def on_finalize(self, time: int) -> None:
-        assert self.detected is not None and self.chain is not None
+        assert self.detected is not None
         if self.record:
             details = self.plan.detections[self.detected.id].complete
             self.events.append(
@@ -800,11 +757,9 @@ class _Engine:
         )
 
     def observe_failure(self, time: int, aborted_by: str | None = None) -> None:
-        chain = self.chain
-        assert chain is not None
         if self.record:
             details = self.focus.failed[aborted_by]
-            self.events.append(_event(time, "failure-observed", chain.origin, details))
+            self.events.append(_event(time, "failure-observed", self.focus.chain.origin, details))
         self.outcome = Outcome("failed-at-boundary")
 
     # -- main loop
@@ -817,14 +772,9 @@ class _Engine:
         for cs_id in self.model.constituents:
             graph = self.model.processes[self.model.constituents[cs_id].nominal_process]
             self.start_instance(_Instance(f"nominal:{cs_id}", graph, cs_id), 0)
-        if self.activation is not None and isinstance(self.activation.trigger, AtTime):
-            self.push(
-                self.activation.trigger.time,
-                self.activation.origin_constituent,
-                _R_INJECT,
-                "inject",
-                (),
-            )
+        activation = self.focus.activation if self.focus is not None else None
+        if activation is not None and isinstance(activation.trigger, AtTime):
+            self.push(activation.trigger.time, activation.origin_constituent, _R_INJECT, ())
 
     def loop(self, stop: int = -1) -> None:
         """Process events until an outcome is set, the queue drains, or
@@ -832,8 +782,9 @@ class _Engine:
         branches = self.branches
         while self.heap and self.outcome is None and self.pops != stop:
             self.pops += 1
-            time, actor, rank, seq, kind, payload = heapq.heappop(self.heap)
-            if kind == "complete":
+            entry = heapq.heappop(self.heap)
+            time, actor, rank, seq, payload = entry
+            if rank == _R_COMPLETE:
                 key, node_id = payload
                 if key in self.halted:
                     continue  # cancelled by a suspension; not progress
@@ -841,31 +792,29 @@ class _Engine:
                 self.outcome = Outcome("horizon-exhausted")
                 break
             self.clock = time
-            if kind == "complete":
+            if rank == _R_COMPLETE:
                 inst = self.instances[key]
                 if branches is not None:
-                    entry = (time, actor, rank, seq, kind, payload)
                     branches.complete(self, entry, inst)
                 if key not in self.mine:
                     inst = self.own(key)  # after a fork too: it shares every instance
                 self.complete_node(inst, node_id, time)
-            elif kind == "deliver":
+            elif rank == _R_DELIVER:
                 receiver, channel, details = payload
                 self.deliver_message(receiver, channel, details, time)
-            elif kind == "inject":
+            elif rank == _R_INJECT:
                 if not self.injected_fired:
                     self.injected_fired = True
                     self.inject_fault(time)
-            elif kind == "raise-error":
+            elif rank == _R_ERROR:
                 if branches is not None:
-                    entry = (time, actor, rank, seq, kind, payload)
                     branches.raise_error(self, entry)
                 self.raise_error(time)
-            elif kind == "detect":
+            elif rank == _R_DETECT:
                 self.on_detect(payload[0], time)
-            elif kind == "start-recovery":
+            elif rank == _R_RECOVERY_START:
                 self.on_recovery_start(payload[0], time)
-            elif kind == "finalize":
+            else:  # _R_FINALIZE
                 self.on_finalize(time)
 
     def finish(self, metrics: bool = False) -> SimTrace:
@@ -901,7 +850,7 @@ class _Engine:
         return twin
 
     def finish_at_quiescence(self) -> None:
-        if self.chain is None:
+        if self.focus is None:
             # With no chain, no recovery starts: every instance is nominal.
             if all(inst.live == 0 for inst in self.instances.values()):
                 self.outcome = Outcome("nominal")
@@ -910,7 +859,7 @@ class _Engine:
             return
         if not self.injected_fired:
             raise SimulationError(
-                f"scenario {self.chain.id!r}: the activation trigger never fired"
+                f"scenario {self.focus.chain.id!r}: the activation trigger never fired"
             )
         # Undetected error, disabled recovery, or a recovery that stalled:
         # the failure reaches the boundary when no progress remains.
@@ -922,8 +871,9 @@ class _Engine:
 
 
 class _Chain(NamedTuple):
-    """One chain's activation and detections, and its events' details."""
+    """One chain, its activation and detections, and its events' details."""
 
+    chain: ThreatChain
     activation: ActivationSpec | None  # activation_for(chain)
     detections: tuple[DetectionSpec, ...]  # detections_for(chain)
     activated: _Details  # fault-activated
@@ -957,6 +907,7 @@ def _chain_record(model: SosModel, chain) -> _Chain:
             if exit_id not in failed:
                 failed[exit_id] = _Details({**observed, "aborted_by": exit_id})
     return _Chain(
+        chain,
         model.activation_for(chain.id),
         detections,
         _Details(
@@ -995,10 +946,12 @@ class _Plan(NamedTuple):
     ``recovery:<recovery>:<constituent>``.  Each record carries the shared
     details of its trace events.  Since the plan is built before the
     checker's findings can refuse a run, no record indexes a reference
-    the model may leave dangling.
+    the model may leave dangling.  ``malformed`` says why a model that
+    neither ``build_model`` nor ``parse`` made cannot run, or is None.
     """
 
     findings: tuple[Finding, ...]
+    malformed: str | None
     decisions: frozenset[str]
     chains: Mapping[str, _Chain]
     detections: Mapping[str, _Detection]  # detection spec id -> its record
@@ -1014,6 +967,7 @@ def _plan(model: SosModel) -> _Plan:
     if plan is None:
         plan = _Plan(
             findings=tuple(check(model)),
+            malformed=None if model._checked else _malformed(model),
             decisions=frozenset(
                 node_id
                 for graph in model.processes.values()
@@ -1050,46 +1004,35 @@ def _receivers(model: SosModel) -> dict[tuple[str, str], tuple[tuple[str, str], 
     return {box: tuple(waiting) for box, waiting in index.items()}
 
 
-def _validate(model: SosModel, config: SimConfig) -> None:
-    plan = _plan(model)
-    blocking = blocking_violations(plan.findings, config.scenario or "")
-    if blocking:
-        raise ModelViolationsError(blocking)
-
-    if config.scenario is not None:
-        chain = model.chains.get(config.scenario)
-        if chain is None:
-            raise InvalidConfigError(f"unknown scenario chain {config.scenario!r}")
-        if config.enabled_detectors is not None:
-            extra = config.enabled_detectors - set(chain.detectors)
-            if extra:
-                raise InvalidConfigError(
-                    f"enabled detectors {sorted(extra)} are not detectors of "
-                    f"chain {chain.id!r}"
-                )
-        activation = plan.chains[config.scenario].activation
-        if activation is None:
-            raise InvalidConfigError(
-                f"chain {config.scenario!r} has no activation specification"
-            )
-        if (
-            isinstance(activation.trigger, AtTime)
-            and activation.trigger.time > config.horizon
-        ):
-            raise InvalidConfigError(
-                f"activation time {activation.trigger.time} lies beyond the "
-                f"horizon {config.horizon}"
-            )
-    for key in config.guard_inputs:
-        if key not in plan.decisions:
-            raise InvalidConfigError(f"guard input {key!r} names no decision node")
+def _malformed(model: SosModel) -> str | None:
+    """The first defect that would stop a run and that ``build_model``
+    refuses: a graph it rejects, or a constituent's nominal process or a
+    recovery graph that names no graph."""
+    try:
+        for graph in model.processes.values():
+            try:
+                _validate_graph(graph)
+            except RecursionError:
+                # Only the last rule, the zero-time cycle search, recurses,
+                # so the graph keeps every other rule; it runs as before.
+                pass
+        for cs in model.constituents.values():
+            if cs.nominal_process not in model.processes:
+                context = f"constituent {cs.id!r}"
+                raise DanglingReferenceError("activity graph", cs.nominal_process, context)
+        for recovery in model.recoveries.values():
+            for graph_id in recovery.graphs.values():
+                if graph_id not in model.processes:
+                    context = f"recovery {recovery.id!r}"
+                    raise DanglingReferenceError("activity graph", graph_id, context)
+    except FmafError as error:
+        return f"model is malformed: {error}"
+    return None
 
 
 def run(model: SosModel, config: SimConfig) -> SimTrace:
     """Simulate one configuration; pure in (model, config)."""
-    _validate(model, config)
-    engine = _Engine(model, config, RandomSampler(config.seed))
-    return engine.run()
+    return _Engine(model, config, RandomSampler(config.seed)).run()
 
 
 def enumerate_outcomes(
@@ -1118,7 +1061,6 @@ def enumerate_outcomes(
                 f"graph {graph.id!r} has {len(graph.nodes)} activities; "
                 f"bound is {bound}"
             )
-    _validate(model, config)
     outcomes: set[tuple[str | None, str]] = set()
     engine = _Engine(model, config, None, record=False)
     branches = engine.branches = engine.sampler = _Branches(engine)
@@ -1173,7 +1115,7 @@ class _Branches:
         self.trigger_key = None
         self.region: frozenset[str] = frozenset()
         self.start_draws = 0
-        activation = root.activation
+        activation = root.focus.activation if root.focus is not None else None
         if activation is not None and isinstance(activation.trigger, Probabilistic):
             if 0.0 < activation.trigger.probability < 1.0:
                 origin = activation.origin_constituent
@@ -1182,12 +1124,11 @@ class _Branches:
                 nominal = root.model.constituents[origin].nominal_process
                 self.start_draws = int(root.model.processes[nominal].entry in self.region)
         self.race_draws = 0
-        if root.chain is not None and root.config.recovery_enabled:
+        if root.config.recovery_enabled:
             self.race_draws = sum(
-                spec.detector in root.enabled
-                and isinstance(spec.condition, ThirdPartyReport)
+                isinstance(spec.condition, ThirdPartyReport)
                 and 0.0 < spec.condition.probability < 1.0
-                for spec in root.focus.detections
+                for spec in root.candidates
             )
 
     # -- draw marks: each names the most draws its event can make
@@ -1197,7 +1138,7 @@ class _Branches:
             self.fork_before(engine, self.start_draws, None)
 
     def complete(self, engine: _Engine, entry: tuple, inst: _Instance) -> None:
-        step = inst.steps[entry[5][1]]
+        step = inst.steps[entry[4][1]]
         draws = step.draw is not None  # a send over a lossy link
         if inst.key == self.trigger_key and engine.pending:
             kind, successors, region = step.kind, step.successors, self.region

@@ -18,12 +18,24 @@ all.  They restate the simulator's causal and suspension rules
 - ``recovery-step`` comes only after ``recovery-started``;
 - each ``message-lost`` directly follows its ``message-sent``, with the
   same actor and details;
+- each ``message-delivered`` takes one earlier ``message-sent``, not
+  lost, by its ``sender`` on its channel, exactly the connection's
+  latency before it;
 - a failed run ends in ``failure-observed``;
+- a chain run with no detector enabled fails at the boundary or
+  exhausts the horizon;
 - a run with recovery disabled has no ``recovery-*`` event;
 - the trace's metrics are ``compute_metrics`` over its events.
+
+``prefix_violation(short, long)`` compares two runs of one configuration
+at two horizons: the shorter run's events are the longer run's events up
+to the shorter horizon, and when the shorter run ends before its
+horizon, the two traces are the same run.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from fmaf.simulator import compute_metrics
 
@@ -87,12 +99,46 @@ def violations(model, trace) -> list[str]:
         ):
             found.append(f"message-lost at {event.time} does not follow its message-sent")
 
+    unread = Counter()  # (sender, channel, time) -> messages sent then, not lost or delivered
+    for event in events:
+        if event.kind in ("message-sent", "message-lost"):
+            key = (event.actor, event.details["channel"], event.time)
+            unread[key] += 1 if event.kind == "message-sent" else -1
+        elif event.kind == "message-delivered":
+            channel = event.details["channel"]
+            link = model.connections.get(channel)
+            key = (event.details["sender"], channel, event.time - (link.latency if link else 0))
+            if link is None or unread[key] <= 0:
+                found.append(
+                    f"message-delivered at {event.time} has no message-sent "
+                    "one connection latency before it"
+                )
+            else:
+                unread[key] -= 1
+
     if trace.outcome.kind == "failed-at-boundary" and (
         not events or events[-1].kind != "failure-observed"
     ):
         found.append("a failed run does not end in failure-observed")
+    if (
+        config.scenario is not None
+        and config.enabled_detectors == frozenset()
+        and trace.outcome.kind not in ("failed-at-boundary", "horizon-exhausted")
+    ):
+        found.append("a run with no detector enabled neither fails nor exhausts the horizon")
     if not config.recovery_enabled and any(e.kind.startswith("recovery-") for e in events):
         found.append("a run with recovery disabled recovers")
     if dict(trace.metrics) != compute_metrics(trace, model.metrics.values()):
         found.append("metrics differ from compute_metrics")
     return found
+
+
+def prefix_violation(short, long) -> str | None:
+    """How a run to the shorter horizon differs from a longer one, or None."""
+    horizon = short.config.horizon
+    if short.outcome.kind != "horizon-exhausted":
+        if (short.events, short.outcome, short.metrics) != (long.events, long.outcome, long.metrics):
+            return f"a run ending before tick {horizon} changes with a longer horizon"
+    elif short.events != tuple(e for e in long.events if e.time <= horizon):
+        return f"the events up to tick {horizon} change with a longer horizon"
+    return None

@@ -45,7 +45,6 @@ from fmaf.simulator import (
     SimulationError,
     _Branches,
     _Engine,
-    _validate,
     enumerate_outcomes,
     run,
     summarize,
@@ -61,7 +60,6 @@ def replay_outcomes(model, config, bound=12, leaves=None):
                 f"graph {graph.id!r} has {len(graph.nodes)} activities; "
                 f"bound is {bound}"
             )
-    _validate(model, config)
     outcomes = set()
     stack = [()]
     explored = 0
@@ -327,7 +325,7 @@ def _choice_models():
     """The enumerated scenarios that run and make at least one choice."""
     for param in _enumerated_models():
         try:
-            _validate(*param.values)
+            _Engine(*param.values, ScriptedSampler(()))
         except SimulationError:
             continue
         if _snapshot_before_first_choice(*param.values) is not None:

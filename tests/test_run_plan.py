@@ -1,11 +1,12 @@
 """The run plan: what every run of a model needs, built once per model.
 
 The simulator checks a model on its first ``run`` or
-``enumerate_outcomes`` and keeps the findings, the decision nodes, each
-chain's activation and detections, each channel's receive nodes and the
-split metric patterns on the model object.  Later calls reuse them; the
-per-configuration checks still run on every call, with the same
-messages in the same order.
+``enumerate_outcomes`` and keeps the findings, the structure verdict of
+a model built directly, the decision nodes, each chain's activation and
+detections, each channel's receive nodes and the split metric patterns
+on the model object.  Later calls reuse them; the per-configuration
+checks still run on every call, with the same messages in the same
+order.
 """
 
 from __future__ import annotations
@@ -20,10 +21,13 @@ from fmaf import dsl
 from fmaf.casestudy import BUNDLE_NAMES, load_bundle
 from fmaf.checker import check
 from fmaf.model import (
+    Activity,
+    ActivityGraph,
     ActivityKind,
     AtTime,
     Count,
     DanglingReferenceError,
+    Edge,
     ElapsedBetween,
     FailureObservation,
     MetricSpec,
@@ -42,7 +46,7 @@ from fmaf.simulator import (
     run,
 )
 
-from _builders import checker_fixture, race_fixture, random_model
+from _builders import action, checker_fixture, mini_sos, race_fixture, random_model
 
 
 def _counting_check(monkeypatch) -> list:
@@ -125,6 +129,111 @@ def test_dangling_references_are_refused_by_the_checker_not_the_plan():
     with pytest.raises(InvalidConfigError, match="unknown scenario chain 'NOPE'"):
         run(model, SimConfig(scenario="NOPE", horizon=60))
     assert run(model, SimConfig(horizon=60)).outcome.kind == "nominal"
+
+
+def _replaced(model, collection, ident, **changes):
+    items = getattr(model, collection)
+    item = dataclasses.replace(items[ident], **changes)
+    return dataclasses.replace(model, **{collection: {**items, ident: item}})
+
+
+def _with_alpha_work(nodes, edges, exits):
+    model = mini_sos()
+    graph = ActivityGraph(
+        id="AlphaWork", owner="Alpha", nodes={n.id: n for n in nodes},
+        edges=tuple(Edge(*e) for e in edges), entry="x", exits=frozenset(exits),
+    )
+    return dataclasses.replace(model, processes={**model.processes, "AlphaWork": graph})
+
+
+_X, _Y = action("x", 0), action("y", 0)
+_PICK = Activity("x", ActivityKind.DECISION, duration=0)
+
+# Directly built models that build_model refuses and that a run would
+# otherwise end in a KeyError, or never end (the two zero-time cycles).
+MALFORMED = [
+    pytest.param(
+        lambda: _replaced(race_fixture(), "recoveries", "RSELF", graphs={"P": "NOPE"}),
+        SimConfig(scenario="CH", horizon=60, enabled_detectors=frozenset({"P"})),
+        "recovery 'RSELF' references unknown activity graph 'NOPE'",
+        id="recovery-graph",
+    ),
+    pytest.param(
+        lambda: _replaced(race_fixture(), "constituents", "Q", nominal_process="NOPE"),
+        SimConfig(horizon=60),
+        "constituent 'Q' references unknown activity graph 'NOPE'",
+        id="nominal-process",
+    ),
+    pytest.param(
+        lambda: _replaced(mini_sos(), "processes", "AlphaWork", entry="zzz"),
+        SimConfig(horizon=60),
+        "entry of graph 'AlphaWork' references unknown activity 'zzz'",
+        id="graph-entry",
+    ),
+    pytest.param(
+        lambda: _with_alpha_work([_X, _Y], [("x", "y"), ("y", "x")], ()),
+        SimConfig(horizon=50),
+        "cannot reach any exit: ['x', 'y']",
+        id="zero-time-cycle",
+    ),
+    pytest.param(
+        lambda: _with_alpha_work(
+            [_PICK, _Y, action("z")], [("x", "y", "again"), ("y", "x"), ("x", "z")], ("z",)
+        ),
+        SimConfig(horizon=50, guard_inputs={"x": "again"}),
+        "cycle with no time-consuming activity",
+        id="zero-time-loop",
+    ),
+]
+
+
+@pytest.mark.parametrize("make_model,config,message", MALFORMED)
+def test_a_directly_built_malformed_model_is_refused(make_model, config, message):
+    model = make_model()
+    for call in (run, enumerate_outcomes, run):
+        with pytest.raises(SimulationError, match="^model is malformed: ") as exc:
+            call(model, config)
+        assert type(exc.value) is SimulationError
+        assert message in str(exc.value)
+
+
+def test_structure_is_checked_once_and_only_for_directly_built_models(monkeypatch):
+    calls = []
+    real = simulator._malformed
+    monkeypatch.setattr(simulator, "_malformed", lambda m: calls.append(m) or real(m))
+    built, parsed = race_fixture(), dsl.parse(dsl.serialize(race_fixture())).model
+    assert built._checked and parsed._checked
+    config = SimConfig(scenario="CH", horizon=60)
+    for model in (built, parsed):
+        run(model, config)
+        enumerate_outcomes(model, config)
+    assert calls == []
+    direct = dataclasses.replace(built)
+    assert not direct._checked
+    for call in (run, enumerate_outcomes, run):
+        call(direct, config)
+    assert calls == [direct]
+
+
+def test_a_directly_built_graph_too_deep_to_check_still_runs():
+    # build_model and parse raise RecursionError on this chain; a model
+    # built directly ran before the structure check and still does.
+    n = 2000
+    model = _with_alpha_work(
+        [action("x", 0), *(action(f"n{i}", 0) for i in range(1, n))],
+        [("x", "n1"), *((f"n{i}", f"n{i + 1}") for i in range(1, n - 1))],
+        (f"n{n - 1}",),
+    )
+    assert run(model, SimConfig(horizon=50)).outcome.kind == "nominal"
+
+
+def test_the_gate_refuses_findings_then_structure_then_configuration():
+    malformed = MALFORMED[0].values[0]()
+    blocked = _replaced(malformed, "chains", "CH", fault="NoSuchFault")
+    with pytest.raises(ModelViolationsError):
+        run(blocked, SimConfig(scenario="CH", horizon=60))
+    with pytest.raises(SimulationError, match="^model is malformed: "):
+        run(malformed, SimConfig(scenario="NOPE", horizon=60))
 
 
 def test_plan_is_invisible_to_equality_repr_and_serialize():
@@ -318,10 +427,9 @@ def _drained_engines():
         for scenario in (None, *sorted(model.chains)):
             config = SimConfig(scenario=scenario, seed=0)
             try:
-                simulator._validate(model, config)
+                engine = simulator._Engine(model, config, simulator.RandomSampler(0))
             except simulator.SimulationError:
                 continue
-            engine = simulator._Engine(model, config, simulator.RandomSampler(0))
             engine.start()
             engine.loop()
             yield engine

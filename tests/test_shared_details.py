@@ -334,11 +334,12 @@ def test_step_tables_belong_to_the_model_they_were_built_for():
     steps = simulator._plan(original).steps
     assert list(steps) == ["nominal:P", "nominal:Q", "nominal:R"]
     assert steps["nominal:P"]["p_report"].sent["graph"] == "GP"
-    # GP runs p_setup -> p_serve -> p_report -> p_done; skip the report.
+    # GP runs p_setup -> p_serve -> p_report -> p_done; drop the report.
     graph = original.processes["GP"]
+    nodes = {k: v for k, v in graph.nodes.items() if k != "p_report"}
     edges = [e for e in graph.edges if e.src not in ("p_serve", "p_report")]
     edges.append(Edge("p_serve", "p_done"))
-    rewired = dataclasses.replace(graph, edges=tuple(edges))
+    rewired = dataclasses.replace(graph, nodes=nodes, edges=tuple(edges))
     changed = dataclasses.replace(
         original, processes={**original.processes, "GP": rewired}
     )

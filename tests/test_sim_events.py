@@ -19,7 +19,7 @@ from fmaf.simulator import (
     SimConfig,
     SimEvent,
     SimulationError,
-    _validate,
+    _Engine,
     run,
 )
 
@@ -58,7 +58,7 @@ def _runs():
     )
     for param in params:
         try:
-            _validate(*param.values)
+            _Engine(*param.values, ScriptedSampler(()))
         except SimulationError:
             continue
         yield param

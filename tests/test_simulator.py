@@ -22,12 +22,9 @@ from fmaf.simulator import (
     BoundExceededError,
     InvalidConfigError,
     ModelViolationsError,
-    RaceState,
-    ScriptedSampler,
     SimConfig,
     UnknownEventPatternError,
     compute_metrics,
-    detection_race,
     enumerate_outcomes,
     format_trace,
     run,
@@ -212,34 +209,15 @@ class TestDetectionRace:
         assert trace.outcome.by == "P"
         assert trace.outcome.recovery == "RSELF"
 
-    def test_detection_race_function_directly(self):
-        model = race_fixture()
-        candidates = model.detections_for("CH")
-
-        enabled_all = frozenset({"P", "Q"})
-        hit = detection_race(
-            candidates,
-            RaceState(10, 100, enabled_all, ScriptedSampler([True])),
-        )
-        assert (hit.winner.id, hit.time) == ("DTHIRD", 11)
-
-        miss = detection_race(
-            candidates,
-            RaceState(10, 100, enabled_all, ScriptedSampler([False])),
-        )
-        assert (miss.winner.id, miss.time) == ("DSELF", 12)
-
-        timeout_only = detection_race(
-            candidates,
-            RaceState(10, 100, frozenset({"Q"}), ScriptedSampler([False])),
-        )
-        assert (timeout_only.winner.id, timeout_only.time) == ("DTIME", 25)
-
-        beyond_horizon = detection_race(
-            candidates,
-            RaceState(10, 20, frozenset({"Q"}), ScriptedSampler([False])),
-        )
-        assert beyond_horizon.winner is None and beyond_horizon.time is None
+    def test_detection_firing_after_the_horizon_never_wins(self):
+        # The error is raised at tick 2, so DTIME's 15-tick timeout fires at 17.
+        only_q = frozenset({"Q"})
+        late = run(race_fixture(), cfg(seed=MISS_SEED, horizon=16, enabled_detectors=only_q))
+        assert late.outcome.kind == "failed-at-boundary"
+        assert times(late, "error-raised") == [2]
+        assert not times(late, "timer-expired") and not times(late, "error-detected")
+        on_time = run(race_fixture(), cfg(seed=MISS_SEED, horizon=17, enabled_detectors=only_q))
+        assert times(on_time, "error-detected") == [17]
 
     def test_empty_detector_set_means_undetected_failure(self):
         trace = run(race_fixture(), cfg(seed=0, enabled_detectors=frozenset()))

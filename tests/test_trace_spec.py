@@ -4,8 +4,10 @@
 ``random_model`` seeds 0-199, each run nominal, once per chain and once
 per chain with recovery disabled, at simulator seeds 0-4; the bundles run
 every scenario at seeds 0-4.  Runs the checker refuses or that raise
-``SimulationError`` are counted, not checked.  The doctored-trace tests
-show that each property can fail.
+``SimulationError`` are counted, not checked.  Each chain also runs with
+no detector enabled, and each generated configuration with recovery
+enabled runs at horizons 60 and 200 to compare the two.  The
+doctored-trace tests show that each property can fail.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fmaf.casestudy import BUNDLE_NAMES, load_bundle
 from fmaf.simulator import Outcome, SimConfig, SimEvent, SimulationError, run
 
 from _builders import race_fixture, random_model
-from _trace_spec import violations
+from _trace_spec import prefix_violation, violations
 
 
 def _check(runs):
@@ -50,12 +52,14 @@ def _generated_runs():
                 yield model, dataclasses.replace(config, seed=seed)
 
 
-def _bundle_runs():
+def _bundle_runs(**changes):
     for name in BUNDLE_NAMES:
         bundle = load_bundle(name)
         for config in bundle.scenarios.values():
+            if changes and config.scenario is None:
+                continue
             for seed in range(5):
-                yield bundle.model, dataclasses.replace(config, seed=seed)
+                yield bundle.model, dataclasses.replace(config, seed=seed, **changes)
 
 
 def test_generated_runs_keep_the_trace_spec():
@@ -70,6 +74,36 @@ def test_bundle_runs_keep_the_trace_spec():
     assert found == []
     assert (checked, raised) == (45, 5)  # fault3's F3.1 is refused by the checker
     assert outcomes.keys() == {"nominal", "recovered", "failed-at-boundary"}
+
+
+def test_runs_with_no_detector_enabled_fail_at_the_boundary():
+    none = frozenset()
+    generated = (
+        (model, dataclasses.replace(config, enabled_detectors=none))
+        for model, config in _generated_runs()
+        if config.scenario is not None and config.recovery_enabled
+    )
+    checked, raised, found, outcomes = _check(generated)
+    assert found == []
+    assert (checked, outcomes) == (98, {"failed-at-boundary": 98})
+    checked, raised, found, outcomes = _check(_bundle_runs(enabled_detectors=none))
+    assert found == []
+    assert (checked, raised, outcomes) == (40, 5, {"failed-at-boundary": 40})
+
+
+def test_a_longer_horizon_extends_a_run_and_changes_no_earlier_event():
+    compared = 0
+    for model, config in _generated_runs():
+        if not config.recovery_enabled:
+            continue
+        try:
+            short = run(model, dataclasses.replace(config, horizon=60))
+            long = run(model, config)
+        except SimulationError:
+            continue
+        assert prefix_violation(short, long) is None, config
+        compared += 1
+    assert compared == 1098
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +176,14 @@ _DOCTORED = {
         t, "fault-activated", _at(t, "recovery-step")
     ),
     "does not follow its message-sent": lambda t, n: _insert(n, "message-sent", _lost(n)),
+    "has no message-sent one connection latency": lambda t, n: _retimed(
+        n, "message-delivered", 1
+    ),
     "does not end in failure-observed": lambda t, n: dataclasses.replace(
         t, outcome=Outcome("failed-at-boundary")
     ),
     "recovery disabled recovers": lambda t, n: _config(t, recovery_enabled=False),
+    "no detector enabled": lambda t, n: _config(t, enabled_detectors=frozenset()),
     "metrics differ": lambda t, n: dataclasses.replace(t, metrics={**t.metrics, "Extra": 1}),
 }
 
@@ -156,3 +194,16 @@ def test_a_doctored_trace_breaks_the_spec(expected):
     assert violations(model, trace) == [] == violations(model, nominal)
     doctored = _DOCTORED[expected](trace, nominal)
     assert any(expected in v for v in violations(model, doctored))
+
+
+def test_a_doctored_run_breaks_the_horizon_prefix():
+    model = race_fixture()
+    config = SimConfig(scenario="CH", horizon=60, enabled_detectors=frozenset({"P"}))
+    long, short = run(model, config), run(model, dataclasses.replace(config, horizon=5))
+    ended = run(model, dataclasses.replace(config, horizon=40))
+    assert short.outcome.kind == "horizon-exhausted" and ended.outcome.kind == "recovered"
+    assert prefix_violation(short, long) is None is prefix_violation(ended, long)
+    dropped = dataclasses.replace(short, events=short.events[:-1])
+    assert "events up to tick 5 change" in prefix_violation(dropped, long)
+    failed = dataclasses.replace(ended, outcome=Outcome("failed-at-boundary"))
+    assert "ending before tick 40 changes" in prefix_violation(failed, long)
