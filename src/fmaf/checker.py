@@ -7,6 +7,13 @@ may rely on, and how detection hands over to recovery.  ``check``
 evaluates every rule and returns deterministic, ordered findings;
 ``explain`` documents any single rule.
 
+``CATALOG`` is the one place a rule's id, title and severity are written.
+Each rule is a generator over the model yielding its hits as (subject,
+message, chain) triples, and ``check`` turns every hit into a ``Finding``
+with its rule's catalog severity.  Adding a rule takes one ``CATALOG``
+entry, one generator in ``_RULES`` under the same id, and one mutant in
+``tests/_builders.fixture_mutants`` that the rule alone reports.
+
 Model constructors deliberately accept taxonomy-violating content (an
 environment entity as a chain origin, for instance) precisely so that
 this module can report it.
@@ -16,8 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
-from .model import FmafError, SosModel
+from .model import Activity, FmafError, SosModel
 
 __all__ = [
     "Severity",
@@ -184,23 +192,23 @@ def explain(rule_id: str) -> str:
     )
 
 
-def _r1(model: SosModel, out: list[Finding]) -> None:
+# A rule's hit: its subject, message and chain scope.  Each rule yields
+# its hits in a fixed order over the model, so ``check``'s stable sort
+# keeps equal keys in that order.
+_Hit = tuple[str, str, str | None]
+
+
+def _r1(model: SosModel) -> Iterator[_Hit]:
     for chain in model.chains.values():
         if chain.failure_observation.value != "sos-boundary":
-            out.append(
-                Finding(
-                    "R1",
-                    Severity.VIOLATION,
-                    chain.id,
-                    f"chain {chain.id!r} marks its failure {chain.failure!r} as "
-                    f"internally observed; failures are observable at the SoS "
-                    f"boundary",
-                    chain=chain.id,
-                )
-            )
+            yield chain.id, (
+                f"chain {chain.id!r} marks its failure {chain.failure!r} as "
+                f"internally observed; failures are observable at the SoS "
+                f"boundary"
+            ), chain.id
 
 
-def _r2(model: SosModel, out: list[Finding]) -> None:
+def _r2(model: SosModel) -> Iterator[_Hit]:
     for chain in model.chains.values():
         if not model.is_constituent(chain.origin):
             kind = (
@@ -208,33 +216,21 @@ def _r2(model: SosModel, out: list[Finding]) -> None:
                 if chain.origin in model.environment
                 else "non-constituent"
             )
-            out.append(
-                Finding(
-                    "R2",
-                    Severity.VIOLATION,
-                    chain.id,
-                    f"chain {chain.id!r} originates its fault in {kind} "
-                    f"{chain.origin!r}; a fault must be introduced by a "
-                    f"constituent system",
-                    chain=chain.id,
-                )
-            )
+            yield chain.id, (
+                f"chain {chain.id!r} originates its fault in {kind} "
+                f"{chain.origin!r}; a fault must be introduced by a "
+                f"constituent system"
+            ), chain.id
     for act in model.activations.values():
         if not model.is_constituent(act.origin_constituent):
-            out.append(
-                Finding(
-                    "R2",
-                    Severity.VIOLATION,
-                    act.id,
-                    f"activation {act.id!r} places its fault in "
-                    f"{act.origin_constituent!r}, which is not a constituent "
-                    f"system",
-                    chain=act.threat,
-                )
-            )
+            yield act.id, (
+                f"activation {act.id!r} places its fault in "
+                f"{act.origin_constituent!r}, which is not a constituent "
+                f"system"
+            ), act.threat
 
 
-def _r3(model: SosModel, out: list[Finding]) -> None:
+def _r3(model: SosModel) -> Iterator[_Hit]:
     endpoints: set[str] = set()
     for conn in model.connections.values():
         endpoints |= {conn.provider, conn.consumer}
@@ -252,20 +248,14 @@ def _r3(model: SosModel, out: list[Finding]) -> None:
             if cs in endpoints or (cs, det.threat) in seen:
                 continue
             seen.add((cs, det.threat))
-            out.append(
-                Finding(
-                    "R3",
-                    Severity.VIOLATION,
-                    cs,
-                    f"constituent {cs!r} takes part in detection or recovery "
-                    f"of chain {det.threat!r} but is not an endpoint of any "
-                    f"connection",
-                    chain=det.threat,
-                )
-            )
+            yield cs, (
+                f"constituent {cs!r} takes part in detection or recovery "
+                f"of chain {det.threat!r} but is not an endpoint of any "
+                f"connection"
+            ), det.threat
 
 
-def _r4(model: SosModel, out: list[Finding]) -> None:
+def _r4(model: SosModel) -> Iterator[_Hit]:
     for chain in model.chains.values():
         for role, ref in (
             ("fault", chain.fault),
@@ -273,85 +263,64 @@ def _r4(model: SosModel, out: list[Finding]) -> None:
             ("failure", chain.failure),
         ):
             if ref not in model.threat_nodes:
-                out.append(
-                    Finding(
-                        "R4",
-                        Severity.VIOLATION,
-                        chain.id,
-                        f"chain {chain.id!r} references undefined threat node "
-                        f"{ref!r} as its {role}",
-                        chain=chain.id,
-                    )
-                )
+                yield chain.id, (
+                    f"chain {chain.id!r} references undefined threat node "
+                    f"{ref!r} as its {role}"
+                ), chain.id
 
 
-def _r5(model: SosModel, out: list[Finding]) -> None:
-    for det in model.detections.values():
-        if det.recovery not in model.recoveries:
-            out.append(
-                Finding(
-                    "R5",
-                    Severity.VIOLATION,
-                    det.id,
-                    f"detection {det.id!r} names unknown recovery "
-                    f"{det.recovery!r}; detection must prompt a declared "
-                    f"recovery process",
-                    chain=det.threat,
-                )
-            )
+def _r5(model: SosModel) -> Iterator[_Hit]:
     by_chain: dict[str, set[str]] = {}
     for det in model.detections.values():
         by_chain.setdefault(det.threat, set()).add(det.detector)
+        if det.recovery not in model.recoveries:
+            yield det.id, (
+                f"detection {det.id!r} names unknown recovery "
+                f"{det.recovery!r}; detection must prompt a declared "
+                f"recovery process"
+            ), det.threat
     for chain in model.chains.values():
         covered = by_chain.get(chain.id, set())
         for detector in chain.detectors:
             if detector not in covered:
-                out.append(
-                    Finding(
-                        "R5",
-                        Severity.VIOLATION,
-                        chain.id,
-                        f"detector {detector!r} of chain {chain.id!r} has no "
-                        f"detection specification",
-                        chain=chain.id,
-                    )
-                )
+                yield chain.id, (
+                    f"detector {detector!r} of chain {chain.id!r} has no "
+                    f"detection specification"
+                ), chain.id
 
 
-def _recovery_chain_context(model: SosModel, recovery_id: str) -> str | None:
-    chains = {
-        det.threat
-        for det in model.detections.values()
-        if det.recovery == recovery_id
-    }
-    if len(chains) == 1:
-        return next(iter(chains))
-    return None
-
-
-def _r6(model: SosModel, out: list[Finding]) -> None:
+def _recovery_channels(model: SosModel) -> Iterator[tuple[str, str, Activity]]:
+    """(recovery id, graph id, activity) for every activity with a channel
+    in a recovery graph, in recovery, graph and node order."""
     for recovery in model.recoveries.values():
-        ctx = _recovery_chain_context(model, recovery.id)
         for graph_id in recovery.graphs.values():
             graph = model.processes.get(graph_id)
-            if graph is None:
-                continue
-            for node in graph.nodes.values():
-                if node.channel is not None and node.channel not in model.connections:
-                    out.append(
-                        Finding(
-                            "R6",
-                            Severity.VIOLATION,
-                            recovery.id,
-                            f"recovery {recovery.id!r} graph {graph_id!r}: "
-                            f"activity {node.id!r} uses undeclared connection "
-                            f"{node.channel!r}",
-                            chain=ctx,
-                        )
-                    )
+            for node in graph.nodes.values() if graph is not None else ():
+                if node.channel is not None:
+                    yield recovery.id, graph_id, node
 
 
-def _r7(model: SosModel, out: list[Finding]) -> None:
+def _recovery_chain_context(model: SosModel) -> dict[str, str | None]:
+    """Each named recovery's chain when exactly one chain's detections name
+    it, else None (a finding on it then blocks every scenario)."""
+    chains: dict[str, set[str]] = {}
+    for det in model.detections.values():
+        chains.setdefault(det.recovery, set()).add(det.threat)
+    return {rec: min(c) if len(c) == 1 else None for rec, c in chains.items()}
+
+
+def _r6(model: SosModel) -> Iterator[_Hit]:
+    context = _recovery_chain_context(model)
+    for recovery_id, graph_id, node in _recovery_channels(model):
+        if node.channel not in model.connections:
+            yield recovery_id, (
+                f"recovery {recovery_id!r} graph {graph_id!r}: "
+                f"activity {node.id!r} uses undeclared connection "
+                f"{node.channel!r}"
+            ), context.get(recovery_id)
+
+
+def _r7(model: SosModel) -> Iterator[_Hit]:
     for act in model.activations.values():
         origin = model.constituents.get(act.origin_constituent)
         if origin is None:
@@ -361,53 +330,37 @@ def _r7(model: SosModel, out: list[Finding]) -> None:
             continue
         stray = sorted(act.region - set(nominal.nodes))
         if stray:
-            out.append(
-                Finding(
-                    "R7",
-                    Severity.WARNING,
-                    act.id,
-                    f"activation {act.id!r} region names activities outside "
-                    f"the nominal graph of {origin.id!r}: {stray}",
-                    chain=act.threat,
-                )
-            )
+            yield act.id, (
+                f"activation {act.id!r} region names activities outside "
+                f"the nominal graph of {origin.id!r}: {stray}"
+            ), act.threat
 
 
-def _r8(model: SosModel, out: list[Finding]) -> None:
-    used: set[str] = set()
-    for recovery in model.recoveries.values():
-        for graph_id in recovery.graphs.values():
-            graph = model.processes.get(graph_id)
-            if graph is None:
-                continue
-            used |= {
-                node.channel
-                for node in graph.nodes.values()
-                if node.channel is not None
-            }
+def _r8(model: SosModel) -> Iterator[_Hit]:
+    used = {node.channel for _, _, node in _recovery_channels(model)}
     for conn in model.connections.values():
         if conn.kind.value == "recovery-only" and conn.id not in used:
-            out.append(
-                Finding(
-                    "R8",
-                    Severity.WARNING,
-                    conn.id,
-                    f"recovery-only connection {conn.id!r} is not used by any "
-                    f"recovery graph",
-                )
-            )
+            yield conn.id, (
+                f"recovery-only connection {conn.id!r} is not used by any "
+                f"recovery graph"
+            ), None
 
 
-_RULE_FUNCS = (_r1, _r2, _r3, _r4, _r5, _r6, _r7, _r8)
+_RULES = {
+    "R1": _r1, "R2": _r2, "R3": _r3, "R4": _r4,
+    "R5": _r5, "R6": _r6, "R7": _r7, "R8": _r8,
+}
 
 
 def check(model: SosModel) -> list[Finding]:
     """Evaluate the whole catalog; ordered by (rule number, subject, message)."""
-    out: list[Finding] = []
-    for fn in _RULE_FUNCS:
-        fn(model, out)
-    out.sort(key=Finding.sort_key)
-    return out
+    findings = [
+        Finding(rule_id, CATALOG[rule_id].severity, subject, message, chain)
+        for rule_id, rule in _RULES.items()
+        for subject, message, chain in rule(model)
+    ]
+    findings.sort(key=Finding.sort_key)
+    return findings
 
 
 def has_violations(findings) -> bool:

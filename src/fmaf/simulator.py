@@ -14,8 +14,9 @@ Every run passes one gate, the engine's constructor, before its first
 event.  In order: the checker's blocking findings for the scenario raise
 ``ModelViolationsError``; then, only for a model that neither
 ``build_model`` nor ``fmaf.dsl.parse`` made, a structure they refuse (a
-malformed activity graph, or a nominal process or recovery graph that
-names no graph) raises ``SimulationError``; then the configuration (an
+malformed activity graph, a nominal process or recovery graph that
+names no graph, or a nominal send or receive over a channel that names
+no connection) raises ``SimulationError``; then the configuration (an
 unknown scenario, detectors outside the chain, a chain with no
 activation, an at-time trigger past the horizon, a guard input naming
 no decision) raises ``InvalidConfigError``.  ``enumerate_outcomes``
@@ -526,9 +527,9 @@ class _Engine:
             if key not in plan.decisions:
                 raise InvalidConfigError(f"guard input {key!r} names no decision node")
         # An activation waits for a nominal start to trigger it; at-time
-        # triggers are scheduled by start() instead.
+        # triggers are scheduled by start() instead.  Its inject event is
+        # pushed at most once, clearing ``pending`` when it is.
         self.pending = activation is not None and not isinstance(activation.trigger, AtTime)
-        self.injected_fired = False
         self.detected: DetectionSpec | None = None
         self.recovery_started_at: int | None = None
         self.recovery_keys: tuple[str, ...] = ()  # the started recovery's instances
@@ -803,9 +804,7 @@ class _Engine:
                 receiver, channel, details = payload
                 self.deliver_message(receiver, channel, details, time)
             elif rank == _R_INJECT:
-                if not self.injected_fired:
-                    self.injected_fired = True
-                    self.inject_fault(time)
+                self.inject_fault(time)
             elif rank == _R_ERROR:
                 if branches is not None:
                     branches.raise_error(self, entry)
@@ -857,7 +856,7 @@ class _Engine:
             else:
                 self.outcome = Outcome("horizon-exhausted")
             return
-        if not self.injected_fired:
+        if self.pending:
             raise SimulationError(
                 f"scenario {self.focus.chain.id!r}: the activation trigger never fired"
             )
@@ -1006,8 +1005,10 @@ def _receivers(model: SosModel) -> dict[tuple[str, str], tuple[tuple[str, str], 
 
 def _malformed(model: SosModel) -> str | None:
     """The first defect that would stop a run and that ``build_model``
-    refuses: a graph it rejects, or a constituent's nominal process or a
-    recovery graph that names no graph."""
+    refuses: a graph it rejects, a constituent's nominal process or a
+    recovery graph that names no graph, or a send or receive of a nominal
+    process over a channel that names no connection.  (R6 already blocks
+    every scenario that could start a recovery graph with such a channel.)"""
     try:
         for graph in model.processes.values():
             try:
@@ -1017,9 +1018,14 @@ def _malformed(model: SosModel) -> str | None:
                 # so the graph keeps every other rule; it runs as before.
                 pass
         for cs in model.constituents.values():
-            if cs.nominal_process not in model.processes:
+            graph = model.processes.get(cs.nominal_process)
+            if graph is None:
                 context = f"constituent {cs.id!r}"
                 raise DanglingReferenceError("activity graph", cs.nominal_process, context)
+            for node in graph.nodes.values():
+                if node.channel is not None and node.channel not in model.connections:
+                    context = f"activity {node.id!r} in {graph.id!r}"
+                    raise DanglingReferenceError("connection", node.channel, context)
         for recovery in model.recoveries.values():
             for graph_id in recovery.graphs.values():
                 if graph_id not in model.processes:

@@ -3,16 +3,27 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
+import random
+from pathlib import Path
 
 import pytest
 
 from fmaf import checker
+from fmaf.casestudy import BUNDLE_NAMES, load_bundle
 from fmaf.checker import Finding, Severity, UnknownRuleError
 from fmaf.model import ConstituentSystem
 
-from _builders import action, checker_fixture, fixture_mutants, seq_graph
+from _builders import action, checker_fixture, fixture_mutants, random_model, seq_graph
 
 MUTANTS = fixture_mutants()
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# One sha256 over the finding records of the four bundles, ``random_model``
+# seeds 0-199 and every mutant, in that order; it only changes when a rule's
+# verdicts, messages, scopes or order change on purpose.
+FINDINGS_DIGEST = "5410aa2dd82665b00fc52eab241c386a80fc1296e19536886829acdb6e287d63"
 
 
 class TestCleanFixture:
@@ -40,6 +51,23 @@ class TestMutationSuite:
     def test_every_violation_rule_has_a_mutant(self):
         covered = {rule_id for rule_id, _, _ in MUTANTS}
         assert covered == set(checker.CATALOG)
+
+    def test_every_catalog_rule_has_one_generator(self):
+        assert list(checker._RULES) == list(checker.CATALOG)
+
+
+def test_every_finding_is_pinned():
+    models = [load_bundle(name).model for name in BUNDLE_NAMES]
+    models += [random_model(random.Random(seed)) for seed in range(200)]
+    models += [model for _, _, model in MUTANTS]
+    digest = hashlib.sha256()
+    found = 0
+    for model in models:
+        records = checker.to_records(checker.check(model))
+        found += len(records)
+        digest.update(json.dumps(records, sort_keys=True).encode("utf-8"))
+    assert (len(models), found) == (214, 417)
+    assert digest.hexdigest() == FINDINGS_DIGEST
 
 
 class TestRuleDetails:
@@ -77,6 +105,15 @@ class TestRuleDetails:
         assert f.subject == "REC1"
         assert "'RGB'" in f.message and "'notify'" in f.message
         assert f.chain == "CH1"  # only one detection uses REC1
+
+    def test_r6_is_unscoped_for_a_shared_or_unnamed_recovery(self):
+        _, _, model = next(m for m in MUTANTS if m[0] == "R6")
+        other = dataclasses.replace(model.detections["DET1"], id="DET2", threat="CH2")
+        shared = dataclasses.replace(model, detections={**model.detections, "DET2": other})
+        unnamed = dataclasses.replace(model, detections={})
+        for variant in (shared, unnamed):
+            (f,) = [f for f in checker.check(variant) if f.rule_id == "R6"]
+            assert f.subject == "REC1" and f.chain is None
 
     def test_warnings_do_not_count_as_violations(self):
         for rule_id in ("R7", "R8"):
@@ -135,6 +172,18 @@ class TestExplain:
             assert rule.statement in text
             assert rule.rationale in text
             assert rule.severity.value in text
+
+
+def test_readme_lists_the_catalog():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Consistency rules", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[0] not in ("Rule", "---"):
+            rows.append((cells[0], cells[1].strip("`"), cells[2]))
+    catalog = [(r.rule_id, r.title, r.severity.value) for r in checker.CATALOG.values()]
+    assert rows == catalog
 
 
 class TestScopingAndReports:

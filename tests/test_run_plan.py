@@ -149,8 +149,18 @@ def _with_alpha_work(nodes, edges, exits):
 _X, _Y = action("x", 0), action("y", 0)
 _PICK = Activity("x", ActivityKind.DECISION, duration=0)
 
+
+def _rechanneled(graph_id, node_id):
+    model = race_fixture()
+    nodes = model.processes[graph_id].nodes
+    node = dataclasses.replace(nodes[node_id], channel="NOPE")
+    return _replaced(model, "processes", graph_id, nodes={**nodes, node_id: node})
+
+
 # Directly built models that build_model refuses and that a run would
-# otherwise end in a KeyError, or never end (the two zero-time cycles).
+# otherwise end in a KeyError or AttributeError, run to the horizon as if
+# well formed (the unknown receive channel), or never end (the two
+# zero-time cycles).
 MALFORMED = [
     pytest.param(
         lambda: _replaced(race_fixture(), "recoveries", "RSELF", graphs={"P": "NOPE"}),
@@ -163,6 +173,18 @@ MALFORMED = [
         SimConfig(horizon=60),
         "constituent 'Q' references unknown activity graph 'NOPE'",
         id="nominal-process",
+    ),
+    pytest.param(
+        lambda: _rechanneled("GP", "p_report"),
+        SimConfig(horizon=60),
+        "activity 'p_report' in 'GP' references unknown connection 'NOPE'",
+        id="nominal-send-channel",
+    ),
+    pytest.param(
+        lambda: _rechanneled("GQ", "q_wait"),
+        SimConfig(horizon=60),
+        "activity 'q_wait' in 'GQ' references unknown connection 'NOPE'",
+        id="nominal-receive-channel",
     ),
     pytest.param(
         lambda: _replaced(mini_sos(), "processes", "AlphaWork", entry="zzz"),

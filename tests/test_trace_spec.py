@@ -6,7 +6,8 @@ per chain with recovery disabled, at simulator seeds 0-4; the bundles run
 every scenario at seeds 0-4.  Runs the checker refuses or that raise
 ``SimulationError`` are counted, not checked.  Each chain also runs with
 no detector enabled, and each generated configuration with recovery
-enabled runs at horizons 60 and 200 to compare the two.  The
+enabled runs at horizons 60 and 200 to compare the two.  A property
+test, skipped without hypothesis, draws model seeds beyond 0-199.  The
 doctored-trace tests show that each property can fail.
 """
 
@@ -22,6 +23,11 @@ from fmaf.simulator import Outcome, SimConfig, SimEvent, SimulationError, run
 
 from _builders import race_fixture, random_model
 from _trace_spec import prefix_violation, violations
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:
+    st = None
 
 
 def _check(runs):
@@ -104,6 +110,23 @@ def test_a_longer_horizon_extends_a_run_and_changes_no_earlier_event():
         assert prefix_violation(short, long) is None, config
         compared += 1
     assert compared == 1098
+
+
+@pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+def test_drawn_seeds_keep_the_trace_spec():
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.integers(200, 2**32 - 1), st.integers(0, 2**32 - 1), st.booleans(), st.data())
+    def keeps_the_spec(model_seed, seed, recovery, data):
+        model = random_model(random.Random(model_seed))
+        scenario = data.draw(st.sampled_from([*sorted(model.chains), None]))
+        config = SimConfig(scenario=scenario, seed=seed, recovery_enabled=recovery)
+        try:
+            trace = run(model, config)
+        except SimulationError:
+            return
+        assert violations(model, trace) == []
+
+    keeps_the_spec()
 
 
 # ---------------------------------------------------------------------------
