@@ -65,6 +65,8 @@ from .model import (
     ThreatKind,
     ThreatNode,
     Timeout,
+    _ID_CHAR,
+    _IDENTIFIER,
     _problems,
 )
 
@@ -123,21 +125,8 @@ class ParseResult:
 # A token is its source text, a "word".  Its kind follows from its first
 # character: a letter starts an identifier, '"' a string, a digit a
 # duration when the word ends in 't' and a number otherwise, anything else
-# is punctuation, and the empty word stands for the end of input.
-
-
-class _Token(NamedTuple):
-    """A word with its kind, value and position, built for diagnostics."""
-
-    kind: str
-    text: str
-    value: object
-    line: int
-    col: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.col)
+# is punctuation, and the empty word stands for the end of input.  Positions
+# are found only when a diagnostic needs one.
 
 
 class _Abort(Exception):
@@ -150,30 +139,32 @@ def _err(span: SourceSpan, message: str) -> _Abort:
     return _Abort(Diagnostic("error", span, message))
 
 
-_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+# Each escape letter and the character it stands for, the backslash first
+# so that the serializer can replace them in this order.
+_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 _ESCAPE = re.compile(r"\\(.)")
 
 _DECIMAL = r"[0-9]+(?:\.[0-9]+)?"
-_STRING_CHARS = r'[^"\\\n]*(?:\\[\\"nt][^"\\\n]*)*'
+_STRING_CHARS = rf'[^"\\\n]*(?:\\[{re.escape("".join(_ESCAPES))}][^"\\\n]*)*'
 _JUNK = r"[ \t\n]*(?:\#[^\n]*[ \t\n]*)*"  # blanks and comments
 
 # Each match is one word (group 1) with the blanks and comments after it.
 # The first alternative takes the blanks and comments before the first
 # word, so matches tile the text and ``findall`` gives ``""`` and then
-# every word.  Letters and digits are spelled out as ASCII because ``\w``
-# and ``\d`` accept other scripts.  A malformed string, a number or
-# duration that runs into an identifier character, or a character that
-# starts no word leaves only the catch-all, which swallows the rest of the
-# text outside group 1, so the list then ends in ``""``; _lex_error names
-# the fault.
+# every word.  Digits are spelled out as ASCII, as identifier characters
+# are in ``model``, because ``\d`` accepts other scripts.  A malformed
+# string, a number or duration that runs into an identifier character, or
+# a character that starts no word leaves only the catch-all, which swallows
+# the rest of the text outside group 1, so the list then ends in ``""``;
+# _lex_error names the fault.
 _TOKEN = re.compile(
     rf"""\A{_JUNK}
       | (?:
-          ( [A-Za-z][A-Za-z0-9_.]*
+          ( {_IDENTIFIER.pattern}
           | <->|->|[{{}}\[\],:]
           | "{_STRING_CHARS}"
-          | [0-9]+t(?![A-Za-z0-9_.])
-          | {_DECIMAL}(?![A-Za-z0-9_.])
+          | [0-9]+t(?!{_ID_CHAR})
+          | {_DECIMAL}(?!{_ID_CHAR})
           )
         | [\s\S]+
         ){_JUNK}""",
@@ -199,32 +190,19 @@ def _unquote(word: str) -> str:
     return _ESCAPE.sub(lambda e: _ESCAPES[e[1]], s) if "\\" in s else s
 
 
-def _lex(text: str) -> list[_Token]:
-    """The words of ``text`` with kinds, values and positions, then EOF."""
-    # Both newline conventions lex identically.
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
-    toks: list[_Token] = []
+def _positions(text: str) -> list[tuple[int, int]]:
+    """(line, column) of every word of ``text`` and then of its end.
+
+    Raises the diagnostic of the first word that only the catch-all took.
+    """
+    spots: list[tuple[int, int]] = []
     line = 1
     base = -1  # offset of the current line's column 0
     last = 0  # end of the last word
     for m in _TOKEN.finditer(text):
-        word = m[1]
         start = m.start()
-        if word is not None:
-            col = start - base
-            c = word[0]
-            if c == '"':
-                value = _unquote(word)
-                toks.append(_Token("string", f'"{value}"', value, line, col))
-            elif c.isdigit():
-                if word[-1] == "t":
-                    toks.append(_Token("duration", word, int(word[:-1]), line, col))
-                else:
-                    toks.append(_Token("number", word, float(word), line, col))
-            elif c.isalpha():
-                toks.append(_Token("ident", word, word, line, col))
-            else:
-                toks.append(_Token(word, word, word, line, col))
+        if m[1] is not None:
+            spots.append((line, start - base))
             last = m.end(1)
         elif m[0][:1] not in " \t\n#":  # the catch-all, not the leading blanks
             raise _lex_error(text, start, line, base)
@@ -236,8 +214,8 @@ def _lex(text: str) -> list[_Token]:
     # comment's '#', because a comment never moves the column on.
     hash_at = text.find("#", max(base + 1, last))
     end = hash_at if hash_at >= 0 else len(text)
-    toks.append(_Token("eof", "", None, line, end - base))
-    return toks
+    spots.append((line, end - base))
+    return spots
 
 
 def _lex_error(text: str, i: int, line: int, base: int) -> _Abort:
@@ -527,7 +505,7 @@ class _Parser:
     def __init__(self, text: str, words: list[str]) -> None:
         self.text = text
         self.words = words
-        self.toks: list[_Token] | None = None  # lexed when a span is needed
+        self.spots: list[tuple[int, int]] | None = None  # found when a span is needed
         self.diags: list[Diagnostic] = []
         # Records by declaration keyword, in declaration order; the three
         # threat keywords share one list.
@@ -542,10 +520,9 @@ class _Parser:
 
     def span(self, i: int) -> SourceSpan:
         """The position of word ``i``."""
-        if self.toks is None:
-            self.toks = _lex(self.text)
-        t = self.toks[i]
-        return SourceSpan(t.line, t.col)
+        if self.spots is None:
+            self.spots = _positions(self.text)
+        return SourceSpan(*self.spots[i])
 
     def error(self, i: int, message: str) -> None:
         self.diags.append(Diagnostic("error", self.span(i), message))
@@ -1050,7 +1027,7 @@ def parse(text: str) -> ParseResult:
     words = _words(text)
     if words is None:
         try:
-            _lex(text)  # finds the word that only the catch-all took, and says why
+            _positions(text)  # finds the word that only the catch-all took, and says why
         except _Abort as a:
             return ParseResult(None, (a.diagnostic,))
     parser = _Parser(text, words)
@@ -1071,10 +1048,13 @@ def parse_file(path: str | Path) -> ParseResult:
 # Serializer
 
 
+_QUOTES = [(char, "\\" + letter) for letter, char in _ESCAPES.items()]
+
+
 def _quote(s: str) -> str:
-    out = s.replace("\\", "\\\\").replace('"', '\\"')
-    out = out.replace("\n", "\\n").replace("\t", "\\t")
-    return f'"{out}"'
+    for char, escaped in _QUOTES:
+        s = s.replace(char, escaped)
+    return f'"{s}"'
 
 
 def _num(x: float) -> str:

@@ -122,8 +122,10 @@ VIEW_KINDS: tuple[str, ...] = (
 
 # ASCII only, spelled out: ``\w`` and ``\d`` would admit non-ASCII letters
 # and digits.  Matched with ``fullmatch``, since ``$`` also matches before
-# a trailing newline.
-_IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_.]*")
+# a trailing newline.  The model language's lexer builds its identifier
+# words from these two.
+_ID_CHAR = "[A-Za-z0-9_.]"
+_IDENTIFIER = re.compile(f"[A-Za-z]{_ID_CHAR}*")
 _match_identifier = _IDENTIFIER.fullmatch
 
 
@@ -148,6 +150,8 @@ class ConstituentSystem:
 
     def __post_init__(self) -> None:
         _require_identifier(self.id, "constituent")
+        for interface in sorted(self.provided_interfaces | self.required_interfaces):
+            _require_identifier(interface, "interface")
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,6 +184,7 @@ class Connection:
 
     def __post_init__(self) -> None:
         _require_identifier(self.id, "connection")
+        _require_identifier(self.interface_id, "interface")
         if self.provider == self.consumer:
             raise FmafError(f"connection {self.id!r}: provider equals consumer")
         if self.latency < 0:
@@ -202,6 +207,8 @@ class ThreatNode:
 
     def __post_init__(self) -> None:
         _require_identifier(self.id, "threat node")
+        if self.category is not None:
+            _require_identifier(self.category, "category")
 
 
 @dataclass(frozen=True, slots=True)

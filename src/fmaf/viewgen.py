@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .model import VIEW_KINDS, ActivityGraph, ActivityKind, FmafError, SosModel
+from .model import VIEW_KINDS, ActivityGraph, ActivityKind, FmafError, SosModel, ThreatChain
 
 if TYPE_CHECKING:
     from .simulator import SimTrace
@@ -45,10 +45,6 @@ __all__ = [
     "project",
     "to_dot",
 ]
-
-#: View kinds that make no sense without a focused threat chain.
-_FOCUS_REQUIRED = ("tcv", "ftcv", "fav", "recovery", "erroneous-process")
-
 
 class ViewError(FmafError):
     pass
@@ -168,13 +164,31 @@ def _threat_node(b: _Builder, model: SosModel, node_id: str, shape_class: str) -
     return b.node(f"threat:{node_id}", label, shape_class)
 
 
-def _require_chain(model: SosModel, view_kind: str, focus: str | None):
+def _require_chain(model: SosModel, view_kind: str, focus: str | None) -> ThreatChain:
     if focus is None:
         raise MissingFocusError(f"view {view_kind!r} needs a focus threat chain")
     chain = model.chains.get(focus)
     if chain is None:
         raise UnknownChainError(f"unknown threat chain {focus!r}")
     return chain
+
+
+def _origin_process(model: SosModel, chain: ThreatChain) -> tuple[ActivityGraph, frozenset[str]]:
+    """The nominal process of the chain's origin, and the activation region."""
+    origin_cs = model.constituents.get(chain.origin)
+    if origin_cs is None:
+        raise ViewError(
+            f"chain {chain.id!r} originates outside the constituents; "
+            "no nominal process to project"
+        )
+    graph = model.processes.get(origin_cs.nominal_process)
+    if graph is None:
+        raise ViewError(
+            f"chain {chain.id!r}: the nominal process {origin_cs.nominal_process!r} "
+            f"of {origin_cs.id!r} is not in the model"
+        )
+    activation = model.activation_for(chain.id)
+    return graph, activation.region if activation is not None else frozenset()
 
 
 _ACTIVITY_SHAPES = {
@@ -188,9 +202,7 @@ _ACTIVITY_SHAPES = {
 }
 
 
-def _add_activity_graph(
-    b: _Builder, graph: ActivityGraph, prefix: str = "", style: str = "flow"
-) -> dict[str, str]:
+def _add_activity_graph(b: _Builder, graph: ActivityGraph, prefix: str = "") -> dict[str, str]:
     """Adds a graph's activities and control edges; returns id mapping.
 
     Appends straight into the builder, with ``_Builder``'s dedup rules.
@@ -204,7 +216,7 @@ def _add_activity_graph(
             nodes.append(ViewNode(vid, node.name or node_id, _ACTIVITY_SHAPES[node.kind]))
     seen_edges, edges = b._seen_edges, b.edges
     for edge in graph.edges:
-        key = (mapping[edge.src], mapping[edge.dst], edge.guard or "", style)
+        key = (mapping[edge.src], mapping[edge.dst], edge.guard or "", "flow")
         if key not in seen_edges:
             seen_edges.add(key)
             edges.append(ViewEdge(*key))
@@ -214,8 +226,7 @@ def _add_activity_graph(
 # -- individual views
 
 
-def _project_tcv(model: SosModel, focus: str) -> ViewGraph:
-    chain = _require_chain(model, "tcv", focus)
+def _project_tcv(model: SosModel, chain: ThreatChain) -> ViewGraph:
     b = _Builder("tcv")
     fault = _threat_node(b, model, chain.fault, "fault")
     error = _threat_node(b, model, chain.error, "error")
@@ -249,8 +260,7 @@ def _chain_recovery_ids(model: SosModel, chain_id: str) -> list[str]:
     return seen
 
 
-def _project_ftcv(model: SosModel, focus: str) -> ViewGraph:
-    chain = _require_chain(model, "ftcv", focus)
+def _project_ftcv(model: SosModel, chain: ThreatChain) -> ViewGraph:
     b = _Builder("ftcv")
     elements: set[str] = {chain.origin, *chain.detectors}
     used_channels: set[str] = set()
@@ -313,20 +323,10 @@ def _downstream(graph: ActivityGraph, region: frozenset[str]) -> list[str]:
     return [n for n in graph.nodes if n in out]
 
 
-def _project_fav(model: SosModel, focus: str) -> ViewGraph:
-    chain = _require_chain(model, "fav", focus)
-    activation = model.activation_for(chain.id)
-    origin_cs = model.constituents.get(chain.origin)
-    if origin_cs is None:
-        raise ViewError(
-            f"chain {chain.id!r} originates outside the constituents; "
-            "no nominal process to project"
-        )
-    graph = model.processes[origin_cs.nominal_process]
+def _project_fav(model: SosModel, chain: ThreatChain) -> ViewGraph:
+    graph, region = _origin_process(model, chain)
     b = _Builder("fav")
     mapping = _add_activity_graph(b, graph)
-
-    region = activation.region if activation is not None else frozenset()
     fault = _threat_node(b, model, chain.fault, "fault")
     activation_members = [fault] + [mapping[a] for a in sorted(region) if a in mapping]
     b.cluster("cluster:activation", "fault activation", "activation-region", activation_members)
@@ -363,8 +363,7 @@ def _project_fav(model: SosModel, focus: str) -> ViewGraph:
     return b.build()
 
 
-def _project_recovery(model: SosModel, focus: str) -> ViewGraph:
-    chain = _require_chain(model, "recovery", focus)
+def _project_recovery(model: SosModel, chain: ThreatChain) -> ViewGraph:
     b = _Builder("recovery")
     lanes: dict[str, list[str]] = {}
     receive_index: dict[tuple[str, str], list[str]] = {}
@@ -397,18 +396,8 @@ def _project_recovery(model: SosModel, focus: str) -> ViewGraph:
     return b.build()
 
 
-def _project_erroneous_process(model: SosModel, focus: str) -> ViewGraph:
-    chain = _require_chain(model, "erroneous-process", focus)
-    origin_cs = model.constituents.get(chain.origin)
-    if origin_cs is None:
-        raise ViewError(
-            f"chain {chain.id!r} originates outside the constituents; "
-            "no nominal process to project"
-        )
-    graph = model.processes[origin_cs.nominal_process]
-    activation = model.activation_for(chain.id)
-    region = activation.region if activation is not None else frozenset()
-
+def _project_erroneous_process(model: SosModel, chain: ThreatChain) -> ViewGraph:
+    graph, region = _origin_process(model, chain)
     b = _Builder("erroneous-process")
     mapping = _add_activity_graph(b, graph)
     error = _threat_node(b, model, chain.error, "error")
@@ -473,6 +462,16 @@ def _project_fef(model: SosModel) -> ViewGraph:
     return b.build()
 
 
+#: The views that make no sense without a focused threat chain.
+_FOCUSED = {
+    "tcv": _project_tcv,
+    "ftcv": _project_ftcv,
+    "fav": _project_fav,
+    "recovery": _project_recovery,
+    "erroneous-process": _project_erroneous_process,
+}
+
+
 def project(
     model: SosModel,
     view_kind: str,
@@ -482,20 +481,11 @@ def project(
     """Project a model (or, for scenario views, a trace) into one view."""
     if view_kind not in VIEW_KINDS:
         raise ViewError(f"unknown view kind {view_kind!r}; choose from {VIEW_KINDS}")
-    if view_kind in _FOCUS_REQUIRED:
-        _require_chain(model, view_kind, focus)
-    if view_kind == "tcv":
-        return _project_tcv(model, focus)
-    if view_kind == "ftcv":
-        return _project_ftcv(model, focus)
+    focused = _FOCUSED.get(view_kind)
+    if focused is not None:
+        return focused(model, _require_chain(model, view_kind, focus))
     if view_kind == "fts":
         return _project_fts(model)
-    if view_kind == "fav":
-        return _project_fav(model, focus)
-    if view_kind == "recovery":
-        return _project_recovery(model, focus)
-    if view_kind == "erroneous-process":
-        return _project_erroneous_process(model, focus)
     if view_kind == "fef":
         return _project_fef(model)
     # erroneous-scenario

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import fmaf
-from fmaf.casestudy import load_bundle
+from fmaf.casestudy import BUNDLE_NAMES, load_bundle
 from fmaf.cli import main
+from fmaf.model import VIEW_KINDS
 
 
 @pytest.fixture(scope="module")
@@ -247,3 +249,57 @@ class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "check" in capsys.readouterr().out
+
+
+# Words that are often out of place wherever a mutant puts them.
+_MISPLACED = ["0t", "[]", "on", "when", "}", "->", '"x"', "0.5"]
+
+
+def _mutant(text: str, rng: random.Random) -> str:
+    """``text`` with one line deleted or duplicated, or one word swapped for
+    a misplaced word or another word of the same text."""
+    lines = text.split("\n")
+    i = rng.randrange(len(lines))
+    op = rng.randrange(4)
+    if op == 0:
+        del lines[i]
+    elif op == 1:
+        lines.insert(i, lines[i])
+    else:
+        words = lines[i].split(" ")
+        pool = _MISPLACED if op == 2 else sorted(set(text.split()))
+        words[rng.randrange(len(words))] = rng.choice(pool)
+        lines[i] = " ".join(words)
+    return "\n".join(lines)
+
+
+class TestFuzzedModels:
+    """Every command on a mutated bundle returns a documented exit code."""
+
+    @pytest.mark.parametrize("name", BUNDLE_NAMES)
+    def test_every_command_returns_a_documented_exit_code(self, name, tmp_path, capsys):
+        bundle = load_bundle(name)
+        text = bundle.model_file.read_text(encoding="utf-8")
+        chains = sorted(bundle.model.chains)
+        focus = ["--focus", chains[0]] if chains else []
+        rng = random.Random(name)
+        path = tmp_path / "mutant.fmaf"
+        loaded = 0
+        for n in range(20):
+            path.write_text(_mutant(text, rng), encoding="utf-8")
+            model = str(path)
+            code = main(["check", model])
+            assert code in (0, 1, 2, 3), (name, n, "check")
+            loads = code != 3
+            loaded += loads
+            runs = [["simulate", model]]
+            if loads:
+                for chain in chains:
+                    runs.append(["simulate", model, "--scenario", chain])
+                    runs.append(["simulate", model, "--scenario", chain, "--no-recovery"])
+            for view in VIEW_KINDS if loads else ("fts",):
+                runs.append(["export", model, "--view", view, *focus])
+            for argv in runs:
+                assert main(argv) in (0, 1, 2, 3), (name, n, argv)
+            capsys.readouterr()
+        assert loaded, "some mutant must load, or simulate and export go unexercised"

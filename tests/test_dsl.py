@@ -532,6 +532,56 @@ class TestDiagnosticCorpus:
     def test_reference_spans(self, src, expected):
         assert [str(d) for d in dsl.parse(src).diagnostics] == [expected]
 
+    @pytest.mark.parametrize(
+        "statement, expected",
+        [
+            ('send s "n" L', "5:16: error: expected 'on', found 'L'"),
+            ("receive r", "6:3: error: expected 'on', found '}'"),
+            ("send s on 5", "5:15: error: expected connection id, found number 5"),
+            ("send s on L 2", "5:17: error: expected a process statement, found number 2"),
+            ("edge", "6:3: error: expected edge source activity, found '}'"),
+            ("edge 3 -> b", "5:10: error: expected edge source activity, found number 3"),
+            ("edge a b", "5:12: error: expected '->' between the edge endpoints, found 'b'"),
+            ("edge a -> 3t", "5:15: error: expected edge target activity, found duration 3t"),
+            ("edge a -> b when", "6:3: error: expected the guard label, found '}'"),
+            ("edge a -> b when c", "5:22: error: expected the guard label, found 'c'"),
+            ('action "x"', '5:12: error: expected activity id, found string "x"'),
+            ("action a 2t 3t", "5:17: error: expected a process statement, found duration 3t"),
+            ('action a "n" "m"', '5:18: error: expected a process statement, found string "m"'),
+            (
+                "timer t 5",
+                "5:13: error: expected the timer bound as a tick count like 2t, found number 5",
+            ),
+            (
+                'timer t "n"',
+                "6:3: error: expected the timer bound as a tick count like 2t, found '}'",
+            ),
+            (
+                "timer t 2.5",
+                "5:13: error: expected the timer bound as a tick count like 2t, found number 2.5",
+            ),
+            (
+                "frobnicate a",
+                "5:5: error: expected an activity kind, 'entry', 'exits', 'edge' or '}' "
+                "in process P, found 'frobnicate'",
+            ),
+            ("entry", "6:3: error: expected entry activity id, found '}'"),
+            ("exits a", "5:11: error: expected '[' opening the exit activity id list, found 'a'"),
+            (
+                "exits [a b]",
+                "5:14: error: expected ']' closing the exit activity id list, found 'b'",
+            ),
+            ("exits [a,]", "5:14: error: expected exit activity id, found ']'"),
+            ("[", "5:5: error: expected a process statement, found '['"),
+        ],
+    )
+    def test_process_statement_syntax(self, statement, expected):
+        src = (
+            "sos X {\n  cs A { nominal P }\n  connection L: A <-> B\n"
+            f"  process P owner A {{\n    {statement}\n  }}\n}}\n"
+        )
+        assert [str(d) for d in dsl.parse(src).diagnostics] == [expected]
+
     @pytest.mark.parametrize("name", BUNDLE_NAMES)
     def test_clean_parse_builds_spans_only_for_its_diagnostics(self, name, monkeypatch):
         bundle = load_bundle(name)
@@ -1002,6 +1052,71 @@ class TestCanonicalForm:
         r2 = dsl.parse(text)
         assert r2.ok and r2.model == r.model
 
+    def test_carriage_returns_round_trip(self):
+        # parse reads a raw '\r' as a line break, so the serializer escapes it.
+        m = load_bundle("fault3").model
+        cs = next(iter(m.constituents.values()))
+        node = next(iter(m.threat_nodes.values()))
+        proc, edge = next(
+            (p, e) for p in m.processes.values() for e in p.edges if e.guard is not None
+        )
+        edges = tuple(
+            dataclasses.replace(e, guard="a\rb\r\n") if e is edge else e for e in proc.edges
+        )
+        m = rebuild(
+            m,
+            constituents=[
+                dataclasses.replace(c, name="c\rd") if c is cs else c
+                for c in m.constituents.values()
+            ],
+            threat_nodes=[
+                dataclasses.replace(t, description="\r") if t is node else t
+                for t in m.threat_nodes.values()
+            ],
+            processes=[
+                dataclasses.replace(p, edges=edges) if p is proc else p
+                for p in m.processes.values()
+            ],
+        )
+        text = dsl.serialize(m)
+        assert "\r" not in text
+        assert '"c\\rd"' in text and '"a\\rb\\r\\n"' in text
+        r = dsl.parse(text)
+        assert r.ok, errors(r)
+        assert r.model == m
+
+    def test_bare_id_fields_round_trip(self):
+        # Interface ids and category tags are written as bare ids; a keyword
+        # of the grammar is an id there too.
+        m = load_bundle("fault3").model
+        conn = next(iter(m.connections.values()))
+        cs = next(iter(m.constituents.values()))
+        node = next(iter(m.threat_nodes.values()))
+        m = rebuild(
+            m,
+            connections=[
+                dataclasses.replace(c, interface_id="kind") if c is conn else c
+                for c in m.connections.values()
+            ],
+            constituents=[
+                dataclasses.replace(
+                    c,
+                    provided_interfaces=frozenset({"on", "interface"}),
+                    required_interfaces=frozenset({"when", "x.y_1"}),
+                )
+                if c is cs
+                else c
+                for c in m.constituents.values()
+            ],
+            threat_nodes=[
+                dataclasses.replace(t, category="category") if t is node else t
+                for t in m.threat_nodes.values()
+            ],
+        )
+        r = dsl.parse(dsl.serialize(m))
+        assert r.ok, errors(r)
+        assert r.model == m
+
     def test_random_models_round_trip(self):
         for seed in range(40):
             rng = random.Random(seed)
@@ -1050,8 +1165,7 @@ class TestCanonicalForm:
         for x in values:
             text = dsl._num(x)
             assert float(text) == x, (x, text)
-            number, eof = dsl._lex(text)
-            assert (number.kind, number.text, eof.kind) == ("number", text, "eof")
+            assert dsl._words(text) == [text, ""]
         assert dsl._num(1 / 30000) == "0.000033333333333333335"
         assert dsl._num(1e-05) == "0.00001"
 

@@ -1,4 +1,4 @@
-"""``docs/grammar.md``'s field reference against the parser's block tables."""
+"""``docs/grammar.md``'s lexical rules and field reference against the parser's tables."""
 
 from __future__ import annotations
 
@@ -41,3 +41,9 @@ def tabled() -> list[tuple]:
 def test_field_reference_matches_the_block_tables():
     assert documented() == tabled()
 
+
+
+def test_escape_list_matches_the_escape_table():
+    text = GRAMMAR.read_text(encoding="utf-8")
+    rule = text.split("- **Strings**", 1)[1].split("\n- ", 1)[0]
+    assert re.findall(r"`(\\.)`", rule) == ["\\" + letter for letter in dsl._ESCAPES]

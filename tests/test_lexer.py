@@ -1,16 +1,17 @@
-"""The front end's two lexers against each other and the character-loop reference.
+"""The front end's lexer against the character-loop reference.
 
-``dsl._words`` is the fast path ``parse`` takes: one ``findall`` of the
-token regex gives every token's source text, and a catch-all alternative
-makes a text that does not lex end the list in ``""``.  ``dsl._lex``
-runs over the same regex with ``finditer`` only when a diagnostic needs
-a position, and builds each token's kind, value, line and column.
-``reference_lex`` below is the character-by-character lexer both
-replaced, with one correction: a decimal number that runs into an
-identifier character (``0.9x``) is a malformed number, as an integer one
-always was.  ``_lex`` must give the same tokens, values and positions as
-the reference, or the same diagnostic at the same position; ``_words``
-must give ``_lex``'s words, or fail exactly where ``_lex`` does.
+``dsl._words`` is what ``parse`` reads: one ``findall`` of the token
+regex gives every word, a token's source text, and a catch-all
+alternative makes a text that does not lex end the list in ``""``.
+``dsl._positions`` runs the same regex with ``finditer`` only when a
+diagnostic needs a position: it gives each word's line and column and
+then the end's, or raises the diagnostic of the word that only the
+catch-all took.  ``reference_lex`` below is the character-by-character
+lexer the regex replaced, with one correction: a decimal number that runs
+into an identifier character (``0.9x``) is a malformed number, as an
+integer one always was.  ``_words`` with ``_positions`` must give the
+reference's token texts at the reference's positions, or fail with the
+reference's diagnostic, which ``parse`` must report too.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from _builders import random_model
 _IDENT_HEAD = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 _DIGITS = set("0123456789")
 _IDENT_TAIL = _IDENT_HEAD | _DIGITS | set("_.")
-_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 
 
 def reference_lex(text: str) -> list[tuple]:
@@ -145,6 +146,7 @@ EDGE_CASES = [
     '"a\\',
     '"a\\\nb"',
     '"tab\there" "e\\"sc\\\\aped\\n\\t"',
+    '"cr\\r lf\\n"',
     '  x "ok" "bad\\x"',
     "12x 3",
     "12.",
@@ -172,20 +174,45 @@ EDGE_CASES = [
 ]
 
 
-def outcome(tokens):
-    """(kind, text, repr(value), span) per token, or the diagnostic raised.
+def lexed(text: str) -> list[tuple[str, SourceSpan]]:
+    """Each word of ``text`` with its span, as ``parse`` reads the text.
 
-    ``repr`` tells the int value of a duration from a float one.
+    Raises the ``_Abort`` of ``_positions`` for a text that does not lex,
+    after checking that ``_words`` refuses it too and ``parse`` reports it.
     """
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    words = dsl._words(text)
     try:
-        return [(kind, text, repr(value), span) for kind, text, value, span in tokens()]
+        spots = dsl._positions(text)
+    except dsl._Abort as a:
+        assert words is None, repr(text)
+        assert dsl.parse(text).diagnostics == (a.diagnostic,), repr(text)
+        raise
+    assert words is not None and len(words) == len(spots), repr(text)
+    return [(w, SourceSpan(*spot)) for w, spot in zip(words, spots)]
+
+
+def outcome(tokens):
+    """The (text, span) pairs ``tokens()`` gives, or the diagnostic it raises."""
+    try:
+        return tokens()
     except dsl._Abort as a:
         return a.diagnostic
 
 
 def assert_same(text: str) -> None:
-    new = outcome(lambda: [(t.kind, t.text, t.value, t.span) for t in dsl._lex(text)])
-    assert new == outcome(lambda: reference_lex(text)), repr(text)
+    """The words and spans of ``lexed`` against the reference's tokens.
+
+    A reference string token's text is its value re-quoted, so a string
+    word is compared through ``_unquote``.
+    """
+    new = outcome(
+        lambda: [
+            (f'"{dsl._unquote(w)}"' if w[:1] == '"' else w, span) for w, span in lexed(text)
+        ]
+    )
+    old = outcome(lambda: [(t, span) for _, t, _, span in reference_lex(text)])
+    assert new == old, repr(text)
 
 
 def variants(text: str) -> list[str]:
@@ -219,33 +246,23 @@ def test_edge_cases(text):
 
 
 def test_eof_after_a_final_comment_points_at_its_hash():
-    (eof,) = dsl._lex("  # note")
-    assert (eof.kind, eof.span) == ("eof", SourceSpan(1, 3))
-    assert dsl._lex("x\n  # note\n")[-1].span == SourceSpan(3, 1)
+    assert dsl._positions("  # note") == [(1, 3)]
+    assert dsl._positions("x\n  # note\n")[-1] == (3, 1)
 
 
 def assert_paths_agree(text: str) -> None:
-    """``_words`` against ``_lex``: the same words, or the same failure.
+    """Each word ``_words`` gives stands in the source at its position.
 
-    A string token's ``text`` is its value re-quoted (the reference lexer
-    pins that), so a string word is compared through ``_unquote``; each
-    word must also stand in the source where its token does, since a
-    diagnostic finds a word's span by its index.
+    A diagnostic finds a word's span by the word's index, so the two lists
+    must line up; a text that does not lex is checked inside ``lexed``.
     """
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
-    words = dsl._words(text)
     try:
-        toks = dsl._lex(text)
-    except dsl._Abort as a:
-        assert words is None, repr(text)
-        assert dsl.parse(text).diagnostics == (a.diagnostic,), repr(text)
+        spanned = lexed(text)
+    except dsl._Abort:
         return
-    assert words is not None, repr(text)
-    shown = [f'"{dsl._unquote(w)}"' if w[:1] == '"' else w for w in words]
-    assert shown == [t.text for t in toks], repr(text)
-    lines = text.split("\n")
-    for w, t in zip(words, toks):
-        assert lines[t.line - 1].startswith(w, t.col - 1), (repr(text), w, t)
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for w, span in spanned:
+        assert lines[span.line - 1].startswith(w, span.col - 1), (repr(text), w, span)
 
 
 @pytest.mark.parametrize("name", BUNDLE_NAMES)

@@ -16,7 +16,7 @@ st = hypothesis.strategies
 # and every newline convention.
 _PIECES = [
     "sos", "cs", "process", "edge", "fault.radio", "F2.1a", "x_1", "t", "e",
-    '"', "\\", '\\"', "\\n", "\\t", "\\q", "#", " ", "\t", "\n", "\r", "\r\n",
+    '"', "\\", '\\"', "\\n", "\\t", "\\r", "\\q", "#", " ", "\t", "\n", "\r", "\r\n",
     "0", "7", "12", ".", "_", "<->", "->", "<", "-", ">", "{", "}", "[", "]",
     ",", ":", "²", "٣", "é",
 ]

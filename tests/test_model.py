@@ -133,6 +133,39 @@ def test_is_identifier_matches_the_set_based_definition():
         assert is_identifier(text) is _set_based_is_identifier(text), repr(text)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (
+            lambda bad: Connection("L", bad, "A", "B"),
+            "interface id 'x y' is not a valid identifier",
+        ),
+        (
+            lambda bad: ConstituentSystem("A", "a", "P", provided_interfaces=frozenset({bad})),
+            "interface id 'x y' is not a valid identifier",
+        ),
+        (
+            lambda bad: ConstituentSystem("A", "a", "P", required_interfaces=frozenset({bad})),
+            "interface id 'x y' is not a valid identifier",
+        ),
+        (
+            lambda bad: ThreatNode("F", ThreatKind.FAULT, "d", category=bad),
+            "category id 'x y' is not a valid identifier",
+        ),
+    ],
+    ids=["interface_id", "provided_interfaces", "required_interfaces", "category"],
+)
+def test_fields_written_as_bare_ids_must_be_identifiers(make, message):
+    # The serializer writes these fields as ids, so a model holding anything
+    # else would serialize to text that does not parse.
+    make("Fine.id_2")
+    with pytest.raises(FmafError) as excinfo:
+        make("x y")
+    assert str(excinfo.value) == message
+    with pytest.raises(FmafError):
+        make("")
+
+
 # -- activity graph structure -------------------------------------------------
 
 

@@ -156,6 +156,27 @@ class TestActivationView:
         with pytest.raises(ViewError, match="outside the constituents"):
             project(bad, "fav", focus="CH1")
 
+    @pytest.mark.parametrize("kind", ["fav", "erroneous-process"])
+    def test_origin_process_views_refuse_what_they_cannot_project(self, kind):
+        env_origin = next(
+            m
+            for rid, label, m in fixture_mutants()
+            if label == "chain origin in the environment"
+        )
+        with pytest.raises(ViewError) as excinfo:
+            project(env_origin, kind, focus="CH1")
+        assert str(excinfo.value) == (
+            "chain 'CH1' originates outside the constituents; no nominal process to project"
+        )
+        model = race_fixture()
+        origin = dataclasses.replace(model.constituents["P"], nominal_process="NOPE")
+        dangling = dataclasses.replace(model, constituents={**model.constituents, "P": origin})
+        with pytest.raises(ViewError) as excinfo:
+            project(dangling, kind, focus="CH")
+        assert str(excinfo.value) == (
+            "chain 'CH': the nominal process 'NOPE' of 'P' is not in the model"
+        )
+
     def test_projection_soundness(self):
         model = race_fixture()
         graph = project(model, "fav", focus="CH")
