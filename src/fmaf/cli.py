@@ -109,15 +109,23 @@ def _print_summary(trace: SimTrace, model: SosModel) -> None:
     print(f"events: {len(trace.events)}")
 
 
+def _simulation(model: SosModel, **config) -> tuple[SimTrace | None, int]:
+    """The trace of one run and exit code 0, or None and the exit code
+    after reporting why the run is refused."""
+    from .simulator import ModelViolationsError, SimConfig, SimulationError, run
+
+    try:
+        return run(model, SimConfig(**config)), OK
+    except ModelViolationsError as exc:
+        _fail(str(exc))
+        return None, VIOLATIONS_FOUND
+    except SimulationError as exc:
+        _fail(str(exc))
+        return None, USAGE_ERROR
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .simulator import (
-        InvalidConfigError,
-        ModelViolationsError,
-        SimConfig,
-        SimulationError,
-        run,
-        write_trace,
-    )
+    from .simulator import write_trace
 
     model = _load_model(args.model)
     if model is None:
@@ -134,22 +142,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         detectors = frozenset(
             part.strip() for part in args.detectors.split(",") if part.strip()
         )
-    try:
-        config = SimConfig(
-            scenario=args.scenario,
-            seed=args.seed,
-            horizon=args.horizon,
-            enabled_detectors=detectors,
-            guard_inputs=guards,
-            recovery_enabled=not args.no_recovery,
-        )
-        trace = run(model, config)
-    except ModelViolationsError as exc:
-        _fail(str(exc))
-        return VIOLATIONS_FOUND
-    except (InvalidConfigError, SimulationError) as exc:
-        _fail(str(exc))
-        return USAGE_ERROR
+    trace, code = _simulation(
+        model,
+        scenario=args.scenario,
+        seed=args.seed,
+        horizon=args.horizon,
+        enabled_detectors=detectors,
+        guard_inputs=guards,
+        recovery_enabled=not args.no_recovery,
+    )
+    if trace is None:
+        return code
     if args.trace is not None:
         try:
             write_trace(trace, args.trace)
@@ -166,8 +169,17 @@ def _cmd_export(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     if model is None:
         return IO_OR_PARSE_ERROR
+    trace = None
+    if args.view == "erroneous-scenario":
+        # The view draws one run of the focus chain with simulate's defaults.
+        if args.focus is None:
+            _fail("view 'erroneous-scenario' needs --focus CHAIN, the chain to simulate")
+            return USAGE_ERROR
+        trace, code = _simulation(model, scenario=args.focus)
+        if trace is None:
+            return code
     try:
-        graph = project(model, args.view, focus=args.focus)
+        graph = project(model, args.view, focus=args.focus, trace=trace)
     except ViewError as exc:
         _fail(str(exc))
         return USAGE_ERROR

@@ -1059,14 +1059,14 @@ def _quote(s: str) -> str:
 
 def _num(x: float) -> str:
     # The grammar has no exponent form, so a repr that uses one is written
-    # out as the same decimal in positional digits.
+    # out as the same decimal in positional digits.  Only reliabilities and
+    # probabilities come here, and the model keeps them in [0, 1], where
+    # such a repr is below 1e-4 and its positional form has a point.
     s = repr(x)
     if "e" in s:
         from decimal import Decimal  # here, so that most processes never load it
 
         s = format(Decimal(s), "f")
-        if "." not in s:
-            s += ".0"
     return s
 
 

@@ -40,15 +40,20 @@ the event queue drains with no progress possible.
 Each model keeps a run plan, built on its first run: the checker's
 findings, the structure verdict, one record per chain and per detection
 spec, an index from (receiver, channel) to the receive nodes that may
-take a delivery, and one step table per activity-graph instance, built
-when the instance first starts.  A step record holds everything entering and completing its
-node needs, and each record holds the details that its trace events
-share, so a run looks details up and never builds them.  Each shared
-mapping caches its JSON text for the trace writer and its set of string
-values for metric qualifiers.  None of these caches changes a trace's
-bytes.
+take a delivery, and one record per activity-graph instance with its
+step table, built when a run first starts the instance.  A step record
+holds everything entering and completing its node needs, and each
+record holds the details that its trace events share, so a run looks
+details up and never builds them.  Each shared mapping caches its JSON
+text for the trace writer and its set of string values for metric
+qualifiers.  None of these caches changes a trace's bytes.
 The engine builds each trace event with plain slot stores into the same
 frozen ``SimEvent`` type that the public constructor gives.
+
+A run's changing state is a few flat tables on the engine: the tokens
+of each started instance, join arrivals under (instance, join), the
+waiting receives as (instance, receive) pairs, the mailbox and the
+event queue.  A fork copies each table outright.
 
 ``enumerate_outcomes`` forks at the draw.  Three kinds of event can
 draw: the completion of a send over a lossy link, a nominal start that
@@ -424,41 +429,22 @@ def _step_table(
 
 
 class _Instance:
-    """One executing copy of an activity graph; nominal when
-    ``recovery_id`` is None."""
+    """One activity graph as one constituent runs it, nominal when
+    ``recovery_id`` is None, and its node id -> step record table.
 
-    __slots__ = (
-        "key",
-        "graph",
-        "owner",
-        "recovery_id",
-        "live",
-        "join_arrivals",
-        "waiting_recv",
-        "steps",
-    )
+    Built when a run first starts the instance and kept in the run plan
+    under ``key``; no run changes it.  A run's tokens, join arrivals and
+    waiting receives are the engine's tables.
+    """
 
-    def __init__(self, key, graph, owner, recovery_id=None):
-        self.key = key
+    __slots__ = ("key", "graph", "owner", "recovery_id", "steps")
+
+    def __init__(self, key, graph, owner, recovery_id, steps) -> None:
+        self.key: str = key
         self.graph = graph
-        self.owner = owner
-        self.recovery_id = recovery_id
-        self.live = 0
-        self.join_arrivals: dict[str, int] = {}
-        self.waiting_recv: dict[str, bool] = {}
-        self.steps: dict[str, _Step] | None = None  # this key's, from the run plan
-
-    def clone(self) -> _Instance:
-        twin = _Instance.__new__(_Instance)
-        twin.key = self.key
-        twin.graph = self.graph
-        twin.owner = self.owner
-        twin.recovery_id = self.recovery_id
-        twin.live = self.live
-        twin.join_arrivals = self.join_arrivals.copy()
-        twin.waiting_recv = self.waiting_recv.copy()
-        twin.steps = self.steps
-        return twin
+        self.owner: str = owner
+        self.recovery_id: str | None = recovery_id
+        self.steps: dict[str, _Step] = steps
 
 
 class _Engine:
@@ -473,10 +459,11 @@ class _Engine:
         self.heap: list[tuple] = []
         self.seq = 0
         self.clock = 0
-        # Forks share instances; ``mine`` holds the keys this engine may
-        # change in place, and ``own`` clones any other on first write.
-        self.instances: dict[str, _Instance] = {}
-        self.mine: set[str] = set()
+        # The run's tables, which ``fork`` copies: tokens per started
+        # instance, join arrivals, waiting receives and unread messages.
+        self.live: dict[str, int] = {}  # instance key -> tokens
+        self.arrivals: dict[tuple[str, str], int] = {}  # (key, join) -> tokens arrived
+        self.waiting: set[tuple[str, str]] = set()  # (key, receive)
         self.mailbox: dict[tuple[str, str], int] = {}  # (receiver, channel) -> unread
         # The suspended nominal instances' keys; replaced, never changed,
         # so forks share it.
@@ -530,10 +517,9 @@ class _Engine:
         # triggers are scheduled by start() instead.  Its inject event is
         # pushed at most once, clearing ``pending`` when it is.
         self.pending = activation is not None and not isinstance(activation.trigger, AtTime)
-        self.detected: DetectionSpec | None = None
+        self.detected: _Detection | None = None  # the race winner's record
         self.recovery_started_at: int | None = None
         self.recovery_keys: tuple[str, ...] = ()  # the started recovery's instances
-        self.recovery_finalize_scheduled = False
 
     # -- low-level plumbing
 
@@ -543,34 +529,26 @@ class _Engine:
 
     # -- token movement
 
-    def own(self, key: str) -> _Instance:
-        """The instance under ``key``, cloned first if a fork shares it."""
-        inst = self.instances[key]
-        if key not in self.mine:
-            inst = self.instances[key] = inst.clone()
-            self.mine.add(key)
-        return inst
-
-    def start_instance(self, inst: _Instance, time: int) -> None:
-        self.instances[inst.key] = inst
-        self.mine.add(inst.key)
-        steps = self.plan.steps.get(inst.key)
-        if steps is None:
-            steps = self.plan.steps[inst.key] = _step_table(
-                inst.graph, inst.owner, inst.recovery_id, self.model.connections
-            )
-        inst.steps = steps
-        inst.live = 1
+    def start_instance(
+        self, key: str, owner: str, graph_id: str, recovery: str | None, time: int
+    ) -> None:
+        inst = self.plan.instances.get(key)
+        if inst is None:
+            graph = self.model.processes[graph_id]
+            steps = _step_table(graph, owner, recovery, self.model.connections)
+            inst = self.plan.instances[key] = _Instance(key, graph, owner, recovery, steps)
+        self.live[key] = 1
         self.enter_node(inst, inst.graph.entry, time)
 
     def enter_node(self, inst: _Instance, node_id: str, time: int) -> None:
         step = inst.steps[node_id]
         kind = step.kind
         if kind == _S_JOIN:
-            arrived = inst.join_arrivals.get(node_id, 0) + 1
-            inst.join_arrivals[node_id] = arrived
+            join = (inst.key, node_id)
+            arrived = self.arrivals.get(join, 0) + 1
+            self.arrivals[join] = arrived
             if arrived < step.in_degree:
-                inst.live -= 1
+                self.live[inst.key] -= 1
                 return
         if inst.recovery_id is None:
             if self.record:
@@ -580,7 +558,7 @@ class _Engine:
         if kind == _S_RECEIVE:
             box = (inst.owner, step.activity.channel)
             if not self.mailbox.get(box):
-                inst.waiting_recv[node_id] = True
+                self.waiting.add((inst.key, node_id))
                 return
             self.mailbox[box] -= 1
         heapq.heappush(
@@ -602,7 +580,7 @@ class _Engine:
 
         successors = step.successors
         if not successors:
-            inst.live -= 1
+            self.live[inst.key] -= 1
             if inst.recovery_id is not None:
                 self.on_recovery_exit(inst, node_id, time)
             return
@@ -610,7 +588,7 @@ class _Engine:
             self.enter_node(inst, self.pick_branch(inst, node_id, successors), time)
             return
         if kind == _S_FORK:
-            inst.live += len(successors) - 1
+            self.live[inst.key] += len(successors) - 1
         for target in successors:
             self.enter_node(inst, target, time)
 
@@ -647,14 +625,14 @@ class _Engine:
     ) -> None:
         if self.record:
             self.events.append(_event(time, "message-delivered", receiver, details))
-        for key, node_id in self.plan.receivers.get((receiver, channel), ()):
-            inst = self.instances.get(key)
-            if inst is None or node_id not in inst.waiting_recv or key in self.halted:
-                continue
-            inst = self.own(key)
-            del inst.waiting_recv[node_id]
-            self.push(time + inst.steps[node_id].ticks, receiver, _R_COMPLETE, (key, node_id))
-            return
+        waiting = self.waiting
+        for pair in self.plan.receivers.get((receiver, channel), ()):
+            key, node_id = pair
+            if pair in waiting and key not in self.halted:
+                waiting.remove(pair)
+                ticks = self.plan.instances[key].steps[node_id].ticks
+                self.push(time + ticks, receiver, _R_COMPLETE, pair)
+                return
         box = (receiver, channel)
         self.mailbox[box] = self.mailbox.get(box, 0) + 1
 
@@ -702,29 +680,28 @@ class _Engine:
             if at < fire:
                 winner, fire = spec, at
         if winner is not None:
-            self.detected = winner
-            self.push(fire, winner.detector, _R_DETECT, (winner.id,))
+            self.detected = self.plan.detections[winner.id]
+            self.push(fire, winner.detector, _R_DETECT, ())
 
-    def on_detect(self, spec_id: str, time: int) -> None:
-        spec, expired, detected, _ = self.plan.detections[spec_id]
+    def on_detect(self, time: int) -> None:
+        spec, expired, detected, _ = self.detected
         if self.record:
             if expired is not None:
                 self.events.append(_event(time, "timer-expired", spec.detector, expired))
             self.events.append(_event(time, "error-detected", spec.detector, detected))
-        self.push(time + 1, spec.detector, _R_RECOVERY_START, (spec.id,))
+        self.push(time + 1, spec.detector, _R_RECOVERY_START, ())
 
-    def on_recovery_start(self, spec_id: str, time: int) -> None:
-        spec, _, detected, _ = self.plan.detections[spec_id]
+    def on_recovery_start(self, time: int) -> None:
+        spec, _, detected, _ = self.detected
         recovery = self.model.recoveries[spec.recovery]
         self.recovery_started_at = time
         if self.record:
             self.events.append(_event(time, "recovery-started", spec.detector, detected))
         # One recovery starts per run, so every instance so far is nominal.
-        self.halted = frozenset(self.instances)
+        self.halted = frozenset(self.live)
         self.recovery_keys = tuple(f"recovery:{recovery.id}:{cs_id}" for cs_id in recovery.graphs)
         for key, (cs_id, graph_id) in zip(self.recovery_keys, recovery.graphs.items()):
-            graph = self.model.processes[graph_id]
-            self.start_instance(_Instance(key, graph, cs_id, recovery.id), time)
+            self.start_instance(key, cs_id, graph_id, recovery.id, time)
         self.check_recovery_done(time)
 
     def on_recovery_exit(self, inst: _Instance, node_id: str, time: int) -> None:
@@ -735,27 +712,17 @@ class _Engine:
         self.check_recovery_done(time)
 
     def check_recovery_done(self, time: int) -> None:
-        if self.recovery_finalize_scheduled or self.outcome is not None:
-            return
-        # Read through ``instances``: ``own`` may have swapped in a clone.
-        keys = self.recovery_keys
-        if keys and all(self.instances[key].live == 0 for key in keys):
-            assert self.recovery_started_at is not None
+        """Schedule finalize once the recovery's instances hold no token,
+        which happens at most once: no recovery completion is queued then."""
+        if all(self.live[key] == 0 for key in self.recovery_keys):
             when = max(time, self.recovery_started_at + 1)
-            detector = self.detected.detector if self.detected else ""
-            self.push(when, detector, _R_FINALIZE, ())
-            self.recovery_finalize_scheduled = True
+            self.push(when, self.detected.spec.detector, _R_FINALIZE, ())
 
     def on_finalize(self, time: int) -> None:
-        assert self.detected is not None
+        spec, _, _, complete = self.detected
         if self.record:
-            details = self.plan.detections[self.detected.id].complete
-            self.events.append(
-                _event(time, "recovery-complete", self.detected.detector, details)
-            )
-        self.outcome = Outcome(
-            "recovered", by=self.detected.detector, recovery=self.detected.recovery
-        )
+            self.events.append(_event(time, "recovery-complete", spec.detector, complete))
+        self.outcome = Outcome("recovered", by=spec.detector, recovery=spec.recovery)
 
     def observe_failure(self, time: int, aborted_by: str | None = None) -> None:
         if self.record:
@@ -770,9 +737,8 @@ class _Engine:
         self.pops = 0
         if self.branches is not None:
             self.branches.start(self)
-        for cs_id in self.model.constituents:
-            graph = self.model.processes[self.model.constituents[cs_id].nominal_process]
-            self.start_instance(_Instance(f"nominal:{cs_id}", graph, cs_id), 0)
+        for cs_id, cs in self.model.constituents.items():
+            self.start_instance(f"nominal:{cs_id}", cs_id, cs.nominal_process, None, 0)
         activation = self.focus.activation if self.focus is not None else None
         if activation is not None and isinstance(activation.trigger, AtTime):
             self.push(activation.trigger.time, activation.origin_constituent, _R_INJECT, ())
@@ -780,7 +746,7 @@ class _Engine:
     def loop(self, stop: int = -1) -> None:
         """Process events until an outcome is set, the queue drains, or
         ``stop`` events have been popped."""
-        branches = self.branches
+        branches, instances = self.branches, self.plan.instances
         while self.heap and self.outcome is None and self.pops != stop:
             self.pops += 1
             entry = heapq.heappop(self.heap)
@@ -794,11 +760,9 @@ class _Engine:
                 break
             self.clock = time
             if rank == _R_COMPLETE:
-                inst = self.instances[key]
+                inst = instances[key]
                 if branches is not None:
                     branches.complete(self, entry, inst)
-                if key not in self.mine:
-                    inst = self.own(key)  # after a fork too: it shares every instance
                 self.complete_node(inst, node_id, time)
             elif rank == _R_DELIVER:
                 receiver, channel, details = payload
@@ -810,9 +774,9 @@ class _Engine:
                     branches.raise_error(self, entry)
                 self.raise_error(time)
             elif rank == _R_DETECT:
-                self.on_detect(payload[0], time)
+                self.on_detect(time)
             elif rank == _R_RECOVERY_START:
-                self.on_recovery_start(payload[0], time)
+                self.on_recovery_start(time)
             else:  # _R_FINALIZE
                 self.on_finalize(time)
 
@@ -833,8 +797,10 @@ class _Engine:
     def fork(self, sampler) -> _Engine:
         """An independent copy of this engine's state drawing from ``sampler``.
 
-        The model, config and emitted events are immutable and shared, and
-        so is every instance until one of the two engines changes it.
+        It copies the run's tables outright: the event queue, the tokens,
+        join arrivals, waiting receives and mailbox, and any recorded
+        events.  The model, its run plan and config are shared, and so is
+        ``halted``, which is replaced, never changed.
         """
         twin = _Engine.__new__(_Engine)
         twin.__dict__.update(self.__dict__)
@@ -842,16 +808,16 @@ class _Engine:
         if self.record:
             twin.events = self.events.copy()
         twin.heap = self.heap.copy()
-        twin.instances = self.instances.copy()
-        twin.mine = set()
-        self.mine.clear()
+        twin.live = self.live.copy()
+        twin.arrivals = self.arrivals.copy()
+        twin.waiting = self.waiting.copy()
         twin.mailbox = self.mailbox.copy()
         return twin
 
     def finish_at_quiescence(self) -> None:
         if self.focus is None:
             # With no chain, no recovery starts: every instance is nominal.
-            if all(inst.live == 0 for inst in self.instances.values()):
+            if not any(self.live.values()):
                 self.outcome = Outcome("nominal")
             else:
                 self.outcome = Outcome("horizon-exhausted")
@@ -935,18 +901,20 @@ def _detection_record(spec: DetectionSpec) -> _Detection:
 
 
 class _Plan(NamedTuple):
-    """What every run of one model needs and no run changes.
+    """What every run of one model reads, kept on the model.
 
     Built once per model object, so a ``dataclasses.replace``d model gets
     its own.  It holds the checker's findings, one record per chain and
     per detection spec, the receive nodes each constituent may wait on
-    per channel, and the step table of each instance a run has started,
-    under the instance's key: ``nominal:<constituent>`` or
-    ``recovery:<recovery>:<constituent>``.  Each record carries the shared
-    details of its trace events.  Since the plan is built before the
-    checker's findings can refuse a run, no record indexes a reference
-    the model may leave dangling.  ``malformed`` says why a model that
-    neither ``build_model`` nor ``parse`` made cannot run, or is None.
+    per channel, and the record of each instance a run has started, with
+    its step table, under the instance's key: ``nominal:<constituent>``
+    or ``recovery:<recovery>:<constituent>``.  A run adds the record of
+    an instance it starts first and changes none; a fork shares the plan
+    and copies the run's tables.  Each record carries the shared details
+    of its trace events.  Since the plan is built before the checker's
+    findings can refuse a run, no record indexes a reference the model
+    may leave dangling.  ``malformed`` says why a model that neither
+    ``build_model`` nor ``parse`` made cannot run, or is None.
     """
 
     findings: tuple[Finding, ...]
@@ -957,7 +925,7 @@ class _Plan(NamedTuple):
     # (receiver, channel) -> (instance key, receive id) pairs, keys sorted
     receivers: Mapping[tuple[str, str], tuple[tuple[str, str], ...]]
     metrics: _Metrics
-    steps: dict[str, dict[str, _Step]]  # instance key -> its step table, built when first started
+    instances: dict[str, _Instance]  # instance key -> its record, built when first started
 
 
 def _plan(model: SosModel) -> _Plan:
@@ -977,7 +945,7 @@ def _plan(model: SosModel) -> _Plan:
             detections={d.id: _detection_record(d) for d in model.detections.values()},
             receivers=_receivers(model),
             metrics=_prepare(model.metrics.values()),
-            steps={},
+            instances={},
         )
         object.__setattr__(model, "_plan", plan)
     return plan
@@ -1057,8 +1025,7 @@ def enumerate_outcomes(
     with the choices made before it and then False.  So only a drawing
     event ever runs twice, and no branch is thrown away.  Branches record
     no trace events and compute no metrics, only the outcome, and a fork
-    shares every activity-graph instance with its snapshot until it
-    changes one.  At most 4096 branches (choice prefixes) are explored,
+    copies the run's tables.  At most 4096 branches (choice prefixes) are explored,
     and any activity graph larger than ``bound`` nodes is rejected.
     """
     for graph in model.processes.values():

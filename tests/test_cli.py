@@ -13,6 +13,8 @@ import fmaf
 from fmaf.casestudy import BUNDLE_NAMES, load_bundle
 from fmaf.cli import main
 from fmaf.model import VIEW_KINDS
+from fmaf.simulator import SimConfig, run
+from fmaf.viewgen import project, to_dot
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +191,32 @@ class TestExport:
     def test_unknown_view_exits_two(self, paths, capsys):
         assert main(["export", paths["fault2"], "--view", "sideways"]) == 2
         capsys.readouterr()
+
+    def test_erroneous_scenario_draws_a_default_run_of_the_focus_chain(self, paths, capsys):
+        argv = ["export", paths["fault1"], "--view", "erroneous-scenario", "--focus", "F1"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == 'digraph "erroneous-scenario" {'
+        model = load_bundle("fault1").model
+        trace = run(model, SimConfig(scenario="F1"))
+        assert out == to_dot(project(model, "erroneous-scenario", trace=trace))
+
+    @pytest.mark.parametrize("bundle,chain,code", [
+        ("fault3", "F3.1", 1),  # blocked by the checker
+        ("fault1", "NOPE", 2),  # no such chain
+    ], ids=["blocked", "unknown-chain"])
+    def test_erroneous_scenario_refuses_as_simulate_does(
+        self, paths, capsys, bundle, chain, code
+    ):
+        assert main(["simulate", paths[bundle], "--scenario", chain]) == code
+        refused = capsys.readouterr().err
+        argv = ["export", paths[bundle], "--view", "erroneous-scenario", "--focus", chain]
+        assert main(argv) == code
+        assert capsys.readouterr() == ("", refused)
+
+    def test_erroneous_scenario_without_focus_exits_two(self, paths, capsys):
+        assert main(["export", paths["fault1"], "--view", "erroneous-scenario"]) == 2
+        assert "--focus" in capsys.readouterr().err
 
 
 class TestTopLevel:

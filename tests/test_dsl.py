@@ -21,6 +21,7 @@ from fmaf.model import (
     FailureObservation,
     FmafError,
     OnEntry,
+    Probabilistic,
     SelfReport,
     ThirdPartyReport,
     Timeout,
@@ -120,6 +121,15 @@ class TestParseBasics:
         m = r.model
         assert m.name == "Empty"
         assert not m.constituents and not m.chains and not m.processes
+
+    def test_an_empty_id_list_is_an_empty_set(self):
+        r = dsl.parse(
+            "sos X {\n  cs A { nominal P provides [] requires [] }\n"
+            "  process P owner A { entry a exits [a] action a 1t }\n}\n"
+        )
+        assert r.ok, errors(r)
+        cs = r.model.constituents["A"]
+        assert cs.provided_interfaces == cs.required_interfaces == frozenset()
 
     def test_small_model_content(self):
         r = dsl.parse(SMALL)
@@ -580,6 +590,27 @@ class TestDiagnosticCorpus:
             "sos X {\n  cs A { nominal P }\n  connection L: A <-> B\n"
             f"  process P owner A {{\n    {statement}\n  }}\n}}\n"
         )
+        assert [str(d) for d in dsl.parse(src).diagnostics] == [expected]
+
+    @pytest.mark.parametrize(
+        "src, expected",
+        [
+            ("sos X cs", "1:7: error: expected '{' opening the sos block, found 'cs'"),
+            (
+                "sos X {\n  connection L: A <-> B { kind bogus }\n}\n",
+                "2:32: error: expected 'nominal' or 'recovery_only', found 'bogus'",
+            ),
+            (
+                "sos X {\n  cs A { nominal P }\n"
+                "  process P owner A { entry N exits [N] action N 1t }\n"
+                "  activation Z {\n    chain C\n    origin A\n    region [N]\n"
+                "    trigger probabilistic 1.5\n  }\n}\n",
+                "8:13: error: probabilistic trigger: probability outside [0, 1]",
+            ),
+        ],
+        ids=["sos-brace", "connection-kind", "trigger-probability"],
+    )
+    def test_block_syntax_and_values(self, src, expected):
         assert [str(d) for d in dsl.parse(src).diagnostics] == [expected]
 
     @pytest.mark.parametrize("name", BUNDLE_NAMES)
@@ -1168,6 +1199,28 @@ class TestCanonicalForm:
             assert dsl._words(text) == [text, ""]
         assert dsl._num(1 / 30000) == "0.000033333333333333335"
         assert dsl._num(1e-05) == "0.00001"
+
+    @pytest.mark.parametrize(
+        "value, text", [(1e-05, "0.00001"), (5e-324, "0." + "0" * 323 + "5")]
+    )
+    def test_tiny_reliabilities_and_probabilities_round_trip(self, value, text):
+        m = load_bundle("fault2").model
+        first = next(iter(m.connections))
+        connections = [
+            dataclasses.replace(c, reliability=value) if c.id == first else c
+            for c in m.connections.values()
+        ]
+        activations = [
+            dataclasses.replace(a, trigger=Probabilistic(value))
+            for a in m.activations.values()
+        ]
+        m = rebuild(m, connections=connections, activations=activations)
+        serialized = dsl.serialize(m)
+        assert f"reliability {text}\n" in serialized
+        assert f"trigger probabilistic {text}\n" in serialized
+        r = dsl.parse(serialized)
+        assert r.ok, errors(r)
+        assert r.model == m
 
     def test_small_reliability_round_trips(self):
         m = load_bundle("fault3").model

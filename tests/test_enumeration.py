@@ -11,9 +11,9 @@ branch.  The driver tests pin the fork count, events that make several
 new draws, and the internal error a missing draw mark raises.  Every
 seeded run of the generated models must lie in the enumerated set.
 
-Forks share activity-graph instances until one engine changes them, and
-enumeration engines record no trace events; the fork-isolation tests at
-the end hold both properties.
+A fork copies the run's tables (tokens, join arrivals, waiting receives,
+mailbox), and enumeration engines record no trace events; the
+fork-isolation tests at the end hold both properties.
 """
 
 from __future__ import annotations
@@ -332,11 +332,14 @@ def _choice_models():
             yield param
 
 
-def _instance_fields(engine):
-    return {
-        key: (inst.live, dict(inst.join_arrivals), dict(inst.waiting_recv))
-        for key, inst in engine.instances.items()
-    }
+def _run_tables(engine):
+    return (
+        dict(engine.live),
+        dict(engine.arrivals),
+        set(engine.waiting),
+        dict(engine.mailbox),
+        engine.halted,
+    )
 
 
 def _snapshot_before_first_choice(model, config):
@@ -366,14 +369,14 @@ def _fresh_trace(model, config, choices):
 def test_recording_forks_leave_their_snapshot_untouched(model, config):
     snap = _snapshot_before_first_choice(model, config)
     assert snap.pops > 0 and snap.events
-    before = _instance_fields(snap), dict(snap.mailbox), snap.halted
+    before = _run_tables(snap)
     for choices in ((True,) * 16, (False,) * 16):
         fork = snap.fork(ScriptedSampler(choices))
         fork.loop()
         got = fork.finish()
         expected = _fresh_trace(model, config, choices)
         assert (got.events, got.outcome) == (expected.events, expected.outcome)
-        assert (_instance_fields(snap), snap.mailbox, snap.halted) == before
+        assert _run_tables(snap) == before
 
 
 @pytest.mark.parametrize("model,config", _enumerated_models())
@@ -444,9 +447,11 @@ def test_lowest_receive_id_takes_the_first_message_on_parent_and_fork():
     config = SimConfig(horizon=60)
     snap = _Engine(model, config, ScriptedSampler(()))
     snap.start()
-    while len(snap.instances["nominal:B"].waiting_recv) < 2:
-        snap.loop(stop=snap.pops + 1)
-    assert list(snap.instances["nominal:B"].waiting_recv) == ["r_b", "r_a"]
+    for waiting in (1, 2):  # r_b starts waiting first
+        while len(snap.waiting) < waiting:
+            snap.loop(stop=snap.pops + 1)
+        assert ("nominal:B", "r_b") in snap.waiting
+    assert snap.waiting == {("nominal:B", "r_b"), ("nominal:B", "r_a")}
     assert not any(e.kind == "message-delivered" for e in snap.events)
     fork = snap.fork(ScriptedSampler(()))
     traces = []
@@ -461,34 +466,3 @@ def test_lowest_receive_id_takes_the_first_message_on_parent_and_fork():
     assert ends["r_a"] == delivered[0] + 1
     assert ends["r_b"] == delivered[1] + 5
     assert traces[0].outcome.kind == "nominal"
-
-
-def test_a_recovery_start_clones_no_instance(monkeypatch):
-    """Suspending the nominal instances copies none of them, even where a
-    fork shares every instance with its snapshot."""
-    starting, counts = [], {"starts": 0, "clones": 0}
-    real_start, real_clone = _Engine.on_recovery_start, simulator._Instance.clone
-
-    def start(engine, spec_id, time):
-        counts["starts"] += 1
-        starting.append(spec_id)
-        try:
-            real_start(engine, spec_id, time)
-        finally:
-            starting.pop()
-
-    def clone(inst):
-        counts["clones"] += bool(starting)
-        return real_clone(inst)
-
-    monkeypatch.setattr(_Engine, "on_recovery_start", start)
-    monkeypatch.setattr(simulator._Instance, "clone", clone)
-    scenarios = [param.values for param in _bundle_scenarios()]
-    scenarios.append((race_fixture(), SimConfig(scenario="CH", horizon=60)))
-    for model, config in scenarios:
-        try:
-            enumerate_outcomes(model, config)
-        except SimulationError:
-            continue
-    assert counts["starts"] > 0
-    assert counts["clones"] == 0

@@ -8,9 +8,11 @@ import pytest
 
 from fmaf import dsl
 from fmaf.model import (
+    ActivationSpec,
     Activity,
     ActivityGraph,
     ActivityKind,
+    AtTime,
     Connection,
     ConstituentSystem,
     DanglingReferenceError,
@@ -22,8 +24,14 @@ from fmaf.model import (
     GraphStructureError,
     KindMismatchError,
     OnEntry,
+    Probabilistic,
+    RecoverySpec,
+    SelfReport,
+    ThirdPartyReport,
+    ThreatChain,
     ThreatKind,
     ThreatNode,
+    Timeout,
     build_model,
     is_identifier,
     lift_cs_failure,
@@ -164,6 +172,138 @@ def test_fields_written_as_bare_ids_must_be_identifiers(make, message):
     assert str(excinfo.value) == message
     with pytest.raises(FmafError):
         make("")
+
+
+def _chain(detectors=("A",), unrecoverable=False):
+    return ThreatChain("C", "f", "e", "x", "A", detectors, unrecoverable=unrecoverable)
+
+
+def _activity(ident="a", kind=ActivityKind.ACTION, **fields):
+    return Activity(ident, kind, **fields)
+
+
+def _recovery(graphs, success=(), abort=()):
+    return RecoverySpec("R", "r", graphs, frozenset(success), frozenset(abort))
+
+
+@pytest.mark.parametrize(
+    "make, good, bad, message",
+    [
+        (
+            lambda v: Connection("L", "L", "A", "B", latency=v),
+            0, -1, "connection 'L': negative latency",
+        ),
+        (
+            lambda v: _chain(detectors=(), unrecoverable=v),
+            True, False, "chain 'C': detectors empty but chain not marked unrecoverable",
+        ),
+        (
+            lambda v: _chain(detectors=v),
+            ("A", "B"), ("A", "B", "A"), "chain 'C': duplicate detector entries",
+        ),
+        (
+            lambda v: _activity(v),
+            "a_1", "1a", "activity id '1a' is not a valid identifier",
+        ),
+        (
+            lambda v: _activity(duration=v),
+            0, -1, "activity 'a': negative duration",
+        ),
+        (
+            lambda v: _activity(kind=v, channel="L"),
+            ActivityKind.SEND, ActivityKind.JOIN,
+            "activity 'a': channel on non-messaging activity",
+        ),
+        (
+            lambda v: _activity(kind=ActivityKind.TIMER, timer_bound=v),
+            0, None, "activity 'a': timer requires a non-negative bound",
+        ),
+        (
+            lambda v: _activity(kind=ActivityKind.TIMER, timer_bound=v),
+            0, -1, "activity 'a': timer requires a non-negative bound",
+        ),
+        (
+            lambda v: _activity(kind=v, timer_bound=2),
+            ActivityKind.TIMER, ActivityKind.ACTION,
+            "activity 'a': timer_bound on non-timer activity",
+        ),
+        (AtTime, 0, -1, "at-time trigger: negative tick"),
+        (Probabilistic, 1.0, 1.5, "probabilistic trigger: probability outside [0, 1]"),
+        (Probabilistic, 0.0, -0.5, "probabilistic trigger: probability outside [0, 1]"),
+        (
+            lambda v: ActivationSpec("Z", "C", "A", frozenset(v), OnEntry("a")),
+            ["a"], [], "activation 'Z': empty region",
+        ),
+        (SelfReport, 0, -1, "self-report condition: negative delay"),
+        (lambda v: Timeout(v, "A"), 0, -1, "timeout condition: negative bound"),
+        (
+            lambda v: ThirdPartyReport(v, 0),
+            1.0, 1.01, "third-party condition: probability outside [0, 1]",
+        ),
+        (
+            lambda v: ThirdPartyReport(0.5, v),
+            0, -1, "third-party condition: negative delay",
+        ),
+        (_recovery, {"A": "G"}, {}, "recovery 'R': no graphs"),
+        (
+            lambda v: _recovery({"A": "G"}, success=["y", "x", "ok"], abort=v),
+            ["stop"], ["x", "stop", "y"],
+            "recovery 'R': exits both success and abort: ['x', 'y']",
+        ),
+    ],
+    ids=[
+        "connection-latency", "chain-no-detectors", "chain-duplicate-detectors",
+        "activity-id", "activity-duration", "activity-channel", "timer-no-bound",
+        "timer-negative-bound", "timer-bound-elsewhere", "at-time", "probability-high",
+        "probability-low", "empty-region", "self-report", "timeout", "third-party-probability",
+        "third-party-delay", "recovery-no-graphs", "recovery-exit-both",
+    ],
+)
+def test_constructors_refuse_out_of_range_fields(make, good, bad, message):
+    make(good)
+    with pytest.raises(FmafError) as excinfo:
+        make(bad)
+    assert str(excinfo.value) == message
+
+
+def _two_recovery_graphs_with_one_exit_id():
+    """Recovery R runs RA on A and RB on B, and both graphs exit at ``done``."""
+    return dict(
+        name="Dup",
+        constituents=[ConstituentSystem("A", "a", "GA"), ConstituentSystem("B", "b", "GB")],
+        processes=[
+            seq_graph("GA", "A", [action("a")]),
+            seq_graph("GB", "B", [action("b")]),
+            seq_graph("RA", "A", [action("done")]),
+            seq_graph("RB", "B", [action("done")]),
+        ],
+        recoveries=[RecoverySpec("R", "r", {"A": "RA", "B": "RB"})],
+    )
+
+
+def test_recovery_graphs_may_not_share_an_exit_id():
+    with pytest.raises(DuplicateIdError) as excinfo:
+        build_model(**_two_recovery_graphs_with_one_exit_id())
+    assert str(excinfo.value) == "duplicate recovery exit id 'done' (within recovery 'R')"
+    src = (
+        "sos Dup {\n"
+        '  cs A "a" { nominal GA }\n'
+        '  cs B "b" { nominal GB }\n'
+        "  process GA owner A { entry a exits [a] action a 1t }\n"
+        "  process GB owner B { entry b exits [b] action b 1t }\n"
+        "  process RA owner A { entry done exits [done] action done 1t }\n"
+        "  process RB owner B { entry done exits [done] action done 1t }\n"
+        '  recovery R "r" {\n'
+        "    graph A RA\n"
+        "    graph B RB\n"
+        "  }\n"
+        "}\n"
+    )
+    result = dsl.parse(src)
+    assert result.model is None
+    assert [str(d) for d in result.diagnostics] == [
+        "10:13: error: duplicate recovery exit id 'done' (within recovery 'R')"
+    ]
 
 
 # -- activity graph structure -------------------------------------------------
@@ -554,6 +694,27 @@ def test_partition_rejects_unknown_base_and_origin():
         partition_fault(model, "F9", [(".1", "ERU", [], ["ERU"])])
     with pytest.raises(DanglingReferenceError):
         partition_fault(model, "F3", [(".1", "Ghost", [], ["ERU"])])
+
+
+@pytest.mark.parametrize(
+    "variant, message",
+    [
+        (
+            (".1", "ERU", [], ["ERU", "Ghost"]),
+            "partition_fault variant detector references unknown element 'Ghost'",
+        ),
+        (
+            (".1", "ERU", ["Respond", "Nowhere"], ["ERU"]),
+            "partition_fault variant region references unknown activity 'Nowhere'",
+        ),
+    ],
+    ids=["detector", "region"],
+)
+def test_partition_rejects_unknown_variant_detector_and_region(variant, message):
+    model = partitionable_model()
+    with pytest.raises(DanglingReferenceError) as excinfo:
+        partition_fault(model, "F3", [variant])
+    assert str(excinfo.value) == message
 
 
 def test_partition_disjoint_regions_stay_disjoint():

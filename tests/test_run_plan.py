@@ -464,7 +464,8 @@ def test_plan_lists_every_started_instance_under_its_owner_in_key_order():
         for waiting in receivers.values():
             keys = [key for key, _ in waiting]
             assert keys == sorted(keys)
-        for key, inst in engine.instances.items():
+        for key in engine.live:
+            inst = engine.plan.instances[key]
             assert graphs[key] == (inst.owner, inst.graph.id)
             for node_id, node in inst.graph.nodes.items():
                 if node.kind is ActivityKind.RECEIVE:
@@ -517,15 +518,16 @@ def _expected_step(model, inst, node_id):
 def test_step_records_match_their_instances():
     checked = set()
     for engine in _drained_engines():
-        model, steps = engine.model, engine.plan.steps
-        for key, inst in engine.instances.items():
+        model = engine.model
+        for key in engine.live:
+            inst = engine.plan.instances[key]
+            assert inst.key == key
             if inst.recovery_id is None:
                 assert key == f"nominal:{inst.owner}"
                 assert inst.graph.id == model.constituents[inst.owner].nominal_process
             else:
                 assert key == f"recovery:{inst.recovery_id}:{inst.owner}"
                 assert model.recoveries[inst.recovery_id].graphs[inst.owner] == inst.graph.id
-            assert inst.steps is steps[key]
             assert list(inst.steps) == list(inst.graph.nodes)
             for node_id, step in inst.steps.items():
                 got = tuple(getattr(step, name) for name in step.__slots__)
@@ -533,6 +535,24 @@ def test_step_records_match_their_instances():
                 assert type(step.details) is simulator._Details
                 checked.add(simulator._STEP_KINDS[step.activity.kind])
     assert checked == set(simulator._STEP_KINDS.values())
+
+
+def test_only_the_first_start_of_an_instance_builds_its_record(monkeypatch):
+    model = race_fixture()
+    config = SimConfig(scenario="CH", horizon=60)
+    outcomes, first = enumerate_outcomes(model, config), run(model, config)
+    built = []
+    real = simulator._Instance.__init__
+
+    def counted(inst, *args):
+        built.append(args[0])
+        real(inst, *args)
+
+    monkeypatch.setattr(simulator._Instance, "__init__", counted)
+    assert run(model, config) == first
+    assert enumerate_outcomes(model, config) == outcomes
+    assert built == []
+    assert len(simulator._plan(model).instances) > len(model.constituents)
 
 
 def test_two_constituents_running_one_recovery_graph_get_their_own_instances():
@@ -555,7 +575,7 @@ def test_two_constituents_running_one_recovery_graph_get_their_own_instances():
         (8, "Q", "resume"),
     ]
     assert trace.outcome.kind == "recovered"
-    assert set(simulator._plan(model).steps) >= {"recovery:RSELF:P", "recovery:RSELF:Q"}
+    assert set(simulator._plan(model).instances) >= {"recovery:RSELF:P", "recovery:RSELF:Q"}
 
 
 # ---------------------------------------------------------------------------

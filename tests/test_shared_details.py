@@ -331,9 +331,9 @@ def test_step_tables_belong_to_the_model_they_were_built_for():
     original = race_fixture()
     config = SimConfig(horizon=60, seed=1)
     before = _bytes(original, config)
-    steps = simulator._plan(original).steps
-    assert list(steps) == ["nominal:P", "nominal:Q", "nominal:R"]
-    assert steps["nominal:P"]["p_report"].sent["graph"] == "GP"
+    instances = simulator._plan(original).instances
+    assert list(instances) == ["nominal:P", "nominal:Q", "nominal:R"]
+    assert instances["nominal:P"].steps["p_report"].sent["graph"] == "GP"
     # GP runs p_setup -> p_serve -> p_report -> p_done; drop the report.
     graph = original.processes["GP"]
     nodes = {k: v for k, v in graph.nodes.items() if k != "p_report"}
@@ -366,5 +366,5 @@ def test_a_nominal_graph_run_as_recovery_gets_its_own_details():
     assert all("recovery" not in d for d in nominal)
     assert all(d["recovery"] == "RSELF" for d in steps)
     assert {d["activity"] for d in steps} == {"p_setup", "p_serve", "p_report", "p_done"}
-    assert set(simulator._plan(model).steps) >= {"nominal:P", "recovery:RSELF:P"}
+    assert set(simulator._plan(model).instances) >= {"nominal:P", "recovery:RSELF:P"}
     assert format_trace(run(model, config)) == format_trace(trace)

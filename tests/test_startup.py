@@ -58,6 +58,11 @@ class TestSubcommandModules:
         argv = ("export", fault3, "--view", "fef")
         assert loaded_modules(RUN_MAIN, *argv) == CHECK_SET | {"fmaf.viewgen"}
 
+    def test_export_of_a_scenario_adds_the_simulator_too(self, fault3):
+        argv = ("export", fault3, "--view", "erroneous-scenario", "--focus", "F3.2")
+        expected = CHECK_SET | {"fmaf.viewgen", "fmaf.simulator"}
+        assert loaded_modules(RUN_MAIN, *argv) == expected
+
     def test_import_fmaf_loads_no_submodule(self):
         code = 'import sys, fmaf\nprint(",".join(m for m in sys.modules if m.startswith("fmaf")))'
         assert loaded_modules(code) == {"fmaf"}
