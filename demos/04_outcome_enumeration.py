@@ -2,7 +2,7 @@
 
 The simulator consumes random draws only where the model is genuinely
 probabilistic (lossy connections, third-party detection). Enumeration
-replaces the sampler with scripted draw prefixes and explores every
+forks the run at each such draw and explores both answers of every
 branch, so the set it returns contains every outcome any seed can
 produce. The demo cross-checks that on the bundled models.
 

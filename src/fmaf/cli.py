@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from .checker import check, format_report, has_violations, to_records
 from .dsl import parse_file
-from .model import VIEW_KINDS, FmafError, SosModel
+from .model import VIEW_KINDS, SosModel
 
 if TYPE_CHECKING:
     from .simulator import SimTrace
@@ -50,8 +50,6 @@ def _load_model(path: str) -> SosModel | None:
     except UnicodeDecodeError as exc:
         _fail(f"cannot read {path!r}: not UTF-8 text ({exc.reason} at byte {exc.start})")
         return None
-    except FmafError:
-        raise
     except Exception as exc:
         _fail(f"cannot load {path!r}: {type(exc).__name__}")
         return None

@@ -93,9 +93,9 @@ class SourceSpan:
 
 @dataclass(frozen=True, slots=True)
 class Diagnostic:
-    """An error or warning at a source position."""
+    """An error at a source position."""
 
-    severity: str  # "error" or "warning"
+    severity: str  # always "error": ``parse`` emits no warnings
     span: SourceSpan
     message: str
 
@@ -107,8 +107,9 @@ class Diagnostic:
 class ParseResult:
     """Either a model or the error diagnostics that prevented one.
 
-    ``model`` is ``None`` exactly when ``diagnostics`` contains at least
-    one error; warnings may accompany a successful parse.
+    ``model`` is ``None`` exactly when ``diagnostics`` is not empty.
+    Every diagnostic is an error; warnings about a model that parses come
+    from the checker.
     """
 
     model: SosModel | None

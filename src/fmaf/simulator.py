@@ -38,20 +38,22 @@ An undetected error ends in failure-observed at quiescence, the moment
 the event queue drains with no progress possible.
 
 Each model keeps a run plan, built on its first run: the checker's
-findings, the structure verdict, one record per chain and per detection
-spec, an index from (receiver, channel) to the receive nodes that may
-take a delivery, and one record per activity-graph instance with its
-step table, built when a run first starts the instance.  A step record
-holds everything entering and completing its node needs, and each
-record holds the details that its trace events share, so a run looks
-details up and never builds them.  Each shared mapping caches its JSON
+findings, the structure verdict, one record per chain holding one record
+per detection spec, an index from (receiver, channel) to the receive
+nodes that may take a delivery, and one step table per activity-graph
+instance, built when a run first starts the instance.  A step record
+holds everything entering and completing its node needs, its instance's
+key, owner and recovery among it, so the engine passes one record per
+node event and a queued completion is the record itself.  Each record
+holds the details that its trace events share, so a run looks details
+up and never builds them.  Each shared mapping caches its JSON
 text for the trace writer and its set of string values for metric
 qualifiers.  None of these caches changes a trace's bytes.
 The engine builds each trace event with plain slot stores into the same
 frozen ``SimEvent`` type that the public constructor gives.
 
 A run's changing state is a few flat tables on the engine: the tokens
-of each started instance, join arrivals under (instance, join), the
+of each started instance, join arrivals under the join's record, the
 waiting receives as (instance, receive) pairs, the mailbox and the
 event queue.  A fork copies each table outright.
 
@@ -355,25 +357,35 @@ _STEP_KINDS = {
 class _Step:
     """What entering and completing one node of one instance does.
 
-    ``successors`` are the target ids a completion enters: every target
-    of a fork, the first of any other node, none at an exit; a decision
-    keeps its out-edges, whose guards pick the one target.  The fields
-    from ``link`` to ``receiver`` are a send's, None for every other
-    node; ``draw`` is the link's reliability when a send over it draws,
+    ``key``, ``owner`` and ``recovery`` are the instance's: its key, the
+    constituent that runs it, and its recovery id, None for a nominal
+    instance.  ``table`` is the instance's node id -> record table, the
+    one holding this record.  ``successors`` are the target ids a
+    completion enters, read through ``table``: every target of a fork,
+    the first of any other node, none at an exit; a decision keeps its
+    out-edges, whose guards pick the one target.  The fields from
+    ``link`` to ``receiver`` are a send's, None for every other node;
+    ``draw`` is the link's reliability when a send over it draws,
     0 < reliability < 1, and None otherwise.  A slotted class, not a
     named tuple or a dataclass: the engine reads a few fields per node
     event, a slot read is the cheapest, and the class adds no import cost.
     """
 
     __slots__ = (
+        "key", "owner", "recovery", "table",
         "activity", "kind", "ticks", "successors", "in_degree", "details",
         "link", "draw", "sent", "delivered", "receiver", "timer",
     )
 
     def __init__(
-        self, activity, kind, ticks, successors, in_degree, details,
+        self, key, owner, recovery, table,
+        activity, kind, ticks, successors, in_degree, details,
         link, draw, sent, delivered, receiver, timer,
     ) -> None:
+        self.key: str = key
+        self.owner: str = owner
+        self.recovery: str | None = recovery
+        self.table: dict[str, _Step] = table
         self.activity: Activity = activity
         self.kind: int = kind  # one of the _S_* step kinds
         self.ticks: int = ticks  # time from entering the node to completing it
@@ -389,13 +401,13 @@ class _Step:
 
 
 def _step_table(
-    graph, owner: str, recovery: str | None, connections: Mapping[str, Connection]
+    graph, key: str, owner: str, recovery: str | None, connections: Mapping[str, Connection]
 ) -> dict[str, _Step]:
-    """Node id -> its step record in the instance of ``graph`` that
-    ``owner`` runs, nominal when ``recovery`` is None."""
+    """Node id -> its step record in the instance ``key`` of ``graph``
+    that ``owner`` runs, nominal when ``recovery`` is None."""
     _, succ, pred = _numbered(graph)
     names = list(graph.nodes)
-    table = {}
+    table: dict[str, _Step] = {}
     for node_id, node, outs, ins in zip(names, graph.nodes.values(), succ, pred):
         kind = _STEP_KINDS[node.kind]
         if kind == _S_DECISION:
@@ -422,29 +434,10 @@ def _step_table(
         if kind == _S_TIMER:
             timer = _Details({"activity": node_id, "graph": graph.id, "bound": node.timer_bound})
         table[node_id] = _Step(
-            node, kind, ticks, successors, len(ins), _Details(items),
+            key, owner, recovery, table, node, kind, ticks, successors, len(ins), _Details(items),
             link, draw, sent, delivered, receiver, timer,
         )
     return table
-
-
-class _Instance:
-    """One activity graph as one constituent runs it, nominal when
-    ``recovery_id`` is None, and its node id -> step record table.
-
-    Built when a run first starts the instance and kept in the run plan
-    under ``key``; no run changes it.  A run's tokens, join arrivals and
-    waiting receives are the engine's tables.
-    """
-
-    __slots__ = ("key", "graph", "owner", "recovery_id", "steps")
-
-    def __init__(self, key, graph, owner, recovery_id, steps) -> None:
-        self.key: str = key
-        self.graph = graph
-        self.owner: str = owner
-        self.recovery_id: str | None = recovery_id
-        self.steps: dict[str, _Step] = steps
 
 
 class _Engine:
@@ -462,7 +455,7 @@ class _Engine:
         # The run's tables, which ``fork`` copies: tokens per started
         # instance, join arrivals, waiting receives and unread messages.
         self.live: dict[str, int] = {}  # instance key -> tokens
-        self.arrivals: dict[tuple[str, str], int] = {}  # (key, join) -> tokens arrived
+        self.arrivals: dict[_Step, int] = {}  # join record -> tokens arrived
         self.waiting: set[tuple[str, str]] = set()  # (key, receive)
         self.mailbox: dict[tuple[str, str], int] = {}  # (receiver, channel) -> unread
         # The suspended nominal instances' keys; replaced, never changed,
@@ -481,7 +474,7 @@ class _Engine:
         if plan.malformed is not None:
             raise SimulationError(plan.malformed)
         self.focus: _Chain | None = None  # the scenario chain's record
-        self.candidates: tuple[DetectionSpec, ...] = ()  # its enabled detections
+        self.candidates: tuple[_Detection, ...] = ()  # its enabled detections' records
         activation = None
         if config.scenario is not None:
             self.focus = plan.chains.get(config.scenario)
@@ -508,7 +501,7 @@ class _Engine:
                     f"horizon {config.horizon}"
                 )
             self.candidates = tuple(
-                spec for spec in self.focus.detections if spec.detector in enabled
+                record for record in self.focus.detections if record.spec.detector in enabled
             )
         for key in config.guard_inputs:
             if key not in plan.decisions:
@@ -532,67 +525,63 @@ class _Engine:
     def start_instance(
         self, key: str, owner: str, graph_id: str, recovery: str | None, time: int
     ) -> None:
-        inst = self.plan.instances.get(key)
-        if inst is None:
-            graph = self.model.processes[graph_id]
-            steps = _step_table(graph, owner, recovery, self.model.connections)
-            inst = self.plan.instances[key] = _Instance(key, graph, owner, recovery, steps)
+        graph = self.model.processes[graph_id]
+        table = self.plan.instances.get(key)
+        if table is None:
+            table = _step_table(graph, key, owner, recovery, self.model.connections)
+            self.plan.instances[key] = table
         self.live[key] = 1
-        self.enter_node(inst, inst.graph.entry, time)
+        self.enter_node(table[graph.entry], time)
 
-    def enter_node(self, inst: _Instance, node_id: str, time: int) -> None:
-        step = inst.steps[node_id]
+    def enter_node(self, step: _Step, time: int) -> None:
         kind = step.kind
         if kind == _S_JOIN:
-            join = (inst.key, node_id)
-            arrived = self.arrivals.get(join, 0) + 1
-            self.arrivals[join] = arrived
+            arrived = self.arrivals.get(step, 0) + 1
+            self.arrivals[step] = arrived
             if arrived < step.in_degree:
-                self.live[inst.key] -= 1
+                self.live[step.key] -= 1
                 return
-        if inst.recovery_id is None:
+        if step.recovery is None:
             if self.record:
-                self.events.append(_event(time, "activity-start", inst.owner, step.details))
+                self.events.append(_event(time, "activity-start", step.owner, step.details))
             if self.pending:
-                self.on_nominal_start(inst, node_id, time)
+                self.on_nominal_start(step, time)
         if kind == _S_RECEIVE:
-            box = (inst.owner, step.activity.channel)
+            box = (step.owner, step.activity.channel)
             if not self.mailbox.get(box):
-                self.waiting.add((inst.key, node_id))
+                self.waiting.add((step.key, step.activity.id))
                 return
             self.mailbox[box] -= 1
-        heapq.heappush(
-            self.heap,
-            (time + step.ticks, inst.owner, _R_COMPLETE, self.seq, (inst.key, node_id)),
-        )
+        heapq.heappush(self.heap, (time + step.ticks, step.owner, _R_COMPLETE, self.seq, step))
         self.seq += 1
 
-    def complete_node(self, inst: _Instance, node_id: str, time: int) -> None:
-        step = inst.steps[node_id]
+    def complete_node(self, step: _Step, time: int) -> None:
         kind = step.kind
         if self.record:
             if kind == _S_TIMER:
-                self.events.append(_event(time, "timer-expired", inst.owner, step.timer))
-            event = "activity-end" if inst.recovery_id is None else "recovery-step"
-            self.events.append(_event(time, event, inst.owner, step.details))
+                self.events.append(_event(time, "timer-expired", step.owner, step.timer))
+            event = "activity-end" if step.recovery is None else "recovery-step"
+            self.events.append(_event(time, event, step.owner, step.details))
         if kind == _S_SEND:
-            self.send_message(inst, step, time)
+            self.send_message(step, time)
 
         successors = step.successors
         if not successors:
-            self.live[inst.key] -= 1
-            if inst.recovery_id is not None:
-                self.on_recovery_exit(inst, node_id, time)
+            self.live[step.key] -= 1
+            if step.recovery is not None:
+                self.on_recovery_exit(step, time)
             return
+        table = step.table
         if kind == _S_DECISION:
-            self.enter_node(inst, self.pick_branch(inst, node_id, successors), time)
+            self.enter_node(table[self.pick_branch(step, successors)], time)
             return
         if kind == _S_FORK:
-            self.live[inst.key] += len(successors) - 1
+            self.live[step.key] += len(successors) - 1
         for target in successors:
-            self.enter_node(inst, target, time)
+            self.enter_node(table[target], time)
 
-    def pick_branch(self, inst: _Instance, node_id: str, out) -> str:
+    def pick_branch(self, step: _Step, out) -> str:
+        node_id = step.activity.id
         chosen = self.config.guard_inputs.get(node_id)
         default = None
         for edge in out:
@@ -603,18 +592,18 @@ class _Engine:
         if default is None:
             labels = sorted(e.guard for e in out if e.guard is not None)
             raise InvalidConfigError(
-                f"decision {node_id!r} in graph {inst.graph.id!r} has no default "
+                f"decision {node_id!r} in graph {step.details['graph']!r} has no default "
                 f"branch and no guard input matched; valid labels: {labels}"
             )
         return default
 
-    def send_message(self, inst: _Instance, step: _Step, time: int) -> None:
+    def send_message(self, step: _Step, time: int) -> None:
         link, receiver = step.link, step.receiver
         if self.record:
-            self.events.append(_event(time, "message-sent", inst.owner, step.sent))
+            self.events.append(_event(time, "message-sent", step.owner, step.sent))
         if not _draw(self.sampler, link.reliability):
             if self.record:
-                self.events.append(_event(time, "message-lost", inst.owner, step.sent))
+                self.events.append(_event(time, "message-lost", step.owner, step.sent))
             return
         self.push(
             time + link.latency, receiver, _R_DELIVER, (receiver, link.id, step.delivered)
@@ -630,21 +619,22 @@ class _Engine:
             key, node_id = pair
             if pair in waiting and key not in self.halted:
                 waiting.remove(pair)
-                ticks = self.plan.instances[key].steps[node_id].ticks
-                self.push(time + ticks, receiver, _R_COMPLETE, pair)
+                step = self.plan.instances[key][node_id]
+                self.push(time + step.ticks, receiver, _R_COMPLETE, step)
                 return
         box = (receiver, channel)
         self.mailbox[box] = self.mailbox.get(box, 0) + 1
 
     # -- fault injection and detection
 
-    def on_nominal_start(self, inst: _Instance, node_id: str, time: int) -> None:
+    def on_nominal_start(self, step: _Step, time: int) -> None:
         """Schedule the pending activation if this nominal start triggers it."""
         activation = self.focus.activation
         origin = activation.origin_constituent
-        if inst.owner != origin:
+        if step.owner != origin:
             return
         trigger = activation.trigger
+        node_id = step.activity.id
         if isinstance(trigger, OnEntry):
             if node_id == trigger.activity:
                 self.push(time, origin, _R_INJECT, ())
@@ -672,16 +662,16 @@ class _Engine:
         if not self.config.recovery_enabled:
             return
         winner, fire = None, self.config.horizon + 1
-        for spec in self.candidates:  # in spec-id order
-            cond = spec.condition
+        for record in self.candidates:  # in spec-id order
+            cond = record.spec.condition
             if isinstance(cond, ThirdPartyReport) and not _draw(self.sampler, cond.probability):
                 continue
             at = time + (cond.bound if isinstance(cond, Timeout) else cond.delay)
             if at < fire:
-                winner, fire = spec, at
+                winner, fire = record, at
         if winner is not None:
-            self.detected = self.plan.detections[winner.id]
-            self.push(fire, winner.detector, _R_DETECT, ())
+            self.detected = winner
+            self.push(fire, winner.spec.detector, _R_DETECT, ())
 
     def on_detect(self, time: int) -> None:
         spec, expired, detected, _ = self.detected
@@ -704,9 +694,9 @@ class _Engine:
             self.start_instance(key, cs_id, graph_id, recovery.id, time)
         self.check_recovery_done(time)
 
-    def on_recovery_exit(self, inst: _Instance, node_id: str, time: int) -> None:
-        recovery = self.model.recoveries[inst.recovery_id]
-        if node_id in recovery.abort_exits:
+    def on_recovery_exit(self, step: _Step, time: int) -> None:
+        node_id = step.activity.id
+        if node_id in self.model.recoveries[step.recovery].abort_exits:
             self.observe_failure(time, aborted_by=node_id)
             return
         self.check_recovery_done(time)
@@ -746,24 +736,22 @@ class _Engine:
     def loop(self, stop: int = -1) -> None:
         """Process events until an outcome is set, the queue drains, or
         ``stop`` events have been popped."""
-        branches, instances = self.branches, self.plan.instances
+        branches = self.branches
         while self.heap and self.outcome is None and self.pops != stop:
             self.pops += 1
             entry = heapq.heappop(self.heap)
             time, actor, rank, seq, payload = entry
             if rank == _R_COMPLETE:
-                key, node_id = payload
-                if key in self.halted:
+                if payload.key in self.halted:
                     continue  # cancelled by a suspension; not progress
             if time > self.config.horizon:
                 self.outcome = Outcome("horizon-exhausted")
                 break
             self.clock = time
             if rank == _R_COMPLETE:
-                inst = instances[key]
                 if branches is not None:
-                    branches.complete(self, entry, inst)
-                self.complete_node(inst, node_id, time)
+                    branches.complete(self, entry, payload)
+                self.complete_node(payload, time)
             elif rank == _R_DELIVER:
                 receiver, channel, details = payload
                 self.deliver_message(receiver, channel, details, time)
@@ -840,7 +828,7 @@ class _Chain(NamedTuple):
 
     chain: ThreatChain
     activation: ActivationSpec | None  # activation_for(chain)
-    detections: tuple[DetectionSpec, ...]  # detections_for(chain)
+    detections: tuple[_Detection, ...]  # the records of detections_for(chain)
     activated: _Details  # fault-activated
     raised: _Details  # error-raised
     failed: Mapping[str | None, _Details]  # aborting recovery exit or None -> failure-observed
@@ -856,7 +844,7 @@ class _Detection(NamedTuple):
 
 
 def _chain_record(model: SosModel, chain) -> _Chain:
-    detections = tuple(model.detections_for(chain.id))
+    specs = model.detections_for(chain.id)
     fault = model.threat_nodes.get(chain.fault)
     failure = model.threat_nodes.get(chain.failure)
     observed = {
@@ -866,7 +854,7 @@ def _chain_record(model: SosModel, chain) -> _Chain:
         "observation": chain.failure_observation.value,
     }
     failed = {None: _Details(observed)}
-    for spec in detections:
+    for spec in specs:
         recovery = model.recoveries.get(spec.recovery)
         for exit_id in sorted(recovery.abort_exits) if recovery else ():
             if exit_id not in failed:
@@ -874,7 +862,7 @@ def _chain_record(model: SosModel, chain) -> _Chain:
     return _Chain(
         chain,
         model.activation_for(chain.id),
-        detections,
+        tuple(_detection_record(spec) for spec in specs),
         _Details(
             {
                 "chain": chain.id,
@@ -904,13 +892,13 @@ class _Plan(NamedTuple):
     """What every run of one model reads, kept on the model.
 
     Built once per model object, so a ``dataclasses.replace``d model gets
-    its own.  It holds the checker's findings, one record per chain and
-    per detection spec, the receive nodes each constituent may wait on
-    per channel, and the record of each instance a run has started, with
-    its step table, under the instance's key: ``nominal:<constituent>``
-    or ``recovery:<recovery>:<constituent>``.  A run adds the record of
-    an instance it starts first and changes none; a fork shares the plan
-    and copies the run's tables.  Each record carries the shared details
+    its own.  It holds the checker's findings, one record per chain with
+    the records of its detection specs, the receive nodes each
+    constituent may wait on per channel, and the step table of each
+    instance a run has started, under the instance's key:
+    ``nominal:<constituent>`` or ``recovery:<recovery>:<constituent>``.
+    A run adds the table of an instance it starts first and changes none;
+    a fork shares the plan and copies the run's tables.  Each record carries the shared details
     of its trace events.  Since the plan is built before the checker's
     findings can refuse a run, no record indexes a reference the model
     may leave dangling.  ``malformed`` says why a model that neither
@@ -921,11 +909,10 @@ class _Plan(NamedTuple):
     malformed: str | None
     decisions: frozenset[str]
     chains: Mapping[str, _Chain]
-    detections: Mapping[str, _Detection]  # detection spec id -> its record
     # (receiver, channel) -> (instance key, receive id) pairs, keys sorted
     receivers: Mapping[tuple[str, str], tuple[tuple[str, str], ...]]
     metrics: _Metrics
-    instances: dict[str, _Instance]  # instance key -> its record, built when first started
+    instances: dict[str, dict[str, _Step]]  # instance key -> its step table, built on first start
 
 
 def _plan(model: SosModel) -> _Plan:
@@ -942,7 +929,6 @@ def _plan(model: SosModel) -> _Plan:
                 if node.kind is ActivityKind.DECISION
             ),
             chains={c.id: _chain_record(model, c) for c in model.chains.values()},
-            detections={d.id: _detection_record(d) for d in model.detections.values()},
             receivers=_receivers(model),
             metrics=_prepare(model.metrics.values()),
             instances={},
@@ -1099,9 +1085,9 @@ class _Branches:
         self.race_draws = 0
         if root.config.recovery_enabled:
             self.race_draws = sum(
-                isinstance(spec.condition, ThirdPartyReport)
-                and 0.0 < spec.condition.probability < 1.0
-                for spec in root.candidates
+                isinstance(record.spec.condition, ThirdPartyReport)
+                and 0.0 < record.spec.condition.probability < 1.0
+                for record in root.candidates
             )
 
     # -- draw marks: each names the most draws its event can make
@@ -1110,10 +1096,9 @@ class _Branches:
         if self.start_draws:
             self.fork_before(engine, self.start_draws, None)
 
-    def complete(self, engine: _Engine, entry: tuple, inst: _Instance) -> None:
-        step = inst.steps[entry[4][1]]
+    def complete(self, engine: _Engine, entry: tuple, step: _Step) -> None:
         draws = step.draw is not None  # a send over a lossy link
-        if inst.key == self.trigger_key and engine.pending:
+        if step.key == self.trigger_key and engine.pending:
             kind, successors, region = step.kind, step.successors, self.region
             if kind == _S_DECISION:
                 draws += any(edge.dst in region for edge in successors)

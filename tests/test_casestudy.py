@@ -5,11 +5,16 @@ simulator with the bundled configuration and comparing outcomes and
 metric values, never by comparing trace bytes.
 """
 
+import json
+import re
+from types import SimpleNamespace
+
 import pytest
 
-from fmaf import check, run
+from fmaf import casestudy, check, run
 from fmaf.casestudy import BUNDLE_NAMES, ScenarioBundle, UnknownBundleError, load_bundle
 from fmaf.checker import Severity
+from fmaf.model import FmafError
 from fmaf.simulator import ModelViolationsError
 
 
@@ -45,6 +50,39 @@ class TestLoading:
     def test_scenario_count_across_bundles(self):
         total = sum(len(load_bundle(n).scenarios) for n in BUNDLE_NAMES)
         assert total == 10
+
+    def test_unknown_config_field_is_refused(self):
+        with pytest.raises(FmafError) as info:
+            casestudy._to_config("s", {"bogus": 1})
+        assert str(info.value) == "scenario 's': unknown config fields ['bogus']"
+
+
+def _bundle_dir(tmp_path, monkeypatch, model_text, scenarios):
+    """Point ``load_bundle`` at a ``nominal`` bundle made under ``tmp_path``."""
+    models = tmp_path / "models"
+    models.mkdir()
+    (models / "m.fmaf").write_text(model_text)
+    config = {"model": "m.fmaf", "scenarios": scenarios}
+    (models / "nominal.scenarios.json").write_text(json.dumps(config))
+    monkeypatch.setattr(casestudy, "resources", SimpleNamespace(files=lambda package: tmp_path))
+
+
+class TestBundleRefusals:
+    def test_model_that_does_not_parse(self, tmp_path, monkeypatch):
+        _bundle_dir(tmp_path, monkeypatch, "sos Broken {", {})
+        message = (
+            "bundled model 'm.fmaf' does not parse: 1:13: error: expected a "
+            "declaration keyword or '}', found end of input"
+        )
+        with pytest.raises(FmafError, match=f"^{re.escape(message)}$"):
+            load_bundle("nominal")
+
+    def test_scenario_naming_an_unknown_chain(self, tmp_path, monkeypatch):
+        text = load_bundle("nominal").model_file.read_text()
+        _bundle_dir(tmp_path, monkeypatch, text, {"s": {"scenario": "NOPE"}})
+        message = "bundle 'nominal': scenario 's' names unknown chain 'NOPE'"
+        with pytest.raises(FmafError, match=f"^{re.escape(message)}$"):
+            load_bundle("nominal")
 
 
 class TestCheckerStatus:

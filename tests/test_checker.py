@@ -115,6 +115,20 @@ class TestRuleDetails:
             (f,) = [f for f in checker.check(variant) if f.rule_id == "R6"]
             assert f.subject == "REC1" and f.chain is None
 
+    def test_r7_is_silent_when_the_origin_names_no_graph(self):
+        # build_model refuses a dangling nominal process; a model built
+        # directly reaches the checker with one, and a stray region.
+        base = checker_fixture()
+        origin = dataclasses.replace(base.constituents["A"], nominal_process="Nowhere")
+        act = dataclasses.replace(base.activations["ACT1"], region=frozenset({"Stray"}))
+        model = dataclasses.replace(
+            base,
+            constituents={**base.constituents, "A": origin},
+            activations={"ACT1": act},
+        )
+        assert list(checker._r7(model)) == []
+        assert [f for f in checker.check(model) if f.rule_id == "R7"] == []
+
     def test_warnings_do_not_count_as_violations(self):
         for rule_id in ("R7", "R8"):
             _, _, model = next(m for m in MUTANTS if m[0] == rule_id)

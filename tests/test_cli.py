@@ -12,7 +12,7 @@ import pytest
 import fmaf
 from fmaf.casestudy import BUNDLE_NAMES, load_bundle
 from fmaf.cli import main
-from fmaf.model import VIEW_KINDS
+from fmaf.model import VIEW_KINDS, FmafError
 from fmaf.simulator import SimConfig, run
 from fmaf.viewgen import project, to_dot
 
@@ -158,6 +158,13 @@ class TestSimulate:
         assert "summary" in records[-1]
         assert records[-1]["summary"]["outcome"] == "recovered"
 
+    def test_unwritable_trace_file_exits_three(self, paths, tmp_path, capsys):
+        target = str(tmp_path / "missing-dir" / "t.jsonl")
+        assert main(["simulate", paths["nominal"], "--trace", target]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"fmaf: cannot write {target!r}: No such file or directory\n"
+
 
 class TestExport:
     def test_tcv_to_file_is_deterministic(self, paths, tmp_path, capsys):
@@ -172,6 +179,13 @@ class TestExport:
         text = a.read_text()
         assert text.startswith("digraph")
         assert "SoS boundary" in text
+
+    def test_unwritable_out_file_exits_three(self, paths, tmp_path, capsys):
+        target = str(tmp_path / "missing-dir" / "v.dot")
+        assert main(["export", paths["fault1"], "--view", "fts", "--out", target]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"fmaf: cannot write {target!r}: No such file or directory\n"
 
     def test_fav_stdout_has_two_detection_regions(self, paths, capsys):
         assert main([
@@ -257,6 +271,14 @@ class TestTopLevel:
         assert capsys.readouterr().err == (
             f"fmaf: cannot load {paths['nominal']!r}: MemoryError\n"
         )
+
+    def test_fmaf_error_while_loading_exits_three(self, monkeypatch, capsys):
+        def broken(path):
+            raise FmafError("boom")
+
+        monkeypatch.setattr("fmaf.cli.parse_file", broken)
+        assert main(["check", "x.fmaf"]) == 3
+        assert capsys.readouterr().err == "fmaf: cannot load 'x.fmaf': FmafError\n"
 
     def test_model_that_cannot_load_exits_three_in_a_subprocess(self, tmp_path):
         path = tmp_path / "deep.fmaf"

@@ -451,7 +451,9 @@ class TestDiagnosticCorpus:
         ],
     )
     def test_lexer_diagnostics(self, src, expected):
-        assert [str(d) for d in dsl.parse(src).diagnostics] == [expected]
+        diagnostics = dsl.parse(src).diagnostics
+        assert [str(d) for d in diagnostics] == [expected]
+        assert [d.severity for d in diagnostics] == ["error"]
 
     @pytest.mark.parametrize(
         "extra, expected",
@@ -612,6 +614,28 @@ class TestDiagnosticCorpus:
     )
     def test_block_syntax_and_values(self, src, expected):
         assert [str(d) for d in dsl.parse(src).diagnostics] == [expected]
+
+    @pytest.mark.parametrize(
+        "line, old, new, expected",
+        [
+            (
+                140, "trigger at_time", "trigger bogus",
+                "140:13: error: expected 'at_time', 'on_entry' or 'probabilistic', "
+                "found 'bogus'",
+            ),
+            (
+                146, "condition timeout", "condition bogus",
+                "146:15: error: expected 'self_report', 'timeout' or 'third_party', "
+                "found 'bogus'",
+            ),
+        ],
+        ids=["trigger-kind", "condition-kind"],
+    )
+    def test_unknown_trigger_and_condition_kinds(self, line, old, new, expected):
+        lines = load_bundle("fault1").model_file.read_text(encoding="utf-8").split("\n")
+        assert lines[line - 1].count(old) == 1
+        lines[line - 1] = lines[line - 1].replace(old, new)
+        assert [str(d) for d in dsl.parse("\n".join(lines)).diagnostics] == [expected]
 
     @pytest.mark.parametrize("name", BUNDLE_NAMES)
     def test_clean_parse_builds_spans_only_for_its_diagnostics(self, name, monkeypatch):

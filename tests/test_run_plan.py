@@ -376,7 +376,10 @@ def test_plan_matches_the_public_lookups():
         for chain in model.chains.values():
             record = plan.chains[chain.id]
             assert record.activation == model.activation_for(chain.id)
-            assert list(record.detections) == model.detections_for(chain.id)
+            # The records of the chain's own specs, in spec-id order.
+            specs = [d.spec for d in record.detections]
+            assert specs == model.detections_for(chain.id)
+            assert [spec.id for spec in specs] == sorted(spec.id for spec in specs)
             assert record.activated == {
                 "chain": chain.id,
                 "fault": chain.fault,
@@ -391,32 +394,34 @@ def test_plan_matches_the_public_lookups():
             }
             aborts = {
                 exit_id
-                for spec in record.detections
-                for exit_id in model.recoveries[spec.recovery].abort_exits
+                for d in record.detections
+                for exit_id in model.recoveries[d.spec.recovery].abort_exits
             }
             assert set(record.failed) == {None} | aborts
             for exit_id, details in record.failed.items():
                 extra = {} if exit_id is None else {"aborted_by": exit_id}
                 assert details == {**observed, **extra}
-        assert list(plan.detections) == list(model.detections)
-        for spec in model.detections.values():
-            record = plan.detections[spec.id]
-            assert record.spec is spec
-            if isinstance(spec.condition, Timeout):
-                assert record.expired == {
-                    "detection": spec.id,
-                    "watched": spec.condition.watched,
-                    "bound": spec.condition.bound,
-                }
-            else:
-                assert record.expired is None
-            assert record.detected == {
-                "chain": spec.threat,
-                "detection": spec.id,
-                "recovery": spec.recovery,
-            }
-            assert record.complete == {"chain": spec.threat, "recovery": spec.recovery}
+            for detection in record.detections:
+                _check_detection_record(detection)
         assert plan.receivers == _expected_receivers(model)
+
+
+def _check_detection_record(record):
+    spec = record.spec
+    if isinstance(spec.condition, Timeout):
+        assert record.expired == {
+            "detection": spec.id,
+            "watched": spec.condition.watched,
+            "bound": spec.condition.bound,
+        }
+    else:
+        assert record.expired is None
+    assert record.detected == {
+        "chain": spec.threat,
+        "detection": spec.id,
+        "recovery": spec.recovery,
+    }
+    assert record.complete == {"chain": spec.threat, "recovery": spec.recovery}
 
 
 def _instance_graphs(model):
@@ -465,18 +470,28 @@ def test_plan_lists_every_started_instance_under_its_owner_in_key_order():
             keys = [key for key, _ in waiting]
             assert keys == sorted(keys)
         for key in engine.live:
-            inst = engine.plan.instances[key]
-            assert graphs[key] == (inst.owner, inst.graph.id)
-            for node_id, node in inst.graph.nodes.items():
+            table = engine.plan.instances[key]
+            owner, graph_id = graphs[key]
+            for node_id, node in engine.model.processes[graph_id].nodes.items():
+                step = table[node_id]
+                assert (step.key, step.owner, step.details["graph"]) == (key, owner, graph_id)
                 if node.kind is ActivityKind.RECEIVE:
-                    assert (key, node_id) in receivers[inst.owner, node.channel]
-            started += inst.recovery_id is not None
+                    assert (key, node_id) in receivers[owner, node.channel]
+            started += step.recovery is not None
     assert started > 0
 
 
-def _expected_step(model, inst, node_id):
-    """The step record of ``node_id`` in ``inst``, from the public model."""
-    graph, owner, recovery = inst.graph, inst.owner, inst.recovery_id
+def _instance_facts(model, key):
+    """(owner, graph, recovery id or None) of the instance ``key``."""
+    owner, graph_id = _instance_graphs(model)[key]
+    recovery = key.split(":")[1] if key.startswith("recovery:") else None
+    return owner, model.processes[graph_id], recovery
+
+
+def _expected_step(model, key, table, node_id):
+    """The step record of ``node_id`` in the instance ``key`` whose step
+    table is ``table``, from the public model."""
+    owner, graph, recovery = _instance_facts(model, key)
     node = graph.nodes[node_id]
     out = graph.out_edges(node_id)
     if node.kind is ActivityKind.DECISION:
@@ -500,6 +515,10 @@ def _expected_step(model, inst, node_id):
     if node.kind is ActivityKind.TIMER:
         timer = {"activity": node_id, "graph": graph.id, "bound": node.timer_bound}
     return (
+        key,
+        owner,
+        recovery,
+        table,
         node,
         simulator._STEP_KINDS[node.kind],
         node.duration if node.kind is ActivityKind.RECEIVE else node.effective_duration(),
@@ -520,18 +539,13 @@ def test_step_records_match_their_instances():
     for engine in _drained_engines():
         model = engine.model
         for key in engine.live:
-            inst = engine.plan.instances[key]
-            assert inst.key == key
-            if inst.recovery_id is None:
-                assert key == f"nominal:{inst.owner}"
-                assert inst.graph.id == model.constituents[inst.owner].nominal_process
-            else:
-                assert key == f"recovery:{inst.recovery_id}:{inst.owner}"
-                assert model.recoveries[inst.recovery_id].graphs[inst.owner] == inst.graph.id
-            assert list(inst.steps) == list(inst.graph.nodes)
-            for node_id, step in inst.steps.items():
+            table = engine.plan.instances[key]
+            _, graph, _ = _instance_facts(model, key)
+            assert list(table) == list(graph.nodes)
+            for node_id, step in table.items():
                 got = tuple(getattr(step, name) for name in step.__slots__)
-                assert got == _expected_step(model, inst, node_id)
+                assert got == _expected_step(model, key, table, node_id)
+                assert step.table is table
                 assert type(step.details) is simulator._Details
                 checked.add(simulator._STEP_KINDS[step.activity.kind])
     assert checked == set(simulator._STEP_KINDS.values())
@@ -542,17 +556,21 @@ def test_only_the_first_start_of_an_instance_builds_its_record(monkeypatch):
     config = SimConfig(scenario="CH", horizon=60)
     outcomes, first = enumerate_outcomes(model, config), run(model, config)
     built = []
-    real = simulator._Instance.__init__
+    real = simulator._step_table
 
-    def counted(inst, *args):
-        built.append(args[0])
-        real(inst, *args)
+    def counted(graph, key, *args):
+        built.append(key)
+        return real(graph, key, *args)
 
-    monkeypatch.setattr(simulator._Instance, "__init__", counted)
+    monkeypatch.setattr(simulator, "_step_table", counted)
     assert run(model, config) == first
     assert enumerate_outcomes(model, config) == outcomes
     assert built == []
     assert len(simulator._plan(model).instances) > len(model.constituents)
+    # The count sees a build: a fresh model's first run builds each table once.
+    fresh = race_fixture()
+    assert run(fresh, config) == first
+    assert sorted(built) == sorted(simulator._plan(fresh).instances)
 
 
 def test_two_constituents_running_one_recovery_graph_get_their_own_instances():

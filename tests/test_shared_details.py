@@ -333,7 +333,7 @@ def test_step_tables_belong_to_the_model_they_were_built_for():
     before = _bytes(original, config)
     instances = simulator._plan(original).instances
     assert list(instances) == ["nominal:P", "nominal:Q", "nominal:R"]
-    assert instances["nominal:P"].steps["p_report"].sent["graph"] == "GP"
+    assert instances["nominal:P"]["p_report"].sent["graph"] == "GP"
     # GP runs p_setup -> p_serve -> p_report -> p_done; drop the report.
     graph = original.processes["GP"]
     nodes = {k: v for k, v in graph.nodes.items() if k != "p_report"}

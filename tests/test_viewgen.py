@@ -346,3 +346,24 @@ class TestViewGraphValidation:
     def test_edges_must_reference_nodes(self):
         with pytest.raises(ViewError, match="unknown nodes"):
             ViewGraph("fts", nodes=(), edges=(ViewEdge("a", "b"),))
+
+    def test_cluster_must_list_known_nodes(self):
+        with pytest.raises(ViewError) as excinfo:
+            ViewGraph(
+                "tcv",
+                nodes=(ViewNode("a", "", "activity"),),
+                clusters=(ViewCluster("c", "", "constituent", ("a", "x")),),
+            )
+        assert str(excinfo.value) == "cluster 'c' lists unknown node 'x'"
+
+    def test_node_may_belong_to_one_cluster_only(self):
+        with pytest.raises(ViewError) as excinfo:
+            ViewGraph(
+                "tcv",
+                nodes=(ViewNode("a", "", "activity"),),
+                clusters=(
+                    ViewCluster("c", "", "constituent", ("a",)),
+                    ViewCluster("d", "", "constituent", ("a",)),
+                ),
+            )
+        assert str(excinfo.value) == "node 'a' belongs to two clusters"
