@@ -307,9 +307,10 @@ class ActivityGraph:
     edges: tuple[Edge, ...]
     entry: str
     exits: frozenset[str]
-    # Out-edges by source id: rebuilt by every construction (``replace``
-    # included), invisible to equality and repr.
+    # Out-edges by source id and in-degrees by target id: rebuilt by every
+    # construction (``replace`` included), invisible to equality and repr.
     _out: Mapping[str, tuple[Edge, ...]] = field(init=False, compare=False, repr=False)
+    _in_degree: Mapping[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _require_identifier(self.id, "activity graph")
@@ -323,9 +324,12 @@ class ActivityGraph:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "exits", frozenset(self.exits))
         out: dict[str, list[Edge]] = {}
+        in_degree: dict[str, int] = {}
         for edge in edges:
             out.setdefault(edge.src, []).append(edge)
+            in_degree[edge.dst] = in_degree.get(edge.dst, 0) + 1
         object.__setattr__(self, "_out", {k: tuple(v) for k, v in out.items()})
+        object.__setattr__(self, "_in_degree", in_degree)
 
     def out_edges(self, node_id: str) -> tuple[Edge, ...]:
         return self._out.get(node_id, ())

@@ -41,12 +41,14 @@ Each model keeps a run plan, built on its first run: the checker's
 findings, the structure verdict, one record per chain holding one record
 per detection spec, an index from (receiver, channel) to the receive
 nodes that may take a delivery, and one step table per activity-graph
-instance, built when a run first starts the instance.  A step record
-holds everything entering and completing its node needs, its instance's
-key, owner and recovery among it, so the engine passes one record per
-node event and a queued completion is the record itself.  Each record
-holds the details that its trace events share, so a run looks details
-up and never builds them.  Each shared mapping caches its JSON
+instance, made when a run first starts the instance.  A table builds a
+node's step record when a run first enters the node; later runs and
+forks share it, so a run pays only for the nodes it reaches.  A step
+record holds everything entering and completing its node needs, its
+instance's key, owner and recovery among it, so the engine passes one
+record per node event and a queued completion is the record itself.
+Each record holds the details that its trace events share, so a run
+builds details only with a record.  Each shared mapping caches its JSON
 text for the trace writer and its set of string values for metric
 qualifiers.  None of these caches changes a trace's bytes.
 The engine builds each trace event with plain slot stores into the same
@@ -96,7 +98,6 @@ from .model import (
     ThirdPartyReport,
     ThreatChain,
     Timeout,
-    _numbered,
     _validate_graph,
     split_event_pattern,
 )
@@ -230,20 +231,16 @@ class _Details(dict):
     """Read-only event details shared by every event of one step record,
     chain or detection.
 
-    Built at most once per model, in the run plan.  ``text`` is the JSON
-    object the trace writer puts on each line, rendered when the first
-    line needs it, so runs that are never written do not pay for it.
-    ``strings``, the set of string values a metric qualifier may match,
-    is likewise built when a qualified metric first tests it.  Copies,
-    deep copies and pickles are plain dicts.
+    Built at most once per model, in the run plan, always by
+    ``_details``.  ``text`` is the JSON object the trace writer puts on
+    each line, rendered when the first line needs it, so runs that are
+    never written do not pay for it.  ``strings``, the set of string
+    values a metric qualifier may match, is likewise built when a
+    qualified metric first tests it.  Copies, deep copies and pickles are
+    plain dicts.
     """
 
     __slots__ = ("text", "strings")
-
-    def __init__(self, items: Mapping[str, object]) -> None:
-        dict.__init__(self, items)
-        self.text: str | None = None
-        self.strings: frozenset[str] | None = None
 
     def _read_only(self, *args, **kwargs):
         raise TypeError(
@@ -255,6 +252,17 @@ class _Details(dict):
 
     def __reduce__(self):
         return dict, (dict(self),)
+
+
+def _details(items: Mapping[str, object]) -> _Details:
+    """Shared details holding ``items``, with no text or strings yet.
+
+    ``dict``'s own initialiser and two slot stores cost about half of a
+    Python ``__init__``, and a step record builds up to four of these.
+    """
+    details = _Details(items)
+    details.text = details.strings = None
+    return details
 
 
 @dataclass(frozen=True, slots=True)
@@ -357,18 +365,20 @@ _STEP_KINDS = {
 class _Step:
     """What entering and completing one node of one instance does.
 
-    ``key``, ``owner`` and ``recovery`` are the instance's: its key, the
-    constituent that runs it, and its recovery id, None for a nominal
-    instance.  ``table`` is the instance's node id -> record table, the
-    one holding this record.  ``successors`` are the target ids a
-    completion enters, read through ``table``: every target of a fork,
-    the first of any other node, none at an exit; a decision keeps its
-    out-edges, whose guards pick the one target.  The fields from
-    ``link`` to ``receiver`` are a send's, None for every other node;
-    ``draw`` is the link's reliability when a send over it draws,
-    0 < reliability < 1, and None otherwise.  A slotted class, not a
-    named tuple or a dataclass: the engine reads a few fields per node
-    event, a slot read is the cheapest, and the class adds no import cost.
+    Built by the instance's table when a run first enters the node, and
+    never changed.  ``key``, ``owner`` and ``recovery`` are the
+    instance's: its key, the constituent that runs it, and its recovery
+    id, None for a nominal instance.  ``table`` is the instance's node
+    id -> record table, the one holding this record.  ``successors`` are
+    the target ids a completion enters, read through ``table``: every
+    target of a fork, the first of any other node, none at an exit; a
+    decision keeps its out-edges, whose guards pick the one target.  The
+    fields from ``link`` to ``receiver`` are a send's, None for every
+    other node; ``draw`` is the link's reliability when a send over it
+    draws, 0 < reliability < 1, and None otherwise.  A slotted class, not
+    a named tuple or a dataclass: the engine reads a few fields per node
+    event, a slot read is the cheapest, and the class adds no import
+    cost.
     """
 
     __slots__ = (
@@ -385,7 +395,7 @@ class _Step:
         self.key: str = key
         self.owner: str = owner
         self.recovery: str | None = recovery
-        self.table: dict[str, _Step] = table
+        self.table: _StepTable = table
         self.activity: Activity = activity
         self.kind: int = kind  # one of the _S_* step kinds
         self.ticks: int = ticks  # time from entering the node to completing it
@@ -400,22 +410,45 @@ class _Step:
         self.timer: _Details | None = timer  # a timer's timer-expired
 
 
-def _step_table(
-    graph, key: str, owner: str, recovery: str | None, connections: Mapping[str, Connection]
-) -> dict[str, _Step]:
-    """Node id -> its step record in the instance ``key`` of ``graph``
-    that ``owner`` runs, nominal when ``recovery`` is None."""
-    _, succ, pred = _numbered(graph)
-    names = list(graph.nodes)
-    table: dict[str, _Step] = {}
-    for node_id, node, outs, ins in zip(names, graph.nodes.values(), succ, pred):
+class _StepTable(dict):
+    """Node id -> step record of the instance ``key`` of ``graph`` that
+    ``owner`` runs, nominal when ``recovery`` is None.
+
+    Made empty when a run first starts the instance.  Looking a node up
+    builds its record the first time (``__missing__``), which is when a
+    run first enters the node; the record then serves every later run
+    and fork.  A record reads its in-degree from the graph, which counts
+    them once as it is built, so building a record never scans the edges.
+    """
+
+    __slots__ = ("graph", "key", "owner", "recovery", "connections")
+
+    def __init__(
+        self, graph, key: str, owner: str, recovery: str | None,
+        connections: Mapping[str, Connection],
+    ) -> None:
+        dict.__init__(self)
+        self.graph = graph
+        self.key = key
+        self.owner = owner
+        self.recovery = recovery
+        self.connections = connections
+
+    def __missing__(self, node_id: str) -> _Step:
+        graph, owner, recovery = self.graph, self.owner, self.recovery
+        nodes = graph.nodes
+        node = nodes[node_id]
+        # Key the record and name successors by the graph's own id
+        # strings, so that later lookups match by identity.
+        node_id = node.id
         kind = _STEP_KINDS[node.kind]
+        out = graph.out_edges(node_id)
         if kind == _S_DECISION:
-            successors = graph.out_edges(node_id)
+            successors = out
         elif kind == _S_FORK:
-            successors = tuple(names[w] for w in outs)
+            successors = tuple(nodes[edge.dst].id for edge in out)
         else:
-            successors = (names[outs[0]],) if outs else ()
+            successors = (nodes[out[0].dst].id,) if out else ()
         ticks = node.duration if kind == _S_RECEIVE else node.effective_duration()
         items = {"activity": node_id, "graph": graph.id}
         if node.name:
@@ -424,20 +457,22 @@ def _step_table(
             items["recovery"] = recovery
         link = draw = sent = delivered = receiver = timer = None
         if kind == _S_SEND:
-            link = connections.get(node.channel)
+            link = self.connections.get(node.channel)
         if link is not None:
             if 0.0 < link.reliability < 1.0:
                 draw = link.reliability
-            sent = _Details({"channel": link.id, "activity": node_id, "graph": graph.id})
-            delivered = _Details({"channel": link.id, "sender": owner})
+            sent = _details({"channel": link.id, "activity": node_id, "graph": graph.id})
+            delivered = _details({"channel": link.id, "sender": owner})
             receiver = link.consumer if link.provider == owner else link.provider
         if kind == _S_TIMER:
-            timer = _Details({"activity": node_id, "graph": graph.id, "bound": node.timer_bound})
-        table[node_id] = _Step(
-            key, owner, recovery, table, node, kind, ticks, successors, len(ins), _Details(items),
+            timer = _details({"activity": node_id, "graph": graph.id, "bound": node.timer_bound})
+        # The first record stored wins, so that runs of one model in
+        # several threads enter one record per node.
+        return self.setdefault(node_id, _Step(
+            self.key, owner, recovery, self, node, kind, ticks, successors,
+            graph._in_degree.get(node_id, 0), _details(items),
             link, draw, sent, delivered, receiver, timer,
-        )
-    return table
+        ))
 
 
 class _Engine:
@@ -528,8 +563,9 @@ class _Engine:
         graph = self.model.processes[graph_id]
         table = self.plan.instances.get(key)
         if table is None:
-            table = _step_table(graph, key, owner, recovery, self.model.connections)
-            self.plan.instances[key] = table
+            table = _StepTable(graph, key, owner, recovery, self.model.connections)
+            # A table another thread stored since ``get`` wins, as records do.
+            table = self.plan.instances.setdefault(key, table)
         self.live[key] = 1
         self.enter_node(table[graph.entry], time)
 
@@ -853,24 +889,24 @@ def _chain_record(model: SosModel, chain) -> _Chain:
         "description": failure.description if failure else "",
         "observation": chain.failure_observation.value,
     }
-    failed = {None: _Details(observed)}
+    failed = {None: _details(observed)}
     for spec in specs:
         recovery = model.recoveries.get(spec.recovery)
         for exit_id in sorted(recovery.abort_exits) if recovery else ():
             if exit_id not in failed:
-                failed[exit_id] = _Details({**observed, "aborted_by": exit_id})
+                failed[exit_id] = _details({**observed, "aborted_by": exit_id})
     return _Chain(
         chain,
         model.activation_for(chain.id),
         tuple(_detection_record(spec) for spec in specs),
-        _Details(
+        _details(
             {
                 "chain": chain.id,
                 "fault": chain.fault,
                 "description": fault.description if fault else "",
             }
         ),
-        _Details({"chain": chain.id, "error": chain.error}),
+        _details({"chain": chain.id, "error": chain.error}),
         failed,
     )
 
@@ -879,12 +915,12 @@ def _detection_record(spec: DetectionSpec) -> _Detection:
     cond = spec.condition
     expired = None
     if isinstance(cond, Timeout):
-        expired = _Details({"detection": spec.id, "watched": cond.watched, "bound": cond.bound})
+        expired = _details({"detection": spec.id, "watched": cond.watched, "bound": cond.bound})
     return _Detection(
         spec,
         expired,
-        _Details({"chain": spec.threat, "detection": spec.id, "recovery": spec.recovery}),
-        _Details({"chain": spec.threat, "recovery": spec.recovery}),
+        _details({"chain": spec.threat, "detection": spec.id, "recovery": spec.recovery}),
+        _details({"chain": spec.threat, "recovery": spec.recovery}),
     )
 
 
@@ -897,9 +933,12 @@ class _Plan(NamedTuple):
     constituent may wait on per channel, and the step table of each
     instance a run has started, under the instance's key:
     ``nominal:<constituent>`` or ``recovery:<recovery>:<constituent>``.
-    A run adds the table of an instance it starts first and changes none;
-    a fork shares the plan and copies the run's tables.  Each record carries the shared details
-    of its trace events.  Since the plan is built before the checker's
+    A run adds the table of an instance it starts first, and a table
+    gains a node's record when a run first enters the node; no record
+    changes after.  A fork shares the plan and copies the run's tables,
+    so a record built in one enumeration branch serves every other branch
+    and every later run.  Each record carries the shared details of
+    its trace events.  Since the plan is built before the checker's
     findings can refuse a run, no record indexes a reference the model
     may leave dangling.  ``malformed`` says why a model that neither
     ``build_model`` nor ``parse`` made cannot run, or is None.
@@ -912,7 +951,7 @@ class _Plan(NamedTuple):
     # (receiver, channel) -> (instance key, receive id) pairs, keys sorted
     receivers: Mapping[tuple[str, str], tuple[tuple[str, str], ...]]
     metrics: _Metrics
-    instances: dict[str, dict[str, _Step]]  # instance key -> its step table, built on first start
+    instances: dict[str, _StepTable]  # instance key -> its step table, made on first start
 
 
 def _plan(model: SosModel) -> _Plan:

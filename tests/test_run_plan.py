@@ -534,6 +534,13 @@ def _expected_step(model, key, table, node_id):
     )
 
 
+def _check_record(model, key, table, node_id, step):
+    got = tuple(getattr(step, name) for name in step.__slots__)
+    assert got == _expected_step(model, key, table, node_id)
+    assert step.table is table
+    assert type(step.details) is simulator._Details
+
+
 def test_step_records_match_their_instances():
     checked = set()
     for engine in _drained_engines():
@@ -541,36 +548,176 @@ def test_step_records_match_their_instances():
         for key in engine.live:
             table = engine.plan.instances[key]
             _, graph, _ = _instance_facts(model, key)
-            assert list(table) == list(graph.nodes)
+            # The records the runs built, then every node's, the rest
+            # built by looking them up.
+            built = dict(table)
+            assert built.keys() <= graph.nodes.keys()
+            for node_id, step in built.items():
+                _check_record(model, key, table, node_id, step)
+            for node_id in graph.nodes:
+                step = table[node_id]
+                assert step is built.get(node_id, step)
+            assert table.keys() == graph.nodes.keys()
             for node_id, step in table.items():
-                got = tuple(getattr(step, name) for name in step.__slots__)
-                assert got == _expected_step(model, key, table, node_id)
-                assert step.table is table
-                assert type(step.details) is simulator._Details
+                _check_record(model, key, table, node_id, step)
                 checked.add(simulator._STEP_KINDS[step.activity.kind])
     assert checked == set(simulator._STEP_KINDS.values())
+
+
+def _counted_builds(monkeypatch) -> list[tuple[str, str]]:
+    """The (instance key, node id) of each step record built from here on."""
+    built = []
+    real = simulator._StepTable.__missing__
+
+    def counted(table, node_id):
+        built.append((table.key, node_id))
+        return real(table, node_id)
+
+    monkeypatch.setattr(simulator._StepTable, "__missing__", counted)
+    return built
+
+
+def _records(model) -> dict[tuple[str, str], object]:
+    """(instance key, node id) -> each step record the model's plan holds."""
+    return {
+        (key, node_id): step
+        for key, table in simulator._plan(model).instances.items()
+        for node_id, step in table.items()
+    }
 
 
 def test_only_the_first_start_of_an_instance_builds_its_record(monkeypatch):
     model = race_fixture()
     config = SimConfig(scenario="CH", horizon=60)
     outcomes, first = enumerate_outcomes(model, config), run(model, config)
-    built = []
-    real = simulator._step_table
-
-    def counted(graph, key, *args):
-        built.append(key)
-        return real(graph, key, *args)
-
-    monkeypatch.setattr(simulator, "_step_table", counted)
+    built = _counted_builds(monkeypatch)
     assert run(model, config) == first
     assert enumerate_outcomes(model, config) == outcomes
     assert built == []
     assert len(simulator._plan(model).instances) > len(model.constituents)
-    # The count sees a build: a fresh model's first run builds each table once.
+    # The count sees a build: a fresh model's first run builds each of
+    # its records once.
     fresh = race_fixture()
     assert run(fresh, config) == first
-    assert sorted(built) == sorted(simulator._plan(fresh).instances)
+    assert built and sorted(built) == sorted(_records(fresh))
+
+
+def _reached(engine) -> dict[str, set[str]]:
+    """Instance key -> the nodes a drained run entered: those its trace
+    events name, the receives left waiting, the joins holding arrivals
+    and the nodes whose completions are still queued."""
+    reached: dict[str, set[str]] = {}
+    for event in engine.events:
+        if event.kind in ("activity-start", "activity-end"):
+            key = f"nominal:{event.actor}"
+        elif event.kind == "recovery-step":
+            key = f"recovery:{event.details['recovery']}:{event.actor}"
+        else:
+            continue
+        reached.setdefault(key, set()).add(event.details["activity"])
+    queued = [step for _, _, rank, _, step in engine.heap if rank == simulator._R_COMPLETE]
+    for key, node_id in engine.waiting:
+        reached.setdefault(key, set()).add(node_id)
+    for step in [*engine.arrivals, *queued]:
+        reached.setdefault(step.key, set()).add(step.activity.id)
+    return reached
+
+
+def _early_faults():
+    """Fresh models and a fault configuration whose activation suspends
+    the origin's nominal flow early."""
+    fault1 = load_bundle("fault1")
+    yield dataclasses.replace(fault1.model), fault1.scenarios["F1"]
+    yield race_fixture(), SimConfig(scenario="CH", horizon=60, seed=1)
+
+
+def test_a_run_builds_the_records_of_the_nodes_it_enters_and_no_others():
+    partial = 0
+    for model, config in _early_faults():
+        engine = simulator._Engine(model, config, simulator.RandomSampler(config.seed))
+        engine.start()
+        engine.loop()
+        engine.finish()
+        instances, reached = engine.plan.instances, _reached(engine)
+        assert instances.keys() == reached.keys()
+        for key, table in instances.items():
+            assert table.keys() == reached[key], key
+            _, graph, _ = _instance_facts(model, key)
+            partial += len(table) < len(graph.nodes)
+    assert partial > 0
+
+
+def test_records_built_while_enumerating_serve_later_runs(monkeypatch):
+    for model, config in _early_faults():
+        enumerate_outcomes(model, config)
+        records = _records(model)
+        assert records
+        built = _counted_builds(monkeypatch)
+        trace = run(model, config)
+        monkeypatch.undo()
+        assert built == []
+        after = _records(model)
+        assert after.keys() == records.keys()
+        assert all(after[pair] is step for pair, step in records.items())
+        for event in trace.events:
+            if event.kind in ("activity-start", "activity-end"):
+                pair = (f"nominal:{event.actor}", event.details["activity"])
+                assert event.details is records[pair].details
+
+
+def test_no_record_scans_the_edges(monkeypatch):
+    def refuse(graph, node_id):
+        raise AssertionError(f"a step record scanned the edges of {graph.id!r}")
+
+    models = [random_model(random.Random(seed)) for seed in range(20)]
+    monkeypatch.setattr(ActivityGraph, "in_edges", refuse)
+    for model in models:
+        run(model, SimConfig(seed=0))
+    monkeypatch.undo()
+    joins = [
+        (model, step)
+        for model in models
+        for step in _records(model).values()
+        if step.kind == simulator._S_JOIN
+    ]
+    assert joins
+    for model, step in joins:
+        graph = model.processes[step.details["graph"]]
+        assert step.in_degree == len(graph.in_edges(step.activity.id))
+
+
+def test_a_record_stored_first_is_the_one_every_run_enters():
+    # Two threads running one model may both miss a node and build its
+    # record; the one that stores second must take the stored record, or
+    # a join would count its arrivals under two records and never fire.
+    model = race_fixture()
+    run(model, SimConfig(horizon=60))
+    for table in simulator._plan(model).instances.values():
+        for node_id, step in list(table.items()):
+            assert table.__missing__(node_id) is step
+            assert table[node_id] is step
+
+
+class _StaleInstances(dict):
+    """Instance tables whose ``get`` misses, as it does for a thread that
+    looked before another thread stored the table."""
+
+    def get(self, key, default=None):
+        return default
+
+
+def test_a_table_stored_first_is_the_one_every_run_uses(monkeypatch):
+    model = race_fixture()
+    config = SimConfig(scenario="CH", horizon=60)
+    first = run(model, config)
+    plan = simulator._plan(model)
+    tables = dict(plan.instances)
+    object.__setattr__(model, "_plan", plan._replace(instances=_StaleInstances(tables)))
+    built = _counted_builds(monkeypatch)
+    assert run(model, config) == first
+    assert built == []
+    instances = simulator._plan(model).instances
+    assert all(instances[key] is table for key, table in tables.items())
 
 
 def test_two_constituents_running_one_recovery_graph_get_their_own_instances():

@@ -321,7 +321,7 @@ def test_a_non_string_detail_value_never_matches_a_qualifier():
         MetricSpec("Actor", Count("message-sent:Unit")),
     ]
     want = {"Str": 1, "Int": 0, "Bool": 0, "Float": 0, "Actor": 1}
-    for d in (details, simulator._Details(details)):
+    for d in (details, simulator._details(details)):
         event = SimEvent(3, "message-sent", "Unit", d)
         trace = SimTrace(SimConfig(), (event,), {}, Outcome("nominal"))
         assert compute_metrics(trace, specs) == want
