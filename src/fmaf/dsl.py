@@ -68,6 +68,7 @@ from .model import (
     _ID_CHAR,
     _IDENTIFIER,
     _problems,
+    _slot_maker,
 )
 
 __all__ = [
@@ -482,6 +483,12 @@ _FIELDS = {kw: {f.keyword: f for f in b.fields} for kw, b in _BLOCKS.items()}
 _DEFAULTS = {kw: {f.key: f.default for f in b.fields} for kw, b in _BLOCKS.items()}
 _NODE_KINDS = {kind.value: kind for kind in ActivityKind}
 _MESSAGING = (ActivityKind.SEND, ActivityKind.RECEIVE)
+# _Parser.process reads an activity only as the grammar allows, which keeps
+# every rule of Activity.__post_init__: its id is an identifier word, a
+# duration or bound a [0-9]+t word, 'on CHANNEL' comes exactly with send
+# and receive, and a bound exactly with timer.  Edges have no rules.
+_activity = _slot_maker(Activity)
+_edge = _slot_maker(Edge)
 _THREATS = tuple(kind.value for kind in ThreatKind)
 
 # The record key of each model field that differs from it by name.
@@ -884,12 +891,12 @@ class _Parser:
                 id=words[r["ident"]],
                 owner=words[r["owner"]],
                 nodes={
-                    words[n]: Activity(
+                    words[n]: _activity(
                         words[n], kind, label, duration, channel and words[channel], bound
                     )
                     for n, kind, label, duration, channel, bound in r["nodes"]
                 },
-                edges=tuple(Edge(words[s], words[d], guard) for s, d, guard in r["edges"]),
+                edges=tuple(_edge(words[s], words[d], guard) for s, d, guard in r["edges"]),
                 entry=words[r["entry"]],
                 exits=ids(r["exits"]),
             )

@@ -98,6 +98,7 @@ from .model import (
     ThirdPartyReport,
     ThreatChain,
     Timeout,
+    _slot_maker,
     _validate_graph,
     split_event_pattern,
 )
@@ -203,28 +204,9 @@ class SimEvent:
     details: Mapping[str, object]
 
 
-class _EventSlots:
-    """``SimEvent``'s slot layout without its frozen ``__setattr__``."""
-
-    __slots__ = SimEvent.__slots__
-
-
-def _event(time: int, kind: str, actor: str, details: Mapping[str, object]) -> SimEvent:
-    """``SimEvent(time, kind, actor, details)`` at a fraction of its cost.
-
-    The frozen dataclass ``__init__`` stores each field through
-    ``object.__setattr__``.  Here plain slot stores fill an
-    ``_EventSlots``, which then becomes a ``SimEvent``; CPython allows
-    the class change because the two slot layouts are the same.  The
-    result is the frozen ``SimEvent`` that the public constructor gives.
-    """
-    event = _EventSlots()
-    event.time = time
-    event.kind = kind
-    event.actor = actor
-    event.details = details
-    event.__class__ = SimEvent
-    return event
+# Events have no rules of their own, so the engine builds them without the
+# frozen ``__init__``.
+_event = _slot_maker(SimEvent)
 
 
 class _Details(dict):

@@ -28,7 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .model import VIEW_KINDS, ActivityGraph, ActivityKind, FmafError, SosModel, ThreatChain
+from .model import (
+    VIEW_KINDS,
+    ActivityGraph,
+    ActivityKind,
+    FmafError,
+    SosModel,
+    ThreatChain,
+    _slot_maker,
+)
 
 if TYPE_CHECKING:
     from .simulator import SimTrace
@@ -117,6 +125,11 @@ class ViewGraph:
 # ---------------------------------------------------------------------------
 # Builders
 
+# Views are built in bulk and their elements have no rules of their own;
+# ``ViewGraph`` checks how they fit together.
+_view_node = _slot_maker(ViewNode)
+_view_edge = _slot_maker(ViewEdge)
+
 
 class _Builder:
     def __init__(self, view_kind: str) -> None:
@@ -131,14 +144,14 @@ class _Builder:
     def node(self, node_id: str, label: str, shape_class: str) -> str:
         if node_id not in self._seen:
             self._seen.add(node_id)
-            self.nodes.append(ViewNode(node_id, label, shape_class))
+            self.nodes.append(_view_node(node_id, label, shape_class))
         return node_id
 
     def edge(self, src: str, dst: str, label: str = "", style: str = "flow") -> None:
         key = (src, dst, label, style)
         if key not in self._seen_edges:
             self._seen_edges.add(key)
-            self.edges.append(ViewEdge(src, dst, label, style))
+            self.edges.append(_view_edge(src, dst, label, style))
 
     def cluster(self, cid: str, label: str, kind: str, members: list[str]) -> None:
         self.clusters.append(ViewCluster(cid, label, kind, tuple(members)))
@@ -213,13 +226,13 @@ def _add_activity_graph(b: _Builder, graph: ActivityGraph, prefix: str = "") -> 
         vid = mapping[node_id]
         if vid not in seen:
             seen.add(vid)
-            nodes.append(ViewNode(vid, node.name or node_id, _ACTIVITY_SHAPES[node.kind]))
+            nodes.append(_view_node(vid, node.name or node_id, _ACTIVITY_SHAPES[node.kind]))
     seen_edges, edges = b._seen_edges, b.edges
     for edge in graph.edges:
         key = (mapping[edge.src], mapping[edge.dst], edge.guard or "", "flow")
         if key not in seen_edges:
             seen_edges.add(key)
-            edges.append(ViewEdge(*key))
+            edges.append(_view_edge(*key))
     return mapping
 
 
@@ -531,10 +544,15 @@ def _quote(text: str) -> str:
     return f'"{text}"'
 
 
+# DOT keywords, in any letter case, cannot stand as a bare graph name.
+_DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
+
+
 def to_dot(graph: ViewGraph) -> str:
     """Graphviz text for a view; byte-identical for equal inputs."""
     name = graph.view_kind
-    title = name if name.isidentifier() else _quote(name)
+    bare = name.isidentifier() and name.lower() not in _DOT_KEYWORDS
+    title = name if bare else _quote(name)
     if not graph.nodes and not graph.edges and not graph.clusters:
         return f"digraph {title} {{ }}\n"
     # Each id is quoted and each node line rendered once; clusters pop

@@ -14,6 +14,7 @@ from fmaf.casestudy import BUNDLE_NAMES, load_bundle
 from fmaf.checker import check
 from fmaf.model import (
     ActivationSpec,
+    Activity,
     ActivityKind,
     ConnectionKind,
     DetectionStyle,
@@ -422,6 +423,77 @@ DUP_BASE = (
 )
 
 
+def _process_source(statement: str) -> str:
+    """A model whose process P holds ``statement`` on line 5."""
+    return (
+        "sos X {\n  cs A { nominal P }\n  connection L: A <-> B\n"
+        f"  process P owner A {{\n    {statement}\n  }}\n}}\n"
+    )
+
+
+# Each process statement with the one diagnostic that parse gives it.
+_PROCESS_STATEMENTS = {
+    'send s "n" L': "5:16: error: expected 'on', found 'L'",
+    "receive r": "6:3: error: expected 'on', found '}'",
+    "send s on 5": "5:15: error: expected connection id, found number 5",
+    "send s on L 2": "5:17: error: expected a process statement, found number 2",
+    "edge": "6:3: error: expected edge source activity, found '}'",
+    "edge 3 -> b": "5:10: error: expected edge source activity, found number 3",
+    "edge a b": "5:12: error: expected '->' between the edge endpoints, found 'b'",
+    "edge a -> 3t": "5:15: error: expected edge target activity, found duration 3t",
+    "edge a -> b when": "6:3: error: expected the guard label, found '}'",
+    "edge a -> b when c": "5:22: error: expected the guard label, found 'c'",
+    'action "x"': '5:12: error: expected activity id, found string "x"',
+    "action a 2t 3t": "5:17: error: expected a process statement, found duration 3t",
+    'action a "n" "m"': '5:18: error: expected a process statement, found string "m"',
+    "timer t 5": "5:13: error: expected the timer bound as a tick count like 2t, found number 5",
+    'timer t "n"': "6:3: error: expected the timer bound as a tick count like 2t, found '}'",
+    "timer t 2.5": (
+        "5:13: error: expected the timer bound as a tick count like 2t, found number 2.5"
+    ),
+    "frobnicate a": (
+        "5:5: error: expected an activity kind, 'entry', 'exits', 'edge' or '}' "
+        "in process P, found 'frobnicate'"
+    ),
+    "entry": "6:3: error: expected entry activity id, found '}'",
+    "exits a": "5:11: error: expected '[' opening the exit activity id list, found 'a'",
+    "exits [a b]": "5:14: error: expected ']' closing the exit activity id list, found 'b'",
+    "exits [a,]": "5:14: error: expected exit activity id, found ']'",
+    "[": "5:5: error: expected a process statement, found '['",
+    "action a -1t": "5:14: error: unexpected character '-'",
+    "action a on L": (
+        "5:14: error: expected an activity kind, 'entry', 'exits', 'edge' or '}' "
+        "in process P, found 'on'"
+    ),
+    "fork f 2t": "5:12: error: expected a process statement, found duration 2t",
+}
+
+# Each rule of Activity.__post_init__: fields that break it, the message
+# the constructor gives, and a statement of the same shape, which parse
+# refuses with its _PROCESS_STATEMENTS diagnostic.
+_ACTIVITY_RULES = {
+    "bad id": (dict(id='"x"', kind=ActivityKind.ACTION), "not a valid identifier", 'action "x"'),
+    "negative duration": (
+        dict(id="a", kind=ActivityKind.ACTION, duration=-1), "negative duration", "action a -1t"
+    ),
+    "send without on": (dict(id="s", kind=ActivityKind.SEND), "requires a channel", 'send s "n" L'),
+    "receive without on": (
+        dict(id="r", kind=ActivityKind.RECEIVE), "requires a channel", "receive r"
+    ),
+    "on on another kind": (
+        dict(id="a", kind=ActivityKind.ACTION, channel="L"), "channel on non-messaging",
+        "action a on L",
+    ),
+    "timer without a bound": (
+        dict(id="t", kind=ActivityKind.TIMER), "timer requires a non-negative bound", "timer t 5"
+    ),
+    "bound on another kind": (
+        dict(id="f", kind=ActivityKind.FORK, timer_bound=2), "timer_bound on non-timer",
+        "fork f 2t",
+    ),
+}
+
+
 class TestDiagnosticCorpus:
     """Exact message and position of each lexer diagnostic and each
     diagnostic whose span the parser keeps from a token or reference."""
@@ -544,55 +616,19 @@ class TestDiagnosticCorpus:
     def test_reference_spans(self, src, expected):
         assert [str(d) for d in dsl.parse(src).diagnostics] == [expected]
 
-    @pytest.mark.parametrize(
-        "statement, expected",
-        [
-            ('send s "n" L', "5:16: error: expected 'on', found 'L'"),
-            ("receive r", "6:3: error: expected 'on', found '}'"),
-            ("send s on 5", "5:15: error: expected connection id, found number 5"),
-            ("send s on L 2", "5:17: error: expected a process statement, found number 2"),
-            ("edge", "6:3: error: expected edge source activity, found '}'"),
-            ("edge 3 -> b", "5:10: error: expected edge source activity, found number 3"),
-            ("edge a b", "5:12: error: expected '->' between the edge endpoints, found 'b'"),
-            ("edge a -> 3t", "5:15: error: expected edge target activity, found duration 3t"),
-            ("edge a -> b when", "6:3: error: expected the guard label, found '}'"),
-            ("edge a -> b when c", "5:22: error: expected the guard label, found 'c'"),
-            ('action "x"', '5:12: error: expected activity id, found string "x"'),
-            ("action a 2t 3t", "5:17: error: expected a process statement, found duration 3t"),
-            ('action a "n" "m"', '5:18: error: expected a process statement, found string "m"'),
-            (
-                "timer t 5",
-                "5:13: error: expected the timer bound as a tick count like 2t, found number 5",
-            ),
-            (
-                'timer t "n"',
-                "6:3: error: expected the timer bound as a tick count like 2t, found '}'",
-            ),
-            (
-                "timer t 2.5",
-                "5:13: error: expected the timer bound as a tick count like 2t, found number 2.5",
-            ),
-            (
-                "frobnicate a",
-                "5:5: error: expected an activity kind, 'entry', 'exits', 'edge' or '}' "
-                "in process P, found 'frobnicate'",
-            ),
-            ("entry", "6:3: error: expected entry activity id, found '}'"),
-            ("exits a", "5:11: error: expected '[' opening the exit activity id list, found 'a'"),
-            (
-                "exits [a b]",
-                "5:14: error: expected ']' closing the exit activity id list, found 'b'",
-            ),
-            ("exits [a,]", "5:14: error: expected exit activity id, found ']'"),
-            ("[", "5:5: error: expected a process statement, found '['"),
-        ],
-    )
+    @pytest.mark.parametrize("statement, expected", _PROCESS_STATEMENTS.items())
     def test_process_statement_syntax(self, statement, expected):
-        src = (
-            "sos X {\n  cs A { nominal P }\n  connection L: A <-> B\n"
-            f"  process P owner A {{\n    {statement}\n  }}\n}}\n"
-        )
-        assert [str(d) for d in dsl.parse(src).diagnostics] == [expected]
+        assert errors(dsl.parse(_process_source(statement))) == [expected]
+
+    @pytest.mark.parametrize(
+        "fields, message, statement", _ACTIVITY_RULES.values(), ids=list(_ACTIVITY_RULES)
+    )
+    def test_the_grammar_refuses_what_activity_refuses(self, fields, message, statement):
+        # parse builds activities without running Activity.__post_init__,
+        # so each of its rules must be a grammar rule.
+        with pytest.raises(FmafError, match=message):
+            Activity(**fields)
+        assert errors(dsl.parse(_process_source(statement))) == [_PROCESS_STATEMENTS[statement]]
 
     @pytest.mark.parametrize(
         "src, expected",
@@ -1181,6 +1217,16 @@ class TestCanonicalForm:
             assert r.ok, (seed, errors(r))
             assert r.model == m, seed
             assert dsl.serialize(r.model) == text, seed
+
+    def test_parsed_activities_keep_their_constructor_rules(self):
+        # parse builds activities without running Activity.__post_init__;
+        # dataclasses.replace runs it.
+        for seed in range(200):
+            r = dsl.parse(dsl.serialize(random_model(random.Random(seed))))
+            assert r.ok, (seed, errors(r))
+            for graph in r.model.processes.values():
+                for activity in graph.nodes.values():
+                    assert dataclasses.replace(activity) == activity, (seed, activity)
 
     def test_serialized_bytes_are_pinned(self):
         # The canonical bytes of the bundles (as parsed) and of random_model

@@ -1,15 +1,14 @@
 """Engine-built trace events are the public, frozen ``SimEvent``.
 
-The engine does not call ``SimEvent(...)``: it fills a private class with
-the same slots and then changes the object's class to ``SimEvent``.
+The engine does not call ``SimEvent(...)``: it builds its events through
+``model._slot_maker``, which fills a private class with the same slots and
+then changes the object's class to ``SimEvent``.
 These tests pin that nothing can tell the two apart (see
 ``_event_check.check_public``), for events of seeded runs and of
 recording forks.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import pytest
 
@@ -23,7 +22,7 @@ from fmaf.simulator import (
     run,
 )
 
-from _event_check import DIGEST, FIELDS, bundle_digest, check_public
+from _event_check import DIGEST, bundle_digest, check_public
 from test_enumeration import (
     _choice_models,
     _lossy_race_fixture,
@@ -69,7 +68,7 @@ def test_run_builds_public_frozen_events(model, config):
     events = run(model, config).events
     assert events
     for event in events:
-        check_public(event)
+        check_public(event, SimEvent)
 
 
 @pytest.mark.parametrize("model,config", _choice_models())
@@ -81,7 +80,7 @@ def test_recording_forks_build_public_frozen_events(model, config):
         events = fork.finish().events
         assert len(events) > len(snap.events)
         for event in events:
-            check_public(event)
+            check_public(event, SimEvent)
 
 
 def test_the_checked_events_cover_every_engine_constructor():
@@ -89,14 +88,6 @@ def test_the_checked_events_cover_every_engine_constructor():
     for param in _runs():
         kinds.update(e.kind for e in run(*param.values).events)
     assert ENGINE_KINDS <= kinds
-
-
-def test_sim_event_stays_a_frozen_slotted_dataclass():
-    assert SimEvent.__dataclass_params__.frozen
-    assert SimEvent.__slots__ == FIELDS
-    event = SimEvent(1, "k", "a", {})
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        event.time = 2
 
 
 def test_the_plain_script_digest_is_current():

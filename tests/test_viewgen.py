@@ -245,6 +245,32 @@ class TestDotOutput:
         text = to_dot(ViewGraph("erroneous-scenario"))
         assert text == 'digraph "erroneous-scenario" { }\n'
 
+    @pytest.mark.parametrize(
+        "name",
+        ["node", "edge", "graph", "digraph", "subgraph", "strict",
+         "Graph", "NODE", "SubGraph", "sTrIcT"],
+    )
+    def test_dot_keyword_title_is_quoted(self, name):
+        assert to_dot(ViewGraph(name)) == f'digraph "{name}" {{ }}\n'
+        graph = ViewGraph(name, nodes=(ViewNode("a", "a", "constituent"),))
+        assert to_dot(graph).startswith(f'digraph "{name}" {{\n')
+
+    @pytest.mark.parametrize("name", ["nodes", "edge_", "graphs", "strictly", "Digraph2"])
+    def test_a_word_containing_a_keyword_stays_bare(self, name):
+        assert to_dot(ViewGraph(name)) == f"digraph {name} {{ }}\n"
+
+    def test_shipped_view_kind_titles_are_unchanged(self):
+        # The full DOT bytes of every shipped view are pinned in
+        # test_generated_views; no view kind is a DOT keyword.
+        titles = {
+            "tcv": "tcv", "ftcv": "ftcv", "fts": "fts", "fav": "fav",
+            "recovery": "recovery", "erroneous-process": '"erroneous-process"',
+            "erroneous-scenario": '"erroneous-scenario"', "fef": "fef",
+        }
+        assert tuple(titles) == VIEW_KINDS
+        for kind, title in titles.items():
+            assert to_dot(ViewGraph(kind)) == f"digraph {title} {{ }}\n"
+
     def test_counts_match_view_graph(self):
         graph = project(race_fixture(), "tcv", focus="CH")
         text = to_dot(graph)
