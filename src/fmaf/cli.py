@@ -8,9 +8,9 @@ Three subcommands tie the library together for batch use:
 
 Exit codes are a stable contract: 0 ok, 1 violations found, 2 usage
 error, 3 I/O or parse error, or a model that cannot be loaded for any
-other reason. A simulation that ends in a failure outcome still exits
-0: the simulator answering "the SoS fails" is a successful analysis,
-distinct from tool failure.
+other reason. A simulation exits 0 whatever its outcome, a failure or
+a fault that never activated among them: the simulator answering "the
+SoS fails" is a successful analysis, distinct from tool failure.
 
 Each subcommand imports the layers it needs when it runs, so ``check``
 never loads the simulator or the viewpoint projections.

@@ -35,7 +35,10 @@ nominal flow).  The engine holds the suspended instances' keys as one
 set, ``halted``: a suspended instance's pending completions are dropped
 and its waiting receives take no message, which stays in the mailbox.
 An undetected error ends in failure-observed at quiescence, the moment
-the event queue drains with no progress possible.
+the event queue drains with no progress possible.  A scenario whose
+activation never fired by then (a ``Probabilistic`` trigger that drew
+False at every start in its region) ends ``not-activated``, with no
+chain event.
 
 Each model keeps a run plan, built on its first run: the checker's
 findings, the structure verdict, one record per chain holding one record
@@ -44,8 +47,9 @@ nodes that may take a delivery, and one step table per activity-graph
 instance, made when a run first starts the instance.  A table builds a
 node's step record when a run first enters the node; later runs and
 forks share it, so a run pays only for the nodes it reaches.  A step
-record holds everything entering and completing its node needs, its
-instance's key, owner and recovery among it, so the engine passes one
+record holds everything entering and completing its node needs: the
+activity, its ``ActivityKind`` and duration as the model states them,
+and its instance's key, owner and recovery, so the engine passes one
 record per node event and a queued completion is the record itself.
 Each record holds the details that its trace events share, so a run
 builds details only with a record.  Each shared mapping caches its JSON
@@ -251,7 +255,7 @@ def _details(items: Mapping[str, object]) -> _Details:
 class Outcome:
     """How a run ended."""
 
-    kind: str  # recovered | failed-at-boundary | horizon-exhausted | nominal
+    kind: str  # recovered | failed-at-boundary | horizon-exhausted | nominal | not-activated
     by: str | None = None  # winning detector for recovered outcomes
     recovery: str | None = None
 
@@ -325,23 +329,14 @@ _R_DETECT = 4
 _R_RECOVERY_START = 5
 _R_FINALIZE = 6
 
-# Step kinds: what entering or completing a node does besides taking time.
-_S_ACTION = 0
-_S_SEND = 1
-_S_RECEIVE = 2
-_S_FORK = 3
-_S_JOIN = 4
-_S_DECISION = 5
-_S_TIMER = 6
-_STEP_KINDS = {
-    ActivityKind.ACTION: _S_ACTION,
-    ActivityKind.SEND: _S_SEND,
-    ActivityKind.RECEIVE: _S_RECEIVE,
-    ActivityKind.FORK: _S_FORK,
-    ActivityKind.JOIN: _S_JOIN,
-    ActivityKind.DECISION: _S_DECISION,
-    ActivityKind.TIMER: _S_TIMER,
-}
+# The activity kinds that entering or completing a node tests, bound once:
+# a module global reads several times faster than ``ActivityKind.X``.
+_SEND = ActivityKind.SEND
+_RECEIVE = ActivityKind.RECEIVE
+_FORK = ActivityKind.FORK
+_JOIN = ActivityKind.JOIN
+_DECISION = ActivityKind.DECISION
+_TIMER = ActivityKind.TIMER
 
 
 class _Step:
@@ -379,7 +374,7 @@ class _Step:
         self.recovery: str | None = recovery
         self.table: _StepTable = table
         self.activity: Activity = activity
-        self.kind: int = kind  # one of the _S_* step kinds
+        self.kind: ActivityKind = kind  # activity.kind, one attribute read fewer per event
         self.ticks: int = ticks  # time from entering the node to completing it
         self.successors: tuple = successors
         self.in_degree: int = in_degree
@@ -423,22 +418,22 @@ class _StepTable(dict):
         # Key the record and name successors by the graph's own id
         # strings, so that later lookups match by identity.
         node_id = node.id
-        kind = _STEP_KINDS[node.kind]
+        kind = node.kind
         out = graph.out_edges(node_id)
-        if kind == _S_DECISION:
+        if kind is _DECISION:
             successors = out
-        elif kind == _S_FORK:
+        elif kind is _FORK:
             successors = tuple(nodes[edge.dst].id for edge in out)
         else:
             successors = (nodes[out[0].dst].id,) if out else ()
-        ticks = node.duration if kind == _S_RECEIVE else node.effective_duration()
+        ticks = node.timer_bound if kind is _TIMER else node.duration
         items = {"activity": node_id, "graph": graph.id}
         if node.name:
             items["name"] = node.name
         if recovery is not None:
             items["recovery"] = recovery
         link = draw = sent = delivered = receiver = timer = None
-        if kind == _S_SEND:
+        if kind is _SEND:
             link = self.connections.get(node.channel)
         if link is not None:
             if 0.0 < link.reliability < 1.0:
@@ -446,7 +441,7 @@ class _StepTable(dict):
             sent = _details({"channel": link.id, "activity": node_id, "graph": graph.id})
             delivered = _details({"channel": link.id, "sender": owner})
             receiver = link.consumer if link.provider == owner else link.provider
-        if kind == _S_TIMER:
+        if kind is _TIMER:
             timer = _details({"activity": node_id, "graph": graph.id, "bound": node.timer_bound})
         # The first record stored wins, so that runs of one model in
         # several threads enter one record per node.
@@ -553,7 +548,7 @@ class _Engine:
 
     def enter_node(self, step: _Step, time: int) -> None:
         kind = step.kind
-        if kind == _S_JOIN:
+        if kind is _JOIN:
             arrived = self.arrivals.get(step, 0) + 1
             self.arrivals[step] = arrived
             if arrived < step.in_degree:
@@ -564,7 +559,7 @@ class _Engine:
                 self.events.append(_event(time, "activity-start", step.owner, step.details))
             if self.pending:
                 self.on_nominal_start(step, time)
-        if kind == _S_RECEIVE:
+        if kind is _RECEIVE:
             box = (step.owner, step.activity.channel)
             if not self.mailbox.get(box):
                 self.waiting.add((step.key, step.activity.id))
@@ -576,11 +571,11 @@ class _Engine:
     def complete_node(self, step: _Step, time: int) -> None:
         kind = step.kind
         if self.record:
-            if kind == _S_TIMER:
+            if kind is _TIMER:
                 self.events.append(_event(time, "timer-expired", step.owner, step.timer))
             event = "activity-end" if step.recovery is None else "recovery-step"
             self.events.append(_event(time, event, step.owner, step.details))
-        if kind == _S_SEND:
+        if kind is _SEND:
             self.send_message(step, time)
 
         successors = step.successors
@@ -590,10 +585,10 @@ class _Engine:
                 self.on_recovery_exit(step, time)
             return
         table = step.table
-        if kind == _S_DECISION:
+        if kind is _DECISION:
             self.enter_node(table[self.pick_branch(step, successors)], time)
             return
-        if kind == _S_FORK:
+        if kind is _FORK:
             self.live[step.key] += len(successors) - 1
         for target in successors:
             self.enter_node(table[target], time)
@@ -786,19 +781,18 @@ class _Engine:
             else:  # _R_FINALIZE
                 self.on_finalize(time)
 
-    def finish(self, metrics: bool = False) -> SimTrace:
-        """The trace of a drained or decided run, its metrics only if asked."""
+    def finish(self) -> SimTrace:
+        """The trace of a drained or decided run, measured if it recorded."""
         if self.outcome is None:
             self.finish_at_quiescence()
-        assert self.outcome is not None
         events = tuple(self.events)
-        measured = _measure(events, self.plan.metrics) if metrics else {}
+        measured = _measure(events, self.plan.metrics) if self.record else {}
         return SimTrace(self.config, events, measured, self.outcome)
 
     def run(self) -> SimTrace:
         self.start()
         self.loop()
-        return self.finish(metrics=True)
+        return self.finish()
 
     def fork(self, sampler) -> _Engine:
         """An independent copy of this engine's state drawing from ``sampler``.
@@ -829,9 +823,8 @@ class _Engine:
                 self.outcome = Outcome("horizon-exhausted")
             return
         if self.pending:
-            raise SimulationError(
-                f"scenario {self.focus.chain.id!r}: the activation trigger never fired"
-            )
+            self.outcome = Outcome("not-activated")
+            return
         # Undetected error, disabled recovery, or a recovery that stalled:
         # the failure reaches the boundary when no progress remains.
         self.observe_failure(self.clock)
@@ -1121,7 +1114,7 @@ class _Branches:
         draws = step.draw is not None  # a send over a lossy link
         if step.key == self.trigger_key and engine.pending:
             kind, successors, region = step.kind, step.successors, self.region
-            if kind == _S_DECISION:
+            if kind is _DECISION:
                 draws += any(edge.dst in region for edge in successors)
             else:
                 draws += sum(target in region for target in successors)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 from fmaf.model import (
     ActivationSpec,
     Activity,
@@ -15,6 +17,7 @@ from fmaf.model import (
     DetectionStyle,
     Edge,
     EnvironmentEntity,
+    Probabilistic,
     RecoverySpec,
     SosModel,
     ThreatChain,
@@ -309,6 +312,15 @@ def race_fixture() -> SosModel:
     )
 
 
+def coin_race_fixture() -> SosModel:
+    """``race_fixture`` with its trigger replaced by ``Probabilistic(0.5)``
+    on ``p_serve``: at simulator seeds 0, 2, 5 and 6 of 0-9 the fault never
+    activates."""
+    model = race_fixture()
+    activation = dataclasses.replace(model.activations["ACT"], trigger=Probabilistic(0.5))
+    return dataclasses.replace(model, activations={"ACT": activation})
+
+
 def random_model(rng) -> SosModel:
     """A small random but always structurally valid model.
 
@@ -325,7 +337,6 @@ def random_model(rng) -> SosModel:
         FailureObservation,
         MetricSpec,
         OnEntry,
-        Probabilistic,
         SelfReport,
         ThirdPartyReport,
     )
@@ -528,8 +539,6 @@ def fixture_mutants() -> list[tuple[str, str, SosModel]]:
     would normally reject still reach the checker.  Returns
     (rule_id, defect label, model) triples.
     """
-    import dataclasses
-
     from fmaf.model import FailureObservation
 
     base = checker_fixture()

@@ -22,8 +22,9 @@ all.  They restate the simulator's causal and suspension rules
   lost, by its ``sender`` on its channel, exactly the connection's
   latency before it;
 - a failed run ends in ``failure-observed``;
-- a chain run with no detector enabled fails at the boundary or
-  exhausts the horizon;
+- a not-activated run has no chain event;
+- a chain run with no detector enabled fails at the boundary, exhausts
+  the horizon or is never activated;
 - a run with recovery disabled has no ``recovery-*`` event;
 - the trace's metrics are ``compute_metrics`` over its events.
 
@@ -120,12 +121,17 @@ def violations(model, trace) -> list[str]:
         not events or events[-1].kind != "failure-observed"
     ):
         found.append("a failed run does not end in failure-observed")
+    if trace.outcome.kind == "not-activated" and first:
+        found.append("a not-activated run has a chain event")
     if (
         config.scenario is not None
         and config.enabled_detectors == frozenset()
-        and trace.outcome.kind not in ("failed-at-boundary", "horizon-exhausted")
+        and trace.outcome.kind not in ("failed-at-boundary", "horizon-exhausted", "not-activated")
     ):
-        found.append("a run with no detector enabled neither fails nor exhausts the horizon")
+        found.append(
+            "a run with no detector enabled neither fails, exhausts the horizon "
+            "nor stays unactivated"
+        )
     if not config.recovery_enabled and any(e.kind.startswith("recovery-") for e in events):
         found.append("a run with recovery disabled recovers")
     if dict(trace.metrics) != compute_metrics(trace, model.metrics.values()):

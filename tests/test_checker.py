@@ -86,6 +86,15 @@ class TestRuleDetails:
         f = self.find("R2", "chain origin in the environment")
         assert "'E'" in f.message and "environment entity" in f.message
 
+    def test_r2_names_an_origin_that_is_no_element(self):
+        # build_model refuses a chain origin naming no element; a model
+        # built directly reaches the checker with one.
+        base = checker_fixture()
+        chain = dataclasses.replace(base.chains["CH1"], origin="Nobody")
+        (f,) = checker.check(dataclasses.replace(base, chains={"CH1": chain}))
+        assert f.rule_id == "R2" and f.subject == "CH1"
+        assert "in non-constituent 'Nobody'" in f.message
+
     def test_r3_subject_is_the_unconnected_constituent(self):
         f = self.find("R3", "recovery involves an unconnected constituent")
         assert f.subject == "D"

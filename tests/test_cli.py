@@ -12,9 +12,12 @@ import pytest
 import fmaf
 from fmaf.casestudy import BUNDLE_NAMES, load_bundle
 from fmaf.cli import main
+from fmaf.dsl import serialize
 from fmaf.model import VIEW_KINDS, FmafError
 from fmaf.simulator import SimConfig, run
 from fmaf.viewgen import project, to_dot
+
+from _builders import coin_race_fixture
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +160,14 @@ class TestSimulate:
         assert all("kind" in r for r in records[:-1])
         assert "summary" in records[-1]
         assert records[-1]["summary"]["outcome"] == "recovered"
+
+    def test_activation_that_never_fires_exits_zero(self, tmp_path, capsys):
+        path = tmp_path / "coin.fmaf"
+        path.write_text(serialize(coin_race_fixture()))
+        assert main(["simulate", str(path), "--scenario", "CH", "--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("outcome: not-activated\n")
+        assert "detected-by" not in out
 
     def test_unwritable_trace_file_exits_three(self, paths, tmp_path, capsys):
         target = str(tmp_path / "missing-dir" / "t.jsonl")

@@ -306,6 +306,28 @@ def test_recovery_graphs_may_not_share_an_exit_id():
     ]
 
 
+def test_a_recovery_missing_its_first_graph_reports_only_that_graph():
+    # Once a graph is missing, the exits the recovery may classify are
+    # unknown: later graphs' exits are neither compared nor classified.
+    src = (
+        "sos Gap {\n"
+        '  cs A "a" { nominal GA }\n'
+        '  cs B "b" { nominal GB }\n'
+        "  process GA owner A { entry a exits [a] action a 1t }\n"
+        "  process GB owner B { entry b exits [b] action b 1t }\n"
+        "  process RB owner B { entry done exits [done] action done 1t }\n"
+        '  recovery R "r" {\n'
+        "    graph A Nowhere\n"
+        "    graph B RB\n"
+        "    success [done, ghost]\n"
+        "  }\n"
+        "}\n"
+    )
+    result = dsl.parse(src)
+    assert result.model is None
+    assert [str(d) for d in result.diagnostics] == ["8:13: error: unknown process 'Nowhere'"]
+
+
 # -- activity graph structure -------------------------------------------------
 
 

@@ -520,7 +520,7 @@ def _expected_step(model, key, table, node_id):
         recovery,
         table,
         node,
-        simulator._STEP_KINDS[node.kind],
+        node.kind,
         node.duration if node.kind is ActivityKind.RECEIVE else node.effective_duration(),
         successors,
         sum(e.dst == node_id for e in graph.edges),
@@ -560,8 +560,9 @@ def test_step_records_match_their_instances():
             assert table.keys() == graph.nodes.keys()
             for node_id, step in table.items():
                 _check_record(model, key, table, node_id, step)
-                checked.add(simulator._STEP_KINDS[step.activity.kind])
-    assert checked == set(simulator._STEP_KINDS.values())
+                assert step.kind is step.activity.kind
+                checked.add(step.kind)
+    assert checked == set(ActivityKind)
 
 
 def _counted_builds(monkeypatch) -> list[tuple[str, str]]:
@@ -678,7 +679,7 @@ def test_no_record_scans_the_edges(monkeypatch):
         (model, step)
         for model in models
         for step in _records(model).values()
-        if step.kind == simulator._S_JOIN
+        if step.kind is ActivityKind.JOIN
     ]
     assert joins
     for model, step in joins:

@@ -303,7 +303,7 @@ def test_metrics_from_shared_details_equal_those_of_plain_dicts():
         try:
             trace = run(model, config)
         except SimulationError:
-            continue  # refused by the checker, or a trigger that never fired
+            continue  # refused by the checker
         assert compute_metrics(_plain(trace), model.metrics.values()) == trace.metrics
         compared += 1
         matched += trace.metrics["DetailCount"] > 0

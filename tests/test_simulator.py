@@ -22,6 +22,7 @@ from fmaf.simulator import (
     BoundExceededError,
     InvalidConfigError,
     ModelViolationsError,
+    Outcome,
     SimConfig,
     UnknownEventPatternError,
     compute_metrics,
@@ -32,7 +33,7 @@ from fmaf.simulator import (
     write_trace,
 )
 
-from _builders import action, checker_fixture, fixture_mutants, race_fixture
+from _builders import action, checker_fixture, coin_race_fixture, fixture_mutants, race_fixture
 
 # Pinned Bernoulli branches for the third-party report in race_fixture:
 # random.Random(1).random() < 0.5 holds, random.Random(0).random() < 0.5
@@ -291,6 +292,22 @@ class TestOutcomesAndHorizon:
         assert failure.kind == "failure-observed"
         assert failure.details["chain"] == "CH"
         assert trace.metrics["MFail"] == 1
+
+    def test_an_activation_that_never_fires_ends_not_activated(self):
+        model = coin_race_fixture()
+        traces = [run(model, cfg(seed=seed)) for seed in range(10)]
+        kinds = [trace.outcome.kind for trace in traces]
+        assert kinds.count("not-activated") == 4
+        assert set(kinds) == {"recovered", "not-activated"}
+        for trace in traces:
+            if trace.outcome == Outcome("not-activated"):
+                assert not times(trace, "fault-activated")
+                assert times(trace, "activity-end")[-1] == 8  # the nominal flow ran out
+        assert enumerate_outcomes(model, cfg()) == {
+            ("P", "recovered"),
+            ("Q", "recovered"),
+            (None, "not-activated"),
+        }
 
 
 class TestMessaging:

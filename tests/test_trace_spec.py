@@ -3,8 +3,8 @@
 ``tests/_trace_spec.py`` states the properties.  The generated models are
 ``random_model`` seeds 0-199, each run nominal, once per chain and once
 per chain with recovery disabled, at simulator seeds 0-4; the bundles run
-every scenario at seeds 0-4.  Runs the checker refuses or that raise
-``SimulationError`` are counted, not checked.  Each chain also runs with
+every scenario at seeds 0-4.  Runs the checker refuses are counted, not
+checked; every other run must return.  Each chain also runs with
 no detector enabled, and each generated configuration with recovery
 enabled runs at horizons 60 and 200 to compare the two.  A property
 test, skipped without hypothesis, draws model seeds beyond 0-199.  The
@@ -19,7 +19,7 @@ import random
 import pytest
 
 from fmaf.casestudy import BUNDLE_NAMES, load_bundle
-from fmaf.simulator import Outcome, SimConfig, SimEvent, SimulationError, run
+from fmaf.simulator import ModelViolationsError, Outcome, SimConfig, SimEvent, run
 
 from _builders import race_fixture, random_model
 from _trace_spec import prefix_violation, violations
@@ -31,19 +31,19 @@ except ImportError:
 
 
 def _check(runs):
-    """(runs checked, runs that raised, the violations found, outcome counts)."""
-    checked = raised = 0
+    """(runs checked, runs refused, the violations found, outcome counts)."""
+    checked = refused = 0
     found, outcomes = [], {}
     for model, config in runs:
         try:
             trace = run(model, config)
-        except SimulationError:
-            raised += 1
+        except ModelViolationsError:
+            refused += 1
             continue
         checked += 1
         outcomes[trace.outcome.kind] = outcomes.get(trace.outcome.kind, 0) + 1
         found += [(config, v) for v in violations(model, trace)]
-    return checked, raised, found, outcomes
+    return checked, refused, found, outcomes
 
 
 def _generated_runs():
@@ -69,16 +69,21 @@ def _bundle_runs(**changes):
 
 
 def test_generated_runs_keep_the_trace_spec():
-    checked, raised, found, outcomes = _check(_generated_runs())
+    checked, refused, found, outcomes = _check(_generated_runs())
     assert found == []
-    assert (checked, raised) == (1196, 1664)
-    assert outcomes == {"nominal": 1000, "failed-at-boundary": 174, "recovered": 22}
+    assert (checked, refused) == (1230, 1630)
+    assert outcomes == {
+        "nominal": 1000,
+        "failed-at-boundary": 174,
+        "recovered": 22,
+        "not-activated": 34,
+    }
 
 
 def test_bundle_runs_keep_the_trace_spec():
-    checked, raised, found, outcomes = _check(_bundle_runs())
+    checked, refused, found, outcomes = _check(_bundle_runs())
     assert found == []
-    assert (checked, raised) == (45, 5)  # fault3's F3.1 is refused by the checker
+    assert (checked, refused) == (45, 5)  # fault3's F3.1 is refused by the checker
     assert outcomes.keys() == {"nominal", "recovered", "failed-at-boundary"}
 
 
@@ -89,12 +94,12 @@ def test_runs_with_no_detector_enabled_fail_at_the_boundary():
         for model, config in _generated_runs()
         if config.scenario is not None and config.recovery_enabled
     )
-    checked, raised, found, outcomes = _check(generated)
+    checked, refused, found, outcomes = _check(generated)
     assert found == []
-    assert (checked, outcomes) == (98, {"failed-at-boundary": 98})
-    checked, raised, found, outcomes = _check(_bundle_runs(enabled_detectors=none))
+    assert (checked, outcomes) == (115, {"failed-at-boundary": 98, "not-activated": 17})
+    checked, refused, found, outcomes = _check(_bundle_runs(enabled_detectors=none))
     assert found == []
-    assert (checked, raised, outcomes) == (40, 5, {"failed-at-boundary": 40})
+    assert (checked, refused, outcomes) == (40, 5, {"failed-at-boundary": 40})
 
 
 def test_a_longer_horizon_extends_a_run_and_changes_no_earlier_event():
@@ -105,11 +110,11 @@ def test_a_longer_horizon_extends_a_run_and_changes_no_earlier_event():
         try:
             short = run(model, dataclasses.replace(config, horizon=60))
             long = run(model, config)
-        except SimulationError:
+        except ModelViolationsError:
             continue
         assert prefix_violation(short, long) is None, config
         compared += 1
-    assert compared == 1098
+    assert compared == 1115
 
 
 @pytest.mark.skipif(st is None, reason="hypothesis is not installed")
@@ -122,8 +127,8 @@ def test_drawn_seeds_keep_the_trace_spec():
         config = SimConfig(scenario=scenario, seed=seed, recovery_enabled=recovery)
         try:
             trace = run(model, config)
-        except SimulationError:
-            return
+        except ModelViolationsError:
+            return  # refused by the checker; every other run returns
         assert violations(model, trace) == []
 
     keeps_the_spec()
@@ -204,6 +209,9 @@ _DOCTORED = {
     ),
     "does not end in failure-observed": lambda t, n: dataclasses.replace(
         t, outcome=Outcome("failed-at-boundary")
+    ),
+    "a not-activated run has a chain event": lambda t, n: dataclasses.replace(
+        t, outcome=Outcome("not-activated")
     ),
     "recovery disabled recovers": lambda t, n: _config(t, recovery_enabled=False),
     "no detector enabled": lambda t, n: _config(t, enabled_detectors=frozenset()),

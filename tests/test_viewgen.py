@@ -7,7 +7,7 @@ import dataclasses
 import pytest
 
 from fmaf.model import DetectionStyle, FailureObservation
-from fmaf.simulator import SimConfig, run
+from fmaf.simulator import SimConfig, SimEvent, run
 from fmaf.viewgen import (
     VIEW_KINDS,
     MissingFocusError,
@@ -109,6 +109,14 @@ class TestConstituentConnectionView:
             owners |= set(model.recoveries[det.recovery].graphs)
         assert owners <= node_ids(graph)
 
+    def test_a_recovery_channel_naming_no_connection_adds_no_edge(self):
+        model = race_fixture()
+        rq3 = model.processes["RQ3"]
+        summon = dataclasses.replace(rq3.nodes["summon"], channel="Nowhere")
+        rq3 = dataclasses.replace(rq3, nodes={**rq3.nodes, "summon": summon})
+        stray = dataclasses.replace(model, processes={**model.processes, "RQ3": rq3})
+        assert project(stray, "ftcv", focus="CH") == project(model, "ftcv", focus="CH")
+
 
 class TestActivationView:
     def test_separate_style_has_one_region_per_detector(self):
@@ -188,6 +196,17 @@ class TestActivationView:
 
 
 class TestRecoveryView:
+    @pytest.mark.parametrize(
+        "kind,lost", [("ftcv", set()), ("recovery", {"RSELF.RP.fix_local", "RSELF.RP.resume"})]
+    )
+    def test_a_recovery_graph_missing_from_the_model_is_left_out(self, kind, lost):
+        model = race_fixture()
+        rself = dataclasses.replace(model.recoveries["RSELF"], graphs={"P": "NOPE"})
+        dangling = dataclasses.replace(model, recoveries={**model.recoveries, "RSELF": rself})
+        whole, view = project(model, kind, focus="CH"), project(dangling, kind, focus="CH")
+        assert node_ids(view) == node_ids(whole) - lost
+        assert view.edges == tuple(e for e in whole.edges if not {e.src, e.dst} & lost)
+
     def test_per_constituent_lanes(self):
         graph = project(race_fixture(), "recovery", focus="CH")
         lanes = {c.label: c.members for c in clusters_of(graph, "lane")}
@@ -218,6 +237,14 @@ class TestErroneousViews:
         labels = [e.label for e in graph.edges]
         assert labels == sorted(labels, key=lambda s: int(s.split(".")[0]))
         assert any("error detected" in s for s in labels)
+
+    def test_a_message_lost_on_an_unknown_channel_points_back_at_its_sender(self):
+        model = race_fixture()
+        details = {"channel": "Nowhere", "activity": "p_report", "graph": "GP"}
+        trace = run(model, SimConfig(horizon=60))
+        lost = dataclasses.replace(trace, events=(SimEvent(1, "message-lost", "P", details),))
+        graph = project(model, "erroneous-scenario", trace=lost)
+        assert graph.edges == (ViewEdge("P", "P", "1. lost: Nowhere", "lost"),)
 
     def test_failed_run_reaches_the_boundary(self):
         model = race_fixture()
