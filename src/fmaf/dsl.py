@@ -254,11 +254,11 @@ def _alternatives(words) -> str:
 # ---------------------------------------------------------------------------
 # Block tables
 #
-# One table per declaration keyword drives the parser: its header items,
-# whether a braced body follows, and its fields.  The parser reads each
-# declaration into a plain dict.  Ids, and strings whose diagnostics point
-# at them, are kept as the index of their word, so a span is made only
-# when a diagnostic is emitted.
+# One table per declaration keyword drives the parser and the assembly: the
+# model class it declares, its header items, whether a braced body follows,
+# and its fields.  The parser reads each declaration into a plain dict.
+# Ids, and strings whose diagnostics point at them, are kept as the index
+# of their word, so a span is made only when a diagnostic is emitted.
 
 # Value kinds.  Next to the kind, ``what`` names the value in diagnostics;
 # for a keyword choice it maps each keyword to its value, and for a
@@ -287,6 +287,7 @@ class _Field(NamedTuple):
     default: object = _REQUIRED
     repeated: bool = False  # a list of every value, never a repeat error
     slot: str = ""  # fields that exclude each other share one record key
+    attr: str = ""  # the model field it fills, when not named like its record key
 
     @property
     def key(self) -> str:
@@ -294,6 +295,7 @@ class _Field(NamedTuple):
 
 
 class _Block(NamedTuple):
+    cls: type  # the model class of a declaration
     header: tuple  # (record key, or None for a literal word; kind; what) per item
     body: str  # "{": a braced body follows; "{?": it may; "": fields follow the header
     fields: tuple[_Field, ...]
@@ -305,21 +307,24 @@ _HAS_NO_FIELD = "{} has no '{}' field"
 
 _BLOCKS = {
     "cs": _Block(
+        ConstituentSystem,
         (("ident", _ID, "constituent id"), ("name", _NAME, None)),
         "{",
         (
-            _Field("nominal", _ID, "process id"),
-            _Field("provides", _IDS, "interface id", ()),
-            _Field("requires", _IDS, "interface id", ()),
+            _Field("nominal", _ID, "process id", attr="nominal_process"),
+            _Field("provides", _IDS, "interface id", (), attr="provided_interfaces"),
+            _Field("requires", _IDS, "interface id", (), attr="required_interfaces"),
         ),
         "{} has no '{}' process",
     ),
     "env": _Block(
+        EnvironmentEntity,
         (("ident", _ID, "environment entity id"), ("name", _NAME, None)),
         "{?",
-        (_Field("uses", _IDS, "connection id", ()),),
+        (_Field("uses", _IDS, "connection id", (), attr="connections_used"),),
     ),
     "connection": _Block(
+        Connection,
         (
             ("ident", _ID, "connection id"),
             (None, ":", "':' after the connection id"),
@@ -329,7 +334,7 @@ _BLOCKS = {
         ),
         "{?",
         (
-            _Field("interface", _ID, "interface id", None),
+            _Field("interface", _ID, "interface id", None, attr="interface_id"),
             _Field(
                 "kind",
                 _CHOICE,
@@ -342,6 +347,7 @@ _BLOCKS = {
     ),
     **{
         kind.value: _Block(
+            ThreatNode,
             (("ident", _ID, f"{kind.value} id"), ("description", _STR, "the threat description")),
             "",
             (_Field("category", _ID, "category tag", None),),
@@ -349,6 +355,7 @@ _BLOCKS = {
         for kind in ThreatKind
     },
     "chain": _Block(
+        ThreatChain,
         (("ident", _ID, "chain id"),),
         "{",
         (
@@ -365,6 +372,7 @@ _BLOCKS = {
                     "internal": FailureObservation.INTERNAL,
                 },
                 FailureObservation.SOS_BOUNDARY,
+                attr="failure_observation",
             ),
             _Field("unrecoverable", _FLAG, None, False),
         ),
@@ -374,6 +382,7 @@ _BLOCKS = {
     # Activity statements and edges are read on a path of their own
     # (_Parser.process).
     "process": _Block(
+        ActivityGraph,
         (
             ("ident", _ID, "process id"),
             (None, "owner", "'owner'"),
@@ -388,11 +397,12 @@ _BLOCKS = {
         "a process statement",
     ),
     "activation": _Block(
+        ActivationSpec,
         (("ident", _ID, "activation id"),),
         "{",
         (
-            _Field("chain", _ID, "chain id"),
-            _Field("origin", _ID, "origin constituent id"),
+            _Field("chain", _ID, "chain id", attr="threat"),
+            _Field("origin", _ID, "origin constituent id", attr="origin_constituent"),
             _Field("region", _IDS, "region activity id"),
             _Field(
                 "trigger",
@@ -407,10 +417,11 @@ _BLOCKS = {
         _HAS_NO_FIELD,
     ),
     "detection": _Block(
+        DetectionSpec,
         (("ident", _ID, "detection id"),),
         "{",
         (
-            _Field("chain", _ID, "chain id"),
+            _Field("chain", _ID, "chain id", attr="threat"),
             _Field("detector", _ID, "detector id"),
             _Field(
                 "condition",
@@ -448,16 +459,24 @@ _BLOCKS = {
         _HAS_NO_FIELD,
     ),
     "recovery": _Block(
+        RecoverySpec,
         (("ident", _ID, "recovery id"), ("name", _NAME, None)),
         "{",
         (
-            _Field("graph", _FORM, ((_ID, "constituent id"), (_ID, "process id")), repeated=True),
-            _Field("success", _IDS, "success exit id", ()),
-            _Field("abort", _IDS, "abort exit id", ()),
+            _Field(
+                "graph",
+                _FORM,
+                ((_ID, "constituent id"), (_ID, "process id")),
+                repeated=True,
+                attr="graphs",
+            ),
+            _Field("success", _IDS, "success exit id", (), attr="success_exits"),
+            _Field("abort", _IDS, "abort exit id", (), attr="abort_exits"),
         ),
         "{} declares no graphs",
     ),
     "metric": _Block(
+        MetricSpec,
         (("ident", _ID, "metric id"), ("name", _NAME, None)),
         "{",
         (
@@ -470,8 +489,9 @@ _BLOCKS = {
                     (_STR, "the end event pattern"),
                 ),
                 slot="elapsed or count",
+                attr="kind",
             ),
-            _Field("count", _STR, "the event pattern", slot="elapsed or count"),
+            _Field("count", _STR, "the event pattern", slot="elapsed or count", attr="kind"),
             _Field("target", _DUR, "the target tick count", None),
         ),
         "{} has neither 'elapsed' nor 'count'",
@@ -481,6 +501,15 @@ _BLOCKS = {
 _FIELDS = {kw: {f.keyword: f for f in b.fields} for kw, b in _BLOCKS.items()}
 # Each record key with its default, or _REQUIRED; fields sharing a slot share a key.
 _DEFAULTS = {kw: {f.key: f.default for f in b.fields} for kw, b in _BLOCKS.items()}
+# Each model field a block's table names, with the record key and the kind
+# of the value that fills it; the header's ``ident`` fills ``id``.
+_COLUMNS = {
+    kw: {
+        **{"id" if key == "ident" else key: (key, kind) for key, kind, _ in b.header if key},
+        **{f.attr or f.key: (f.key, f.kind) for f in b.fields},
+    }
+    for kw, b in _BLOCKS.items()
+}
 _NODE_KINDS = {kind.value: kind for kind in ActivityKind}
 _MESSAGING = (ActivityKind.SEND, ActivityKind.RECEIVE)
 # _Parser.process reads an activity only as the grammar allows, which keeps
@@ -491,12 +520,6 @@ _activity = _slot_maker(Activity)
 _edge = _slot_maker(Edge)
 _THREATS = tuple(kind.value for kind in ThreatKind)
 
-# The record key of each model field that differs from it by name.
-_RECORD_KEYS = {
-    "nominal_process": "nominal", "connections_used": "uses", "threat": "chain",
-    "origin_constituent": "origin", "graphs": "graph", "success_exits": "success",
-    "abort_exits": "abort", "kind": "elapsed or count",
-}
 # The word diagnostics use for each reference category that differs from it.
 _CATEGORY_WORDS = {"threat chain": "chain", "activity graph": "process", "graph exit": "exit"}
 _QUALIFIER = (
@@ -814,10 +837,11 @@ class _Parser:
                 f"activity (in process {words[proc['ident']]!r})",
             )
 
-    def word_of(self, rec: dict, field: str | None, ref: str | None) -> int:
-        """The word of record ``rec`` that gives ``ref`` in the model field
-        ``field``, or else the record's id."""
-        value = rec.get(_RECORD_KEYS.get(field, field))
+    def word_of(self, kw: str, rec: dict, field: str | None, ref: str | None) -> int:
+        """The word of block ``kw``'s record ``rec`` that gives ``ref`` in the
+        model field ``field``, or else the record's id."""
+        columns = _COLUMNS[kw]
+        value = rec.get(columns[field][0] if field in columns else field)
         if field == "nodes":
             value = [n[4] for n in value]  # the channels
         elif field == "condition":
@@ -832,97 +856,59 @@ class _Parser:
         """The model of the declarations, or every diagnostic against them.
 
         A declaration left out or not built has a diagnostic of its own, so
-        references to what it declares get none.  A maker returns None
-        after reporting what a model cannot hold.
+        references to what it declares get none.  Each declaration is built
+        from its record: a block's own code gives the model fields that its
+        table cannot state, or None after reporting what a model cannot
+        hold, and the table fills the rest by value kind.
         """
         words = self.words
 
-        def ids(refs) -> frozenset[str]:
-            return frozenset(map(words.__getitem__, refs))
-
-        def cs(r):
-            return ConstituentSystem(
-                id=words[r["ident"]],
-                name=r["name"],
-                nominal_process=words[r["nominal"]],
-                provided_interfaces=ids(r["provides"]),
-                required_interfaces=ids(r["requires"]),
-            )
-
-        def env(r):
-            return EnvironmentEntity(
-                id=words[r["ident"]], name=r["name"], connections_used=ids(r["uses"])
-            )
-
-        def connection(r):
-            ident = words[r["ident"]]
-            return Connection(
-                id=ident,
-                interface_id=ident if r["interface"] is None else words[r["interface"]],
-                provider=words[r["provider"]],
-                consumer=words[r["consumer"]],
-                kind=r["kind"],
-                latency=r["latency"],
-                reliability=r["reliability"],
-            )
+        def build(kw: str, r: dict, own):
+            values = {} if own is None else own(r)
+            if values is None:
+                return None
+            for attr, (key, kind) in _COLUMNS[kw].items():
+                if attr in values:
+                    continue
+                value = r[key]
+                if kind == _ID:
+                    value = None if value is None else words[value]
+                elif kind == _IDS:
+                    value = frozenset(map(words.__getitem__, value))
+                elif kind == _STR:
+                    value = _unquote(words[value])
+                values[attr] = value
+            return _BLOCKS[kw].cls(**values)
 
         def threat(r):
-            return ThreatNode(
-                id=words[r["ident"]],
-                kind=ThreatKind(words[r["ident"] - 1]),  # the declaration keyword
-                description=_unquote(words[r["description"]]),
-                category=None if r["category"] is None else words[r["category"]],
-            )
+            return {"kind": ThreatKind(words[r["ident"] - 1])}  # the declaration keyword
 
         def chain(r):
-            return ThreatChain(
-                id=words[r["ident"]],
-                fault=words[r["fault"]],
-                error=words[r["error"]],
-                failure=words[r["failure"]],
-                origin=words[r["origin"]],
-                detectors=tuple(words[x] for x in r["detectors"]),
-                failure_observation=r["observed"],
-                unrecoverable=r["unrecoverable"],
-            )
+            return {"detectors": tuple(map(words.__getitem__, r["detectors"]))}  # kept in order
+
+        def connection(r):
+            return {"interface_id": words[r["ident"]]} if r["interface"] is None else {}
 
         def process(r):
-            return ActivityGraph(
-                id=words[r["ident"]],
-                owner=words[r["owner"]],
-                nodes={
+            return {
+                "nodes": {
                     words[n]: _activity(
                         words[n], kind, label, duration, channel and words[channel], bound
                     )
                     for n, kind, label, duration, channel, bound in r["nodes"]
                 },
-                edges=tuple(_edge(words[s], words[d], guard) for s, d, guard in r["edges"]),
-                entry=words[r["entry"]],
-                exits=ids(r["exits"]),
-            )
+                "edges": tuple(_edge(words[s], words[d], guard) for s, d, guard in r["edges"]),
+            }
 
         def activation(r):
             trigger = r["trigger"]
-            return ActivationSpec(
-                id=words[r["ident"]],
-                threat=words[r["chain"]],
-                origin_constituent=words[r["origin"]],
-                region=ids(r["region"]),
-                trigger=OnEntry(words[trigger]) if type(trigger) is int else trigger,
-            )
+            return {"trigger": OnEntry(words[trigger])} if type(trigger) is int else {}
 
         def detection(r):
             condition = r["condition"]
-            if type(condition) is tuple:
-                condition = Timeout(condition[0], words[condition[1]])
-            return DetectionSpec(
-                id=words[r["ident"]],
-                threat=words[r["chain"]],
-                detector=words[r["detector"]],
-                condition=condition,
-                recovery=words[r["recovery"]],
-                style=r["style"],
-            )
+            if type(condition) is not tuple:
+                return {}
+            return {"condition": Timeout(condition[0], words[condition[1]])}
 
         def recovery(r):
             # A model maps each constituent to one graph, so only the parser
@@ -935,34 +921,26 @@ class _Parser:
                         c, f"recovery {ident!r} gives constituent {words[c]!r} more than one graph"
                     )
                 graphs[words[c]] = words[g]
-            if len(graphs) < len(r["graph"]):
-                return None
-            return RecoverySpec(
-                id=ident,
-                name=r["name"],
-                graphs=graphs,
-                success_exits=ids(r["success"]),
-                abort_exits=ids(r["abort"]),
-            )
+            return {"graphs": graphs} if len(graphs) == len(r["graph"]) else None
 
         def metric(r):
             measure = r["elapsed or count"]
             if type(measure) is tuple:
-                kind = ElapsedBetween(_unquote(words[measure[0]]), _unquote(words[measure[1]]))
-            else:
-                kind = Count(_unquote(words[measure]))
-            return MetricSpec(id=words[r["ident"]], kind=kind, name=r["name"], target=r["target"])
+                a, b = measure
+                return {"kind": ElapsedBetween(_unquote(words[a]), _unquote(words[b]))}
+            return {"kind": Count(_unquote(words[measure]))}
 
         parts = {}
-        records = {}  # (collection, id) -> the record of what was built
+        records = {}  # (collection, id) -> the block and record of what was built
         # (category, id) of each reference target declared but not built:
         # references to it are not reported again.
         unbuilt: set[tuple[str, str]] = set()
-        # Each block: the model collection it fills, its maker, and the
-        # reference categories under which its declarations are named.
-        for kw, collection, make, targets in (
-            ("cs", "constituents", cs, ("element", "constituent", "event label")),
-            ("env", "environment", env, ("element", "event label")),
+        # Each block: the model collection it fills, the code for what its
+        # table cannot state, and the reference categories under which its
+        # declarations are named.
+        for kw, collection, own, targets in (
+            ("cs", "constituents", None, ("element", "constituent", "event label")),
+            ("env", "environment", None, ("element", "event label")),
             ("connection", "connections", connection, ("connection", "event label")),
             ("fault", "threat_nodes", threat, ("threat node", "event label")),
             ("chain", "chains", chain, ("threat chain", "event label")),
@@ -977,12 +955,12 @@ class _Parser:
                 value = None
                 if r["ident"] not in self.left_out:
                     try:
-                        value = make(r)
+                        value = build(kw, r, own)
                     except FmafError as e:
                         self.error(r["ident"], str(e))
                 if value is not None:
                     made[value.id] = value
-                    records[collection, value.id] = r
+                    records[collection, value.id] = kw, r
                     continue
                 unbuilt.update((category, words[r["ident"]]) for category in targets)
                 if kw == "process":
@@ -1003,7 +981,7 @@ class _Parser:
                     message = _QUALIFIER.format(error.ref)
                 else:
                     message = f"unknown {_CATEGORY_WORDS.get(category, category)} {error.ref!r}"
-            self.error(self.word_of(records[collection, ident], field, ref), message)
+            self.error(self.word_of(*records[collection, ident], field, ref), message)
         if self.diags:
             # The resolver meets problems in model order: list them in source
             # order, each once.

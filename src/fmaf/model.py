@@ -553,10 +553,12 @@ class SosModel:
     metrics: Mapping[str, MetricSpec] = field(default_factory=dict)
     # Run plan the simulator builds on this model's first run and reuses,
     # and whether build_model or fmaf.dsl.parse, which refuse malformed
-    # models, made this one: both dropped by ``dataclasses.replace``,
-    # invisible to equality and repr.
-    _plan: object = field(default=None, init=False, compare=False, repr=False)
-    _checked: bool = field(default=False, init=False, compare=False, repr=False)
+    # models, made this one.  Not fields: set per object with
+    # ``object.__setattr__`` over these class defaults, so
+    # ``dataclasses.replace`` drops them and equality, repr, ``fields``,
+    # ``asdict`` and ``astuple`` never see them.
+    _plan = None
+    _checked = False
 
     def __post_init__(self) -> None:
         for name in _COLLECTIONS:
@@ -583,7 +585,7 @@ class SosModel:
 
 
 # The model's collections, each a mapping from id to object.
-_COLLECTIONS = tuple(f.name for f in fields(SosModel) if f.init and f.name != "name")
+_COLLECTIONS = tuple(f.name for f in fields(SosModel) if f.name != "name")
 
 
 def _by_id(category: str, items: Iterable) -> dict:

@@ -15,8 +15,10 @@ event.  In order: the checker's blocking findings for the scenario raise
 ``ModelViolationsError``; then, only for a model that neither
 ``build_model`` nor ``fmaf.dsl.parse`` made, a structure they refuse (a
 malformed activity graph, a nominal process or recovery graph that
-names no graph, or a nominal send or receive over a channel that names
-no connection) raises ``SimulationError``; then the configuration (an
+names no graph, a nominal send or receive over a channel that names no
+connection, or a send or receive of a nominal process or recovery graph
+over a connection whose endpoints exclude the constituent running it)
+raises ``SimulationError``; then the configuration (an
 unknown scenario, detectors outside the chain, a chain with no
 activation, an at-time trigger past the horizon, a guard input naming
 no decision) raises ``InvalidConfigError``.  ``enumerate_outcomes``
@@ -95,6 +97,7 @@ from .model import (
     DetectionSpec,
     ElapsedBetween,
     FmafError,
+    GraphStructureError,
     MetricSpec,
     OnEntry,
     Probabilistic,
@@ -972,11 +975,14 @@ def _receivers(model: SosModel) -> dict[tuple[str, str], tuple[tuple[str, str], 
 
 
 def _malformed(model: SosModel) -> str | None:
-    """The first defect that would stop a run and that ``build_model``
-    refuses: a graph it rejects, a constituent's nominal process or a
-    recovery graph that names no graph, or a send or receive of a nominal
-    process over a channel that names no connection.  (R6 already blocks
-    every scenario that could start a recovery graph with such a channel.)"""
+    """The first defect that would stop or misdirect a run and that
+    ``build_model`` refuses: a graph it rejects, a constituent's nominal
+    process or a recovery graph that names no graph, a send or receive of
+    a nominal process over a channel that names no connection, or a send
+    or receive of a graph a run may start over a connection whose
+    endpoints exclude the constituent running it.  (R6 already blocks
+    every scenario that could start a recovery graph with a channel that
+    names no connection.)"""
     try:
         for graph in model.processes.values():
             try:
@@ -985,20 +991,30 @@ def _malformed(model: SosModel) -> str | None:
                 # Only the last rule, the zero-time cycle search, recurses,
                 # so the graph keeps every other rule; it runs as before.
                 pass
-        for cs in model.constituents.values():
-            graph = model.processes.get(cs.nominal_process)
+        # Each graph a run may start: its runner, and what names the graph.
+        starts = [(cs.id, cs.nominal_process, None) for cs in model.constituents.values()]
+        starts.extend(
+            (cs_id, graph_id, recovery.id)
+            for recovery in model.recoveries.values()
+            for cs_id, graph_id in recovery.graphs.items()
+        )
+        for runner, graph_id, recovery in starts:
+            graph = model.processes.get(graph_id)
             if graph is None:
-                context = f"constituent {cs.id!r}"
-                raise DanglingReferenceError("activity graph", cs.nominal_process, context)
+                context = f"recovery {recovery!r}" if recovery else f"constituent {runner!r}"
+                raise DanglingReferenceError("activity graph", graph_id, context)
             for node in graph.nodes.values():
-                if node.channel is not None and node.channel not in model.connections:
-                    context = f"activity {node.id!r} in {graph.id!r}"
-                    raise DanglingReferenceError("connection", node.channel, context)
-        for recovery in model.recoveries.values():
-            for graph_id in recovery.graphs.values():
-                if graph_id not in model.processes:
-                    context = f"recovery {recovery.id!r}"
-                    raise DanglingReferenceError("activity graph", graph_id, context)
+                if node.channel is None:
+                    continue
+                conn = model.connections.get(node.channel)
+                if conn is None:
+                    if not recovery:
+                        context = f"activity {node.id!r} in {graph.id!r}"
+                        raise DanglingReferenceError("connection", node.channel, context)
+                elif runner not in conn.endpoints():
+                    detail = (f"activity {node.id!r} uses channel {conn.id!r} "
+                              f"whose endpoints exclude owner {runner!r}")
+                    raise GraphStructureError(graph.id, detail)
     except FmafError as error:
         return f"model is malformed: {error}"
     return None

@@ -115,6 +115,24 @@ def rebuild(m, **parts):
     return build_model(name=m.name, **{**kwargs, **parts})
 
 
+# The model fields that a block's own code fills, which its table cannot state.
+_OWN_FIELDS = {
+    "fault": {"kind"}, "error": {"kind"}, "failure": {"kind"}, "process": {"nodes", "edges"},
+}
+
+
+def test_block_tables_name_fields_of_their_model_classes():
+    for kw, block in dsl._BLOCKS.items():
+        fields = {f.name: f for f in dataclasses.fields(block.cls)}
+        keys = [key for key, _, _ in block.header if key is not None]
+        assert keys[0] == "ident" and "id" in fields, kw  # the word after the keyword
+        named = {"id", *keys[1:], *(f.attr or f.key for f in block.fields)}
+        assert named <= fields.keys(), kw
+        assert all(f.attr != f.key for f in block.fields), kw  # named only where they differ
+        left = {name for name, f in fields.items() if f.init} - named
+        assert left == _OWN_FIELDS.get(kw, set()), kw
+
+
 class TestParseBasics:
     def test_empty_model(self):
         r = dsl.parse("sos Empty { }")

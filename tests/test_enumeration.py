@@ -43,7 +43,6 @@ from fmaf.simulator import (
     NeedChoice,
     ScriptedSampler,
     SimConfig,
-    SimulationError,
     _Branches,
     _Engine,
     enumerate_outcomes,
@@ -327,7 +326,7 @@ def _choice_models():
     for param in _enumerated_models():
         try:
             _Engine(*param.values, ScriptedSampler(()))
-        except SimulationError:
+        except ModelViolationsError:
             continue
         if _snapshot_before_first_choice(*param.values) is not None:
             yield param

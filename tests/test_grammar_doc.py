@@ -11,17 +11,18 @@ GRAMMAR = Path(__file__).resolve().parent.parent / "docs" / "grammar.md"
 
 
 def documented() -> list[tuple]:
-    """(block, field, value, count, required) per row of the field reference."""
+    """(block, field, model field, value, count, required) per row of the field reference."""
     text = GRAMMAR.read_text(encoding="utf-8")
     table = text.split("## Field reference", 1)[1].split("\n## ", 1)[0]
     rows = []
     for line in table.splitlines():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
-        if len(cells) != 5 or cells[0] in ("Block", "---"):
+        if len(cells) != 6 or cells[0] in ("Block", "---"):
             continue
-        blocks, field, value, count, default = cells
+        blocks, field, attr, value, count, default = cells
         for block in re.findall(r"`([^`]+)`", blocks):
-            rows.append((block, field.strip("`"), value, count, default.startswith("required")))
+            required = default.startswith("required")
+            rows.append((block, field.strip("`"), attr.strip("`"), value, count, required))
     return rows
 
 
@@ -34,7 +35,8 @@ def tabled() -> list[tuple]:
             if isinstance(f.what, dict):
                 value += ": " + ", ".join(f"`{k}`" for k in f.what)
             count = "repeated" if f.repeated else "single"
-            rows.append((block, f.keyword, value, count, f.default == dsl._REQUIRED))
+            required = f.default == dsl._REQUIRED
+            rows.append((block, f.keyword, f.attr or f.key, value, count, required))
     return rows
 
 

@@ -25,6 +25,8 @@ from fmaf.model import (
     ActivityGraph,
     ActivityKind,
     AtTime,
+    Connection,
+    ConnectionKind,
     Count,
     DanglingReferenceError,
     Edge,
@@ -150,17 +152,28 @@ _X, _Y = action("x", 0), action("y", 0)
 _PICK = Activity("x", ActivityKind.DECISION, duration=0)
 
 
-def _rechanneled(graph_id, node_id):
+_QR = Connection("LinkQR", "LinkQR", "Q", "R")
+_PR = Connection("LinkPR", "LinkPR", "P", "R", kind=ConnectionKind.RECOVERY_ONLY)
+
+
+def _rechanneled(graph_id, node_id, connection=None):
+    """``race_fixture`` with one node's channel naming no connection, or
+    ``connection``, which the model then gains."""
     model = race_fixture()
+    if connection is not None:
+        model = dataclasses.replace(
+            model, connections={**model.connections, connection.id: connection}
+        )
     nodes = model.processes[graph_id].nodes
-    node = dataclasses.replace(nodes[node_id], channel="NOPE")
+    channel = "NOPE" if connection is None else connection.id
+    node = dataclasses.replace(nodes[node_id], channel=channel)
     return _replaced(model, "processes", graph_id, nodes={**nodes, node_id: node})
 
 
 # Directly built models that build_model refuses and that a run would
 # otherwise end in a KeyError or AttributeError, run to the horizon as if
-# well formed (the unknown receive channel), or never end (the two
-# zero-time cycles).
+# well formed (the unknown receive channel and the two channels whose
+# endpoints exclude the runner), or never end (the two zero-time cycles).
 MALFORMED = [
     pytest.param(
         lambda: _replaced(race_fixture(), "recoveries", "RSELF", graphs={"P": "NOPE"}),
@@ -185,6 +198,20 @@ MALFORMED = [
         SimConfig(horizon=60),
         "activity 'q_wait' in 'GQ' references unknown connection 'NOPE'",
         id="nominal-receive-channel",
+    ),
+    pytest.param(
+        lambda: _rechanneled("GP", "p_report", _QR),
+        SimConfig(horizon=60),
+        "activity graph 'GP': activity 'p_report' uses channel 'LinkQR' "
+        "whose endpoints exclude owner 'P'",
+        id="nominal-channel-excludes-runner",
+    ),
+    pytest.param(
+        lambda: _rechanneled("RQ3", "summon", _PR),
+        SimConfig(horizon=60),
+        "activity graph 'RQ3': activity 'summon' uses channel 'LinkPR' "
+        "whose endpoints exclude owner 'Q'",
+        id="recovery-channel-excludes-runner",
     ),
     pytest.param(
         lambda: _replaced(mini_sos(), "processes", "AlphaWork", entry="zzz"),
@@ -267,6 +294,22 @@ def test_plan_is_invisible_to_equality_repr_and_serialize():
     assert "_plan" not in shown
     assert dsl.serialize(ran) == dsl.serialize(fresh) == text
     assert dataclasses.replace(ran) == ran
+
+
+def test_asdict_and_astuple_see_only_the_model_data():
+    bundle = load_bundle("fault1")
+    model, config = bundle.model, next(iter(bundle.scenarios.values()))
+    names = {f.name for f in dataclasses.fields(model)}
+    assert "name" in names and not names & {"_plan", "_checked"}
+    before = dataclasses.asdict(model), dataclasses.astuple(model)
+    run(model, config)
+    assert model._plan is not None
+    assert (dataclasses.asdict(model), dataclasses.astuple(model)) == before
+    enumerate_outcomes(model, config)
+    assert (dataclasses.asdict(model), dataclasses.astuple(model)) == before
+    fresh = dataclasses.replace(model)
+    assert fresh._plan is None and not fresh._checked
+    assert fresh == model
 
 
 def _beyond_horizon():

@@ -23,11 +23,11 @@ import fmaf.simulator as simulator
 from fmaf.casestudy import BUNDLE_NAMES, load_bundle
 from fmaf.model import Count, Edge, ElapsedBetween, MetricSpec
 from fmaf.simulator import (
+    ModelViolationsError,
     Outcome,
     SimConfig,
     SimEvent,
     SimTrace,
-    SimulationError,
     compute_metrics,
     enumerate_outcomes,
     format_trace,
@@ -251,7 +251,7 @@ def test_every_recorded_event_holds_shared_details():
     for model, config in _metric_runs():
         try:
             first = run(model, config)
-        except SimulationError:
+        except ModelViolationsError:
             continue
         again = run(model, config)
         for one, two in zip(first.events, again.events, strict=True):
@@ -302,7 +302,7 @@ def test_metrics_from_shared_details_equal_those_of_plain_dicts():
         )
         try:
             trace = run(model, config)
-        except SimulationError:
+        except ModelViolationsError:
             continue  # refused by the checker
         assert compute_metrics(_plain(trace), model.metrics.values()) == trace.metrics
         compared += 1

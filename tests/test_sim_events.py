@@ -14,10 +14,10 @@ import pytest
 
 from fmaf.casestudy import BUNDLE_NAMES, load_bundle
 from fmaf.simulator import (
+    ModelViolationsError,
     ScriptedSampler,
     SimConfig,
     SimEvent,
-    SimulationError,
     _Engine,
     run,
 )
@@ -58,7 +58,7 @@ def _runs():
     for param in params:
         try:
             _Engine(*param.values, ScriptedSampler(()))
-        except SimulationError:
+        except ModelViolationsError:
             continue
         yield param
 
