@@ -23,13 +23,12 @@ data for tests to interpret; see ``docs/scenario-config.md``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
 from .dsl import parse
-from .model import FmafError, SosModel
+from .model import FmafError, SosModel, _frozen_value
 from .simulator import SimConfig
 
 __all__ = ["BUNDLE_NAMES", "ScenarioBundle", "UnknownBundleError", "load_bundle"]
@@ -41,7 +40,7 @@ class UnknownBundleError(FmafError):
     """Raised when a bundle name is not one of BUNDLE_NAMES."""
 
 
-@dataclass(frozen=True)
+@_frozen_value(slots=False)
 class ScenarioBundle:
     """One bundled model with its scenario configurations.
 

@@ -21,11 +21,10 @@ this module can report it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from .model import Activity, FmafError, SosModel
+from .model import Activity, FmafError, SosModel, _frozen_value
 
 __all__ = [
     "Severity",
@@ -53,7 +52,7 @@ class Severity(str, Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class Finding:
     """One rule hit on one subject element.
 
@@ -78,7 +77,7 @@ class Finding:
         return f"{self.rule_id} {self.severity.value} {self.subject}: {self.message}{scope}"
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class Rule:
     """One entry of the consistency rule catalog."""
 

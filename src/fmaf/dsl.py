@@ -32,7 +32,6 @@ declaration or field, so ``cause`` or ``fault.radio`` are fine as ids.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -67,6 +66,7 @@ from .model import (
     Timeout,
     _ID_CHAR,
     _IDENTIFIER,
+    _frozen_value,
     _problems,
     _slot_maker,
 )
@@ -81,7 +81,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class SourceSpan:
     """1-based position of a token in the source text."""
 
@@ -92,7 +92,7 @@ class SourceSpan:
         return f"{self.line}:{self.col}"
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class Diagnostic:
     """An error at a source position."""
 
@@ -104,7 +104,7 @@ class Diagnostic:
         return f"{self.span}: {self.severity}: {self.message}"
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class ParseResult:
     """Either a model or the error diagnostics that prevented one.
 

@@ -11,13 +11,21 @@ environment entity as a chain origin); the consistency checker reports such
 content instead of the type system rejecting it. ``build_model`` enforces
 only structural validity: unique identifiers, resolvable references and
 well-formed activity graphs.
+
+Every public value type of the toolkit, here and in the other modules, is
+a frozen dataclass built by ``_frozen_value``: ``dataclasses`` records the
+fields, the methods are shared functions of this module, and each class
+gets one compiled ``__init__``.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import _HAS_DEFAULT_FACTORY, MISSING, FrozenInstanceError
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from operator import attrgetter
+from reprlib import recursive_repr
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 
@@ -138,6 +146,118 @@ def _require_identifier(ident: str, what: str) -> None:
         raise FmafError(f"{what} id {ident!r} is not a valid identifier")
 
 
+def _frozen_value(cls: type | None = None, /, *, slots: bool = True):
+    """``@dataclass(frozen=True, slots=slots)`` without generated methods.
+
+    ``dataclass`` generates six methods per class from source, which no
+    bytecode cache keeps, so every process paid for them at import.  Here
+    ``dataclass`` only records the fields (``fields``, ``asdict``,
+    ``replace``, ``__match_args__`` and ``__slots__`` work as before); the
+    methods are the shared ``_value_*`` functions below, which read the
+    field names from two class attributes, and ``_init`` compiles the
+    ``__init__``.  A method the class body defines is kept.  Equality
+    compares tuples of field values, as ``dataclass`` does up to Python
+    3.12.  Subclasses must be decorated in turn.
+    """
+    if cls is None:
+        return lambda cls: _frozen_value(cls, slots=slots)
+    cls = dataclass(cls, init=False, repr=False, eq=False, slots=slots)
+    params = cls.__dataclass_params__
+    params.init = params.repr = params.eq = params.frozen = True
+    every = fields(cls)
+    # The key gives a tuple even for one field, as the stdlib hashes one;
+    # the shared methods read it through the class, so a lambda stays unbound.
+    compared = [f.name for f in every if f.compare]
+    if len(compared) == 1:
+        get = attrgetter(compared[0])
+        cls._value_key = lambda value: (get(value),)
+    else:
+        cls._value_key = attrgetter(*compared)
+    cls._value_shown = tuple(f.name for f in every if f.repr)
+    methods = {
+        "__init__": _init(cls, every),
+        "__repr__": _value_repr,
+        "__eq__": _value_eq,
+        "__hash__": _value_hash,
+        "__setattr__": _value_setattr,
+        "__delattr__": _value_delattr,
+    }
+    if slots:
+        methods.update(__getstate__=_value_getstate, __setstate__=_value_setstate)
+    for name, method in methods.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    return cls
+
+
+def _init(cls: type, every: tuple) -> Callable:
+    """The ``__init__`` that ``dataclass`` would generate for ``cls``.
+
+    It sets every ``init`` field; ``__post_init__`` sets the others.
+    """
+    # _HAS_DEFAULT_FACTORY is the stdlib's own marker, so inspect.signature
+    # shows ``<factory>`` for a default_factory field as it does there.
+    scope = {"__name__": cls.__module__, "_set": object.__setattr__, "_F": _HAS_DEFAULT_FACTORY}
+    params, body = ["self"], []
+    for f in (f for f in every if f.init):
+        name = value = f.name
+        default = f"_default_{name}"
+        if f.default_factory is not MISSING:
+            scope[default] = f.default_factory
+            params.append(f"{name}=_F")
+            value = f"{default}() if {name} is _F else {name}"
+        elif f.default is not MISSING:
+            scope[default] = f.default
+            params.append(f"{name}={default}")
+        else:
+            params.append(name)
+        body.append(f"    _set(self, {name!r}, {value})\n")
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()\n")
+    source = f"def __init__({', '.join(params)}):\n{''.join(body) or '    pass'}"
+    exec(compile(source, f"<{cls.__qualname__} __init__>", "exec"), scope)
+    init = scope["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {f.name: f.type for f in every if f.init} | {"return": None}
+    return init
+
+
+@recursive_repr()
+def _value_repr(self) -> str:
+    cls = self.__class__
+    shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in cls._value_shown])
+    return f"{cls.__qualname__}({shown})"
+
+
+def _value_eq(self, other: object) -> bool:
+    cls = self.__class__
+    if other.__class__ is cls:
+        key = cls._value_key
+        return key(self) == key(other)
+    return NotImplemented
+
+
+def _value_hash(self) -> int:
+    return hash(self.__class__._value_key(self))
+
+
+def _value_setattr(self, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _value_delattr(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _value_getstate(self) -> list:
+    return [getattr(self, name) for name in self.__slots__]
+
+
+def _value_setstate(self, state: list) -> None:
+    for name, value in zip(self.__slots__, state):
+        object.__setattr__(self, name, value)
+
+
 def _slot_maker(cls: type) -> Callable:
     """A fast private constructor of the frozen slotted dataclass ``cls``.
 
@@ -169,7 +289,7 @@ def _slot_maker(cls: type) -> Callable:
     return scope["make"]
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class ConstituentSystem:
     """A constituent system, its nominal process and its interfaces."""
 
@@ -185,7 +305,7 @@ class ConstituentSystem:
             _require_identifier(interface, "interface")
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class EnvironmentEntity:
     """An actor outside the SoS and the connections it uses."""
 
@@ -197,7 +317,7 @@ class EnvironmentEntity:
         _require_identifier(self.id, "environment entity")
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class Connection:
     """A bidirectional link between two elements.
 
@@ -227,7 +347,7 @@ class Connection:
         return frozenset((self.provider, self.consumer))
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class ThreatNode:
     """One fault, error or failure of the threat vocabulary."""
 
@@ -242,7 +362,7 @@ class ThreatNode:
             _require_identifier(self.category, "category")
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class ThreatChain:
     """One fault-error-failure causal chain through the SoS."""
 
@@ -265,7 +385,7 @@ class ThreatChain:
             raise FmafError(f"chain {self.id!r}: duplicate detector entries")
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class Activity:
     """One node of an activity graph."""
 
@@ -299,7 +419,7 @@ class Activity:
         return self.duration
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class Edge:
     """A control-flow edge, taken when ``guard`` matches (or by default)."""
 
@@ -308,7 +428,7 @@ class Edge:
     guard: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class ActivityGraph:
     """A directed activity graph owned by one constituent.
 
@@ -369,7 +489,7 @@ class ActivityGraph:
         return tuple(edge for edge in self.edges if edge.dst == node_id)
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class AtTime:
     """Inject at a fixed tick, wherever execution happens to be."""
 
@@ -380,14 +500,14 @@ class AtTime:
             raise FmafError("at-time trigger: negative tick")
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class OnEntry:
     """Inject when the named activity is first entered."""
 
     activity: str
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class Probabilistic:
     """Inject with probability p at each entry of a region activity."""
 
@@ -401,7 +521,7 @@ class Probabilistic:
 Trigger = Union[AtTime, OnEntry, Probabilistic]
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class ActivationSpec:
     """When and where the fault of chain ``threat`` is injected."""
 
@@ -417,7 +537,7 @@ class ActivationSpec:
             raise FmafError(f"activation {self.id!r}: empty region")
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class SelfReport:
     """Detection by self-report, ``delay`` ticks after the error is raised."""
 
@@ -428,7 +548,7 @@ class SelfReport:
             raise FmafError("self-report condition: negative delay")
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class Timeout:
     """Detection by a timeout on ``watched``, ``bound`` ticks after the error."""
 
@@ -440,7 +560,7 @@ class Timeout:
             raise FmafError("timeout condition: negative bound")
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class ThirdPartyReport:
     """A report ``delay`` ticks after the error, made with ``probability``."""
 
@@ -457,7 +577,7 @@ class ThirdPartyReport:
 DetectionCondition = Union[SelfReport, Timeout, ThirdPartyReport]
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class DetectionSpec:
     """Who detects the error of chain ``threat``, how, and which recovery follows."""
 
@@ -472,7 +592,7 @@ class DetectionSpec:
         _require_identifier(self.id, "detection")
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class RecoverySpec:
     """Per-constituent recovery graphs plus exit classification.
 
@@ -499,7 +619,7 @@ class RecoverySpec:
             )
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class ElapsedBetween:
     """time(first event matching b) - time(first event matching a)."""
 
@@ -507,7 +627,7 @@ class ElapsedBetween:
     b: str
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class Count:
     """The number of events matching ``pattern``."""
 
@@ -517,7 +637,7 @@ class Count:
 MetricKind = Union[ElapsedBetween, Count]
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class MetricSpec:
     """A named measurement taken from every simulation trace."""
 
@@ -530,7 +650,7 @@ class MetricSpec:
         _require_identifier(self.id, "metric")
 
 
-@dataclass(frozen=True)
+@_frozen_value(slots=False)
 class SosModel:
     """An immutable system-of-systems fault tolerance model.
 
@@ -564,6 +684,10 @@ class SosModel:
         for name in _COLLECTIONS:
             items = getattr(self, name)
             object.__setattr__(self, name, {k: items[k] for k in sorted(items)})
+
+    def __getstate__(self) -> dict:
+        # Copies and pickles rebuild the run plan on their first run.
+        return {k: v for k, v in self.__dict__.items() if k != "_plan"}
 
     def element(self, ident: str) -> ConstituentSystem | EnvironmentEntity | None:
         """A constituent or environment entity by id, if declared."""
@@ -1045,7 +1169,7 @@ def lift_cs_failure(model: SosModel, cs_failure: ThreatNode, cs: str) -> ThreatN
     )
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class PartitionResult:
     """Chains produced by :func:`partition_fault` plus derived activations.
 

@@ -81,7 +81,7 @@ from __future__ import annotations
 import heapq
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import field
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
@@ -105,6 +105,7 @@ from .model import (
     ThirdPartyReport,
     ThreatChain,
     Timeout,
+    _frozen_value,
     _slot_maker,
     _validate_graph,
     split_event_pattern,
@@ -161,7 +162,7 @@ class UnknownEventPatternError(FmafError):
 # Configuration, events, traces
 
 
-@dataclass(frozen=True)
+@_frozen_value(slots=False)
 class SimConfig:
     """One run's knobs.
 
@@ -201,7 +202,7 @@ class SimConfig:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class SimEvent:
     """One trace event: at ``time``, ``actor`` did ``kind``."""
 
@@ -254,7 +255,7 @@ def _details(items: Mapping[str, object]) -> _Details:
     return details
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class Outcome:
     """How a run ended."""
 
@@ -263,7 +264,7 @@ class Outcome:
     recovery: str | None = None
 
 
-@dataclass(frozen=True)
+@_frozen_value(slots=False)
 class SimTrace:
     """Everything one run produced: events, metrics and outcome."""
 

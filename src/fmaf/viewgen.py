@@ -25,7 +25,6 @@ byte-identical DOT text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .model import (
@@ -35,6 +34,7 @@ from .model import (
     FmafError,
     SosModel,
     ThreatChain,
+    _frozen_value,
     _slot_maker,
 )
 
@@ -66,7 +66,7 @@ class UnknownChainError(ViewError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class ViewNode:
     """A node of a projected view."""
 
@@ -75,7 +75,7 @@ class ViewNode:
     shape_class: str
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class ViewEdge:
     """An edge of a projected view."""
 
@@ -85,7 +85,7 @@ class ViewEdge:
     style_class: str = "flow"
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_value
 class ViewCluster:
     """A labelled group of view nodes, rendered as a DOT subgraph."""
 
@@ -95,7 +95,7 @@ class ViewCluster:
     members: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@_frozen_value(slots=False)
 class ViewGraph:
     """A projected view: nodes, edges and clusters, ready for DOT."""
 

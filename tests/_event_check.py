@@ -1,4 +1,14 @@
-"""Slot-built values against their public constructors, without pytest.
+"""Every public value type against a stdlib twin, without pytest.
+
+``model._frozen_value`` builds every public frozen type (36 of them) with
+shared methods and one compiled ``__init__`` per class, in place of the
+methods ``dataclasses.dataclass`` generates.  ``check_twin(value)``
+asserts that ``value`` behaves as the same field values do in a twin
+class that ``dataclasses.make_dataclass`` builds from the same fields,
+class body and qualified name: ``repr``, equality, hashing, the
+``dataclasses`` helpers, ``inspect.signature``, frozen fields, copies and
+pickles.  ``samples()`` gives one value of each type, from the bundles,
+their checks, runs and views.
 
 The engine builds every ``SimEvent``, the parser every ``Activity`` and
 ``Edge``, and the view builder every ``ViewNode`` and ``ViewEdge``
@@ -10,15 +20,17 @@ equality, ``repr``, hashing, ``dataclasses`` helpers, copies and pickles.
 ``bundle_digest()`` is one sha256 over the ``format_trace`` bytes of every
 runnable bundle scenario at seeds 0-4.
 
-The ``__class__`` assignment rests on CPython's slot-layout rule, so this
-module also runs as a plain script on interpreters that have no pytest::
+The ``__class__`` assignment rests on CPython's slot-layout rule, and the
+twins on each version's ``dataclasses``, so this module also runs as a
+plain script on interpreters that have no pytest::
 
     PYTHONPATH=src python tests/_event_check.py
 
 It checks every event of those runs, every activity and edge that
 ``parse`` builds for the bundles and every node and edge of every bundle
-view, and compares the digest with ``DIGEST``, which was recorded on
-Python 3.11.
+view, checks one value of each public type against its twin, and
+compares the digest with ``DIGEST``, which was recorded on Python 3.11.
+It fails when a frozen type that ``fmaf.__all__`` names has no sample.
 """
 
 from __future__ import annotations
@@ -26,12 +38,17 @@ from __future__ import annotations
 import copy
 import dataclasses
 import hashlib
+import inspect
 import pickle
 import sys
+import types
 from collections import Counter
 
+import fmaf
+from fmaf import dsl
 from fmaf.casestudy import BUNDLE_NAMES, load_bundle
-from fmaf.model import Activity, Edge
+from fmaf.checker import CATALOG, check
+from fmaf.model import Activity, Edge, Probabilistic, partition_fault
 from fmaf.simulator import ModelViolationsError, SimEvent, format_trace, run
 from fmaf.viewgen import VIEW_KINDS, ViewEdge, ViewError, ViewNode, project
 
@@ -141,6 +158,123 @@ def view_values(model, traces=()):
             yield ViewEdge, edge
 
 
+PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
+
+#: Holds the stdlib twins, so that they pickle by reference.
+TWINS = sys.modules.setdefault("_fmaf_twins", types.ModuleType("_fmaf_twins"))
+
+
+def frozen_types() -> set[type]:
+    """Every dataclass that ``fmaf.__all__`` names."""
+    values = (getattr(fmaf, name) for name in fmaf.__all__)
+    return {v for v in values if isinstance(v, type) and dataclasses.is_dataclass(v)}
+
+
+def samples() -> dict[type, object]:
+    """One value of each public frozen type: the first met in the bundles,
+    their checks, runs and views, a failed parse and a fault partition.
+    ``Probabilistic``, which no bundle uses, is built directly."""
+    found: dict[type, object] = {}
+
+    def add(*values):
+        for value in values:
+            found.setdefault(type(value), value)
+
+    for name in BUNDLE_NAMES:
+        bundle = load_bundle(name)
+        model = bundle.model
+        add(bundle, model, dsl.parse(bundle.model_file.read_text(encoding="utf-8")))
+        for f in dataclasses.fields(model):
+            items = getattr(model, f.name)
+            if isinstance(items, dict):
+                add(*items.values())
+        for graph in model.processes.values():
+            add(*graph.nodes.values(), *graph.edges)
+        add(*(a.trigger for a in model.activations.values()))
+        add(*(d.condition for d in model.detections.values()))
+        add(*(m.kind for m in model.metrics.values()))
+        add(*check(model))
+        traces = list(scenario_traces(bundle))
+        for trace in traces:
+            add(trace, trace.config, trace.outcome, *trace.events)
+        for view in views(model, traces):
+            add(view, *view.nodes, *view.edges, *view.clusters)
+    failed = dsl.parse("model")
+    add(*CATALOG.values(), failed, *failed.diagnostics, failed.diagnostics[0].span)
+    chain = model.chains["F3.3"]
+    region = model.activation_for(chain.id).region
+    add(partition_fault(model, chain.id, [("a", chain.origin, region, chain.detectors)]))
+    add(Probabilistic(0.5))
+    return found
+
+
+def twin_of(cls: type) -> type:
+    """``cls`` as ``make_dataclass`` builds it: frozen, slotted when ``cls``
+    is, with the same fields, docstring, qualified name and every method
+    or property written in the class body."""
+    prefix = f"{cls.__qualname__}."
+    own = {
+        name: value
+        for name, value in vars(cls).items()
+        if isinstance(value, (types.FunctionType, property))
+        and (body := getattr(value, "fget", value)).__qualname__.startswith(prefix)
+        and not body.__code__.co_filename.startswith("<")  # generated, not written
+    }
+    specs = [
+        (f.name, f.type, dataclasses.field(
+            default=f.default, default_factory=f.default_factory, init=f.init,
+            repr=f.repr, hash=f.hash, compare=f.compare, metadata=f.metadata or None,
+        ))
+        for f in dataclasses.fields(cls)
+    ]
+    twin = dataclasses.make_dataclass(
+        cls.__name__, specs, namespace={**own, "__doc__": cls.__doc__},
+        frozen=True, slots=hasattr(cls, "__slots__"),
+    )
+    twin.__qualname__, twin.__module__ = cls.__qualname__, TWINS.__name__
+    setattr(TWINS, cls.__qualname__, twin)
+    return twin
+
+
+def behaviour(value: object, equal: object) -> dict[str, object]:
+    """What ``check_twin`` compares, for ``value`` and an ``equal`` value
+    that its class's constructor built."""
+    cls = type(value)
+    seen = {
+        "repr": repr(value),
+        "==": (value == equal, equal == value, value != equal, value == None),  # noqa: E711
+        "hash": _hash(value),
+        "fields": [repr(f) for f in dataclasses.fields(value)],
+        "asdict": dataclasses.asdict(value),
+        "astuple": dataclasses.astuple(value),
+        "replace": (type(dataclasses.replace(value)) is cls, repr(dataclasses.replace(value))),
+        "signature": inspect.signature(cls),
+        "params": repr(cls.__dataclass_params__),
+        "match_args": cls.__match_args__,
+        "slots": getattr(cls, "__slots__", None),
+        "doc": cls.__doc__,
+    }
+    for name in (f.name for f in dataclasses.fields(cls)):
+        raised = _raised(dataclasses.FrozenInstanceError, setattr, value, name, None)
+        seen[f"set {name}"] = repr(raised)
+        seen[f"del {name}"] = repr(_raised(dataclasses.FrozenInstanceError, delattr, value, name))
+    made = [copy.copy(value), copy.deepcopy(value)]
+    made += [pickle.loads(pickle.dumps(value, protocol)) for protocol in PROTOCOLS]
+    seen["copies"] = [(type(m) is cls, m == value, repr(m)) for m in made]
+    return seen
+
+
+def check_twin(value: object) -> None:
+    cls = type(value)
+    twin = twin_of(cls)
+    init = {f.name: getattr(value, f.name) for f in dataclasses.fields(cls) if f.init}
+    ours = behaviour(value, cls(**init))
+    theirs = behaviour(twin(**init), twin(**init))
+    assert ours.keys() == theirs.keys()
+    for key, seen in ours.items():
+        assert seen == theirs[key], f"{cls.__name__} {key}: {seen!r} != {theirs[key]!r}"
+
+
 def main() -> int:
     checked = Counter()
     for name in BUNDLE_NAMES:
@@ -152,9 +286,19 @@ def main() -> int:
         ):
             check_public(value, cls)
             checked[cls] += 1
+    table = samples()
+    for value in table.values():
+        check_twin(value)
     got = bundle_digest()
     counts = ", ".join(f"{checked[cls]} {cls.__name__}" for cls in FIELDS)
-    print(f"{sys.version.split()[0]}: checked {counts}; digest {got}")
+    print(
+        f"{sys.version.split()[0]}: checked {counts}; {len(table)} types against "
+        f"stdlib twins; digest {got}"
+    )
+    missing = sorted(cls.__name__ for cls in frozen_types() - table.keys())
+    if missing:
+        print(f"no sample of {', '.join(missing)}", file=sys.stderr)
+        return 1
     if got != DIGEST:
         print(f"expected digest {DIGEST}", file=sys.stderr)
         return 1

@@ -11,7 +11,9 @@ order.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -45,10 +47,13 @@ from fmaf.simulator import (
     UnknownEventPatternError,
     compute_metrics,
     enumerate_outcomes,
+    format_trace,
     run,
 )
 
 from _builders import action, checker_fixture, mini_sos, race_fixture, random_model
+
+PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
 
 
 def _counting_check(monkeypatch) -> list:
@@ -310,6 +315,33 @@ def test_asdict_and_astuple_see_only_the_model_data():
     fresh = dataclasses.replace(model)
     assert fresh._plan is None and not fresh._checked
     assert fresh == model
+
+
+@pytest.mark.parametrize("name", BUNDLE_NAMES)
+def test_pickles_and_copies_carry_no_plan(name):
+    bundle = load_bundle(name)
+    model = bundle.model
+    configs = [bundle.scenarios[s] for s in sorted(bundle.scenarios)]
+    before = [pickle.dumps(model, protocol) for protocol in PROTOCOLS]
+
+    def traces(m):
+        found = []
+        for config in configs:
+            try:
+                found.append(format_trace(run(m, config)))
+                enumerate_outcomes(m, config)
+            except ModelViolationsError:
+                found.append(None)
+        return found
+
+    ran = traces(model)
+    assert model._plan is not None
+    assert [pickle.dumps(model, protocol) for protocol in PROTOCOLS] == before
+    copies = [copy.copy(model), copy.deepcopy(model)]
+    copies += [pickle.loads(pickle.dumps(model, protocol)) for protocol in PROTOCOLS]
+    for made in copies:
+        assert made._plan is None and made._checked and made == model
+        assert traces(made) == ran
 
 
 def _beyond_horizon():

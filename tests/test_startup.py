@@ -3,7 +3,8 @@
 A subcommand imports only the layers it uses, so ``fmaf check`` never
 pays for the simulator or the viewpoint projections.  The module sets
 are read in fresh interpreters, because this test process has already
-imported everything.
+imported everything; so is the code that importing every layer
+generates and compiles, which no bytecode cache keeps.
 """
 
 import importlib
@@ -16,6 +17,9 @@ import pytest
 
 import fmaf
 from fmaf.casestudy import load_bundle
+from fmaf.model import PartitionResult
+
+from _event_check import FIELDS, frozen_types
 
 SRC = str(Path(fmaf.__file__).resolve().parents[1])
 
@@ -28,6 +32,35 @@ print(",".join(sorted(m for m in sys.modules if m == "fmaf" or m.startswith("fma
 """
 
 CHECK_SET = {"fmaf", "fmaf.cli", "fmaf.dsl", "fmaf.model", "fmaf.checker"}
+
+# Imports every layer and prints the source texts compiled in "exec" mode
+# or passed to exec on the way, one repr per line.  importlib compiles
+# module files from bytes, and typing compiles string annotations in
+# "eval" mode.
+COUNT_GENERATED = """
+import builtins
+texts = []
+real_compile, real_exec = builtins.compile, builtins.exec
+
+def compile(source, filename, mode, *args, **kwargs):
+    if isinstance(source, str) and mode == "exec":
+        texts.append(source)
+    return real_compile(source, filename, mode, *args, **kwargs)
+
+def exec(source, *args, **kwargs):
+    if isinstance(source, str):
+        texts.append(source)
+    return real_exec(source, *args, **kwargs)
+
+builtins.compile, builtins.exec = compile, exec
+import fmaf.casestudy, fmaf.cli, fmaf.simulator, fmaf.viewgen
+builtins.compile, builtins.exec = real_compile, real_exec
+for text in texts:
+    print(repr(text))
+"""
+
+# What Python 3.13's dataclass execs for a class it adds no method to.
+EMPTY_BUILDER = "def __create_fn__():\n\n return ()"
 
 
 def loaded_modules(code: str, *argv: str) -> set[str]:
@@ -66,6 +99,21 @@ class TestSubcommandModules:
     def test_import_fmaf_loads_no_submodule(self):
         code = 'import sys, fmaf\nprint(",".join(m for m in sys.modules if m.startswith("fmaf")))'
         assert loaded_modules(code) == {"fmaf"}
+
+
+def test_import_compiles_one_function_per_value_type_and_slot_maker():
+    # The bytecode cache keeps no generated code, so every CLI process
+    # compiles it again: one __init__ per public frozen type and one
+    # constructor per slot-built type, nothing per method.
+    proc = subprocess.run(
+        [sys.executable, "-c", COUNT_GENERATED], env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    texts = [t for t in proc.stdout.splitlines() if t != repr(EMPTY_BUILDER)]
+    frozen = frozen_types() | {PartitionResult}
+    assert len(frozen) == 36
+    assert len(texts) <= len(frozen) + len(FIELDS), texts
 
 
 class TestLazyPackage:
