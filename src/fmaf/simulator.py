@@ -33,9 +33,9 @@ id, and one firing after the horizon never wins.
 
 A fault's activation suspends the origin's nominal execution; the start
 of recovery suspends every nominal execution (recovery replaces the
-nominal flow).  The engine holds the suspended instances' keys as one
-set, ``halted``: a suspended instance's pending completions are dropped
-and its waiting receives take no message, which stays in the mailbox.
+nominal flow).  Suspension drops, once, what the suspended instances
+have queued: their completions leave the event queue and their receives
+stop waiting, so a message for them stays in the mailbox.
 An undetected error ends in failure-observed at quiescence, the moment
 the event queue drains with no progress possible.  A scenario whose
 activation never fired by then (a ``Probabilistic`` trigger that drew
@@ -60,10 +60,10 @@ qualifiers.  None of these caches changes a trace's bytes.
 The engine builds each trace event with plain slot stores into the same
 frozen ``SimEvent`` type that the public constructor gives.
 
-A run's changing state is a few flat tables on the engine: the tokens
-of each started instance, join arrivals under the join's record, the
-waiting receives as (instance, receive) pairs, the mailbox and the
-event queue.  A fork copies each table outright.
+A run's changing state is a token count (the nominal instances' until
+recovery starts, the recovery's after) and flat tables a fork copies:
+join arrivals under the join's record, the waiting receives as
+(instance, receive) pairs, the mailbox and the event queue.
 
 ``enumerate_outcomes`` forks at the draw.  Three kinds of event can
 draw: the completion of a send over a lossy link, a nominal start that
@@ -167,10 +167,10 @@ class SimConfig:
     """One run's knobs.
 
     ``enabled_detectors`` of None means every detector the focused chain
-    lists; an explicit set must be a subset of those.  ``guard_inputs``
-    chooses guarded branches by decision node id; decisions without an
-    input (or with an unmatched label) take their unguarded default
-    edge.
+    lists; an explicit collection of ids, not a string, must be a subset
+    of those.  ``guard_inputs``, a mapping or pairs, chooses guarded
+    branches by decision node id; decisions without an input (or with an
+    unmatched label) take their unguarded default edge.
     """
 
     scenario: str | None = None
@@ -181,13 +181,17 @@ class SimConfig:
     recovery_enabled: bool = True
 
     def __post_init__(self) -> None:
+        detectors = self.enabled_detectors
         if self.horizon <= 0:
             raise InvalidConfigError("horizon must be positive")
-        if self.enabled_detectors is not None:
-            object.__setattr__(
-                self, "enabled_detectors", frozenset(self.enabled_detectors)
-            )
-        object.__setattr__(self, "guard_inputs", dict(self.guard_inputs))
+        if isinstance(detectors, str):
+            raise InvalidConfigError(f"enabled detectors are ids, not the string {detectors!r}")
+        if detectors is not None:
+            object.__setattr__(self, "enabled_detectors", frozenset(detectors))
+        try:
+            object.__setattr__(self, "guard_inputs", dict(self.guard_inputs))
+        except (TypeError, ValueError) as error:
+            raise InvalidConfigError(f"guard inputs are no mapping or pairs: {error}") from None
 
     def __hash__(self) -> int:
         return hash(
@@ -349,34 +353,32 @@ class _Step:
     Built by the instance's table when a run first enters the node, and
     never changed.  ``key``, ``owner`` and ``recovery`` are the
     instance's: its key, the constituent that runs it, and its recovery
-    id, None for a nominal instance.  ``table`` is the instance's node
-    id -> record table, the one holding this record.  ``successors`` are
-    the target ids a completion enters, read through ``table``: every
-    target of a fork, the first of any other node, none at an exit; a
-    decision keeps its out-edges, whose guards pick the one target.  The
-    fields from ``link`` to ``receiver`` are a send's, None for every
-    other node; ``draw`` is the link's reliability when a send over it
-    draws, 0 < reliability < 1, and None otherwise.  A slotted class, not
-    a named tuple or a dataclass: the engine reads a few fields per node
-    event, a slot read is the cheapest, and the class adds no import
-    cost.
+    id, None for a nominal instance.  ``successors`` are the target ids
+    a completion enters, read through the instance's table in the run
+    plan: every target of a fork, the first of any other node, none at
+    an exit; a decision keeps its out-edges, whose guards pick the one
+    target.  The fields from ``link`` to ``receiver`` are a send's, None
+    for every other node; ``draw`` is the link's reliability when a send
+    over it draws, 0 < reliability < 1, and None otherwise.  A slotted
+    class, not a named tuple or a dataclass: the engine reads a few
+    fields per node event, a slot read is the cheapest, and the class
+    adds no import cost.
     """
 
     __slots__ = (
-        "key", "owner", "recovery", "table",
+        "key", "owner", "recovery",
         "activity", "kind", "ticks", "successors", "in_degree", "details",
         "link", "draw", "sent", "delivered", "receiver", "timer",
     )
 
     def __init__(
-        self, key, owner, recovery, table,
+        self, key, owner, recovery,
         activity, kind, ticks, successors, in_degree, details,
         link, draw, sent, delivered, receiver, timer,
     ) -> None:
         self.key: str = key
         self.owner: str = owner
         self.recovery: str | None = recovery
-        self.table: _StepTable = table
         self.activity: Activity = activity
         self.kind: ActivityKind = kind  # activity.kind, one attribute read fewer per event
         self.ticks: int = ticks  # time from entering the node to completing it
@@ -450,7 +452,7 @@ class _StepTable(dict):
         # The first record stored wins, so that runs of one model in
         # several threads enter one record per node.
         return self.setdefault(node_id, _Step(
-            self.key, owner, recovery, self, node, kind, ticks, successors,
+            self.key, owner, recovery, node, kind, ticks, successors,
             graph._in_degree.get(node_id, 0), _details(items),
             link, draw, sent, delivered, receiver, timer,
         ))
@@ -468,15 +470,12 @@ class _Engine:
         self.heap: list[tuple] = []
         self.seq = 0
         self.clock = 0
-        # The run's tables, which ``fork`` copies: tokens per started
-        # instance, join arrivals, waiting receives and unread messages.
-        self.live: dict[str, int] = {}  # instance key -> tokens
+        self.tokens = 0  # of the nominal instances, of the recovery's once it starts
+        # The run's tables, which ``fork`` copies: join arrivals, waiting
+        # receives and unread messages.
         self.arrivals: dict[_Step, int] = {}  # join record -> tokens arrived
         self.waiting: set[tuple[str, str]] = set()  # (key, receive)
         self.mailbox: dict[tuple[str, str], int] = {}  # (receiver, channel) -> unread
-        # The suspended nominal instances' keys; replaced, never changed,
-        # so forks share it.
-        self.halted: frozenset[str] = frozenset()
         self.outcome: Outcome | None = None
         self.pops = -1  # events popped; -1 until start() has run
         self.branches: _Branches | None = None  # set only while enumerating
@@ -528,7 +527,6 @@ class _Engine:
         self.pending = activation is not None and not isinstance(activation.trigger, AtTime)
         self.detected: _Detection | None = None  # the race winner's record
         self.recovery_started_at: int | None = None
-        self.recovery_keys: tuple[str, ...] = ()  # the started recovery's instances
 
     # -- low-level plumbing
 
@@ -547,7 +545,7 @@ class _Engine:
             table = _StepTable(graph, key, owner, recovery, self.model.connections)
             # A table another thread stored since ``get`` wins, as records do.
             table = self.plan.instances.setdefault(key, table)
-        self.live[key] = 1
+        self.tokens += 1
         self.enter_node(table[graph.entry], time)
 
     def enter_node(self, step: _Step, time: int) -> None:
@@ -556,7 +554,7 @@ class _Engine:
             arrived = self.arrivals.get(step, 0) + 1
             self.arrivals[step] = arrived
             if arrived < step.in_degree:
-                self.live[step.key] -= 1
+                self.tokens -= 1
                 return
         if step.recovery is None:
             if self.record:
@@ -584,16 +582,16 @@ class _Engine:
 
         successors = step.successors
         if not successors:
-            self.live[step.key] -= 1
+            self.tokens -= 1
             if step.recovery is not None:
                 self.on_recovery_exit(step, time)
             return
-        table = step.table
+        table = self.plan.instances[step.key]
         if kind is _DECISION:
             self.enter_node(table[self.pick_branch(step, successors)], time)
             return
         if kind is _FORK:
-            self.live[step.key] += len(successors) - 1
+            self.tokens += len(successors) - 1
         for target in successors:
             self.enter_node(table[target], time)
 
@@ -634,7 +632,7 @@ class _Engine:
         waiting = self.waiting
         for pair in self.plan.receivers.get((receiver, channel), ()):
             key, node_id = pair
-            if pair in waiting and key not in self.halted:
+            if pair in waiting:
                 waiting.remove(pair)
                 step = self.plan.instances[key][node_id]
                 self.push(time + step.ticks, receiver, _R_COMPLETE, step)
@@ -665,7 +663,10 @@ class _Engine:
         origin = self.focus.activation.origin_constituent
         if self.record:
             self.events.append(_event(time, "fault-activated", origin, self.focus.activated))
-        self.halted = self.halted | {f"nominal:{origin}"}
+        key = f"nominal:{origin}"  # suspended: drop its completions and receives
+        self.heap = [e for e in self.heap if e[2] != _R_COMPLETE or e[4].key != key]
+        heapq.heapify(self.heap)
+        self.waiting = {pair for pair in self.waiting if pair[0] != key}
         self.push(time + 1, origin, _R_ERROR, ())
 
     def raise_error(self, time: int) -> None:
@@ -704,10 +705,13 @@ class _Engine:
         self.recovery_started_at = time
         if self.record:
             self.events.append(_event(time, "recovery-started", spec.detector, detected))
-        # One recovery starts per run, so every instance so far is nominal.
-        self.halted = frozenset(self.live)
-        self.recovery_keys = tuple(f"recovery:{recovery.id}:{cs_id}" for cs_id in recovery.graphs)
-        for key, (cs_id, graph_id) in zip(self.recovery_keys, recovery.graphs.items()):
+        # One recovery starts per run, so it suspends every instance so far.
+        self.heap = [e for e in self.heap if e[2] != _R_COMPLETE]
+        heapq.heapify(self.heap)
+        self.waiting.clear()
+        self.tokens = 0
+        for cs_id, graph_id in recovery.graphs.items():
+            key = f"recovery:{recovery.id}:{cs_id}"
             self.start_instance(key, cs_id, graph_id, recovery.id, time)
         self.check_recovery_done(time)
 
@@ -721,7 +725,7 @@ class _Engine:
     def check_recovery_done(self, time: int) -> None:
         """Schedule finalize once the recovery's instances hold no token,
         which happens at most once: no recovery completion is queued then."""
-        if all(self.live[key] == 0 for key in self.recovery_keys):
+        if self.tokens == 0:
             when = max(time, self.recovery_started_at + 1)
             self.push(when, self.detected.spec.detector, _R_FINALIZE, ())
 
@@ -758,9 +762,6 @@ class _Engine:
             self.pops += 1
             entry = heapq.heappop(self.heap)
             time, actor, rank, seq, payload = entry
-            if rank == _R_COMPLETE:
-                if payload.key in self.halted:
-                    continue  # cancelled by a suspension; not progress
             if time > self.config.horizon:
                 self.outcome = Outcome("horizon-exhausted")
                 break
@@ -801,10 +802,9 @@ class _Engine:
     def fork(self, sampler) -> _Engine:
         """An independent copy of this engine's state drawing from ``sampler``.
 
-        It copies the run's tables outright: the event queue, the tokens,
-        join arrivals, waiting receives and mailbox, and any recorded
-        events.  The model, its run plan and config are shared, and so is
-        ``halted``, which is replaced, never changed.
+        It copies the run's tables outright: the event queue, join
+        arrivals, waiting receives and mailbox, and any recorded events.
+        The model, its run plan and config are shared.
         """
         twin = _Engine.__new__(_Engine)
         twin.__dict__.update(self.__dict__)
@@ -812,7 +812,6 @@ class _Engine:
         if self.record:
             twin.events = self.events.copy()
         twin.heap = self.heap.copy()
-        twin.live = self.live.copy()
         twin.arrivals = self.arrivals.copy()
         twin.waiting = self.waiting.copy()
         twin.mailbox = self.mailbox.copy()
@@ -820,11 +819,8 @@ class _Engine:
 
     def finish_at_quiescence(self) -> None:
         if self.focus is None:
-            # With no chain, no recovery starts: every instance is nominal.
-            if not any(self.live.values()):
-                self.outcome = Outcome("nominal")
-            else:
-                self.outcome = Outcome("horizon-exhausted")
+            # With no chain, no recovery starts: every token is nominal.
+            self.outcome = Outcome("horizon-exhausted" if self.tokens else "nominal")
             return
         if self.pending:
             self.outcome = Outcome("not-activated")

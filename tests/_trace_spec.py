@@ -28,6 +28,20 @@ all.  They restate the simulator's causal and suspension rules
 - a run with recovery disabled has no ``recovery-*`` event;
 - the trace's metrics are ``compute_metrics`` over its events.
 
+In a chain run, the detection race (``raise_error`` in the simulator)
+keeps these:
+
+- ``error-detected`` names an enabled detection of the chain;
+- it comes exactly the detection's delay, or its timeout's bound, after
+  ``error-raised``;
+- no sure detection (an enabled self-report, timeout or certain
+  third-party report) is due within the horizon before the winner, and
+  none of lower id is due at the same tick;
+- a recovered run was detected, its outcome names the winner's
+  detector and recovery, and it ends in ``recovery-complete``;
+- with recovery enabled, an undetected run had no sure detection due
+  within the horizon, unless it exhausted the horizon.
+
 ``prefix_violation(short, long)`` compares two runs of one configuration
 at two horizons: the shorter run's events are the longer run's events up
 to the shorter horizon, and when the shorter run ends before its
@@ -38,6 +52,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+from fmaf.model import ThirdPartyReport, Timeout
 from fmaf.simulator import compute_metrics
 
 CHAIN_EVENTS = (
@@ -136,6 +151,56 @@ def violations(model, trace) -> list[str]:
         found.append("a run with recovery disabled recovers")
     if dict(trace.metrics) != compute_metrics(trace, model.metrics.values()):
         found.append("metrics differ from compute_metrics")
+    if config.scenario is not None:
+        found += _race_violations(model, trace, {k: events[i] for k, i in first.items()})
+    return found
+
+
+def _due(spec) -> int:
+    """Ticks from ``error-raised`` to the detection ``spec`` firing."""
+    condition = spec.condition
+    return condition.bound if isinstance(condition, Timeout) else condition.delay
+
+
+def _race_violations(model, trace, first) -> list[str]:
+    """The detection race's rules, given each chain event's first event."""
+    config, outcome, found = trace.config, trace.outcome, []
+    chain = model.chains[config.scenario]
+    enabled = config.enabled_detectors
+    if enabled is None:
+        enabled = set(chain.detectors)
+    specs = [d for d in model.detections.values() if d.threat == chain.id and d.detector in enabled]
+    error, detected = first.get("error-raised"), first.get("error-detected")
+    sure = sorted(
+        (error.time + _due(d), d.id)
+        for d in specs
+        if error is not None
+        and (not isinstance(d.condition, ThirdPartyReport) or d.condition.probability >= 1.0)
+        and error.time + _due(d) <= config.horizon
+    )  # (tick due, spec id) of each enabled detection that cannot miss
+    if detected is not None:
+        spec = model.detections.get(detected.details.get("detection"))
+        if spec not in specs:
+            return [f"error-detected names no enabled detection of {chain.id}"]
+        if error is None or detected.time != error.time + _due(spec):
+            found.append(f"{spec.id} fires other than {_due(spec)} ticks after error-raised")
+        elif sure and sure[0][0] < detected.time:
+            found.append(f"{spec.id} wins although {sure[0][1]} is due earlier")
+        elif sure and sure[0] < (detected.time, spec.id):
+            found.append(f"{spec.id} wins a tie against the lower id {sure[0][1]}")
+        if outcome.kind == "recovered" and (outcome.by, outcome.recovery) != (
+            spec.detector,
+            spec.recovery,
+        ):
+            found.append(f"a recovered outcome does not name the winner {spec.id}")
+    elif outcome.kind == "recovered":
+        found.append("a recovered run has no error-detected")
+    elif config.recovery_enabled and sure and outcome.kind != "horizon-exhausted":
+        found.append(f"no detection fired although {sure[0][1]} was due")
+    if outcome.kind == "recovered" and (
+        not trace.events or trace.events[-1].kind != "recovery-complete"
+    ):
+        found.append("a recovered run does not end in recovery-complete")
     return found
 
 

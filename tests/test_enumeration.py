@@ -334,11 +334,11 @@ def _choice_models():
 
 def _run_tables(engine):
     return (
-        dict(engine.live),
+        engine.tokens,
+        list(engine.heap),
         dict(engine.arrivals),
         set(engine.waiting),
         dict(engine.mailbox),
-        engine.halted,
     )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import pickle
 import random
 
@@ -544,8 +545,7 @@ def test_plan_lists_every_started_instance_under_its_owner_in_key_order():
         for waiting in receivers.values():
             keys = [key for key, _ in waiting]
             assert keys == sorted(keys)
-        for key in engine.live:
-            table = engine.plan.instances[key]
+        for key, table in engine.plan.instances.items():
             owner, graph_id = graphs[key]
             for node_id, node in engine.model.processes[graph_id].nodes.items():
                 step = table[node_id]
@@ -563,9 +563,9 @@ def _instance_facts(model, key):
     return owner, model.processes[graph_id], recovery
 
 
-def _expected_step(model, key, table, node_id):
-    """The step record of ``node_id`` in the instance ``key`` whose step
-    table is ``table``, from the public model."""
+def _expected_step(model, key, node_id):
+    """The step record of ``node_id`` in the instance ``key``, from the
+    public model."""
     owner, graph, recovery = _instance_facts(model, key)
     node = graph.nodes[node_id]
     out = graph.out_edges(node_id)
@@ -593,7 +593,6 @@ def _expected_step(model, key, table, node_id):
         key,
         owner,
         recovery,
-        table,
         node,
         node.kind,
         node.duration if node.kind is ActivityKind.RECEIVE else node.effective_duration(),
@@ -609,10 +608,9 @@ def _expected_step(model, key, table, node_id):
     )
 
 
-def _check_record(model, key, table, node_id, step):
+def _check_record(model, key, node_id, step):
     got = tuple(getattr(step, name) for name in step.__slots__)
-    assert got == _expected_step(model, key, table, node_id)
-    assert step.table is table
+    assert got == _expected_step(model, key, node_id)
     assert type(step.details) is simulator._Details
 
 
@@ -620,21 +618,20 @@ def test_step_records_match_their_instances():
     checked = set()
     for engine in _drained_engines():
         model = engine.model
-        for key in engine.live:
-            table = engine.plan.instances[key]
+        for key, table in engine.plan.instances.items():
             _, graph, _ = _instance_facts(model, key)
             # The records the runs built, then every node's, the rest
             # built by looking them up.
             built = dict(table)
             assert built.keys() <= graph.nodes.keys()
             for node_id, step in built.items():
-                _check_record(model, key, table, node_id, step)
+                _check_record(model, key, node_id, step)
             for node_id in graph.nodes:
                 step = table[node_id]
                 assert step is built.get(node_id, step)
             assert table.keys() == graph.nodes.keys()
             for node_id, step in table.items():
-                _check_record(model, key, table, node_id, step)
+                _check_record(model, key, node_id, step)
                 assert step.kind is step.activity.kind
                 checked.add(step.kind)
     assert checked == set(ActivityKind)
@@ -739,6 +736,26 @@ def test_records_built_while_enumerating_serve_later_runs(monkeypatch):
             if event.kind in ("activity-start", "activity-end"):
                 pair = (f"nominal:{event.actor}", event.details["activity"])
                 assert event.details is records[pair].details
+
+
+def _live_steps() -> int:
+    return sum(type(obj) is simulator._Step for obj in gc.get_objects())
+
+
+def test_a_dropped_model_frees_its_records_without_the_cyclic_collector():
+    gc.collect()
+    before = _live_steps()
+    gc.disable()
+    try:
+        bundle = load_bundle("fault1")
+        model = bundle.model
+        for config in bundle.scenarios.values():
+            run(model, config)
+        assert _live_steps() > before
+        del bundle, model, config
+        assert _live_steps() == before
+    finally:
+        gc.enable()
 
 
 def test_no_record_scans_the_edges(monkeypatch):

@@ -69,6 +69,19 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfigError, match="names no decision"):
             run(race_fixture(), cfg(guard_inputs={"p_serve": "x"}))
 
+    def test_a_string_of_detectors_is_refused(self):
+        with pytest.raises(InvalidConfigError, match="not the string 'CallCentre'"):
+            SimConfig(enabled_detectors="CallCentre")
+        for ids in (["P", "Q"], ("P", "Q"), {"P": 1, "Q": 2}, iter("PQ")):
+            assert SimConfig(enabled_detectors=ids).enabled_detectors == frozenset({"P", "Q"})
+
+    def test_guard_inputs_that_are_no_mapping_or_pairs_are_refused(self):
+        for bad in ("ab", 5, [("d",)]):
+            with pytest.raises(InvalidConfigError, match="guard inputs are no mapping or pairs"):
+                SimConfig(guard_inputs=bad)
+        for pairs in ({"d": "yes"}, [("d", "yes")], (("d", "yes"),), iter([("d", "yes")])):
+            assert SimConfig(guard_inputs=pairs).guard_inputs == {"d": "yes"}
+
     def test_activation_beyond_horizon(self):
         model = checker_fixture()
         from fmaf.model import AtTime

@@ -8,7 +8,8 @@ checked; every other run must return.  Each chain also runs with
 no detector enabled, and each generated configuration with recovery
 enabled runs at horizons 60 and 200 to compare the two.  A property
 test, skipped without hypothesis, draws model seeds beyond 0-199.  The
-doctored-trace tests show that each property can fail.
+doctored-trace tests show that each property can fail, the detection
+race's on race_fixture runs whose winner each doctoring makes wrong.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import random
 import pytest
 
 from fmaf.casestudy import BUNDLE_NAMES, load_bundle
+from fmaf.model import Timeout
 from fmaf.simulator import ModelViolationsError, Outcome, SimConfig, SimEvent, run
 
 from _builders import race_fixture, random_model
@@ -216,6 +218,21 @@ _DOCTORED = {
     "recovery disabled recovers": lambda t, n: _config(t, recovery_enabled=False),
     "no detector enabled": lambda t, n: _config(t, enabled_detectors=frozenset()),
     "metrics differ": lambda t, n: dataclasses.replace(t, metrics={**t.metrics, "Extra": 1}),
+    "names no enabled detection of CH": lambda t, n: _config(
+        t, enabled_detectors=frozenset({"Q"})
+    ),
+    "DSELF fires other than 2 ticks after error-raised": lambda t, n: _retimed(
+        t, "error-detected", 1
+    ),
+    "does not name the winner DSELF": lambda t, n: dataclasses.replace(
+        t, outcome=Outcome("recovered", by="Q", recovery="RTIME")
+    ),
+    "a recovered run has no error-detected": lambda t, n: dataclasses.replace(
+        t, events=tuple(e for e in t.events if e.kind != "error-detected")
+    ),
+    "does not end in recovery-complete": lambda t, n: dataclasses.replace(
+        t, events=t.events[:-1]
+    ),
 }
 
 
@@ -224,6 +241,43 @@ def test_a_doctored_trace_breaks_the_spec(expected):
     model, trace, nominal = _runs()
     assert violations(model, trace) == [] == violations(model, nominal)
     doctored = _DOCTORED[expected](trace, nominal)
+    assert any(expected in v for v in violations(model, doctored))
+
+
+def _raced(enabled, timeout=15):
+    """race_fixture with DTIME's bound set to ``timeout``, run with the
+    ``enabled`` detectors at a seed where Q's third-party report misses."""
+    model = race_fixture()
+    spec = model.detections["DTIME"]
+    spec = dataclasses.replace(spec, condition=Timeout(bound=timeout, watched="P"))
+    model = dataclasses.replace(model, detections={**model.detections, "DTIME": spec})
+    config = SimConfig(scenario="CH", horizon=60, seed=0, enabled_detectors=frozenset(enabled))
+    return model, run(model, config)
+
+
+def _enabling(then, enabled, timeout=15):
+    """A run of ``_raced(enabled, timeout)`` whose config then enables
+    the detectors ``then``."""
+    model, trace = _raced(enabled, timeout)
+    return model, trace, _config(trace, enabled_detectors=frozenset(then))
+
+
+# the violation expected -> (model, a run of it, the run doctored)
+_DOCTORED_RACES = {
+    # DTIME wins at error+15 while only Q is enabled; P's self-report is
+    # due at error+2.
+    "DTIME wins although DSELF is due earlier": lambda: _enabling({"P", "Q"}, {"Q"}),
+    # With DTIME's bound 2, DSELF and DTIME are due at one tick.
+    "DTIME wins a tie against the lower id DSELF": lambda: _enabling({"P", "Q"}, {"Q"}, 2),
+    "no detection fired although DSELF was due": lambda: _enabling({"P"}, ()),
+}
+
+
+@pytest.mark.parametrize("expected", list(_DOCTORED_RACES))
+def test_a_doctored_race_breaks_the_spec(expected):
+    model, trace, doctored = _DOCTORED_RACES[expected]()
+    assert violations(model, trace) == []
+    assert trace.outcome.kind != "horizon-exhausted"
     assert any(expected in v for v in violations(model, doctored))
 
 
