@@ -62,13 +62,13 @@ def _to_config(name: str, raw: Mapping[str, Any]) -> SimConfig:
     extra = set(raw) - known
     if extra:
         raise FmafError(f"scenario {name!r}: unknown config fields {sorted(extra)}")
-    detectors = raw.get("detectors")
+    # SimConfig checks and converts the detectors and guards itself.
     return SimConfig(
         scenario=raw.get("scenario"),
         seed=int(raw.get("seed", 0)),
         horizon=int(raw.get("horizon", 200)),
-        enabled_detectors=None if detectors is None else frozenset(detectors),
-        guard_inputs=dict(raw.get("guards", {})),
+        enabled_detectors=raw.get("detectors"),
+        guard_inputs=raw.get("guards", {}),
         recovery_enabled=bool(raw.get("recovery", True)),
     )
 

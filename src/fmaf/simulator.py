@@ -57,8 +57,12 @@ Each record holds the details that its trace events share, so a run
 builds details only with a record.  Each shared mapping caches its JSON
 text for the trace writer and its set of string values for metric
 qualifiers.  None of these caches changes a trace's bytes.
-The engine builds each trace event with plain slot stores into the same
-frozen ``SimEvent`` type that the public constructor gives.
+A run records each trace event as a plain ``(time, kind, actor,
+details)`` row.  The metrics and the trace writer read the rows; the
+trace builds its ``SimEvent`` tuple, by plain slot stores into the same
+frozen type that the public constructor gives, when ``events`` is first
+read, and keeps it.  So a run that is only written or summarised builds
+no event object.
 
 A run's changing state is a token count (the nominal instances' until
 recovery starts, the recovery's after) and flat tables a fork copies:
@@ -82,6 +86,7 @@ import heapq
 import json
 import random
 from dataclasses import field
+from itertools import starmap
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
@@ -216,8 +221,8 @@ class SimEvent:
     details: Mapping[str, object]
 
 
-# Events have no rules of their own, so the engine builds them without the
-# frozen ``__init__``.
+# Events have no rules of their own, so a trace builds them from the
+# engine's rows without the frozen ``__init__``.
 _event = _slot_maker(SimEvent)
 
 
@@ -277,6 +282,59 @@ class SimTrace:
     metrics: Mapping[str, int | None]
     outcome: Outcome
 
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        if "_rows" in state:
+            # An engine-built trace copies and pickles as a constructed one:
+            # its events, never its rows, in field order.
+            state = {
+                "config": self.config,
+                "events": self.events,
+                "metrics": self.metrics,
+                "outcome": self.outcome,
+            }
+        return state
+
+
+class _Events:
+    """``SimTrace.events`` of a trace the engine built.
+
+    Such a trace keeps the engine's ``(time, kind, actor, details)``
+    rows under ``_rows`` and no events; the first read builds the
+    ``SimEvent`` tuple from them and stores it as ``events``, where
+    every later read finds it.  A trace built by its constructor holds
+    ``events`` from the start, which this non-data descriptor never
+    overrides.
+    """
+
+    def __get__(self, trace, owner=None):
+        rows = None if trace is None else trace.__dict__.get("_rows")
+        if rows is None:
+            raise AttributeError("events")
+        # The first tuple stored wins, so that threads reading one trace
+        # all get the same events.
+        return trace.__dict__.setdefault("events", tuple(starmap(_event, rows)))
+
+
+SimTrace.events = _Events()
+
+
+def _trace(config: SimConfig, rows: tuple, metrics: dict, outcome: Outcome) -> SimTrace:
+    """A trace of the engine's rows, building its events on first read."""
+    trace = SimTrace.__new__(SimTrace)
+    trace.__dict__.update(config=config, _rows=rows, metrics=metrics, outcome=outcome)
+    return trace
+
+
+def _event_rows(trace: SimTrace):
+    """The ``(time, kind, actor, details)`` row of each of the trace's
+    events: the engine's own, or read from the events of a trace its
+    constructor built."""
+    rows = trace.__dict__.get("_rows")
+    if rows is None:
+        rows = [(e.time, e.kind, e.actor, e.details) for e in trace.events]
+    return rows
+
 
 def summarize(trace: SimTrace) -> tuple[str | None, str]:
     """The (detector, outcome-kind) pair used by the exhaustive oracle."""
@@ -291,12 +349,25 @@ class NeedChoice(Exception):
     """A scripted sampler ran out of scripted choices."""
 
 
+# The seed types ``random.Random`` takes without a warning or an error.
+_SEEDS = (int, float, str, bytes, bytearray, type(None))
+
+
 class RandomSampler:
+    """Draws from ``random.Random(seed)``, seeded on the first draw: most
+    runs never draw, and seeding costs more than a short run's events.
+    A seed of another type is seeded at once, so that it fails or warns
+    as the run starts, whether or not the run draws."""
+
     def __init__(self, seed: int) -> None:
-        self._rng = random.Random(seed)
+        self._seed = seed
+        self._rng = None if isinstance(seed, _SEEDS) else random.Random(seed)
 
     def bernoulli(self, probability: float) -> bool:
-        return self._rng.random() < probability
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self._seed)
+        return rng.random() < probability
 
 
 class ScriptedSampler:
@@ -465,8 +536,8 @@ class _Engine:
         self.model = model
         self.config = config
         self.sampler = sampler
-        self.record = record  # False: build no events, only the outcome
-        self.events: list[SimEvent] = []
+        self.record = record  # False: record no events, only the outcome
+        self.events: list[tuple] = []  # (time, kind, actor, details) rows
         self.heap: list[tuple] = []
         self.seq = 0
         self.clock = 0
@@ -558,7 +629,7 @@ class _Engine:
                 return
         if step.recovery is None:
             if self.record:
-                self.events.append(_event(time, "activity-start", step.owner, step.details))
+                self.events.append((time, "activity-start", step.owner, step.details))
             if self.pending:
                 self.on_nominal_start(step, time)
         if kind is _RECEIVE:
@@ -574,9 +645,9 @@ class _Engine:
         kind = step.kind
         if self.record:
             if kind is _TIMER:
-                self.events.append(_event(time, "timer-expired", step.owner, step.timer))
+                self.events.append((time, "timer-expired", step.owner, step.timer))
             event = "activity-end" if step.recovery is None else "recovery-step"
-            self.events.append(_event(time, event, step.owner, step.details))
+            self.events.append((time, event, step.owner, step.details))
         if kind is _SEND:
             self.send_message(step, time)
 
@@ -615,10 +686,10 @@ class _Engine:
     def send_message(self, step: _Step, time: int) -> None:
         link, receiver = step.link, step.receiver
         if self.record:
-            self.events.append(_event(time, "message-sent", step.owner, step.sent))
+            self.events.append((time, "message-sent", step.owner, step.sent))
         if not _draw(self.sampler, link.reliability):
             if self.record:
-                self.events.append(_event(time, "message-lost", step.owner, step.sent))
+                self.events.append((time, "message-lost", step.owner, step.sent))
             return
         self.push(
             time + link.latency, receiver, _R_DELIVER, (receiver, link.id, step.delivered)
@@ -628,7 +699,7 @@ class _Engine:
         self, receiver: str, channel: str, details: _Details, time: int
     ) -> None:
         if self.record:
-            self.events.append(_event(time, "message-delivered", receiver, details))
+            self.events.append((time, "message-delivered", receiver, details))
         waiting = self.waiting
         for pair in self.plan.receivers.get((receiver, channel), ()):
             key, node_id = pair
@@ -662,7 +733,7 @@ class _Engine:
     def inject_fault(self, time: int) -> None:
         origin = self.focus.activation.origin_constituent
         if self.record:
-            self.events.append(_event(time, "fault-activated", origin, self.focus.activated))
+            self.events.append((time, "fault-activated", origin, self.focus.activated))
         key = f"nominal:{origin}"  # suspended: drop its completions and receives
         self.heap = [e for e in self.heap if e[2] != _R_COMPLETE or e[4].key != key]
         heapq.heapify(self.heap)
@@ -675,8 +746,8 @@ class _Engine:
         never wins.  Each third-party report draws once, in spec-id order,
         whether or not it would win."""
         if self.record:
-            event = _event(time, "error-raised", self.focus.chain.origin, self.focus.raised)
-            self.events.append(event)
+            focus = self.focus
+            self.events.append((time, "error-raised", focus.chain.origin, focus.raised))
         if not self.config.recovery_enabled:
             return
         winner, fire = None, self.config.horizon + 1
@@ -695,8 +766,8 @@ class _Engine:
         spec, expired, detected, _ = self.detected
         if self.record:
             if expired is not None:
-                self.events.append(_event(time, "timer-expired", spec.detector, expired))
-            self.events.append(_event(time, "error-detected", spec.detector, detected))
+                self.events.append((time, "timer-expired", spec.detector, expired))
+            self.events.append((time, "error-detected", spec.detector, detected))
         self.push(time + 1, spec.detector, _R_RECOVERY_START, ())
 
     def on_recovery_start(self, time: int) -> None:
@@ -704,7 +775,7 @@ class _Engine:
         recovery = self.model.recoveries[spec.recovery]
         self.recovery_started_at = time
         if self.record:
-            self.events.append(_event(time, "recovery-started", spec.detector, detected))
+            self.events.append((time, "recovery-started", spec.detector, detected))
         # One recovery starts per run, so it suspends every instance so far.
         self.heap = [e for e in self.heap if e[2] != _R_COMPLETE]
         heapq.heapify(self.heap)
@@ -732,13 +803,13 @@ class _Engine:
     def on_finalize(self, time: int) -> None:
         spec, _, _, complete = self.detected
         if self.record:
-            self.events.append(_event(time, "recovery-complete", spec.detector, complete))
+            self.events.append((time, "recovery-complete", spec.detector, complete))
         self.outcome = Outcome("recovered", by=spec.detector, recovery=spec.recovery)
 
     def observe_failure(self, time: int, aborted_by: str | None = None) -> None:
         if self.record:
             details = self.focus.failed[aborted_by]
-            self.events.append(_event(time, "failure-observed", self.focus.chain.origin, details))
+            self.events.append((time, "failure-observed", self.focus.chain.origin, details))
         self.outcome = Outcome("failed-at-boundary")
 
     # -- main loop
@@ -790,9 +861,9 @@ class _Engine:
         """The trace of a drained or decided run, measured if it recorded."""
         if self.outcome is None:
             self.finish_at_quiescence()
-        events = tuple(self.events)
-        measured = _measure(events, self.plan.metrics) if self.record else {}
-        return SimTrace(self.config, events, measured, self.outcome)
+        rows = tuple(self.events)
+        measured = _measure(rows, self.plan.metrics) if self.record else {}
+        return _trace(self.config, rows, measured, self.outcome)
 
     def run(self) -> SimTrace:
         self.start()
@@ -1232,21 +1303,20 @@ def _prepare(specs: Iterable[MetricSpec]) -> _Metrics:
     )
 
 
-def _measure(events: Iterable[SimEvent], metrics: _Metrics) -> dict[str, int | None]:
-    """Every metric from one scan of ``events``."""
+def _measure(rows: Iterable[tuple], metrics: _Metrics) -> dict[str, int | None]:
+    """Every metric from one scan of the event ``rows``."""
     if metrics.error is not None:
         raise UnknownEventPatternError(metrics.error)
     found = list(metrics.initial)
     watch = metrics.watch
-    for event in events:
-        hits = watch.get(event.kind)
+    for time, kind, actor, details in rows:
+        hits = watch.get(kind)
         if hits is None:
             continue
         for qualifier, index, counts in hits:
             if not counts and found[index] is not None:
                 continue
-            if qualifier is not None and event.actor != qualifier:
-                details = event.details
+            if qualifier is not None and actor != qualifier:
                 if type(details) is _Details:
                     strings = details.strings
                     if strings is None:
@@ -1261,7 +1331,7 @@ def _measure(events: Iterable[SimEvent], metrics: _Metrics) -> dict[str, int | N
                     if isinstance(value, str)
                 ):
                     continue
-            found[index] = found[index] + 1 if counts else event.time
+            found[index] = found[index] + 1 if counts else time
     out: dict[str, int | None] = {}
     for metric_id, a, b in metrics.results:
         if b < 0:
@@ -1279,7 +1349,7 @@ def compute_metrics(
 
     Elapsed metrics whose endpoints never occur yield None, never zero.
     """
-    return _measure(trace.events, _prepare(specs))
+    return _measure(_event_rows(trace), _prepare(specs))
 
 
 # The trace writer builds each line itself; this encoder, the same one
@@ -1316,15 +1386,14 @@ def _body(details: Mapping[str, object]) -> str:
     return _object_text(details)
 
 
-def _event_lines(events: Iterable[SimEvent]) -> list[str]:
+def _event_lines(rows: Iterable[tuple]) -> list[str]:
     lines = []
     # actor -> the line's text up to its details; kind -> the text from
     # the details to the time.  Actors and kinds come from small
     # per-model vocabularies, so each is quoted once per call.
     heads: dict[str, str] = {}
     tails: dict[str, str] = {}
-    for e in events:
-        time, kind, actor, details = e.time, e.kind, e.actor, e.details
+    for time, kind, actor, details in rows:
         if type(time) is int and type(actor) is str and type(kind) is str:
             head = heads.get(actor)
             if head is None:
@@ -1353,19 +1422,17 @@ def format_trace(trace: SimTrace) -> str:
     gives: keys sorted at every level, ``", "``/``": "`` separators and
     non-ASCII escaped.
     """
-    lines = _event_lines(trace.events)
+    rows = _event_rows(trace)
+    lines = _event_lines(rows)
+    outcome, metrics = trace.outcome, dict(trace.metrics)
+    if all(type(key) is str for key in metrics):
+        measured = _object_text(metrics)
+    else:  # json.dumps turns other keys into strings its own way
+        measured = _ENCODER.encode(metrics)
     lines.append(
-        _ENCODER.encode(
-            {
-                "summary": {
-                    "outcome": trace.outcome.kind,
-                    "by": trace.outcome.by,
-                    "recovery": trace.outcome.recovery,
-                    "metrics": dict(trace.metrics),
-                    "events": len(trace.events),
-                }
-            }
-        )
+        f'{{"summary": {{"by": {_json(outcome.by)}, "events": {len(rows)}, '
+        f'"metrics": {measured}, "outcome": {_json(outcome.kind)}, '
+        f'"recovery": {_json(outcome.recovery)}}}}}'
     )
     return "\n".join(lines) + "\n"
 

@@ -20,6 +20,13 @@ equality, ``repr``, hashing, ``dataclasses`` helpers, copies and pickles.
 ``bundle_digest()`` is one sha256 over the ``format_trace`` bytes of every
 runnable bundle scenario at seeds 0-4.
 
+A trace the engine builds keeps its events as rows and builds the
+``SimEvent`` tuple when ``events`` is first read.  ``check_unread(fresh)``
+asserts that such a trace, before anything reads its events, behaves as
+the trace the public constructor builds from the same field values:
+equality both ways, ``repr``, pickle bytes at every protocol, copies,
+deep copies, ``replace``, ``asdict`` and ``format_trace`` bytes.
+
 The ``__class__`` assignment rests on CPython's slot-layout rule, and the
 twins on each version's ``dataclasses``, so this module also runs as a
 plain script on interpreters that have no pytest::
@@ -28,8 +35,9 @@ plain script on interpreters that have no pytest::
 
 It checks every event of those runs, every activity and edge that
 ``parse`` builds for the bundles and every node and edge of every bundle
-view, checks one value of each public type against its twin, and
-compares the digest with ``DIGEST``, which was recorded on Python 3.11.
+view, checks each of those runs with ``check_unread``, checks one value
+of each public type against its twin, and compares the digest with
+``DIGEST``, which was recorded on Python 3.11.
 It fails when a frozen type that ``fmaf.__all__`` names has no sample.
 """
 
@@ -43,13 +51,14 @@ import pickle
 import sys
 import types
 from collections import Counter
+from functools import partial
 
 import fmaf
 from fmaf import dsl
 from fmaf.casestudy import BUNDLE_NAMES, load_bundle
 from fmaf.checker import CATALOG, check
 from fmaf.model import Activity, Edge, Probabilistic, partition_fault
-from fmaf.simulator import ModelViolationsError, SimEvent, format_trace, run
+from fmaf.simulator import ModelViolationsError, SimEvent, SimTrace, format_trace, run
 from fmaf.viewgen import VIEW_KINDS, ViewEdge, ViewError, ViewNode, project
 
 DIGEST = "548aa5ffaa0993b10186a776276663eefd87d6924d07af6034df7d77c9e02823"
@@ -99,16 +108,23 @@ def check_public(value: object, cls: type) -> None:
         assert type(made) is cls and made == twin
 
 
-def scenario_traces(bundle):
-    """The trace of every scenario of a bundle that the checker lets run,
-    at seeds 0-4, in a fixed order."""
+def scenario_configs(bundle):
+    """Every scenario of a bundle that the checker lets run, at seeds
+    0-4, in a fixed order."""
     for scenario in sorted(bundle.scenarios):
         for seed in range(5):
             config = dataclasses.replace(bundle.scenarios[scenario], seed=seed)
             try:
-                yield run(bundle.model, config)
+                run(bundle.model, config)
             except ModelViolationsError:
                 continue
+            yield config
+
+
+def scenario_traces(bundle):
+    """The trace of each of ``scenario_configs(bundle)``."""
+    for config in scenario_configs(bundle):
+        yield run(bundle.model, config)
 
 
 def bundle_traces():
@@ -275,10 +291,44 @@ def check_twin(value: object) -> None:
         assert seen == theirs[key], f"{cls.__name__} {key}: {seen!r} != {theirs[key]!r}"
 
 
+def _made(value: object) -> tuple:
+    """What tells a copy of a trace apart: its type, its attributes and
+    its pickle bytes."""
+    return type(value), list(vars(value)), pickle.dumps(value)
+
+
+def check_unread(fresh) -> None:
+    """``fresh()`` runs the engine, giving equal traces whose events
+    nothing has read.  Each of them, before its events are read, must
+    behave as the public twin of the first."""
+    first = fresh()
+    twin = SimTrace(first.config, first.events, first.metrics, first.outcome)
+    seen = {
+        "==": lambda trace: (trace == twin, twin == trace, trace != twin, twin != trace),
+        "repr": repr,
+        "copy": lambda trace: _made(copy.copy(trace)),
+        "deepcopy": lambda trace: _made(copy.deepcopy(trace)),
+        "replace": lambda trace: _made(dataclasses.replace(trace)),
+        "asdict": dataclasses.asdict,
+        "format_trace": format_trace,
+    }
+    for protocol in PROTOCOLS:
+        seen[f"pickle {protocol}"] = lambda trace, protocol=protocol: pickle.dumps(trace, protocol)
+    for name, look in seen.items():
+        trace = fresh()
+        assert "events" not in vars(trace), f"{name}: the events were read"
+        got = look(trace)
+        assert got == look(twin), f"{name} differs from the public twin"
+        assert trace.events == twin.events, name
+
+
 def main() -> int:
     checked = Counter()
     for name in BUNDLE_NAMES:
         bundle = load_bundle(name)
+        for config in scenario_configs(bundle):
+            check_unread(partial(run, bundle.model, config))
+            checked[SimTrace] += 1
         traces = list(scenario_traces(bundle))
         events = [(SimEvent, event) for trace in traces for event in trace.events]
         for cls, value in (
@@ -290,7 +340,7 @@ def main() -> int:
     for value in table.values():
         check_twin(value)
     got = bundle_digest()
-    counts = ", ".join(f"{checked[cls]} {cls.__name__}" for cls in FIELDS)
+    counts = ", ".join(f"{checked[cls]} {cls.__name__}" for cls in (*FIELDS, SimTrace))
     print(
         f"{sys.version.split()[0]}: checked {counts}; {len(table)} types against "
         f"stdlib twins; digest {got}"

@@ -15,7 +15,7 @@ from fmaf import casestudy, check, run
 from fmaf.casestudy import BUNDLE_NAMES, ScenarioBundle, UnknownBundleError, load_bundle
 from fmaf.checker import Severity
 from fmaf.model import FmafError
-from fmaf.simulator import ModelViolationsError
+from fmaf.simulator import InvalidConfigError, ModelViolationsError
 
 
 class TestLoading:
@@ -55,6 +55,19 @@ class TestLoading:
         with pytest.raises(FmafError) as info:
             casestudy._to_config("s", {"bogus": 1})
         assert str(info.value) == "scenario 's': unknown config fields ['bogus']"
+
+    def test_a_string_of_detectors_is_refused(self):
+        with pytest.raises(InvalidConfigError) as info:
+            casestudy._to_config("x", {"detectors": "CallCentre"})
+        assert str(info.value) == "enabled detectors are ids, not the string 'CallCentre'"
+
+    def test_guards_that_are_no_mapping_or_pairs_are_refused(self):
+        with pytest.raises(InvalidConfigError) as info:
+            casestudy._to_config("x", {"guards": "ab"})
+        assert str(info.value) == (
+            "guard inputs are no mapping or pairs: dictionary update sequence "
+            "element #0 has length 1; 2 is required"
+        )
 
 
 def _bundle_dir(tmp_path, monkeypatch, model_text, scenarios):

@@ -383,18 +383,19 @@ def test_recording_forks_leave_their_snapshot_untouched(model, config):
 def test_enumeration_builds_no_trace_events(model, config, monkeypatch):
     expected = _result(replay_outcomes, model, config)
     made = []
-    real = simulator._event
+    real = simulator._Engine.finish
 
-    def counted(*args):
-        made.append(args)
-        return real(*args)
+    def counted(engine):
+        made.extend(engine.events)
+        return real(engine)
 
-    # Every engine event goes through the private constructor.
-    monkeypatch.setattr(simulator, "_event", counted)
+    # Every engine records its trace events as rows, and every branch
+    # and run finishes.
+    monkeypatch.setattr(simulator._Engine, "finish", counted)
     assert _result(enumerate_outcomes, model, config) == expected
     assert made == []
     if expected[0] == "ok":
-        # The counter sees what a recording run builds.
+        # The counter sees what a recording run records.
         simulator.run(model, config)
         assert made
 
@@ -452,7 +453,7 @@ def test_lowest_receive_id_takes_the_first_message_on_parent_and_fork():
             snap.loop(stop=snap.pops + 1)
         assert ("nominal:B", "r_b") in snap.waiting
     assert snap.waiting == {("nominal:B", "r_b"), ("nominal:B", "r_a")}
-    assert not any(e.kind == "message-delivered" for e in snap.events)
+    assert not any(kind == "message-delivered" for _, kind, _, _ in snap.events)
     fork = snap.fork(ScriptedSampler(()))
     traces = []
     for engine in (fork, snap):

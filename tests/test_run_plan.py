@@ -676,18 +676,18 @@ def test_only_the_first_start_of_an_instance_builds_its_record(monkeypatch):
 
 
 def _reached(engine) -> dict[str, set[str]]:
-    """Instance key -> the nodes a drained run entered: those its trace
-    events name, the receives left waiting, the joins holding arrivals
+    """Instance key -> the nodes a drained run entered: those its event
+    rows name, the receives left waiting, the joins holding arrivals
     and the nodes whose completions are still queued."""
     reached: dict[str, set[str]] = {}
-    for event in engine.events:
-        if event.kind in ("activity-start", "activity-end"):
-            key = f"nominal:{event.actor}"
-        elif event.kind == "recovery-step":
-            key = f"recovery:{event.details['recovery']}:{event.actor}"
+    for _, kind, actor, details in engine.events:
+        if kind in ("activity-start", "activity-end"):
+            key = f"nominal:{actor}"
+        elif kind == "recovery-step":
+            key = f"recovery:{details['recovery']}:{actor}"
         else:
             continue
-        reached.setdefault(key, set()).add(event.details["activity"])
+        reached.setdefault(key, set()).add(details["activity"])
     queued = [step for _, _, rank, _, step in engine.heap if rank == simulator._R_COMPLETE]
     for key, node_id in engine.waiting:
         reached.setdefault(key, set()).add(node_id)

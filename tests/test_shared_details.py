@@ -205,20 +205,20 @@ def test_models_and_configs_run_alternately_give_their_solo_bytes():
 
 
 def _counting(monkeypatch) -> tuple[list, list]:
-    """The details and the trace events built from here on."""
+    """The details built and the trace event rows recorded from here on."""
     details, events = [], []
-    init, event = simulator._Details.__init__, simulator._event
+    init, finish = simulator._Details.__init__, simulator._Engine.finish
 
     def counted_details(self, items):
         details.append(items)
         init(self, items)
 
-    def counted_event(*args):
-        events.append(args)
-        return event(*args)
+    def counted_finish(engine):
+        events.extend(engine.events)
+        return finish(engine)
 
     monkeypatch.setattr(simulator._Details, "__init__", counted_details)
-    monkeypatch.setattr(simulator, "_event", counted_event)
+    monkeypatch.setattr(simulator._Engine, "finish", counted_finish)
     return details, events
 
 

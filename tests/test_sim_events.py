@@ -6,9 +6,19 @@ then changes the object's class to ``SimEvent``.
 These tests pin that nothing can tell the two apart (see
 ``_event_check.check_public``), for events of seeded runs and of
 recording forks.
+
+A run records its events as rows, and its trace builds the ``SimEvent``
+tuple when ``events`` is first read, then keeps it.  Before that read,
+nothing tells the trace apart from the one the public constructor builds
+(``_event_check.check_unread``), and threads reading one trace all get
+the same tuple.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
+from functools import partial
 
 import pytest
 
@@ -22,7 +32,7 @@ from fmaf.simulator import (
     run,
 )
 
-from _event_check import DIGEST, bundle_digest, check_public
+from _event_check import DIGEST, bundle_digest, check_public, check_unread
 from test_enumeration import (
     _choice_models,
     _lossy_race_fixture,
@@ -92,3 +102,43 @@ def test_the_checked_events_cover_every_engine_constructor():
 
 def test_the_plain_script_digest_is_current():
     assert bundle_digest() == DIGEST
+
+
+@pytest.mark.parametrize("model,config", _runs())
+def test_unread_traces_behave_as_their_public_twin(model, config):
+    check_unread(partial(run, model, config))
+
+
+def test_reading_events_twice_gives_the_same_tuple():
+    bundle = load_bundle("fault2")
+    trace = run(bundle.model, bundle.scenarios["F2.1"])
+    events = trace.events
+    assert type(events) is tuple and events
+    assert trace.events is events
+
+
+def test_threads_reading_one_fresh_trace_get_one_tuple():
+    bundle = load_bundle("fault2")
+    config = bundle.scenarios["F2.1"]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            trace = run(bundle.model, config)
+            start = threading.Barrier(8)
+            got = []
+
+            def read():
+                start.wait(timeout=10)
+                got.append(trace.events)
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(got) == 8
+            assert all(events is trace.events for events in got)
+    finally:
+        sys.setswitchinterval(switch)

@@ -7,6 +7,8 @@ import json
 
 import pytest
 
+import fmaf.simulator as simulator
+from fmaf.casestudy import load_bundle
 from fmaf.model import (
     Activity,
     ActivityGraph,
@@ -144,6 +146,25 @@ class TestDeterminism:
         assert format_trace(a) == format_trace(b)
         assert a.events == b.events
         assert a.outcome == b.outcome
+
+    def test_only_a_run_that_draws_seeds_a_generator(self, monkeypatch):
+        made = []
+        real = simulator.random.Random
+
+        def counted(*args):
+            made.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(simulator.random, "Random", counted)
+        fault1 = load_bundle("fault1")  # its radio links are dead, not lossy
+        run(fault1.model, fault1.scenarios["F1"])
+        assert made == []
+        run(race_fixture(), cfg(seed=HIT_SEED))  # Q's third-party report draws
+        assert made == [(HIT_SEED,)]
+        monkeypatch.undo()
+        # A seed random.Random refuses still fails as the run starts.
+        with pytest.raises(TypeError):
+            run(fault1.model, dataclasses.replace(fault1.scenarios["F1"], seed=[1]))
 
     def test_event_times_never_decrease(self):
         trace = run(race_fixture(), cfg(seed=HIT_SEED))

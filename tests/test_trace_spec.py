@@ -255,6 +255,23 @@ def _raced(enabled, timeout=15):
     return model, run(model, config)
 
 
+def _tied_runs():
+    """race_fixture with DTIME's bound equal to DSELF's delay, every
+    detector enabled, at seeds 0-9: DSELF and DTIME fall due at one tick
+    whenever Q's third-party report misses."""
+    model, _ = _raced({"P", "Q"}, 2)
+    for seed in range(10):
+        yield model, SimConfig(scenario="CH", horizon=60, seed=seed)
+
+
+def test_tied_sure_detections_keep_the_trace_spec():
+    checked, refused, found, outcomes = _check(_tied_runs())
+    assert found == []
+    assert (checked, refused, outcomes) == (10, 0, {"recovered": 10})
+    winners = [run(model, config).outcome.by for model, config in _tied_runs()]
+    assert winners.count("P") == 4  # DSELF won a tie against DTIME
+
+
 def _enabling(then, enabled, timeout=15):
     """A run of ``_raced(enabled, timeout)`` whose config then enables
     the detectors ``then``."""

@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import random
+import types
 
 import pytest
 
@@ -140,10 +141,30 @@ def test_odd_detail_values_match():
         assert_same(_trace({}, actor=value, kind=value, time=value))
 
 
+# Metrics the summary line must encode as json.dumps does: every odd
+# value, keys that are not strings (which json.dumps turns into strings
+# after sorting them), keys that do not sort (a TypeError either way),
+# and a mapping that is not a dict.
+ODD_METRICS = (
+    {},
+    {"Z": None, "a": 0, "\u00c9": 5},
+    ODD_VALUES,
+    {2: 1, 10: None, -3: 0},
+    {0.5: 1, 2.0: 2, True: 3},
+    {None: 1},
+    {1: 0, "a": 1},
+    types.MappingProxyType({"Z": 1, "a": None}),
+)
+
+
 def test_odd_keys_and_metrics_match():
     assert_same(_trace({"\u00e9t\u00e9": 1, 'q"uote': 2, "a\\b": 3, "": 4}))
-    assert_same(_trace({}, metrics={}))
-    assert_same(_trace({}, metrics={"Z": None, "a": 0, "\u00c9": 5}))
+    fault2 = load_bundle("fault2")
+    ran = run(fault2.model, fault2.scenarios["F2.1"])
+    for metrics in ODD_METRICS:
+        assert_same(_trace({}, metrics=metrics))
+        assert_same(dataclasses.replace(ran, metrics=metrics))
+    assert_same(dataclasses.replace(ran, outcome=Outcome(math.nan, by=True, recovery=("R", 1.5))))
 
 
 def test_unencodable_values_fail_alike():
