@@ -62,14 +62,14 @@ def _to_config(name: str, raw: Mapping[str, Any]) -> SimConfig:
     extra = set(raw) - known
     if extra:
         raise FmafError(f"scenario {name!r}: unknown config fields {sorted(extra)}")
-    # SimConfig checks and converts the detectors and guards itself.
+    # SimConfig checks the values and converts the detectors and guards itself.
     return SimConfig(
         scenario=raw.get("scenario"),
-        seed=int(raw.get("seed", 0)),
-        horizon=int(raw.get("horizon", 200)),
+        seed=raw.get("seed", 0),
+        horizon=raw.get("horizon", 200),
         enabled_detectors=raw.get("detectors"),
         guard_inputs=raw.get("guards", {}),
-        recovery_enabled=bool(raw.get("recovery", True)),
+        recovery_enabled=raw.get("recovery", True),
     )
 
 

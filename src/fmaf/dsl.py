@@ -970,6 +970,8 @@ class _Parser:
 
         model = SosModel(words[1], **parts)
         for error, collection, ident, field, ref in _problems(model):
+            if isinstance(error, RecursionError):
+                raise error
             message = str(error)
             if isinstance(error, DanglingReferenceError):
                 category = error.category

@@ -976,7 +976,7 @@ _GRAPH_FIELDS = {"edge": "edges", "entry": "entry", "exit": "exits"}
 
 # A reference problem and where it is: the error, the model collection,
 # the id of the object in it, the field and the id or pattern given there.
-_Problem = tuple[FmafError, str, str, str | None, str | None]
+_Problem = tuple[FmafError | RecursionError, str, str, str | None, str | None]
 
 
 def _problems(model: SosModel) -> Iterator[_Problem]:
@@ -985,8 +985,9 @@ def _problems(model: SosModel) -> Iterator[_Problem]:
     Problems come in the order :func:`build_model` meets them; it raises the
     first.  A graph's own structure has no field.  What would only follow
     from an unknown element (a channel or an owner checked against it) is
-    not a problem of its own.  Only toolkit errors are caught, so a graph
-    too deep to check still raises.
+    not a problem of its own.  A graph too deep for the zero-time cycle
+    search gives its ``RecursionError`` as its structure problem, and the
+    walk goes on.
     """
     elements = model.constituents.keys() | model.environment.keys()
 
@@ -1021,7 +1022,7 @@ def _problems(model: SosModel) -> Iterator[_Problem]:
             _validate_graph(graph)
         except DanglingReferenceError as e:
             yield e, "processes", gid, _GRAPH_FIELDS[e.context.partition(" ")[0]], e.ref
-        except FmafError as e:
+        except (FmafError, RecursionError) as e:
             yield e, "processes", gid, None, None
         activity_ids.update(graph.nodes)
         owner = graph.owner

@@ -13,16 +13,12 @@ enumeration finite.
 Every run passes one gate, the engine's constructor, before its first
 event.  In order: the checker's blocking findings for the scenario raise
 ``ModelViolationsError``; then, only for a model that neither
-``build_model`` nor ``fmaf.dsl.parse`` made, a structure they refuse (a
-malformed activity graph, a nominal process or recovery graph that
-names no graph, a nominal send or receive over a channel that names no
-connection, or a send or receive of a nominal process or recovery graph
-over a connection whose endpoints exclude the constituent running it)
-raises ``SimulationError``; then the configuration (an
-unknown scenario, detectors outside the chain, a chain with no
-activation, an at-time trigger past the horizon, a guard input naming
-no decision) raises ``InvalidConfigError``.  ``enumerate_outcomes``
-refuses a graph larger than its bound before that.
+``build_model`` nor ``fmaf.dsl.parse`` made, a structure defect of the
+kinds ``docs/gates.md`` lists raises ``SimulationError``; then the
+configuration (an unknown scenario, detectors outside the chain, a chain
+with no activation, an at-time trigger past the horizon, a guard input
+naming no decision) raises ``InvalidConfigError``.
+``enumerate_outcomes`` refuses a graph larger than its bound before that.
 
 Causal strictness: error-raised happens one tick after fault-activated,
 recovery-started one tick after error-detected, recovery-complete at
@@ -111,8 +107,8 @@ from .model import (
     ThreatChain,
     Timeout,
     _frozen_value,
+    _problems,
     _slot_maker,
-    _validate_graph,
     split_event_pattern,
 )
 
@@ -171,11 +167,12 @@ class UnknownEventPatternError(FmafError):
 class SimConfig:
     """One run's knobs.
 
-    ``enabled_detectors`` of None means every detector the focused chain
-    lists; an explicit collection of ids, not a string, must be a subset
-    of those.  ``guard_inputs``, a mapping or pairs, chooses guarded
-    branches by decision node id; decisions without an input (or with an
-    unmatched label) take their unguarded default edge.
+    ``seed`` and ``horizon`` are of type ``int``, ``recovery_enabled``
+    of type ``bool``.  ``enabled_detectors`` of None means every detector
+    the focused chain lists; an explicit collection of ids, not a string,
+    must be a subset of those.  ``guard_inputs``, a mapping or pairs,
+    chooses guarded branches by decision node id; decisions without an
+    input (or with an unmatched label) take their unguarded default edge.
     """
 
     scenario: str | None = None
@@ -187,6 +184,10 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         detectors = self.enabled_detectors
+        for name, kind in (("seed", int), ("horizon", int), ("recovery_enabled", bool)):
+            value = getattr(self, name)
+            if type(value) is not kind:
+                raise InvalidConfigError(f"{name} must be {kind.__name__}, not {value!r}")
         if self.horizon <= 0:
             raise InvalidConfigError("horizon must be positive")
         if isinstance(detectors, str):
@@ -986,8 +987,9 @@ class _Plan(NamedTuple):
     and every later run.  Each record carries the shared details of
     its trace events.  Since the plan is built before the checker's
     findings can refuse a run, no record indexes a reference the model
-    may leave dangling.  ``malformed`` says why a model that neither
-    ``build_model`` nor ``parse`` made cannot run, or is None.
+    may leave dangling.  ``malformed`` is the structure gate's verdict
+    (``docs/gates.md``) on a model that neither ``build_model`` nor
+    ``parse`` made, or None.
     """
 
     findings: tuple[Finding, ...]
@@ -1043,48 +1045,28 @@ def _receivers(model: SosModel) -> dict[tuple[str, str], tuple[tuple[str, str], 
 
 
 def _malformed(model: SosModel) -> str | None:
-    """The first defect that would stop or misdirect a run and that
-    ``build_model`` refuses: a graph it rejects, a constituent's nominal
-    process or a recovery graph that names no graph, a send or receive of
-    a nominal process over a channel that names no connection, or a send
-    or receive of a graph a run may start over a connection whose
-    endpoints exclude the constituent running it.  (R6 already blocks
-    every scenario that could start a recovery graph with a channel that
-    names no connection.)"""
-    try:
-        for graph in model.processes.values():
-            try:
-                _validate_graph(graph)
-            except RecursionError:
-                # Only the last rule, the zero-time cycle search, recurses,
-                # so the graph keeps every other rule; it runs as before.
-                pass
-        # Each graph a run may start: its runner, and what names the graph.
-        starts = [(cs.id, cs.nominal_process, None) for cs in model.constituents.values()]
-        starts.extend(
-            (cs_id, graph_id, recovery.id)
-            for recovery in model.recoveries.values()
-            for cs_id, graph_id in recovery.graphs.items()
-        )
-        for runner, graph_id, recovery in starts:
-            graph = model.processes.get(graph_id)
-            if graph is None:
-                context = f"recovery {recovery!r}" if recovery else f"constituent {runner!r}"
-                raise DanglingReferenceError("activity graph", graph_id, context)
-            for node in graph.nodes.values():
-                if node.channel is None:
-                    continue
-                conn = model.connections.get(node.channel)
-                if conn is None:
-                    if not recovery:
-                        context = f"activity {node.id!r} in {graph.id!r}"
-                        raise DanglingReferenceError("connection", node.channel, context)
-                elif runner not in conn.endpoints():
-                    detail = (f"activity {node.id!r} uses channel {conn.id!r} "
-                              f"whose endpoints exclude owner {runner!r}")
-                    raise GraphStructureError(graph.id, detail)
-    except FmafError as error:
-        return f"model is malformed: {error}"
+    """Why a run of a directly built ``model`` would stop or go astray, or
+    None: the first problem of ``build_model``'s walk that is the run's
+    (a graph's own, or a reference naming no graph), else a started
+    graph's channel whose connection excludes the constituent running it.
+    ``docs/gates.md`` lists the defects."""
+    for error, collection, _, field, _ in _problems(model):
+        if isinstance(error, RecursionError):
+            continue  # only the zero-time cycle search recurses; the graph runs
+        if (collection == "processes" and field != "owner") or (
+            isinstance(error, DanglingReferenceError) and error.category == "activity graph"
+        ):
+            return f"model is malformed: {error}"
+    # Each graph a run may start, under its runner; every one is declared now.
+    starts = [(cs.id, cs.nominal_process) for cs in model.constituents.values()]
+    starts.extend(pair for rec in model.recoveries.values() for pair in rec.graphs.items())
+    for runner, graph_id in starts:
+        for node in model.processes[graph_id].nodes.values():
+            conn = model.connections.get(node.channel)
+            if conn is not None and runner not in conn.endpoints():
+                detail = (f"activity {node.id!r} uses channel {conn.id!r} "
+                          f"whose endpoints exclude owner {runner!r}")
+                return f"model is malformed: {GraphStructureError(graph_id, detail)}"
     return None
 
 

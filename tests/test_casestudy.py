@@ -61,6 +61,11 @@ class TestLoading:
             casestudy._to_config("x", {"detectors": "CallCentre"})
         assert str(info.value) == "enabled detectors are ids, not the string 'CallCentre'"
 
+    @pytest.mark.parametrize("raw", [{"recovery": "false"}, {"seed": 1.9}, {"horizon": "50"}])
+    def test_wrongly_typed_values_are_refused_not_converted(self, raw):
+        with pytest.raises(FmafError, match=" must be "):
+            casestudy._to_config("x", raw)
+
     def test_guards_that_are_no_mapping_or_pairs_are_refused(self):
         with pytest.raises(InvalidConfigError) as info:
             casestudy._to_config("x", {"guards": "ab"})

@@ -176,9 +176,16 @@ def _rechanneled(graph_id, node_id, connection=None):
     return _replaced(model, "processes", graph_id, nodes={**nodes, node_id: node})
 
 
+def _owner_never_runs():
+    """Q runs R's graph and R runs Q's, whose receive is over a link of P and R."""
+    model = _rechanneled("GQ", "q_wait", _PR)
+    model = _replaced(model, "constituents", "Q", nominal_process="GR")
+    return _replaced(model, "constituents", "R", nominal_process="GQ")
+
+
 # Directly built models that build_model refuses and that a run would
 # otherwise end in a KeyError or AttributeError, run to the horizon as if
-# well formed (the unknown receive channel and the two channels whose
+# well formed (the unknown receive channel and the channels whose
 # endpoints exclude the runner), or never end (the two zero-time cycles).
 MALFORMED = [
     pytest.param(
@@ -239,6 +246,45 @@ MALFORMED = [
         "cycle with no time-consuming activity",
         id="zero-time-loop",
     ),
+    # The runner rule, which build_model states against the owner or not
+    # at all: R runs Q's graph, P runs Q's recovery graph, and a channel
+    # with an unknown end is checked against its runner all the same.
+    pytest.param(
+        lambda: _replaced(race_fixture(), "constituents", "R", nominal_process="GQ"),
+        SimConfig(horizon=60),
+        "activity graph 'GQ': activity 'q_wait' uses channel 'LinkPQ' "
+        "whose endpoints exclude owner 'R'",
+        id="nominal-process-of-another",
+    ),
+    pytest.param(
+        lambda: _replaced(race_fixture(), "recoveries", "RSELF", graphs={"P": "RQ3"}),
+        SimConfig(horizon=60),
+        "activity graph 'RQ3': activity 'summon' uses channel 'HelpLine' "
+        "whose endpoints exclude owner 'P'",
+        id="recovery-graph-of-another",
+    ),
+    pytest.param(
+        lambda: _replaced(race_fixture(), "connections", "LinkPQ", provider="ZZZ"),
+        SimConfig(horizon=60),
+        "activity graph 'GP': activity 'p_report' uses channel 'LinkPQ' "
+        "whose endpoints exclude owner 'P'",
+        id="channel-with-an-unknown-end",
+    ),
+    # Refused since the gate reuses build_model's walk; before, these ran.
+    # R6 blocks the scenario whose recovery starts RQ3.
+    pytest.param(
+        lambda: _rechanneled("RQ3", "summon"),
+        SimConfig(horizon=60),
+        "activity 'summon' in 'RQ3' references unknown connection 'NOPE'",
+        id="recovery-send-channel",
+    ),
+    pytest.param(
+        _owner_never_runs,
+        SimConfig(horizon=60),
+        "activity graph 'GQ': activity 'q_wait' uses channel 'LinkPR' "
+        "whose endpoints exclude owner 'Q'",
+        id="channel-excludes-an-owner-that-never-runs-it",
+    ),
 ]
 
 
@@ -280,6 +326,19 @@ def test_a_directly_built_graph_too_deep_to_check_still_runs():
         (f"n{n - 1}",),
     )
     assert run(model, SimConfig(horizon=50)).outcome.kind == "nominal"
+
+
+def test_a_graph_too_deep_to_check_hides_no_later_defect():
+    n = 2000
+    model = _with_alpha_work(
+        [action("x", 0), *(action(f"n{i}", 0) for i in range(1, n))],
+        [("x", "n1"), *((f"n{i}", f"n{i + 1}") for i in range(1, n - 1))],
+        (f"n{n - 1}",),
+    )
+    model = _replaced(model, "constituents", "Beta", nominal_process="NOPE")
+    with pytest.raises(SimulationError, match="^model is malformed: ") as exc:
+        run(model, SimConfig(horizon=50))
+    assert "constituent 'Beta' references unknown activity graph 'NOPE'" in str(exc.value)
 
 
 def test_the_gate_refuses_findings_then_structure_then_configuration():

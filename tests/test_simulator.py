@@ -59,6 +59,15 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfigError):
             SimConfig(horizon=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("horizon", "50"), ("horizon", 2.5), ("horizon", True),
+        ("seed", 1.5), ("seed", [1]), ("seed", False),
+        ("recovery_enabled", "no"), ("recovery_enabled", 0),
+    ])
+    def test_wrongly_typed_fields_are_refused(self, field, value):
+        with pytest.raises(InvalidConfigError, match=f"^{field} must be "):
+            SimConfig(**{field: value})
+
     def test_unknown_scenario(self):
         with pytest.raises(InvalidConfigError, match="unknown scenario"):
             run(race_fixture(), cfg(scenario="NOPE"))
@@ -162,9 +171,9 @@ class TestDeterminism:
         run(race_fixture(), cfg(seed=HIT_SEED))  # Q's third-party report draws
         assert made == [(HIT_SEED,)]
         monkeypatch.undo()
-        # A seed random.Random refuses still fails as the run starts.
-        with pytest.raises(TypeError):
-            run(fault1.model, dataclasses.replace(fault1.scenarios["F1"], seed=[1]))
+        # A seed that is no int is refused as the configuration is made.
+        with pytest.raises(InvalidConfigError):
+            dataclasses.replace(fault1.scenarios["F1"], seed=[1])
 
     def test_event_times_never_decrease(self):
         trace = run(race_fixture(), cfg(seed=HIT_SEED))
