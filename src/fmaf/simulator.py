@@ -49,6 +49,8 @@ record holds everything entering and completing its node needs: the
 activity, its ``ActivityKind`` and duration as the model states them,
 and its instance's key, owner and recovery, so the engine passes one
 record per node event and a queued completion is the record itself.
+``_Engine.loop`` handles completions and deliveries itself, entering a
+plain step's one successor too; ``enter_node`` takes every other entry.
 Each record holds the details that its trace events share, so a run
 builds details only with a record.  Each shared mapping caches its JSON
 text for the trace writer and its set of string values for metric
@@ -97,6 +99,7 @@ from .model import (
     DanglingReferenceError,
     DetectionSpec,
     ElapsedBetween,
+    EVENT_KINDS,
     FmafError,
     GraphStructureError,
     MetricSpec,
@@ -399,8 +402,9 @@ def _draw(sampler, probability: float) -> bool:
 # ---------------------------------------------------------------------------
 # Engine internals
 
-# Same-tick processing order: a heap entry is (time, actor, rank, seq,
-# payload).  Each rank names one event kind, which ``loop`` dispatches on.
+# A heap entry is (time, actor, rank, seq, payload), handled in that
+# same-tick order, which ``docs/semantics.md`` states with this rank
+# table.  Each rank names one event kind, which ``loop`` dispatches on.
 _R_INJECT = 0
 _R_ERROR = 1
 _R_DELIVER = 2
@@ -642,31 +646,6 @@ class _Engine:
         heapq.heappush(self.heap, (time + step.ticks, step.owner, _R_COMPLETE, self.seq, step))
         self.seq += 1
 
-    def complete_node(self, step: _Step, time: int) -> None:
-        kind = step.kind
-        if self.record:
-            if kind is _TIMER:
-                self.events.append((time, "timer-expired", step.owner, step.timer))
-            event = "activity-end" if step.recovery is None else "recovery-step"
-            self.events.append((time, event, step.owner, step.details))
-        if kind is _SEND:
-            self.send_message(step, time)
-
-        successors = step.successors
-        if not successors:
-            self.tokens -= 1
-            if step.recovery is not None:
-                self.on_recovery_exit(step, time)
-            return
-        table = self.plan.instances[step.key]
-        if kind is _DECISION:
-            self.enter_node(table[self.pick_branch(step, successors)], time)
-            return
-        if kind is _FORK:
-            self.tokens += len(successors) - 1
-        for target in successors:
-            self.enter_node(table[target], time)
-
     def pick_branch(self, step: _Step, out) -> str:
         node_id = step.activity.id
         chosen = self.config.guard_inputs.get(node_id)
@@ -683,34 +662,6 @@ class _Engine:
                 f"branch and no guard input matched; valid labels: {labels}"
             )
         return default
-
-    def send_message(self, step: _Step, time: int) -> None:
-        link, receiver = step.link, step.receiver
-        if self.record:
-            self.events.append((time, "message-sent", step.owner, step.sent))
-        if not _draw(self.sampler, link.reliability):
-            if self.record:
-                self.events.append((time, "message-lost", step.owner, step.sent))
-            return
-        self.push(
-            time + link.latency, receiver, _R_DELIVER, (receiver, link.id, step.delivered)
-        )
-
-    def deliver_message(
-        self, receiver: str, channel: str, details: _Details, time: int
-    ) -> None:
-        if self.record:
-            self.events.append((time, "message-delivered", receiver, details))
-        waiting = self.waiting
-        for pair in self.plan.receivers.get((receiver, channel), ()):
-            key, node_id = pair
-            if pair in waiting:
-                waiting.remove(pair)
-                step = self.plan.instances[key][node_id]
-                self.push(time + step.ticks, receiver, _R_COMPLETE, step)
-                return
-        box = (receiver, channel)
-        self.mailbox[box] = self.mailbox.get(box, 0) + 1
 
     # -- fault injection and detection
 
@@ -735,10 +686,12 @@ class _Engine:
         origin = self.focus.activation.origin_constituent
         if self.record:
             self.events.append((time, "fault-activated", origin, self.focus.activated))
-        key = f"nominal:{origin}"  # suspended: drop its completions and receives
-        self.heap = [e for e in self.heap if e[2] != _R_COMPLETE or e[4].key != key]
-        heapq.heapify(self.heap)
-        self.waiting = {pair for pair in self.waiting if pair[0] != key}
+        # Suspended: drop its completions and receives, in place, since
+        # ``loop`` holds the queue and the waiting set.
+        key, heap = f"nominal:{origin}", self.heap
+        heap[:] = [e for e in heap if e[2] != _R_COMPLETE or e[4].key != key]
+        heapq.heapify(heap)
+        self.waiting -= {pair for pair in self.waiting if pair[0] == key}
         self.push(time + 1, origin, _R_ERROR, ())
 
     def raise_error(self, time: int) -> None:
@@ -778,8 +731,9 @@ class _Engine:
         if self.record:
             self.events.append((time, "recovery-started", spec.detector, detected))
         # One recovery starts per run, so it suspends every instance so far.
-        self.heap = [e for e in self.heap if e[2] != _R_COMPLETE]
-        heapq.heapify(self.heap)
+        heap = self.heap
+        heap[:] = [e for e in heap if e[2] != _R_COMPLETE]
+        heapq.heapify(heap)
         self.waiting.clear()
         self.tokens = 0
         for cs_id, graph_id in recovery.graphs.items():
@@ -828,23 +782,77 @@ class _Engine:
 
     def loop(self, stop: int = -1) -> None:
         """Process events until an outcome is set, the queue drains, or
-        ``stop`` events have been popped."""
+        ``stop`` events have been popped.  A plain step's successor is
+        entered here unless it is a join or a receive or an activation is
+        pending.  The queue, the waiting set and the mailbox are bound
+        once: every handler edits them in place."""
+        heap, heappop, heappush, plan = self.heap, heapq.heappop, heapq.heappush, self.plan
+        horizon, instances, receivers = self.config.horizon, plan.instances, plan.receivers
+        record, rows, waiting, mailbox = self.record, self.events, self.waiting, self.mailbox
         branches = self.branches
-        while self.heap and self.outcome is None and self.pops != stop:
+        while heap and self.outcome is None and self.pops != stop:
             self.pops += 1
-            entry = heapq.heappop(self.heap)
-            time, actor, rank, seq, payload = entry
-            if time > self.config.horizon:
+            entry = heappop(heap)
+            time, actor, rank, _, payload = entry
+            if time > horizon:
                 self.outcome = Outcome("horizon-exhausted")
                 break
             self.clock = time
             if rank == _R_COMPLETE:
+                step = payload
                 if branches is not None:
-                    branches.complete(self, entry, payload)
-                self.complete_node(payload, time)
+                    branches.complete(self, entry, step)
+                kind, nominal = step.kind, step.recovery is None
+                if record:
+                    if kind is _TIMER:
+                        rows.append((time, "timer-expired", actor, step.timer))
+                    event = "activity-end" if nominal else "recovery-step"
+                    rows.append((time, event, actor, step.details))
+                if kind is _SEND:
+                    link = step.link
+                    if record:
+                        rows.append((time, "message-sent", actor, step.sent))
+                    if _draw(self.sampler, link.reliability):
+                        message = (step.receiver, link.id, step.delivered)
+                        self.push(time + link.latency, step.receiver, _R_DELIVER, message)
+                    elif record:
+                        rows.append((time, "message-lost", actor, step.sent))
+                successors = step.successors
+                if not successors:
+                    self.tokens -= 1
+                    if not nominal:
+                        self.on_recovery_exit(step, time)
+                    continue
+                table = instances[step.key]
+                if kind is _DECISION:
+                    successors = (self.pick_branch(step, successors),)
+                elif kind is _FORK:
+                    self.tokens += len(successors) - 1
+                else:
+                    step = table[successors[0]]
+                    kind = step.kind
+                    if kind is not _JOIN and kind is not _RECEIVE and not self.pending:
+                        if record and nominal:
+                            rows.append((time, "activity-start", actor, step.details))
+                        heappush(heap, (time + step.ticks, actor, _R_COMPLETE, self.seq, step))
+                        self.seq += 1
+                        continue
+                for target in successors:
+                    self.enter_node(table[target], time)
             elif rank == _R_DELIVER:
-                receiver, channel, details = payload
-                self.deliver_message(receiver, channel, details, time)
+                _, channel, details = payload
+                if record:
+                    rows.append((time, "message-delivered", actor, details))
+                box = (actor, channel)
+                for pair in receivers.get(box, ()):
+                    if pair in waiting:  # the first waiting receive takes it
+                        waiting.remove(pair)
+                        step = instances[pair[0]][pair[1]]
+                        heappush(heap, (time + step.ticks, actor, _R_COMPLETE, self.seq, step))
+                        self.seq += 1
+                        break
+                else:
+                    mailbox[box] = mailbox.get(box, 0) + 1
             elif rank == _R_INJECT:
                 self.inject_fault(time)
             elif rank == _R_ERROR:
@@ -1368,28 +1376,29 @@ def _body(details: Mapping[str, object]) -> str:
     return _object_text(details)
 
 
+# Each event kind's line text from its details to its time.
+_TAILS = {kind: f', "kind": {_quote(kind)}, "time": ' for kind in EVENT_KINDS}
+
+
 def _event_lines(rows: Iterable[tuple]) -> list[str]:
     lines = []
-    # actor -> the line's text up to its details; kind -> the text from
-    # the details to the time.  Actors and kinds come from small
-    # per-model vocabularies, so each is quoted once per call.
+    # actor -> the line's text up to its details.  Actors come from a
+    # small per-model vocabulary, so each is quoted once per call.
     heads: dict[str, str] = {}
-    tails: dict[str, str] = {}
     for time, kind, actor, details in rows:
-        if type(time) is int and type(actor) is str and type(kind) is str:
+        tail = _TAILS.get(kind) if type(kind) is str else None
+        if tail is not None and type(time) is int and type(actor) is str:
             head = heads.get(actor)
             if head is None:
                 head = heads[actor] = f'{{"actor": {_quote(actor)}, "details": '
-            tail = tails.get(kind)
-            if tail is None:
-                tail = tails[kind] = f', "kind": {_quote(kind)}, "time": '
             body = details.text if type(details) is _Details else None
             if body is None:
                 body = _body(details)
             lines.append(f"{head}{body}{tail}{time}}}")
         else:
-            # A replaced event may hold a bool, a float or an unhashable
-            # value here: encode each field as json.dumps would.
+            # A replaced event may hold another kind, or a bool, a float
+            # or an unhashable value here: encode each field as json.dumps
+            # would.
             lines.append(
                 f'{{"actor": {_json(actor)}, "details": {_body(details)}, '
                 f'"kind": {_json(kind)}, "time": {_json(time)}}}'

@@ -321,6 +321,62 @@ def coin_race_fixture() -> SosModel:
     return dataclasses.replace(model, activations={"ACT": activation})
 
 
+def successor_fixtures() -> dict[str, SosModel]:
+    """Small models, each reaching one way a completed step enters its
+    single successor, run as scenario None and ``"CH"``.
+
+    - ``race``: recovery steps follow recovery steps, and ``p_setup``
+      enters ``p_serve`` while its ``OnEntry`` activation is pending;
+    - ``coin-race``: the same entry while a ``Probabilistic`` one is;
+    - ``join``: P forks into ``p_serve`` and ``p_side``, whose
+      completions each enter the join ``meet``;
+    - ``suspend``: ``join`` with an ``AtTime(3)`` fault, which suspends
+      P while both branch completions are queued;
+    - ``receive-waits`` and ``receive-has-mail``: Q's ``q_prep`` enters
+      the receive ``q_wait`` before P's report arrives, or after it, over
+      a link that loses half its messages (nominal runs only: the fault
+      suspends P before it reports).
+    """
+    race = race_fixture()
+    nodes = {
+        "p_setup": action("p_setup", 1),
+        "split": Activity("split", ActivityKind.FORK),
+        "p_serve": action("p_serve", 4),
+        "p_side": action("p_side", 3),
+        "meet": Activity("meet", ActivityKind.JOIN),
+        "p_report": Activity("p_report", ActivityKind.SEND, duration=1, channel="LinkPQ"),
+        "p_done": action("p_done", 1),
+    }
+    pairs = [("p_setup", "split"), ("split", "p_serve"), ("split", "p_side"),
+             ("p_serve", "meet"), ("p_side", "meet"), ("meet", "p_report"),
+             ("p_report", "p_done")]
+    forked = ActivityGraph(
+        id="GP", owner="P", nodes=nodes, edges=tuple(Edge(a, b) for a, b in pairs),
+        entry="p_setup", exits=frozenset({"p_done"}),
+    )
+    join = dataclasses.replace(race, processes={**race.processes, "GP": forked})
+    at_three = dataclasses.replace(join.activations["ACT"], trigger=AtTime(3))
+    lossy = dataclasses.replace(race.connections["LinkPQ"], reliability=0.5)
+
+    def receiving(prep: int) -> SosModel:
+        wait = Activity("q_wait", ActivityKind.RECEIVE, duration=0, channel="LinkPQ")
+        gq = seq_graph("GQ", "Q", [action("q_prep", prep), wait, action("q_log", 1)])
+        return dataclasses.replace(
+            race,
+            connections={**race.connections, "LinkPQ": lossy},
+            processes={**race.processes, "GQ": gq},
+        )
+
+    return {
+        "race": race,
+        "coin-race": coin_race_fixture(),
+        "join": join,
+        "suspend": dataclasses.replace(join, activations={"ACT": at_three}),
+        "receive-waits": receiving(1),
+        "receive-has-mail": receiving(9),
+    }
+
+
 def random_model(rng) -> SosModel:
     """A small random but always structurally valid model.
 

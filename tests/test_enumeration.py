@@ -50,7 +50,7 @@ from fmaf.simulator import (
     summarize,
 )
 
-from _builders import action, race_fixture, random_model, seq_graph
+from _builders import action, race_fixture, random_model, seq_graph, successor_fixtures
 
 
 def replay_outcomes(model, config, bound=12, leaves=None):
@@ -101,7 +101,15 @@ def _bundle_scenarios():
             yield pytest.param(bundle.model, cfg, id=f"{name}/{sname}")
 
 
-@pytest.mark.parametrize("model,config", _bundle_scenarios())
+def _successor_scenarios():
+    for name, model in successor_fixtures().items():
+        for scenario in (None, "CH"):
+            yield pytest.param(
+                model, SimConfig(scenario=scenario, horizon=60), id=f"{name}/{scenario}"
+            )
+
+
+@pytest.mark.parametrize("model,config", [*_bundle_scenarios(), *_successor_scenarios()])
 def test_bundle_scenarios_match_replay(model, config):
     assert_same(model, config)
 

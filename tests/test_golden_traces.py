@@ -4,7 +4,9 @@
 given (model, config).  Each runnable sidecar scenario of the four
 bundles (every one not expected to be a checker violation) is run at
 seeds 0-4 and the sha256 of ``format_trace`` compared with the digest
-recorded here.  A digest only changes when the trace format or the
+recorded here.  So is each of ``successor_fixtures``, the ways a
+completed step enters its successor, as scenario None and ``"CH"``
+with horizon 60.  A digest only changes when the trace format or the
 simulation semantics change on purpose; then regenerate the table.
 """
 
@@ -16,7 +18,9 @@ import hashlib
 import pytest
 
 from fmaf.casestudy import BUNDLE_NAMES, load_bundle
-from fmaf.simulator import format_trace, run
+from fmaf.simulator import SimConfig, format_trace, run
+
+from _builders import successor_fixtures
 
 SEEDS = range(5)
 
@@ -66,7 +70,70 @@ GOLDEN = {
     ("fault3", "F3.4", 2): "efa2f593c4fd0966113085943a9bfc0e03b159bfef0100d5d8a7179b460d9da9",
     ("fault3", "F3.4", 3): "69cd840f253665c0f910cc4524ed642c9ccd766ecf15e62f28b177df999de71d",
     ("fault3", "F3.4", 4): "69cd840f253665c0f910cc4524ed642c9ccd766ecf15e62f28b177df999de71d",
+    ("race", None, 0): "8c98ba3dd3fda5c506d9bf74de7baa1fffc0b491f56e952310aceee6821e39b3",
+    ("race", None, 1): "8c98ba3dd3fda5c506d9bf74de7baa1fffc0b491f56e952310aceee6821e39b3",
+    ("race", None, 2): "8c98ba3dd3fda5c506d9bf74de7baa1fffc0b491f56e952310aceee6821e39b3",
+    ("race", None, 3): "8c98ba3dd3fda5c506d9bf74de7baa1fffc0b491f56e952310aceee6821e39b3",
+    ("race", None, 4): "8c98ba3dd3fda5c506d9bf74de7baa1fffc0b491f56e952310aceee6821e39b3",
+    ("race", "CH", 0): "d07ff448d1d9feaf23f4e370f38f7bc2f48cc0cb5c7aa96d5dfca2d6108c9ac9",
+    ("race", "CH", 1): "cdda1464b942ecb90defb5f341dd06dbf8da118cb9e404ca4780b5bae98b9e06",
+    ("race", "CH", 2): "d07ff448d1d9feaf23f4e370f38f7bc2f48cc0cb5c7aa96d5dfca2d6108c9ac9",
+    ("race", "CH", 3): "cdda1464b942ecb90defb5f341dd06dbf8da118cb9e404ca4780b5bae98b9e06",
+    ("race", "CH", 4): "cdda1464b942ecb90defb5f341dd06dbf8da118cb9e404ca4780b5bae98b9e06",
+    ("coin-race", None, 0): "8c98ba3dd3fda5c506d9bf74de7baa1fffc0b491f56e952310aceee6821e39b3",
+    ("coin-race", None, 1): "8c98ba3dd3fda5c506d9bf74de7baa1fffc0b491f56e952310aceee6821e39b3",
+    ("coin-race", None, 2): "8c98ba3dd3fda5c506d9bf74de7baa1fffc0b491f56e952310aceee6821e39b3",
+    ("coin-race", None, 3): "8c98ba3dd3fda5c506d9bf74de7baa1fffc0b491f56e952310aceee6821e39b3",
+    ("coin-race", None, 4): "8c98ba3dd3fda5c506d9bf74de7baa1fffc0b491f56e952310aceee6821e39b3",
+    ("coin-race", "CH", 0): "3aba6737f5b31bba4bcfa8b3cc0eab1f0cc7e0ab856b63cdc8e1811c88dfe72a",
+    ("coin-race", "CH", 1): "d07ff448d1d9feaf23f4e370f38f7bc2f48cc0cb5c7aa96d5dfca2d6108c9ac9",
+    ("coin-race", "CH", 2): "3aba6737f5b31bba4bcfa8b3cc0eab1f0cc7e0ab856b63cdc8e1811c88dfe72a",
+    ("coin-race", "CH", 3): "d07ff448d1d9feaf23f4e370f38f7bc2f48cc0cb5c7aa96d5dfca2d6108c9ac9",
+    ("coin-race", "CH", 4): "cdda1464b942ecb90defb5f341dd06dbf8da118cb9e404ca4780b5bae98b9e06",
+    ("join", None, 0): "01d85ffb09fd5f351270eebedd8e7a49395963eca8f1abb66dcb0df21e404561",
+    ("join", None, 1): "01d85ffb09fd5f351270eebedd8e7a49395963eca8f1abb66dcb0df21e404561",
+    ("join", None, 2): "01d85ffb09fd5f351270eebedd8e7a49395963eca8f1abb66dcb0df21e404561",
+    ("join", None, 3): "01d85ffb09fd5f351270eebedd8e7a49395963eca8f1abb66dcb0df21e404561",
+    ("join", None, 4): "01d85ffb09fd5f351270eebedd8e7a49395963eca8f1abb66dcb0df21e404561",
+    ("join", "CH", 0): "8e7119c1fd9bdee94a3cacdf375e25698466bd382f00526a19ee8baa6c1a66ec",
+    ("join", "CH", 1): "02ed1876f1a8851ff30ea2f9a155acb6d2a337c9de6b4e8e96bdc00c431b9b2d",
+    ("join", "CH", 2): "8e7119c1fd9bdee94a3cacdf375e25698466bd382f00526a19ee8baa6c1a66ec",
+    ("join", "CH", 3): "02ed1876f1a8851ff30ea2f9a155acb6d2a337c9de6b4e8e96bdc00c431b9b2d",
+    ("join", "CH", 4): "02ed1876f1a8851ff30ea2f9a155acb6d2a337c9de6b4e8e96bdc00c431b9b2d",
+    ("suspend", None, 0): "01d85ffb09fd5f351270eebedd8e7a49395963eca8f1abb66dcb0df21e404561",
+    ("suspend", None, 1): "01d85ffb09fd5f351270eebedd8e7a49395963eca8f1abb66dcb0df21e404561",
+    ("suspend", None, 2): "01d85ffb09fd5f351270eebedd8e7a49395963eca8f1abb66dcb0df21e404561",
+    ("suspend", None, 3): "01d85ffb09fd5f351270eebedd8e7a49395963eca8f1abb66dcb0df21e404561",
+    ("suspend", None, 4): "01d85ffb09fd5f351270eebedd8e7a49395963eca8f1abb66dcb0df21e404561",
+    ("suspend", "CH", 0): "2a7f992eef6e2a9550a91100acda221409d0eca1419efbb752ff4cf6645bc670",
+    ("suspend", "CH", 1): "bae7f0c9d0e6acbe976aedb049e085656b9140e26b4c41b3c61ff13fc653dcc9",
+    ("suspend", "CH", 2): "2a7f992eef6e2a9550a91100acda221409d0eca1419efbb752ff4cf6645bc670",
+    ("suspend", "CH", 3): "bae7f0c9d0e6acbe976aedb049e085656b9140e26b4c41b3c61ff13fc653dcc9",
+    ("suspend", "CH", 4): "bae7f0c9d0e6acbe976aedb049e085656b9140e26b4c41b3c61ff13fc653dcc9",
+    ("receive-waits", None, 0): "93cefef984b1dcbe85158efd831b09e1a106dda15bfbdc5dd9f1d024358662bb",
+    ("receive-waits", None, 1): "32f0dd2cfb21c2b8c5bb485c4e0bfeaec7f43299dbbb73b2cee8a7cbdc0cd786",
+    ("receive-waits", None, 2): "93cefef984b1dcbe85158efd831b09e1a106dda15bfbdc5dd9f1d024358662bb",
+    ("receive-waits", None, 3): "32f0dd2cfb21c2b8c5bb485c4e0bfeaec7f43299dbbb73b2cee8a7cbdc0cd786",
+    ("receive-waits", None, 4): "32f0dd2cfb21c2b8c5bb485c4e0bfeaec7f43299dbbb73b2cee8a7cbdc0cd786",
+    ("receive-waits", "CH", 0): "2331fe13eb006a34ef06d2c469b31070c13d39bf0f8cc4c5584c08a98c9ba4e8",
+    ("receive-waits", "CH", 1): "6a54d625eb75c6d742babc681048db8c8b5bddf678bc78d9997fc1ea82b2221a",
+    ("receive-waits", "CH", 2): "2331fe13eb006a34ef06d2c469b31070c13d39bf0f8cc4c5584c08a98c9ba4e8",
+    ("receive-waits", "CH", 3): "6a54d625eb75c6d742babc681048db8c8b5bddf678bc78d9997fc1ea82b2221a",
+    ("receive-waits", "CH", 4): "6a54d625eb75c6d742babc681048db8c8b5bddf678bc78d9997fc1ea82b2221a",
+    ("receive-has-mail", None, 0): "a75a978c4cc24ebe470791307542ca3b85b22f2d43cefe5d6d210d5b15b13fd8",
+    ("receive-has-mail", None, 1): "d1de55f07da0f4b2fafd80f11ed847f22ace3255a0654e6e28eb466f600f8749",
+    ("receive-has-mail", None, 2): "a75a978c4cc24ebe470791307542ca3b85b22f2d43cefe5d6d210d5b15b13fd8",
+    ("receive-has-mail", None, 3): "d1de55f07da0f4b2fafd80f11ed847f22ace3255a0654e6e28eb466f600f8749",
+    ("receive-has-mail", None, 4): "d1de55f07da0f4b2fafd80f11ed847f22ace3255a0654e6e28eb466f600f8749",
+    ("receive-has-mail", "CH", 0): "50ba332091a32550ac3ff1207ab8f5adf7c2d738227d100b2953bc12bc33c67e",
+    ("receive-has-mail", "CH", 1): "0ecb5265d6cb7ad4733f7b9d204831f79897d2387e8b25309aff47312b250a0e",
+    ("receive-has-mail", "CH", 2): "50ba332091a32550ac3ff1207ab8f5adf7c2d738227d100b2953bc12bc33c67e",
+    ("receive-has-mail", "CH", 3): "0ecb5265d6cb7ad4733f7b9d204831f79897d2387e8b25309aff47312b250a0e",
+    ("receive-has-mail", "CH", 4): "0ecb5265d6cb7ad4733f7b9d204831f79897d2387e8b25309aff47312b250a0e",
 }
+
+
+FIXTURES = successor_fixtures()
 
 
 def _runnable():
@@ -76,6 +143,9 @@ def _runnable():
             if bundle.expected.get(sname, {}).get("outcome") == "checker-violation":
                 continue
             yield name, sname
+    for name in FIXTURES:
+        yield name, None
+        yield name, "CH"
 
 
 RUNNABLE = list(_runnable())
@@ -87,9 +157,12 @@ def test_table_covers_every_runnable_scenario():
 
 @pytest.mark.parametrize("bundle_name,scenario", RUNNABLE)
 def test_trace_bytes_are_pinned(bundle_name, scenario):
-    bundle = load_bundle(bundle_name)
+    if bundle_name in FIXTURES:
+        model, config = FIXTURES[bundle_name], SimConfig(scenario=scenario, horizon=60)
+    else:
+        bundle = load_bundle(bundle_name)
+        model, config = bundle.model, bundle.scenarios[scenario]
     for seed in SEEDS:
-        cfg = dataclasses.replace(bundle.scenarios[scenario], seed=seed)
-        text = format_trace(run(bundle.model, cfg))
+        text = format_trace(run(model, dataclasses.replace(config, seed=seed)))
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == GOLDEN[(bundle_name, scenario, seed)], (bundle_name, scenario, seed)

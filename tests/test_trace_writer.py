@@ -79,7 +79,19 @@ def _bundle_runs():
             yield pytest.param(bundle.model, config, id=f"{name}/{sname}")
 
 
-@pytest.mark.parametrize("model,config", _bundle_runs())
+def _half_tick_run():
+    """fault1's F1 with the first nominal activity lasting 1.5 ticks, so
+    the engine's rows carry float times from its end on."""
+    bundle = load_bundle("fault1")
+    model = bundle.model
+    graph = model.processes[next(iter(model.constituents.values())).nominal_process]
+    entry = dataclasses.replace(graph.nodes[graph.entry], duration=1.5)
+    graph = dataclasses.replace(graph, nodes={**graph.nodes, entry.id: entry})
+    model = dataclasses.replace(model, processes={**model.processes, graph.id: graph})
+    return pytest.param(model, bundle.scenarios["F1"], id="fault1/F1-1.5-ticks")
+
+
+@pytest.mark.parametrize("model,config", [*_bundle_runs(), _half_tick_run()])
 def test_bundle_traces_match(model, config):
     for seed in range(5):
         assert_same(run(model, dataclasses.replace(config, seed=seed)))
