@@ -38,13 +38,14 @@ activation never fired by then (a ``Probabilistic`` trigger that drew
 False at every start in its region) ends ``not-activated``, with no
 chain event.
 
-Each model keeps a run plan, built on its first run: the checker's
-findings, the structure verdict, one record per chain holding one record
-per detection spec, an index from (receiver, channel) to the receive
-nodes that may take a delivery, and one step table per activity-graph
+Each model keeps a run plan, built on its first run, so a seed sweep
+pays for one ``check``: the checker's findings, the structure verdict,
+one record per chain holding one record per detection spec, the metric
+specs' split event patterns, and one step table per activity-graph
 instance, made when a run first starts the instance.  A table builds a
 node's step record when a run first enters the node; later runs and
-forks share it, so a run pays only for the nodes it reaches.  A step
+forks share it, so a run pays only for the nodes it reaches (a fault
+that suspends its origin early leaves most nodes without one).  A step
 record holds everything entering and completing its node needs: the
 activity, its ``ActivityKind`` and duration as the model states them,
 and its instance's key, owner and recovery, so the engine passes one
@@ -56,16 +57,17 @@ builds details only with a record.  Each shared mapping caches its JSON
 text for the trace writer and its set of string values for metric
 qualifiers.  None of these caches changes a trace's bytes.
 A run records each trace event as a plain ``(time, kind, actor,
-details)`` row.  The metrics and the trace writer read the rows; the
-trace builds its ``SimEvent`` tuple, by plain slot stores into the same
-frozen type that the public constructor gives, when ``events`` is first
-read, and keeps it.  So a run that is only written or summarised builds
-no event object.
+details)`` row.  The metrics, in one scan, and the trace writer read
+the rows; the trace builds its ``SimEvent`` tuple, by plain slot stores
+into the same frozen type that the public constructor gives, when
+``events`` is first read, and keeps it.  So a run that is only written
+or summarised builds no event object.
 
 A run's changing state is a token count (the nominal instances' until
 recovery starts, the recovery's after) and flat tables a fork copies:
-join arrivals under the join's record, the waiting receives as
-(instance, receive) pairs, the mailbox and the event queue.
+join arrivals under the join's record, the waiting receives' records,
+the mailbox and the event queue.  A delivery wakes the first waiting
+receive of its box in instance key, then receive id, order.
 
 ``enumerate_outcomes`` forks at the draw.  Three kinds of event can
 draw: the completion of a send over a lossy link, a nominal start that
@@ -170,9 +172,10 @@ class UnknownEventPatternError(FmafError):
 class SimConfig:
     """One run's knobs.
 
-    ``seed`` and ``horizon`` are of type ``int``, ``recovery_enabled``
-    of type ``bool``.  ``enabled_detectors`` of None means every detector
-    the focused chain lists; an explicit collection of ids, not a string,
+    ``scenario`` is a chain id string or None, ``seed`` and ``horizon``
+    are of type ``int``, ``recovery_enabled`` of type ``bool``.
+    ``enabled_detectors`` of None means every detector the focused chain
+    lists; an explicit collection of id strings, not a string itself,
     must be a subset of those.  ``guard_inputs``, a mapping or pairs,
     chooses guarded branches by decision node id; decisions without an
     input (or with an unmatched label) take their unguarded default edge.
@@ -193,10 +196,19 @@ class SimConfig:
                 raise InvalidConfigError(f"{name} must be {kind.__name__}, not {value!r}")
         if self.horizon <= 0:
             raise InvalidConfigError("horizon must be positive")
+        if self.scenario is not None and type(self.scenario) is not str:
+            raise InvalidConfigError(f"scenario must be str or None, not {self.scenario!r}")
         if isinstance(detectors, str):
             raise InvalidConfigError(f"enabled detectors are ids, not the string {detectors!r}")
         if detectors is not None:
-            object.__setattr__(self, "enabled_detectors", frozenset(detectors))
+            try:
+                detectors = frozenset(detectors)
+            except TypeError as e:
+                raise InvalidConfigError(f"enabled detectors must be a collection: {e}") from None
+            odd = ", ".join(sorted(repr(d) for d in detectors if type(d) is not str))
+            if odd:
+                raise InvalidConfigError(f"enabled detectors must be strings, not {odd}")
+            object.__setattr__(self, "enabled_detectors", detectors)
         try:
             object.__setattr__(self, "guard_inputs", dict(self.guard_inputs))
         except (TypeError, ValueError) as error:
@@ -353,19 +365,13 @@ class NeedChoice(Exception):
     """A scripted sampler ran out of scripted choices."""
 
 
-# The seed types ``random.Random`` takes without a warning or an error.
-_SEEDS = (int, float, str, bytes, bytearray, type(None))
-
-
 class RandomSampler:
     """Draws from ``random.Random(seed)``, seeded on the first draw: most
-    runs never draw, and seeding costs more than a short run's events.
-    A seed of another type is seeded at once, so that it fails or warns
-    as the run starts, whether or not the run draws."""
+    runs never draw, and seeding costs more than a short run's events."""
 
     def __init__(self, seed: int) -> None:
         self._seed = seed
-        self._rng = None if isinstance(seed, _SEEDS) else random.Random(seed)
+        self._rng = None
 
     def bernoulli(self, probability: float) -> bool:
         rng = self._rng
@@ -435,7 +441,8 @@ class _Step:
     an exit; a decision keeps its out-edges, whose guards pick the one
     target.  The fields from ``link`` to ``receiver`` are a send's, None
     for every other node; ``draw`` is the link's reliability when a send
-    over it draws, 0 < reliability < 1, and None otherwise.  A slotted
+    over it draws, 0 < reliability < 1, and None otherwise.  ``box``, a
+    receive's (owner, channel), is None for every other node.  A slotted
     class, not a named tuple or a dataclass: the engine reads a few
     fields per node event, a slot read is the cheapest, and the class
     adds no import cost.
@@ -444,13 +451,13 @@ class _Step:
     __slots__ = (
         "key", "owner", "recovery",
         "activity", "kind", "ticks", "successors", "in_degree", "details",
-        "link", "draw", "sent", "delivered", "receiver", "timer",
+        "link", "draw", "sent", "delivered", "receiver", "timer", "box",
     )
 
     def __init__(
         self, key, owner, recovery,
         activity, kind, ticks, successors, in_degree, details,
-        link, draw, sent, delivered, receiver, timer,
+        link, draw, sent, delivered, receiver, timer, box,
     ) -> None:
         self.key: str = key
         self.owner: str = owner
@@ -467,6 +474,7 @@ class _Step:
         self.delivered: _Details | None = delivered  # message-delivered
         self.receiver: str | None = receiver
         self.timer: _Details | None = timer  # a timer's timer-expired
+        self.box: tuple[str, str] | None = box
 
 
 class _StepTable(dict):
@@ -515,6 +523,7 @@ class _StepTable(dict):
         if recovery is not None:
             items["recovery"] = recovery
         link = draw = sent = delivered = receiver = timer = None
+        box = (owner, node.channel) if kind is _RECEIVE else None
         if kind is _SEND:
             link = self.connections.get(node.channel)
         if link is not None:
@@ -530,7 +539,7 @@ class _StepTable(dict):
         return self.setdefault(node_id, _Step(
             self.key, owner, recovery, node, kind, ticks, successors,
             graph._in_degree.get(node_id, 0), _details(items),
-            link, draw, sent, delivered, receiver, timer,
+            link, draw, sent, delivered, receiver, timer, box,
         ))
 
 
@@ -550,7 +559,7 @@ class _Engine:
         # The run's tables, which ``fork`` copies: join arrivals, waiting
         # receives and unread messages.
         self.arrivals: dict[_Step, int] = {}  # join record -> tokens arrived
-        self.waiting: set[tuple[str, str]] = set()  # (key, receive)
+        self.waiting: set[_Step] = set()  # the waiting receives' records
         self.mailbox: dict[tuple[str, str], int] = {}  # (receiver, channel) -> unread
         self.outcome: Outcome | None = None
         self.pops = -1  # events popped; -1 until start() has run
@@ -638,9 +647,9 @@ class _Engine:
             if self.pending:
                 self.on_nominal_start(step, time)
         if kind is _RECEIVE:
-            box = (step.owner, step.activity.channel)
+            box = step.box
             if not self.mailbox.get(box):
-                self.waiting.add((step.key, step.activity.id))
+                self.waiting.add(step)
                 return
             self.mailbox[box] -= 1
         heapq.heappush(self.heap, (time + step.ticks, step.owner, _R_COMPLETE, self.seq, step))
@@ -691,7 +700,7 @@ class _Engine:
         key, heap = f"nominal:{origin}", self.heap
         heap[:] = [e for e in heap if e[2] != _R_COMPLETE or e[4].key != key]
         heapq.heapify(heap)
-        self.waiting -= {pair for pair in self.waiting if pair[0] == key}
+        self.waiting -= {step for step in self.waiting if step.key == key}
         self.push(time + 1, origin, _R_ERROR, ())
 
     def raise_error(self, time: int) -> None:
@@ -786,10 +795,9 @@ class _Engine:
         entered here unless it is a join or a receive or an activation is
         pending.  The queue, the waiting set and the mailbox are bound
         once: every handler edits them in place."""
-        heap, heappop, heappush, plan = self.heap, heapq.heappop, heapq.heappush, self.plan
-        horizon, instances, receivers = self.config.horizon, plan.instances, plan.receivers
+        heap, heappop, heappush = self.heap, heapq.heappop, heapq.heappush
+        horizon, instances, branches = self.config.horizon, self.plan.instances, self.branches
         record, rows, waiting, mailbox = self.record, self.events, self.waiting, self.mailbox
-        branches = self.branches
         while heap and self.outcome is None and self.pops != stop:
             self.pops += 1
             entry = heappop(heap)
@@ -843,16 +851,16 @@ class _Engine:
                 _, channel, details = payload
                 if record:
                     rows.append((time, "message-delivered", actor, details))
-                box = (actor, channel)
-                for pair in receivers.get(box, ()):
-                    if pair in waiting:  # the first waiting receive takes it
-                        waiting.remove(pair)
-                        step = instances[pair[0]][pair[1]]
-                        heappush(heap, (time + step.ticks, actor, _R_COMPLETE, self.seq, step))
-                        self.seq += 1
-                        break
-                else:
+                box, woken = (actor, channel), None  # the first by (key, receive id) wakes
+                for step in waiting:
+                    if step.box == box and (woken is None or (step.key, step.activity.id) < first):
+                        woken, first = step, (step.key, step.activity.id)
+                if woken is None:
                     mailbox[box] = mailbox.get(box, 0) + 1
+                else:
+                    waiting.remove(woken)
+                    heappush(heap, (time + woken.ticks, actor, _R_COMPLETE, self.seq, woken))
+                    self.seq += 1
             elif rank == _R_INJECT:
                 self.inject_fault(time)
             elif rank == _R_ERROR:
@@ -984,8 +992,7 @@ class _Plan(NamedTuple):
 
     Built once per model object, so a ``dataclasses.replace``d model gets
     its own.  It holds the checker's findings, one record per chain with
-    the records of its detection specs, the receive nodes each
-    constituent may wait on per channel, and the step table of each
+    the records of its detection specs, and the step table of each
     instance a run has started, under the instance's key:
     ``nominal:<constituent>`` or ``recovery:<recovery>:<constituent>``.
     A run adds the table of an instance it starts first, and a table
@@ -1004,8 +1011,6 @@ class _Plan(NamedTuple):
     malformed: str | None
     decisions: frozenset[str]
     chains: Mapping[str, _Chain]
-    # (receiver, channel) -> (instance key, receive id) pairs, keys sorted
-    receivers: Mapping[tuple[str, str], tuple[tuple[str, str], ...]]
     metrics: _Metrics
     instances: dict[str, _StepTable]  # instance key -> its step table, made on first start
 
@@ -1024,32 +1029,11 @@ def _plan(model: SosModel) -> _Plan:
                 if node.kind is ActivityKind.DECISION
             ),
             chains={c.id: _chain_record(model, c) for c in model.chains.values()},
-            receivers=_receivers(model),
             metrics=_prepare(model.metrics.values()),
             instances={},
         )
         object.__setattr__(model, "_plan", plan)
     return plan
-
-
-def _receivers(model: SosModel) -> dict[tuple[str, str], tuple[tuple[str, str], ...]]:
-    """Each receive node of every instance a constituent may start, under
-    (constituent, channel): instance keys in order, then receive ids in
-    node order.  A dangling graph reference lists nothing."""
-    instances = [
-        (f"nominal:{cs_id}", cs_id, cs.nominal_process)
-        for cs_id, cs in model.constituents.items()
-    ]
-    for recovery in model.recoveries.values():
-        for cs_id, graph_id in recovery.graphs.items():
-            instances.append((f"recovery:{recovery.id}:{cs_id}", cs_id, graph_id))
-    index: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for key, cs_id, graph_id in sorted(instances):
-        graph = model.processes.get(graph_id)
-        for node_id, node in graph.nodes.items() if graph is not None else ():
-            if node.kind is ActivityKind.RECEIVE:
-                index.setdefault((cs_id, node.channel), []).append((key, node_id))
-    return {box: tuple(waiting) for box, waiting in index.items()}
 
 
 def _malformed(model: SosModel) -> str | None:

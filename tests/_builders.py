@@ -323,7 +323,8 @@ def coin_race_fixture() -> SosModel:
 
 def successor_fixtures() -> dict[str, SosModel]:
     """Small models, each reaching one way a completed step enters its
-    single successor, run as scenario None and ``"CH"``.
+    single successor or a delivery finds its receive, run as scenario
+    None and ``"CH"``.
 
     - ``race``: recovery steps follow recovery steps, and ``p_setup``
       enters ``p_serve`` while its ``OnEntry`` activation is pending;
@@ -336,6 +337,11 @@ def successor_fixtures() -> dict[str, SosModel]:
       the receive ``q_wait`` before P's report arrives, or after it, over
       a link that loses half its messages (nominal runs only: the fault
       suspends P before it reports).
+    - ``receive-fork``: Q forks into three receives on that link, all
+      waiting before the first of P's three reports arrives, so a
+      delivery picks among several waiting receives;
+    - ``receive-chain``: Q runs 40 receives in sequence over a lossless
+      link, each waiting for the next of P's 40 reports.
     """
     race = race_fixture()
     nodes = {
@@ -367,6 +373,44 @@ def successor_fixtures() -> dict[str, SosModel]:
             processes={**race.processes, "GQ": gq},
         )
 
+    def reports(count: int) -> ActivityGraph:
+        """P sends ``count`` reports between its setup and ``p_serve``,
+        whose start triggers the fault."""
+        sends = [
+            Activity(f"p_send{i:02}", ActivityKind.SEND, duration=1, channel="LinkPQ")
+            for i in range(count)
+        ]
+        return seq_graph(
+            "GP", "P", [action("p_setup", 1), *sends, action("p_serve", 4), action("p_done", 1)]
+        )
+
+    # The receives' durations differ, and not in id order, so which one a
+    # delivery woke shows in the trace.
+    receives = {
+        rid: Activity(rid, ActivityKind.RECEIVE, duration=ticks, channel="LinkPQ")
+        for rid, ticks in (("q_r1", 1), ("q_r2", 4), ("q_r3", 2))
+    }
+    fanned = ActivityGraph(
+        id="GQ", owner="Q",
+        nodes={
+            "q_split": Activity("q_split", ActivityKind.FORK),
+            **receives,
+            "q_meet": Activity("q_meet", ActivityKind.JOIN),
+            "q_log": action("q_log", 1),
+        },
+        edges=(
+            *(Edge("q_split", rid) for rid in receives),
+            *(Edge(rid, "q_meet") for rid in receives),
+            Edge("q_meet", "q_log"),
+        ),
+        entry="q_split", exits=frozenset({"q_log"}),
+    )
+    chained = seq_graph("GQ", "Q", [
+        *(Activity(f"q_r{i:02}", ActivityKind.RECEIVE, duration=0, channel="LinkPQ")
+          for i in range(40)),
+        action("q_log", 1),
+    ])
+
     return {
         "race": race,
         "coin-race": coin_race_fixture(),
@@ -374,6 +418,14 @@ def successor_fixtures() -> dict[str, SosModel]:
         "suspend": dataclasses.replace(join, activations={"ACT": at_three}),
         "receive-waits": receiving(1),
         "receive-has-mail": receiving(9),
+        "receive-fork": dataclasses.replace(
+            race,
+            connections={**race.connections, "LinkPQ": lossy},
+            processes={**race.processes, "GP": reports(3), "GQ": fanned},
+        ),
+        "receive-chain": dataclasses.replace(
+            race, processes={**race.processes, "GP": reports(40), "GQ": chained}
+        ),
     }
 
 

@@ -61,7 +61,10 @@ class TestLoading:
             casestudy._to_config("x", {"detectors": "CallCentre"})
         assert str(info.value) == "enabled detectors are ids, not the string 'CallCentre'"
 
-    @pytest.mark.parametrize("raw", [{"recovery": "false"}, {"seed": 1.9}, {"horizon": "50"}])
+    @pytest.mark.parametrize("raw", [
+        {"recovery": "false"}, {"seed": 1.9}, {"horizon": "50"}, {"scenario": ["F1"]},
+        {"detectors": 5}, {"detectors": [["ERU"]]}, {"detectors": ["ERU", 1]},
+    ])
     def test_wrongly_typed_values_are_refused_not_converted(self, raw):
         with pytest.raises(FmafError, match=" must be "):
             casestudy._to_config("x", raw)

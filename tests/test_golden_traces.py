@@ -5,8 +5,8 @@ given (model, config).  Each runnable sidecar scenario of the four
 bundles (every one not expected to be a checker violation) is run at
 seeds 0-4 and the sha256 of ``format_trace`` compared with the digest
 recorded here.  So is each of ``successor_fixtures``, the ways a
-completed step enters its successor, as scenario None and ``"CH"``
-with horizon 60.  A digest only changes when the trace format or the
+completed step enters its successor or a delivery finds its receive,
+as scenario None and ``"CH"`` with horizon 60.  A digest only changes when the trace format or the
 simulation semantics change on purpose; then regenerate the table.
 """
 
@@ -130,6 +130,26 @@ GOLDEN = {
     ("receive-has-mail", "CH", 2): "50ba332091a32550ac3ff1207ab8f5adf7c2d738227d100b2953bc12bc33c67e",
     ("receive-has-mail", "CH", 3): "0ecb5265d6cb7ad4733f7b9d204831f79897d2387e8b25309aff47312b250a0e",
     ("receive-has-mail", "CH", 4): "0ecb5265d6cb7ad4733f7b9d204831f79897d2387e8b25309aff47312b250a0e",
+    ("receive-fork", None, 0): "94928197141a8893af60e3a55763179879f00cf9a7b3485214197e677c10b0be",
+    ("receive-fork", None, 1): "9404213f00f2fbc12ac61143fbd9ae4e7d6c7e92183532a871b807d8865f751b",
+    ("receive-fork", None, 2): "94928197141a8893af60e3a55763179879f00cf9a7b3485214197e677c10b0be",
+    ("receive-fork", None, 3): "39b26df4b20f0c1c323c202084502bca1c23ae9a1efec1d4088732ee3fda5926",
+    ("receive-fork", None, 4): "5c8659ca154a293f576738f33fbc6a7417c712ef94226de748931de26e2af4f7",
+    ("receive-fork", "CH", 0): "90d401e527a6b01dfb51e6a6669d5e819efd034d142ab1406c394a3c913fd4cb",
+    ("receive-fork", "CH", 1): "3a55cf4c65a3536133dee5b744ee35d922491ff444401351c6bdc06ffe1e3cf4",
+    ("receive-fork", "CH", 2): "90d401e527a6b01dfb51e6a6669d5e819efd034d142ab1406c394a3c913fd4cb",
+    ("receive-fork", "CH", 3): "27e30d1c36800e8137fbadbc409e493e1ab1a59f5790b3365c4f58477f13e8ac",
+    ("receive-fork", "CH", 4): "472dbd62ed48814c85751baf0777a764b61ea15ba0e8e03f0859b05ca15eb8b4",
+    ("receive-chain", None, 0): "320b811bd130796ccde8aa0eb93d3476385647a5d3b7639ef754dd232c8768dd",
+    ("receive-chain", None, 1): "320b811bd130796ccde8aa0eb93d3476385647a5d3b7639ef754dd232c8768dd",
+    ("receive-chain", None, 2): "320b811bd130796ccde8aa0eb93d3476385647a5d3b7639ef754dd232c8768dd",
+    ("receive-chain", None, 3): "320b811bd130796ccde8aa0eb93d3476385647a5d3b7639ef754dd232c8768dd",
+    ("receive-chain", None, 4): "320b811bd130796ccde8aa0eb93d3476385647a5d3b7639ef754dd232c8768dd",
+    ("receive-chain", "CH", 0): "66547c098855b4e049a1976d8b699238a32b49831452b9f9a01074453e3949ad",
+    ("receive-chain", "CH", 1): "a6f314ba81bd5aa18589f0e8c27363b371a1a2d108b29cdc8e4ae9df25450a8c",
+    ("receive-chain", "CH", 2): "66547c098855b4e049a1976d8b699238a32b49831452b9f9a01074453e3949ad",
+    ("receive-chain", "CH", 3): "a6f314ba81bd5aa18589f0e8c27363b371a1a2d108b29cdc8e4ae9df25450a8c",
+    ("receive-chain", "CH", 4): "a6f314ba81bd5aa18589f0e8c27363b371a1a2d108b29cdc8e4ae9df25450a8c",
 }
 
 

@@ -538,7 +538,6 @@ def test_plan_matches_the_public_lookups():
                 assert details == {**observed, **extra}
             for detection in record.detections:
                 _check_detection_record(detection)
-        assert plan.receivers == _expected_receivers(model)
 
 
 def _check_detection_record(record):
@@ -571,18 +570,6 @@ def _instance_graphs(model):
     return graphs
 
 
-def _expected_receivers(model):
-    """``plan.receivers`` from the public model: the receive nodes of each
-    instance, listed under (owner, channel) in key order, then node order."""
-    expected = {}
-    for key, (owner, graph_id) in sorted(_instance_graphs(model).items()):
-        for node_id, node in model.processes[graph_id].nodes.items():
-            if node.kind is ActivityKind.RECEIVE:
-                box = (owner, node.channel)
-                expected[box] = (*expected.get(box, ()), (key, node_id))
-    return expected
-
-
 def _drained_engines():
     """An engine run to quiescence for every runnable scenario of _models()."""
     for model in _models():
@@ -600,17 +587,12 @@ def _drained_engines():
 def test_plan_lists_every_started_instance_under_its_owner_in_key_order():
     started = 0
     for engine in _drained_engines():
-        receivers, graphs = engine.plan.receivers, _instance_graphs(engine.model)
-        for waiting in receivers.values():
-            keys = [key for key, _ in waiting]
-            assert keys == sorted(keys)
+        graphs = _instance_graphs(engine.model)
         for key, table in engine.plan.instances.items():
             owner, graph_id = graphs[key]
-            for node_id, node in engine.model.processes[graph_id].nodes.items():
+            for node_id in engine.model.processes[graph_id].nodes:
                 step = table[node_id]
                 assert (step.key, step.owner, step.details["graph"]) == (key, owner, graph_id)
-                if node.kind is ActivityKind.RECEIVE:
-                    assert (key, node_id) in receivers[owner, node.channel]
             started += step.recovery is not None
     assert started > 0
 
@@ -639,7 +621,9 @@ def _expected_step(model, key, node_id):
         details["name"] = node.name
     if recovery is not None:
         details["recovery"] = recovery
-    link = draw = sent = delivered = receiver = timer = None
+    link = draw = sent = delivered = receiver = timer = box = None
+    if node.kind is ActivityKind.RECEIVE:
+        box = (owner, node.channel)
     if node.kind is ActivityKind.SEND:
         link = model.connections[node.channel]
         draw = link.reliability if 0.0 < link.reliability < 1.0 else None
@@ -664,6 +648,7 @@ def _expected_step(model, key, node_id):
         delivered,
         receiver,
         timer,
+        box,
     )
 
 
@@ -748,9 +733,7 @@ def _reached(engine) -> dict[str, set[str]]:
             continue
         reached.setdefault(key, set()).add(details["activity"])
     queued = [step for _, _, rank, _, step in engine.heap if rank == simulator._R_COMPLETE]
-    for key, node_id in engine.waiting:
-        reached.setdefault(key, set()).add(node_id)
-    for step in [*engine.arrivals, *queued]:
+    for step in [*engine.waiting, *engine.arrivals, *queued]:
         reached.setdefault(step.key, set()).add(step.activity.id)
     return reached
 

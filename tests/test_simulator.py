@@ -63,6 +63,7 @@ class TestConfigValidation:
         ("horizon", "50"), ("horizon", 2.5), ("horizon", True),
         ("seed", 1.5), ("seed", [1]), ("seed", False),
         ("recovery_enabled", "no"), ("recovery_enabled", 0),
+        ("scenario", ["x"]), ("scenario", 5),
     ])
     def test_wrongly_typed_fields_are_refused(self, field, value):
         with pytest.raises(InvalidConfigError, match=f"^{field} must be "):
@@ -85,6 +86,17 @@ class TestConfigValidation:
             SimConfig(enabled_detectors="CallCentre")
         for ids in (["P", "Q"], ("P", "Q"), {"P": 1, "Q": 2}, iter("PQ")):
             assert SimConfig(enabled_detectors=ids).enabled_detectors == frozenset({"P", "Q"})
+
+    def test_detectors_that_are_no_collection_of_id_strings_are_refused(self):
+        for bad, message in (
+            (5, "enabled detectors must be a collection: 'int' object is not iterable"),
+            ([[1]], "enabled detectors must be a collection: unhashable type: 'list'"),
+            ({1, "a"}, "enabled detectors must be strings, not 1"),
+            ([b"P", 2.5, "Q"], "enabled detectors must be strings, not 2.5, b'P'"),
+        ):
+            with pytest.raises(InvalidConfigError) as info:
+                SimConfig(enabled_detectors=bad)
+            assert str(info.value) == message
 
     def test_guard_inputs_that_are_no_mapping_or_pairs_are_refused(self):
         for bad in ("ab", 5, [("d",)]):
