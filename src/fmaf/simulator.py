@@ -69,15 +69,9 @@ join arrivals under the join's record, the waiting receives' records,
 the mailbox and the event queue.  A delivery wakes the first waiting
 receive of its box in instance key, then receive id, order.
 
-``enumerate_outcomes`` forks at the draw.  Three kinds of event can
-draw: the completion of a send over a lossy link, a nominal start that
-may trigger a ``Probabilistic`` activation, and the raised error's
-detection race.  A branch that pops such an event forks once, keeping
-the copy as a snapshot taken just before the event, and answers each
-new choice True.  Each new choice leaves a sibling that handles the
-same event again from the snapshot, its last choice False; the last
-sibling of a snapshot takes the snapshot itself.  Seeded runs pay one
-test of a local per ``complete`` and ``raise-error`` event for this.
+``enumerate_outcomes`` forks at the draw, as its docstring states.  Seeded
+runs pay one test of a local per ``complete`` and ``raise-error`` event
+for this.
 """
 
 from __future__ import annotations
@@ -127,9 +121,6 @@ __all__ = [
     "ModelViolationsError",
     "BoundExceededError",
     "UnknownEventPatternError",
-    "NeedChoice",
-    "RandomSampler",
-    "ScriptedSampler",
     "run",
     "enumerate_outcomes",
     "compute_metrics",
@@ -176,9 +167,10 @@ class SimConfig:
     are of type ``int``, ``recovery_enabled`` of type ``bool``.
     ``enabled_detectors`` of None means every detector the focused chain
     lists; an explicit collection of id strings, not a string itself,
-    must be a subset of those.  ``guard_inputs``, a mapping or pairs,
-    chooses guarded branches by decision node id; decisions without an
-    input (or with an unmatched label) take their unguarded default edge.
+    must be a subset of those.  ``guard_inputs``, a mapping or pairs of
+    strings, chooses guarded branches by decision node id; decisions
+    without an input (or with an unmatched label) take their unguarded
+    default edge.
     """
 
     scenario: str | None = None
@@ -210,9 +202,13 @@ class SimConfig:
                 raise InvalidConfigError(f"enabled detectors must be strings, not {odd}")
             object.__setattr__(self, "enabled_detectors", detectors)
         try:
-            object.__setattr__(self, "guard_inputs", dict(self.guard_inputs))
+            guards = dict(self.guard_inputs)
         except (TypeError, ValueError) as error:
             raise InvalidConfigError(f"guard inputs are no mapping or pairs: {error}") from None
+        odd = ", ".join(repr(pair) for pair in guards.items() if {*map(type, pair)} != {str})
+        if odd:
+            raise InvalidConfigError(f"guard inputs must be strings, not {odd}")
+        object.__setattr__(self, "guard_inputs", guards)
 
     def __hash__(self) -> int:
         return hash(
@@ -361,11 +357,7 @@ def summarize(trace: SimTrace) -> tuple[str | None, str]:
 # Random choice plumbing
 
 
-class NeedChoice(Exception):
-    """A scripted sampler ran out of scripted choices."""
-
-
-class RandomSampler:
+class _RandomSampler:
     """Draws from ``random.Random(seed)``, seeded on the first draw: most
     runs never draw, and seeding costs more than a short run's events."""
 
@@ -378,21 +370,6 @@ class RandomSampler:
         if rng is None:
             rng = self._rng = random.Random(self._seed)
         return rng.random() < probability
-
-
-class ScriptedSampler:
-    """Replays a fixed prefix of choices; exhaustion raises NeedChoice."""
-
-    def __init__(self, choices: Iterable[bool]) -> None:
-        self._choices = list(choices)
-        self._next = 0
-
-    def bernoulli(self, probability: float) -> bool:
-        if self._next >= len(self._choices):
-            raise NeedChoice
-        value = self._choices[self._next]
-        self._next += 1
-        return value
 
 
 def _draw(sampler, probability: float) -> bool:
@@ -789,16 +766,15 @@ class _Engine:
         if activation is not None and isinstance(activation.trigger, AtTime):
             self.push(activation.trigger.time, activation.origin_constituent, _R_INJECT, ())
 
-    def loop(self, stop: int = -1) -> None:
-        """Process events until an outcome is set, the queue drains, or
-        ``stop`` events have been popped.  A plain step's successor is
-        entered here unless it is a join or a receive or an activation is
-        pending.  The queue, the waiting set and the mailbox are bound
-        once: every handler edits them in place."""
+    def loop(self) -> None:
+        """Process events until an outcome is set or the queue drains.  A
+        plain step's successor is entered here unless it is a join or a
+        receive or an activation is pending.  The queue, the waiting set
+        and the mailbox are bound once: every handler edits them in place."""
         heap, heappop, heappush = self.heap, heapq.heappop, heapq.heappush
         horizon, instances, branches = self.config.horizon, self.plan.instances, self.branches
         record, rows, waiting, mailbox = self.record, self.events, self.waiting, self.mailbox
-        while heap and self.outcome is None and self.pops != stop:
+        while heap and self.outcome is None:
             self.pops += 1
             entry = heappop(heap)
             time, actor, rank, _, payload = entry
@@ -1064,7 +1040,7 @@ def _malformed(model: SosModel) -> str | None:
 
 def run(model: SosModel, config: SimConfig) -> SimTrace:
     """Simulate one configuration; pure in (model, config)."""
-    return _Engine(model, config, RandomSampler(config.seed)).run()
+    return _Engine(model, config, _RandomSampler(config.seed)).run()
 
 
 def enumerate_outcomes(
@@ -1083,9 +1059,12 @@ def enumerate_outcomes(
     with the choices made before it and then False.  So only a drawing
     event ever runs twice, and no branch is thrown away.  Branches record
     no trace events and compute no metrics, only the outcome, and a fork
-    copies the run's tables.  At most 4096 branches (choice prefixes) are explored,
-    and any activity graph larger than ``bound`` nodes is rejected.
+    copies the run's tables.  At most 4096 branches (choice prefixes) are
+    explored.  It first refuses a ``bound`` that is not an ``int``, then
+    any activity graph larger than ``bound`` nodes.
     """
+    if type(bound) is not int:
+        raise InvalidConfigError(f"bound must be int, not {bound!r}")
     for graph in model.processes.values():
         if len(graph.nodes) > bound:
             raise BoundExceededError(

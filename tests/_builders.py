@@ -1,4 +1,4 @@
-"""Shared model builders for the test suite."""
+"""Shared model builders and the scripted sampler for the test suite."""
 
 from __future__ import annotations
 
@@ -26,6 +26,27 @@ from fmaf.model import (
     Timeout,
     build_model,
 )
+
+
+class NeedChoice(Exception):
+    """A scripted sampler ran out of scripted choices."""
+
+
+class ScriptedSampler:
+    """An engine's sampler that replays ``choices`` in order and records
+    the probability of each draw in ``probabilities``; a draw past the
+    last choice raises NeedChoice."""
+
+    def __init__(self, choices) -> None:
+        self.choices = tuple(choices)
+        self.probabilities: list[float] = []
+
+    def bernoulli(self, probability: float) -> bool:
+        drawn = len(self.probabilities)
+        if drawn == len(self.choices):
+            raise NeedChoice
+        self.probabilities.append(probability)
+        return self.choices[drawn]
 
 
 def action(aid: str, duration: int = 1, name: str = "") -> Activity:

@@ -64,6 +64,7 @@ class TestLoading:
     @pytest.mark.parametrize("raw", [
         {"recovery": "false"}, {"seed": 1.9}, {"horizon": "50"}, {"scenario": ["F1"]},
         {"detectors": 5}, {"detectors": [["ERU"]]}, {"detectors": ["ERU", 1]},
+        {"guards": {"cause": 5}}, {"guards": {"cause": ["crashed"]}},
     ])
     def test_wrongly_typed_values_are_refused_not_converted(self, raw):
         with pytest.raises(FmafError, match=" must be "):

@@ -40,8 +40,6 @@ from fmaf.model import (
 from fmaf.simulator import (
     BoundExceededError,
     ModelViolationsError,
-    NeedChoice,
-    ScriptedSampler,
     SimConfig,
     _Branches,
     _Engine,
@@ -50,7 +48,15 @@ from fmaf.simulator import (
     summarize,
 )
 
-from _builders import action, race_fixture, random_model, seq_graph, successor_fixtures
+from _builders import (
+    NeedChoice,
+    ScriptedSampler,
+    action,
+    race_fixture,
+    random_model,
+    seq_graph,
+    successor_fixtures,
+)
 
 
 def replay_outcomes(model, config, bound=12, leaves=None):
@@ -354,19 +360,23 @@ def _run_tables(engine):
 
 
 def _snapshot_before_first_choice(model, config):
-    """A recording engine stopped just before its first Bernoulli draw."""
+    """A recording engine stopped just before its first Bernoulli draw, or
+    None if a run makes none.
+
+    It is the snapshot that the enumeration driver keeps before the
+    drawing event, of a run whose own sampler stops it at that draw, so
+    nothing runs on from the snapshot; it is detached from the driver.
+    """
     probe = _Engine(model, config, ScriptedSampler(()))
-    probe.start()
+    probe.branches = branches = _Branches(probe)
     try:
+        probe.start()
         probe.loop()
     except NeedChoice:
-        pass
-    else:
-        return None
-    snap = _Engine(model, config, ScriptedSampler(()))
-    snap.start()
-    snap.loop(stop=probe.pops - 1)
-    return snap
+        snap = branches.snap.engine
+        snap.branches = snap.sampler = None
+        return snap
+    return None
 
 
 def _fresh_trace(model, config, choices):
@@ -412,13 +422,15 @@ def test_enumeration_builds_no_trace_events(model, config, monkeypatch):
 
 
 def _parallel_receivers():
-    """B forks into two receives on one channel; A sends twice over it.
+    """B forks into two receives on one channel; A sends twice over it,
+    a lossy link.
 
     ``r_b`` starts waiting at tick 0 and ``r_a`` at tick 1, after
     ``pre``, so the order they started waiting in and id order disagree.
+    Both wait when ``s1`` completes at tick 2, the run's first draw.
     """
     sends = [
-        Activity("s1", ActivityKind.SEND, duration=1, channel="Link"),
+        Activity("s1", ActivityKind.SEND, duration=2, channel="Link"),
         Activity("s2", ActivityKind.SEND, duration=1, channel="Link"),
     ]
     graph_b = ActivityGraph(
@@ -449,29 +461,27 @@ def _parallel_receivers():
             ConstituentSystem("A", "Sender", "GA"),
             ConstituentSystem("B", "Receiver", "GB"),
         ],
-        connections=[Connection("Link", "Link", "A", "B")],
+        connections=[Connection("Link", "Link", "A", "B", reliability=0.5)],
         processes=[seq_graph("GA", "A", sends), graph_b],
     )
 
 
 def test_lowest_receive_id_takes_the_first_message_on_parent_and_fork():
     model = _parallel_receivers()
-    config = SimConfig(horizon=60)
-    snap = _Engine(model, config, ScriptedSampler(()))
-    snap.start()
+    config, both_survive = SimConfig(horizon=60), (True, True)
+    snap = _snapshot_before_first_choice(model, config)
     table = snap.plan.instances["nominal:B"]
-    for waiting in (1, 2):  # r_b starts waiting first
-        while len(snap.waiting) < waiting:
-            snap.loop(stop=snap.pops + 1)
-        assert table["r_b"] in snap.waiting
     assert snap.waiting == {table["r_b"], table["r_a"]}
+    starts = {d["activity"]: t for t, kind, _, d in snap.events if kind == "activity-start"}
+    assert starts["r_b"] < starts["r_a"]
     assert not any(kind == "message-delivered" for _, kind, _, _ in snap.events)
-    fork = snap.fork(ScriptedSampler(()))
+    fork = snap.fork(ScriptedSampler(both_survive))
+    snap.sampler = ScriptedSampler(both_survive)
     traces = []
     for engine in (fork, snap):
         engine.loop()
         traces.append(engine.finish())
-    assert traces[0] == traces[1] == _fresh_trace(model, config, ())
+    assert traces[0] == traces[1] == _fresh_trace(model, config, both_survive)
     events = traces[0].events
     delivered = [e.time for e in events if e.kind == "message-delivered"]
     ends = {e.details["activity"]: e.time for e in events if e.kind == "activity-end"}

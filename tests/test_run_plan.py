@@ -576,7 +576,7 @@ def _drained_engines():
         for scenario in (None, *sorted(model.chains)):
             config = SimConfig(scenario=scenario, seed=0)
             try:
-                engine = simulator._Engine(model, config, simulator.RandomSampler(0))
+                engine = simulator._Engine(model, config, simulator._RandomSampler(0))
             except simulator.SimulationError:
                 continue
             engine.start()
@@ -749,7 +749,7 @@ def _early_faults():
 def test_a_run_builds_the_records_of_the_nodes_it_enters_and_no_others():
     partial = 0
     for model, config in _early_faults():
-        engine = simulator._Engine(model, config, simulator.RandomSampler(config.seed))
+        engine = simulator._Engine(model, config, simulator._RandomSampler(config.seed))
         engine.start()
         engine.loop()
         engine.finish()

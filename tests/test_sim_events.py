@@ -25,13 +25,13 @@ import pytest
 from fmaf.casestudy import BUNDLE_NAMES, load_bundle
 from fmaf.simulator import (
     ModelViolationsError,
-    ScriptedSampler,
     SimConfig,
     SimEvent,
     _Engine,
     run,
 )
 
+from _builders import ScriptedSampler
 from _event_check import DIGEST, bundle_digest, check_public, check_unread
 from test_enumeration import (
     _choice_models,

@@ -15,8 +15,10 @@ from fmaf.model import (
     ActivityKind,
     ConstituentSystem,
     Count,
+    DetectionSpec,
     Edge,
     MetricSpec,
+    Probabilistic,
     ThirdPartyReport,
     build_model,
 )
@@ -35,7 +37,14 @@ from fmaf.simulator import (
     write_trace,
 )
 
-from _builders import action, checker_fixture, coin_race_fixture, fixture_mutants, race_fixture
+from _builders import (
+    ScriptedSampler,
+    action,
+    checker_fixture,
+    coin_race_fixture,
+    fixture_mutants,
+    race_fixture,
+)
 
 # Pinned Bernoulli branches for the third-party report in race_fixture:
 # random.Random(1).random() < 0.5 holds, random.Random(0).random() < 0.5
@@ -104,6 +113,17 @@ class TestConfigValidation:
                 SimConfig(guard_inputs=bad)
         for pairs in ({"d": "yes"}, [("d", "yes")], (("d", "yes"),), iter([("d", "yes")])):
             assert SimConfig(guard_inputs=pairs).guard_inputs == {"d": "yes"}
+
+    def test_guard_inputs_that_are_not_strings_are_refused(self):
+        for bad, message in (
+            ({"NextAction": 5}, "('NextAction', 5)"),
+            ({"NextAction": ["x"]}, "('NextAction', ['x'])"),
+            ({5: "x"}, "(5, 'x')"),
+            ([("d", "yes"), (b"e", None)], "(b'e', None)"),
+        ):
+            with pytest.raises(InvalidConfigError) as info:
+                SimConfig(guard_inputs=bad)
+            assert str(info.value) == f"guard inputs must be strings, not {message}"
 
     def test_activation_beyond_horizon(self):
         model = checker_fixture()
@@ -419,6 +439,51 @@ class TestEnumeration:
     def test_bound_rejects_large_graphs(self):
         with pytest.raises(BoundExceededError, match="bound is 3"):
             enumerate_outcomes(race_fixture(), cfg(seed=0), bound=3)
+
+    @pytest.mark.parametrize("bound", ["12", 2.5, True, None])
+    def test_a_bound_that_is_no_int_is_refused(self, bound):
+        # 2.5 would refuse race_fixture's graphs of four nodes if the
+        # graph-size check came first.
+        with pytest.raises(InvalidConfigError) as info:
+            enumerate_outcomes(race_fixture(), cfg(seed=0), bound=bound)
+        assert str(info.value) == f"bound must be int, not {bound!r}"
+
+
+def _one_draw_of_each_kind():
+    """``race_fixture`` with every kind of draw, each kind of its own
+    probability: a ``Probabilistic(0.3)`` activation over ``p_serve`` and
+    ``p_done``, the send between them over a link of reliability 0.9, and
+    third-party reports of p 0.6 (DTHIRD) and 0.7 (DTHIRD2) in the race,
+    beside a certain one (DSURE, p 1) that never draws."""
+    model = race_fixture()
+    activation = dataclasses.replace(
+        model.activations["ACT"],
+        region=frozenset({"p_serve", "p_done"}),
+        trigger=Probabilistic(0.3),
+    )
+    link = dataclasses.replace(model.connections["LinkPQ"], reliability=0.9)
+    reports = (
+        DetectionSpec("DTHIRD", "CH", "Q", ThirdPartyReport(0.6, 1), "RTHIRD"),
+        DetectionSpec("DTHIRD2", "CH", "P", ThirdPartyReport(0.7, 1), "RSELF"),
+        DetectionSpec("DSURE", "CH", "P", ThirdPartyReport(1.0, 3), "RSELF"),
+    )
+    return dataclasses.replace(
+        model,
+        activations={"ACT": activation},
+        connections={**model.connections, "LinkPQ": link},
+        detections={**model.detections, **{spec.id: spec for spec in reports}},
+    )
+
+
+def test_draws_come_in_the_documented_order():
+    # docs/semantics.md section 2: the activation draws at p_serve's
+    # start (False), the send at its completion (True), the activation
+    # again at p_done's start (True), then each uncertain report in
+    # spec-id order; the recovery's send over a certain link never draws.
+    sampler = ScriptedSampler((False, True, True, True, True))
+    trace = simulator._Engine(_one_draw_of_each_kind(), cfg(), sampler).run()
+    assert sampler.probabilities == [0.3, 0.9, 0.3, 0.6, 0.7]
+    assert trace.outcome == Outcome("recovered", by="Q", recovery="RTHIRD")
 
 
 class TestBranchingGraphs:
